@@ -19,10 +19,9 @@ from . import davis, subgroups
 from .errors import BudgetError, CoxlabError, InputError
 from .matrices import (INFINITY, components, is_finite, is_indecomposable,
                        nerve, parse_matrix)
-from .words import CoxeterGroup, word_from_text
+from .words import DEFAULT_ELEMENT_CAP, CoxeterGroup, word_from_text
 
 DEFAULT_MAX_CHAMBERS = 8
-DEFAULT_ELEMENT_CAP = 100_000
 
 SUITES = ("facet-bound", "andreev", "stacan", "nerve-deletion", "comm", "all")
 

@@ -1,15 +1,15 @@
 """Chamber-level model of the Davis complex.
 
 Chambers are group elements; the base chamber is the identity.  A wall
-splits the chamber set in two, and the side of a chamber is read off by
-length comparison (equivalently, the sign of the pulled-back root).
-Convexity of a finite chamber set means closure under geodesics, and a
-convex polytope carries its minimal facet walls, its codimension-2
-angle sites (rank-2 residues it meets), and the angle predicates built
-from them.  The census enumerates every convex chamber set containing
-the base chamber up to a chamber budget: each one arises from a smaller
-one by adjoining an adjacent chamber and closing up, so the growth
-search is exhaustive.
+splits the chamber set in two; a chamber is across it exactly when the
+wall is in the chamber's inversion set.  A convex chamber set is an
+intersection of roots, so one wall-crossing search finds convex hulls
+and fundamental domains.  A convex polytope carries its minimal facet
+walls, its codimension-2 angle sites (rank-2 residues it meets), and the
+angle predicates built from them.  The census enumerates every convex
+chamber set containing the base chamber up to a chamber budget: each one
+arises from a smaller one by adjoining an adjacent chamber and closing
+up, so the growth search is exhaustive.
 """
 
 from __future__ import annotations
@@ -27,39 +27,41 @@ DEFAULT_HULL_CAP = 4096
 
 
 def side(group, wall, chamber):
-    """+1 on the base-chamber side of the wall, -1 across it.
-
-    Equals +1 exactly when left-multiplying by the wall's reflection
-    lengthens the chamber, i.e. when the chamber's inverse maps the
-    wall's root to a positive root.
-    """
-    rid = group._rid_of(wall.root)
-    return group._root_sign(group._apply_word_inv_root(chamber.word, rid))
+    """+1 on the base-chamber side of the wall, -1 across it."""
+    return -1 if wall.rid in group.inversion_set(chamber) else 1
 
 
 # ---------------------------------------------------------------------------
-# convex hulls
+# chamber regions: convex hulls and fundamental domains
+
+
+def _region(group, start, crosses, limit):
+    """Chambers reachable from ``start`` through the panels (g, s) with
+    ``crosses(g, s)``, or None once there are more than ``limit``."""
+    region = {start}
+    queue = [start]
+    for g in queue:
+        for s in range(group.rank):
+            x = group.step(g, s)
+            if x not in region and crosses(g, s):
+                region.add(x)
+                queue.append(x)
+        if len(region) > limit:
+            return None
+    return frozenset(region)
 
 
 def _hull_limited(group, chambers, limit):
-    """Geodesic-closure fixpoint, or None once it exceeds ``limit``."""
-    h = set(chambers)
-    if len(h) > limit:
-        return None
-    changed = True
-    while changed:
-        changed = False
-        members = sorted(h, key=lambda e: e.sort_key)
-        for g, x in combinations(members, 2):
-            u = group.multiply(group.inverse(g), x)
-            for v in group.interval_to(u):
-                y = group.multiply(g, v)
-                if y not in h:
-                    h.add(y)
-                    changed = True
-                    if len(h) > limit:
-                        return None
-    return frozenset(h)
+    """Convex hull, or None once it exceeds ``limit`` chambers: what the
+    least input chamber c0 reaches across walls separating it from some
+    input chamber, as a convex set is an intersection of roots."""
+    c0 = min(chambers, key=lambda e: e.sort_key)
+    n0 = group.inversion_set(c0)
+    walls = set()
+    for c in chambers:
+        walls |= group.inversion_set(c) ^ n0
+    return _region(group, c0,
+                   lambda g, s: group.panel_root(g, s) in walls, limit)
 
 
 @dataclass(frozen=True)
@@ -81,17 +83,20 @@ class ChamberPolytope:
 
 
 def _facet_walls(group, chambers):
-    cands = {}
+    """Walls of boundary panels with every chamber on one side."""
+    inversions = [group.inversion_set(g) for g in chambers]
+    seen = set()
+    out = []
     for g in sorted(chambers, key=lambda e: e.sort_key):
         for s in range(group.rank):
-            if group.step(g, s) not in chambers:
-                w = group.wall_between(g, s)
-                cands.setdefault(w.reflection.word, w)
-    out = []
-    for _, w in sorted(cands.items()):
-        sides = {side(group, w, g) for g in chambers}
-        if len(sides) == 1:
-            out.append((w, sides.pop()))
+            rid = group.panel_root(g, s)
+            if rid in seen or group.step(g, s) in chambers:
+                continue
+            seen.add(rid)
+            across = sum(rid in n for n in inversions)
+            if across in (0, len(inversions)):
+                out.append((group.wall_between(g, s),
+                            -1 if across else 1))
     return tuple(sorted(out, key=lambda p: p[0].sort_key))
 
 
@@ -113,7 +118,7 @@ def convex_hull(group, chambers, max_chambers=DEFAULT_HULL_CAP):
 
 def is_convex(group, chambers):
     seed = frozenset(chambers)
-    return _hull_limited(group, seed, len(seed)) == seed
+    return not seed or _hull_limited(group, seed, len(seed)) == seed
 
 
 def as_polytope(group, chambers):
@@ -205,16 +210,22 @@ def angle_sites(group, polytope):
     return sites
 
 
+def _coxeter_angles(sites):
+    return all(z.m % z.j == 0 for z in sites if not z.interior)
+
+
+def _acute_angles(sites):
+    return all(2 * z.j <= z.m for z in sites if not z.interior)
+
+
 def is_coxeter_polytope(group, polytope):
     """All boundary angles are integer submultiples of pi (j | m)."""
-    return all(z.m % z.j == 0 for z in angle_sites(group, polytope)
-               if not z.interior)
+    return _coxeter_angles(angle_sites(group, polytope))
 
 
 def is_acute_angled(group, polytope):
     """All boundary angles are at most pi/2 (2j <= m)."""
-    return all(2 * z.j <= z.m for z in angle_sites(group, polytope)
-               if not z.interior)
+    return _acute_angles(angle_sites(group, polytope))
 
 
 def decomposed_angles(group, polytope):
@@ -273,22 +284,13 @@ def check_andreev(group, polytope):
 
 def _facet_chambers(group, polytope, wall):
     """Chambers of the polytope having a panel on the wall."""
-    out = set()
-    for g in polytope.chambers:
-        ginv = group.inverse(g).word
-        r = group._mult_word(ginv, wall.reflection.word + g.word)
-        if len(r) == 1:
-            out.add(g)
-    return frozenset(out)
+    return frozenset(g for g in polytope.chambers
+                     if any(group.panel_root(g, s) == wall.rid
+                            for s in range(group.rank)))
 
 
-def _acute_along(group, polytope, wall):
-    for z in angle_sites(group, polytope):
-        if z.interior or wall not in z.boundary_walls:
-            continue
-        if 2 * z.j > z.m:
-            return False
-    return True
+def _acute_along(sites, wall):
+    return _acute_angles([z for z in sites if wall in z.boundary_walls])
 
 
 def check_stacan(group, p1, p2):
@@ -315,8 +317,8 @@ def check_stacan(group, p1, p2):
                 break
     if shared is None:
         raise PreconditionError("no common facet wall with matching panels")
-    if not _acute_along(group, p1, shared) or \
-            not _acute_along(group, p2, shared):
+    if not _acute_along(angle_sites(group, p1), shared) or \
+            not _acute_along(angle_sites(group, p2), shared):
         raise PreconditionError("angles along the shared facet not acute")
     union = p1.chambers | p2.chambers
     return is_convex(group, union)
@@ -336,9 +338,10 @@ def stacan_pairs(group, max_total_chambers, census=None):
     seen = set()
     for p1 in census:
         room = max_total_chambers - len(p1.chambers)
+        sites1 = angle_sites(group, p1)
         for wall, sd in p1.facet_walls:
             panels1 = _facet_chambers(group, p1, wall)
-            if not _acute_along(group, p1, wall):
+            if not _acute_along(sites1, wall):
                 continue
             mirrored = frozenset(group.multiply(wall.reflection, g)
                                  for g in panels1)
@@ -365,7 +368,7 @@ def stacan_pairs(group, max_total_chambers, census=None):
                         continue
                     if dict(p2.facet_walls).get(wall) != -sd:
                         continue
-                    if not _acute_along(group, p2, wall):
+                    if not _acute_along(angle_sites(group, p2), wall):
                         continue
                     yield p1, p2, wall
 
@@ -382,8 +385,7 @@ def enumerate_convex_polytopes(group, max_chambers):
     start = frozenset({group.identity()})
     seen = {start}
     queue = [start]
-    while queue:
-        chambers = queue.pop(0)
+    for chambers in queue:
         yield _polytope_of(group, chambers)
         if len(chambers) >= max_chambers:
             continue
@@ -439,7 +441,7 @@ def census_record(group, polytope):
     return {
         "chambers": [c.display() for c in polytope.sorted_chambers()],
         "facets": polytope.facet_count,
-        "coxeter": is_coxeter_polytope(group, polytope),
-        "acute": is_acute_angled(group, polytope),
+        "coxeter": _coxeter_angles(sites),
+        "acute": _acute_angles(sites),
         "angles": [{"m": z.m, "j": z.j} for z in sites],
     }

@@ -6,8 +6,8 @@ conjugation descent: while some pair allows t1 t2 t1 shorter than t2,
 replace t2.  Membership of a reflection is decided the same way (descend
 until landing in the generating set or stalling), with an enumerative
 second implementation kept alongside as a cross-check oracle.  The
-fundamental polytope is grown by a chamber BFS from the base chamber
-that refuses to cross mirrors; its chamber count is the subgroup index.
+fundamental polytope is what the base chamber reaches without crossing
+a mirror; its chamber count is the subgroup index.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .davis import (ChamberPolytope, _polytope_of, enumerate_convex_polytopes,
-                    is_convex, is_coxeter_polytope)
+from .davis import (ChamberPolytope, _polytope_of, _region,
+                    enumerate_convex_polytopes, is_convex,
+                    is_coxeter_polytope)
 from .errors import (BudgetError, ConsistencyError, InputError,
                      PreconditionError)
 from .matrices import (INFINITY, CoxeterMatrix, is_finite, is_indecomposable,
@@ -141,41 +142,24 @@ def contains_reflection_checked(group, gens, r, slack=0):
 
 
 def fundamental_polytope(group, gens, max_chambers):
-    """Chamber BFS from the base chamber, blocked at mirrors.
+    """Chambers reachable from the base chamber without crossing a mirror.
 
-    Returns (polytope, index) when the BFS halts within the budget;
-    raises BudgetError otherwise (infinite or large index).
+    Returns (polytope, index) when the region fits the budget; raises
+    BudgetError otherwise (infinite or large index).
     """
     mirror = {}
 
-    def is_mirror(wall):
-        key = wall.reflection.word
-        hit = mirror.get(key)
-        if hit is None:
-            hit = contains_reflection(group, gens, wall)
-            mirror[key] = hit
-        return hit
+    def crosses(g, s):
+        rid = group.panel_root(g, s)
+        if rid not in mirror:
+            mirror[rid] = contains_reflection(group, gens,
+                                              group.wall_between(g, s))
+        return not mirror[rid]
 
-    e = group.identity()
-    visited = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for g in sorted(frontier, key=lambda x: x.sort_key):
-            for s in range(group.rank):
-                w = group.wall_between(g, s)
-                if is_mirror(w):
-                    continue
-                x = group.step(g, s)
-                if x not in visited:
-                    if len(visited) >= max_chambers:
-                        raise BudgetError(
-                            f"fundamental domain exceeds {max_chambers} "
-                            "chambers")
-                    visited.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    chambers = frozenset(visited)
+    chambers = _region(group, group.identity(), crosses, max_chambers)
+    if chambers is None:
+        raise BudgetError(f"fundamental domain exceeds {max_chambers} "
+                          "chambers")
     if not is_convex(group, chambers):
         raise ConsistencyError("fundamental domain is not convex",
                                sorted(c.display() for c in chambers))

@@ -12,7 +12,8 @@ bilinear form is stored doubled (entries -2cos(pi/m)) to keep every
 coordinate an integer polynomial in the field generator.
 
 Chambers of the chamber complex are exactly these elements; walls are
-reflections paired with their positive roots.
+reflections paired with their positive roots, and a chamber's inversion
+set holds the root ids of the walls separating it from the base chamber.
 """
 
 from __future__ import annotations
@@ -66,12 +67,13 @@ class Wall:
     determined by the reflection (up to the sign we normalize away).
     """
 
-    __slots__ = ("reflection", "root", "witness")
+    __slots__ = ("reflection", "root", "witness", "rid")
 
-    def __init__(self, reflection, root, witness):
+    def __init__(self, reflection, root, witness, rid):
         self.reflection = reflection
         self.root = root
         self.witness = witness  # (w, s) with reflection == w s w^-1
+        self.rid = rid          # interned id of the positive root
 
     @property
     def sort_key(self):
@@ -139,7 +141,8 @@ class CoxeterGroup:
         self._sign_cache = {}
         self._mult_cache = {}
         self._canon_memo = {(): ()}
-        self._interval_cache = {}
+        self._panel_memo = {}
+        self._inversion_memo = {(): frozenset()}
         self._tits_form = None
 
     # -- roots (interned) ---------------------------------------------------
@@ -200,12 +203,6 @@ class CoxeterGroup:
     def _apply_word_root(self, word, rid):
         """Image of the root under the element of ``word``."""
         for a in reversed(word):
-            rid = self._reflect_id(rid, a)
-        return rid
-
-    def _apply_word_inv_root(self, word, rid):
-        """Image of the root under the inverse of the element of ``word``."""
-        for a in word:
             rid = self._reflect_id(rid, a)
         return rid
 
@@ -348,10 +345,38 @@ class CoxeterGroup:
 
     # -- walls ----------------------------------------------------------------
 
+    def _positive_id(self, rid):
+        return rid if self._root_sign(rid) > 0 else self._neg_id(rid)
+
     def _make_wall(self, refl_word, rid, witness):
-        if self._root_sign(rid) < 0:
-            rid = self._neg_id(rid)
-        return Wall(Element(refl_word), self._root_vector(rid), witness)
+        rid = self._positive_id(rid)
+        return Wall(Element(refl_word), self._root_vector(rid), witness, rid)
+
+    def panel_root(self, g, s):
+        """Root id (the ``rid``) of the wall between g and g*s."""
+        key = (g.word, s)
+        hit = self._panel_memo.get(key)
+        if hit is None:
+            hit = self._positive_id(
+                self._apply_word_root(g.word, self._simple[s]))
+            self._panel_memo[key] = hit
+        return hit
+
+    def inversion_set(self, g):
+        """Root ids of the walls separating g from the base chamber, grown
+        along the normal form by N(w a) = N(w) | {panel_root(w, a)}: each
+        prefix of a normal form is one, and its next letter lengthens it.
+        """
+        word = g.word
+        memo = self._inversion_memo
+        k = len(word)
+        while word[:k] not in memo:
+            k -= 1
+        n = memo[word[:k]]
+        for j in range(k, len(word)):
+            n = n | {self.panel_root(Element(word[:j]), word[j])}
+            memo[word[:j + 1]] = n
+        return n
 
     def generator_wall(self, i):
         return self._make_wall((i,), self._simple[i], (self.identity(), i))
@@ -362,8 +387,7 @@ class CoxeterGroup:
         out = self._mult_gen(w, s)
         for a in reversed(w):
             out = self._mult_gen(out, a)
-        rid = self._apply_word_root(w, self._simple[s])
-        return self._make_wall(out, rid, (g, s))
+        return self._make_wall(out, self.panel_root(g, s), (g, s))
 
     def conjugate_wall(self, t, u):
         """The wall of t u t (conjugate of u's reflection by t's)."""
@@ -508,28 +532,6 @@ class CoxeterGroup:
                     rid = self._apply_word_root(w.word, self._simple[s])
                     out[word] = self._make_wall(word, rid, (w, s))
         return sorted(out.values(), key=lambda x: x.sort_key)
-
-    # -- intervals (used by the hull machinery) -------------------------------
-
-    def interval_to(self, u):
-        """All elements on geodesics from the identity to u."""
-        hit = self._interval_cache.get(u.word)
-        if hit is None:
-            seen = {(): u.word}
-            stack = [((), u.word)]
-            while stack:
-                v, rem = stack.pop()
-                for i in range(self.rank):
-                    ex = self._left_exchange(rem, i)
-                    if ex is None:
-                        continue
-                    v2 = self._mult_gen(v, i)
-                    if v2 not in seen:
-                        seen[v2] = ex
-                        stack.append((v2, ex))
-            hit = frozenset(Element(w) for w in seen)
-            self._interval_cache[u.word] = hit
-        return hit
 
     # -- matrices (exact Tits representation; test oracle support) ------------
 

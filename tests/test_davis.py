@@ -15,6 +15,7 @@ from coxlab.matrices import INFINITY
 from coxlab.words import CoxeterGroup
 
 from conftest import MATRICES
+from oracles import census_fixpoint, hull_fixpoint, interval
 
 
 @pytest.fixture(scope="module")
@@ -354,7 +355,7 @@ def test_interval_matches_bruteforce():
         ball = group.ball(5)
         rng = random.Random(23)
         for u in rng.sample(ball, 10):
-            got = group.interval_to(u)
+            got = interval(group, u)
             expect = {
                 v for v in ball
                 if v.length + group.multiply(group.inverse(v), u).length
@@ -390,3 +391,28 @@ def test_as_polytope_rejects_nonconvex(a2aff):
     assert not is_convex(a2aff, bad)
     with pytest.raises(InputError):
         as_polytope(a2aff, bad)
+
+
+def test_hull_and_census_match_fixpoint_oracle():
+    # the inversion-set search against the geodesic-closure fixpoint it
+    # replaced: the whole census, then hulls of random seeds, some of
+    # which leave out the base chamber
+    from coxlab.matrices import CoxeterMatrix
+    cycle4 = CoxeterMatrix([[1, 3, 2, 3], [3, 1, 3, 2],
+                            [2, 3, 1, 3], [3, 2, 3, 1]])
+    matrices = [MATRICES[n] for n in ("t23inf", "a2aff", "t255", "univ3")]
+    for k, m in enumerate(matrices + [cycle4]):
+        group = CoxeterGroup(m)
+        census = {p.chambers for p in enumerate_convex_polytopes(group, 5)}
+        assert census == census_fixpoint(group, 5), m
+        rng = random.Random(100 + k)
+        ball = group.ball(3)
+        seeds = [{rng.choice(ball) for _ in range(rng.randrange(1, 4))}
+                 for _ in range(12)]
+        seeds += [set(rng.sample(ball[1:], 2)) for _ in range(4)]
+        assert any(group.identity() not in seed for seed in seeds)
+        for seed in seeds:
+            expect = hull_fixpoint(group, seed)
+            assert convex_hull(group, seed).chambers == expect, \
+                (m, sorted(c.display() for c in seed))
+            assert is_convex(group, seed) == (expect == seed)
