@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import davis, subgroups
 from .errors import BudgetError, CoxlabError, InputError
@@ -109,12 +110,32 @@ def census_list(group, max_chambers, cap=None):
     return out
 
 
-def suite_facet_bound(group, max_chambers, report, census):
-    if not _suites_applicable(group.matrix):
+class _VerifyRun:
+    """The group and budget of one ``run_verify`` call, and the census and
+    equal-rank search its suites share: each is computed on first use,
+    at most once per call."""
+
+    def __init__(self, group, max_chambers):
+        self.group = group
+        self.max_chambers = max_chambers
+
+    @cached_property
+    def census(self):
+        return census_list(self.group, self.max_chambers)
+
+    @cached_property
+    def equal_rank(self):
+        return subgroups.search_equal_rank_subgroups(
+            self.group, self.max_chambers, census=self.census)
+
+
+def suite_facet_bound(run, report):
+    if not _suites_applicable(run.group.matrix):
         report.add("facet-bound", "skipped",
                    "needs an infinite indecomposable system")
         return
-    res = davis.verify_facet_bound(group, max_chambers, census=census)
+    res = davis.verify_facet_bound(run.group, run.max_chambers,
+                                   census=run.census)
     detail = (f"{res['polytopes']} polytopes, min facets {res['min_facets']}"
               f" (rank {res['rank']})")
     if res["bound_ok"]:
@@ -124,14 +145,15 @@ def suite_facet_bound(group, max_chambers, report, census):
                    counterexample=res["violations"][:3])
 
 
-def suite_andreev(group, max_chambers, report, census):
-    if not _suites_applicable(group.matrix):
+def suite_andreev(run, report):
+    if not _suites_applicable(run.group.matrix):
         report.add("andreev", "skipped",
                    "needs an infinite indecomposable system")
         return
+    group = run.group
     checked = 0
     bad = []
-    for p in census:
+    for p in run.census:
         if not davis.is_acute_angled(group, p):
             continue
         checked += 1
@@ -149,15 +171,16 @@ def suite_andreev(group, max_chambers, report, census):
                    f"0 violations over {checked} acute polytopes")
 
 
-def suite_stacan(group, max_chambers, report, census):
-    if not _suites_applicable(group.matrix):
+def suite_stacan(run, report):
+    if not _suites_applicable(run.group.matrix):
         report.add("stacan", "skipped",
                    "needs an infinite indecomposable system")
         return
+    group = run.group
     pairs = 0
     bad = []
-    for p1, p2, wall in davis.stacan_pairs(group, max_chambers,
-                                           census=census):
+    for p1, p2, wall in davis.stacan_pairs(group, run.max_chambers,
+                                           census=run.census):
         pairs += 1
         if not davis.check_stacan(group, p1, p2):
             bad.append({
@@ -174,17 +197,16 @@ def suite_stacan(group, max_chambers, report, census):
                    f"all {pairs} glued-pair unions convex")
 
 
-def suite_nerve_deletion(group, max_chambers, report, census):
-    if not _suites_applicable(group.matrix):
+def suite_nerve_deletion(run, report):
+    if not _suites_applicable(run.group.matrix):
         report.add("nerve-deletion", "skipped",
                    "needs an infinite indecomposable system")
         return
-    subs = subgroups.search_equal_rank_subgroups(group, max_chambers,
-                                                 census=census)
     bad = []
     found = []
-    for sub in subs:
-        ok, witness = subgroups.nerve_deletion_check(group, sub.generators,
+    for sub in run.equal_rank:
+        ok, witness = subgroups.nerve_deletion_check(run.group,
+                                                     sub.generators,
                                                      sub.induced)
         found.append({
             "index": sub.index,
@@ -200,15 +222,13 @@ def suite_nerve_deletion(group, max_chambers, report, census):
         report.add("nerve-deletion", "bounded-pass", detail)
 
 
-def suite_comm(group, max_chambers, report, census):
-    if not _suites_applicable(group.matrix):
+def suite_comm(run, report):
+    if not _suites_applicable(run.group.matrix):
         report.add("comm", "skipped",
                    "needs an infinite indecomposable system")
         return
-    cc = subgroups.comm_condition(group.matrix)
-    subs = subgroups.search_equal_rank_subgroups(group, max_chambers,
-                                                 census=census)
-    proper = [s for s in subs if s.index and s.index > 1]
+    cc = subgroups.comm_condition(run.group.matrix)
+    proper = [s for s in run.equal_rank if s.index and s.index > 1]
     detail = (f"condition label {cc['label']}; "
               f"{len(proper)} proper equal-rank subgroups within budget")
     if proper and cc["label"] == "none":
@@ -228,17 +248,14 @@ _SUITE_FUNCS = {
 
 
 def run_verify(matrix, suite, max_chambers):
-    group = CoxeterGroup(matrix)
     report = VerificationReport(
         suite, matrix_digest(matrix),
         {"max_chambers": max_chambers, "element_cap": element_cap()})
     names = list(_SUITE_FUNCS) if suite == "all" else [suite]
-    census = None
+    run = _VerifyRun(CoxeterGroup(matrix), max_chambers)
     for name in names:
         try:
-            if census is None and _suites_applicable(matrix):
-                census = census_list(group, max_chambers)
-            _SUITE_FUNCS[name](group, max_chambers, report, census)
+            _SUITE_FUNCS[name](run, report)
         except BudgetError as e:
             report.add(name, "budget", str(e))
     return report

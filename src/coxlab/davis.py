@@ -14,7 +14,7 @@ up, so the growth search is exhaustive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -69,6 +69,9 @@ class ChamberPolytope:
     chambers: frozenset       # of Element
     facet_walls: tuple        # of (Wall, side) pairs
     convex: bool
+    # angle sites, filled by the first angle_sites call
+    _sites: tuple = field(default=None, init=False, compare=False,
+                          repr=False)
 
     @property
     def facet_count(self):
@@ -159,7 +162,17 @@ class AngleSite:
 
 
 def angle_sites(group, polytope):
-    """One site per rank-2 spherical residue meeting the polytope."""
+    """One site per rank-2 spherical residue meeting the polytope, as a
+    tuple.  Computed on the first call and cached on the polytope, which
+    belongs to the group that built it."""
+    sites = polytope._sites
+    if sites is None:
+        sites = _angle_sites(group, polytope)
+        object.__setattr__(polytope, "_sites", sites)
+    return sites
+
+
+def _angle_sites(group, polytope):
     sites = []
     seen = set()
     chambers = polytope.chambers
@@ -207,7 +220,7 @@ def angle_sites(group, polytope):
                 sorted((w_in, w_out), key=lambda w: w.sort_key))
             sites.append(AngleSite(base, (s, t), m, j, arc, bounds))
     sites.sort(key=lambda z: (z.pair, z.base.sort_key))
-    return sites
+    return tuple(sites)
 
 
 def _coxeter_angles(sites):
@@ -251,10 +264,10 @@ def facets_intersect(group, polytope, a, b):
     the closure of g.
     """
     for g in polytope.sorted_chambers():
-        ginv = group.inverse(g).word
-        ra = group._mult_word(ginv, a.reflection.word + g.word)
-        rb = group._mult_word(ginv, b.reflection.word + g.word)
-        support = sorted(set(ra) | set(rb))
+        ginv = group.inverse(g)
+        ra = group.multiply(group.multiply(ginv, a.reflection), g)
+        rb = group.multiply(group.multiply(ginv, b.reflection), g)
+        support = sorted(set(ra.word) | set(rb.word))
         if is_finite(group.matrix.restrict(support)):
             return True
     return False
@@ -338,10 +351,9 @@ def stacan_pairs(group, max_total_chambers, census=None):
     seen = set()
     for p1 in census:
         room = max_total_chambers - len(p1.chambers)
-        sites1 = angle_sites(group, p1)
         for wall, sd in p1.facet_walls:
             panels1 = _facet_chambers(group, p1, wall)
-            if not _acute_along(sites1, wall):
+            if not _acute_along(angle_sites(group, p1), wall):
                 continue
             mirrored = frozenset(group.multiply(wall.reflection, g)
                                  for g in panels1)

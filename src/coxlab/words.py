@@ -142,6 +142,7 @@ class CoxeterGroup:
         self._mult_cache = {}
         self._canon_memo = {(): ()}
         self._panel_memo = {}
+        self._wall_memo = {}
         self._inversion_memo = {(): frozenset()}
         self._tits_form = None
 
@@ -382,12 +383,20 @@ class CoxeterGroup:
         return self._make_wall((i,), self._simple[i], (self.identity(), i))
 
     def wall_between(self, g, s):
-        """The wall crossed by the panel between g and g*s (i.e. g s g^-1)."""
-        w = g.word
-        out = self._mult_gen(w, s)
-        for a in reversed(w):
-            out = self._mult_gen(out, a)
-        return self._make_wall(out, self.panel_root(g, s), (g, s))
+        """The wall crossed by the panel between g and g*s (i.e. g s g^-1).
+
+        One ``Wall`` per root: its witness is the first panel asked for.
+        """
+        rid = self.panel_root(g, s)
+        wall = self._wall_memo.get(rid)
+        if wall is None:
+            w = g.word
+            out = self._mult_gen(w, s)
+            for a in reversed(w):
+                out = self._mult_gen(out, a)
+            wall = self._make_wall(out, rid, (g, s))
+            self._wall_memo[rid] = wall
+        return wall
 
     def conjugate_wall(self, t, u):
         """The wall of t u t (conjugate of u's reflection by t's)."""

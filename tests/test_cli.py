@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from coxlab.cli import (VerificationReport, element_cap, main, matrix_digest,
-                        run_verify)
+from coxlab.cli import (SUITES, VerificationReport, element_cap, main,
+                        matrix_digest, run_verify)
 from coxlab.matrices import parse_matrix
 
 from conftest import MATRICES
@@ -149,6 +149,19 @@ def test_verify_255_all_passes(tmp_path, capsys):
     assert all(c["status"] == "bounded-pass" for c in data["checks"])
     # no proper equal-rank subgroup within the budget
     assert "0 proper equal-rank subgroups" in by_name["comm"]["detail"]
+
+
+def test_verify_suites_alone_match_all():
+    # the census and equal-rank search shared under "all", and the angle
+    # sites cached on census polytopes, change no suite's result
+    for name, proper in (("t23inf", 4), ("t255", 0)):
+        together = run_verify(MATRICES[name], "all", 6).checks
+        assert [c["name"] for c in together] == \
+            [s for s in SUITES if s != "all"]
+        assert f"; {proper} proper equal-rank" in together[-1]["detail"]
+        for entry in together:
+            alone = run_verify(MATRICES[name], entry["name"], 6).checks
+            assert alone == [entry], (name, entry["name"])
 
 
 def test_verify_skips_on_precondition(remark_file, capsys):

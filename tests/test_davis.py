@@ -172,6 +172,34 @@ def test_angle_site_interior(a2aff):
     assert inner[0].boundary_walls == ()
 
 
+def test_angle_sites_cached_per_polytope():
+    # a polytope computes its sites once: a census polytope of a group that
+    # has also run the stacan search returns the same tuple on every call,
+    # equal to the sites of an equal polytope built on a fresh group, and
+    # the cache takes no part in polytope equality or hashing
+    from coxlab.matrices import CoxeterMatrix
+    cycle4 = CoxeterMatrix([[1, 3, 2, 3], [3, 1, 3, 2],
+                            [2, 3, 1, 3], [3, 2, 3, 1]])
+    matrices = [MATRICES[n] for n in ("t23inf", "t255", "univ3")]
+    for m in matrices + [cycle4]:
+        group = CoxeterGroup(m)
+        census = list(enumerate_convex_polytopes(group, 5))
+        for _ in stacan_pairs(group, 5, census=census):
+            pass
+        fresh = CoxeterGroup(m)
+        for p in census:
+            sites = angle_sites(group, p)
+            assert isinstance(sites, tuple)
+            assert all(m.order(*z.pair) == z.m for z in sites)
+            assert angle_sites(group, p) is sites
+            q = as_polytope(fresh, p.chambers)
+            assert q == p and hash(q) == hash(p)
+            assert angle_sites(fresh, q) == sites, (m, p)
+            assert q == p and hash(q) == hash(p)
+            assert census_record(group, p)["angles"] == \
+                [{"m": z.m, "j": z.j} for z in sites]
+
+
 def test_coxeter_polytope_example(t23inf):
     p = convex_hull(t23inf, [t23inf.identity(), t23inf.generator(0)])
     assert [w.reflection.word for w, _ in p.facet_walls] == \

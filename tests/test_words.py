@@ -336,19 +336,40 @@ def test_infinite_order_products_never_close(t23inf):
                     q = t23inf.multiply(q, p)
 
 
-def test_wall_identity_across_construction_routes(t23inf):
-    # the same reflection reached four different ways must compare equal
-    # and carry the same positive root
-    g = t23inf.generator(0)
-    via_conj = t23inf.conjugate_wall(t23inf.generator_wall(0),
-                                     t23inf.generator_wall(2))
-    via_panel = t23inf.wall_between(g, 2)
-    via_descent = t23inf.as_reflection(t23inf.normal_form([0, 2, 0]))
-    via_enum = {w.reflection.word: w for w in t23inf.enumerate_reflections(3)}
-    w4 = via_enum[(0, 2, 0)]
-    for w in (via_panel, via_descent, w4):
-        assert w == via_conj
-        assert w.root.coords == via_conj.root.coords
+def test_wall_identity_across_construction_routes(lab):
+    for name in ("t23inf", "a2aff", "univ3"):
+        group = lab.group(name)
+        # the same reflection reached four different ways must compare
+        # equal and carry the same positive root
+        g = group.generator(0)
+        via_conj = group.conjugate_wall(group.generator_wall(0),
+                                        group.generator_wall(2))
+        via_panel = group.wall_between(g, 2)
+        via_descent = group.as_reflection(group.normal_form([0, 2, 0]))
+        via_enum = {w.reflection.word: w
+                    for w in group.enumerate_reflections(3)}
+        w4 = via_enum[(0, 2, 0)]
+        for w in (via_panel, via_descent, w4):
+            assert w == via_conj
+            assert w.root.coords == via_conj.root.coords
+        # every panel of ball(4), with the wall memo already warm from a
+        # census: one Wall per root, agreeing with the descent route, and
+        # a witness that conjugates its generator to the reflection
+        lab.census(name, 4)
+        by_root = {}
+        for g in group.ball(4):
+            ginv = group.inverse(g)
+            for s in range(group.rank):
+                wall = group.wall_between(g, s)
+                refl = group.as_reflection(
+                    group.multiply(group.step(g, s), ginv))
+                assert wall == refl, (name, g, s)
+                assert wall.root.coords == refl.root.coords
+                assert wall.rid == group.panel_root(g, s) == refl.rid
+                w, t = wall.witness
+                assert group.multiply(group.step(w, t),
+                                      group.inverse(w)) == wall.reflection
+                assert by_root.setdefault(wall.rid, wall) is wall
 
 
 def test_shared_group_is_thread_safe(t23inf):
