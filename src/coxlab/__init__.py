@@ -6,7 +6,7 @@ from .errors import (BudgetError, ConsistencyError, CoxlabError, FieldError,
 from .matrices import (CoxeterMatrix, DiagramComponent, INFINITY, Nerve,
                        components, has_finite_index_standard, is_finite,
                        is_indecomposable, nerve, parse_matrix)
-from .words import (CoxeterGroup, Element, RootVector, Wall, root_span_rank,
+from .words import (CoxeterGroup, Element, Wall, root_span_rank,
                     word_from_text)
 from .davis import (AngleSite, ChamberPolytope, angle_sites, check_andreev,
                     check_stacan, convex_hull, census_record,
@@ -16,7 +16,7 @@ from .davis import (AngleSite, ChamberPolytope, angle_sites, check_andreev,
                     verify_facet_bound, walls_intersect)
 from .subgroups import (ReflectionSubgroup, analyze, canonical_generators,
                         comm_condition, contains_reflection,
-                        contains_reflection_checked, fundamental_polytope,
+                        fundamental_polytope,
                         index_two_by_commutation, induced_matrix,
                         nerve_deletion_check, search_equal_rank_subgroups,
                         subgroup_report, verify_rank_theorem)

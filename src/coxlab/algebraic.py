@@ -353,6 +353,9 @@ class FieldSpec:
                 hi = mid
             else:
                 lo = mid
+        # Unlocked: a racing thread may see one old and one new endpoint,
+        # but every lo and hi ever stored brackets the root inside the
+        # first isolating interval, so any pair it reads still isolates it.
         self._lo, self._hi = lo, hi
         return 1 if vlo > 0 else -1
 

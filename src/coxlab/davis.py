@@ -28,7 +28,8 @@ DEFAULT_HULL_CAP = 4096
 
 def side(group, wall, chamber):
     """+1 on the base-chamber side of the wall, -1 across it."""
-    return -1 if wall.rid in group.inversion_set(chamber) else 1
+    rid = group.panel_root(*wall.witness)
+    return -1 if rid in group.inversion_set(chamber) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +164,8 @@ class AngleSite:
 
 def angle_sites(group, polytope):
     """One site per rank-2 spherical residue meeting the polytope, as a
-    tuple.  Computed on the first call and cached on the polytope, which
-    belongs to the group that built it."""
+    tuple.  Computed on the first call and cached on the polytope; the
+    sites are values, equal whichever group of the matrix computes them."""
     sites = polytope._sites
     if sites is None:
         sites = _angle_sites(group, polytope)
@@ -256,21 +257,35 @@ def walls_intersect(group, a, b):
     return group.order_of_product(a, b) != INFINITY
 
 
-def facets_intersect(group, polytope, a, b):
-    """Whether the two facet walls meet inside the closure of the polytope.
+def _meeting(group, polytope, walls):
+    """Whether two of the walls meet inside the closure of the polytope.
 
-    True when some chamber g of the polytope conjugates both reflections
-    into one finite standard subgroup: the wall intersection then meets
-    the closure of g.
+    They do when some chamber g of the polytope conjugates both
+    reflections into one finite standard subgroup: the wall intersection
+    then meets the closure of g.  Each conjugate g^-1 r g is computed once
+    per wall and chamber, and each support's finiteness once.
     """
-    for g in polytope.sorted_chambers():
-        ginv = group.inverse(g)
-        ra = group.multiply(group.multiply(ginv, a.reflection), g)
-        rb = group.multiply(group.multiply(ginv, b.reflection), g)
-        support = sorted(set(ra.word) | set(rb.word))
-        if is_finite(group.matrix.restrict(support)):
-            return True
-    return False
+    conj = [(group.inverse(g), g) for g in polytope.sorted_chambers()]
+    supports = {w: [frozenset(group.multiply(
+                        group.multiply(ginv, w.reflection), g).word)
+                    for ginv, g in conj]
+                for w in walls}
+    finite = {}
+
+    def meet(a, b):
+        for x, y in zip(supports[a], supports[b]):
+            union = x | y
+            if union not in finite:
+                finite[union] = is_finite(group.matrix.restrict(union))
+            if finite[union]:
+                return True
+        return False
+    return meet
+
+
+def facets_intersect(group, polytope, a, b):
+    """Whether the two facet walls meet inside the closure of the polytope."""
+    return _meeting(group, polytope, (a, b))(a, b)
 
 
 def check_andreev(group, polytope):
@@ -284,9 +299,9 @@ def check_andreev(group, polytope):
         raise PreconditionError("polytope must be convex")
     violations = []
     walls = [w for w, _ in polytope.facet_walls]
+    meet = _meeting(group, polytope, walls)
     for a, b in combinations(walls, 2):
-        if not facets_intersect(group, polytope, a, b) and \
-                walls_intersect(group, a, b):
+        if not meet(a, b) and walls_intersect(group, a, b):
             violations.append((a, b))
     return violations
 
@@ -297,8 +312,9 @@ def check_andreev(group, polytope):
 
 def _facet_chambers(group, polytope, wall):
     """Chambers of the polytope having a panel on the wall."""
+    rid = group.panel_root(*wall.witness)
     return frozenset(g for g in polytope.chambers
-                     if any(group.panel_root(g, s) == wall.rid
+                     if any(group.panel_root(g, s) == rid
                             for s in range(group.rank)))
 
 

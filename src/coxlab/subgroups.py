@@ -4,10 +4,9 @@ polytopes, induced Coxeter matrices, and the rank/nerve/commutation checks.
 The canonical generating set of a reflection subgroup is computed by
 conjugation descent: while some pair allows t1 t2 t1 shorter than t2,
 replace t2.  Membership of a reflection is decided the same way (descend
-until landing in the generating set or stalling), with an enumerative
-second implementation kept alongside as a cross-check oracle.  The
-fundamental polytope is what the base chamber reaches without crossing
-a mirror; its chamber count is the subgroup index.
+until landing in the generating set or stalling).  The fundamental
+polytope is what the base chamber reaches without crossing a mirror;
+its chamber count is the subgroup index.
 """
 
 from __future__ import annotations
@@ -95,50 +94,6 @@ def contains_reflection(group, gens, r):
                 break
         else:
             return False
-
-
-def subgroup_reflections_bounded(group, gens, length_bound, cap=20_000):
-    """Reflections w t w^-1 of the subgroup, over a BFS of subgroup words
-    pruned at the given length; the enumerative side of the dual check."""
-    seen = {()}
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for t in gens:
-                v = group._mult_word(w, t.reflection.word)
-                if v not in seen and len(v) <= length_bound:
-                    seen.add(v)
-                    nxt.append(v)
-                    if len(seen) > cap:
-                        raise BudgetError("subgroup enumeration cap hit")
-        frontier = nxt
-    refs = set()
-    for w in seen:
-        for t in gens:
-            r = group._mult_word(group._mult_word(w, t.reflection.word),
-                                 tuple(reversed(w)))
-            if len(r) <= length_bound:
-                refs.add(r)
-    return refs
-
-
-def contains_reflection_enumerative(group, gens, r, slack=0, cap=20_000):
-    bound = len(r.reflection.word) + slack
-    return r.reflection.word in subgroup_reflections_bounded(
-        group, gens, bound, cap)
-
-
-def contains_reflection_checked(group, gens, r, slack=0):
-    """Run both implementations; disagreement is a build-failing error."""
-    fast = contains_reflection(group, gens, r)
-    slow = contains_reflection_enumerative(group, gens, r, slack)
-    if fast != slow:
-        raise ConsistencyError(
-            "membership descent disagrees with enumeration",
-            {"gens": [t.reflection.display() for t in gens],
-             "r": r.reflection.display(), "descent": fast, "oracle": slow})
-    return fast
 
 
 def fundamental_polytope(group, gens, max_chambers):

@@ -11,17 +11,19 @@ interned coordinate vectors, so the hot path is dictionary lookups; the
 bilinear form is stored doubled (entries -2cos(pi/m)) to keep every
 coordinate an integer polynomial in the field generator.
 
-Chambers of the chamber complex are exactly these elements; walls are
-reflections paired with their positive roots, and a chamber's inversion
-set holds the root ids of the walls separating it from the base chamber.
+Chambers of the chamber complex are exactly these elements; a wall is
+a reflection t = w s w^-1 with its witness (w, s), whose positive root
++/- w(e_s) each group derives and interns for itself, and a chamber's
+inversion set holds the root ids of the walls separating it from the
+base chamber.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebraic import AlgebraicReal, field_for, DEFAULT_N_CAP
+from .algebraic import field_for, DEFAULT_N_CAP
 from .errors import BudgetError, ConsistencyError, InputError
 from .matrices import INFINITY
 
@@ -53,27 +55,20 @@ class Element:
         return f"<{self.display() or 'e'}>"
 
 
-@dataclass(frozen=True)
-class RootVector:
-    """Coordinates in the simple-root basis."""
-
-    coords: tuple  # tuple of AlgebraicReal
-
-
 class Wall:
-    """A reflection together with its positive root and a conjugation witness.
+    """A reflection together with a conjugation witness.
 
-    Two walls are equal iff their reflections are equal; the root is
-    determined by the reflection (up to the sign we normalize away).
+    Two walls are equal iff their reflections are equal.  The wall's
+    positive root is +/- w(e_s) for its witness (w, s); a group asks for
+    its own id of that root with ``panel_root(*wall.witness)``, so a wall
+    is a value that any group of the same matrix accepts.
     """
 
-    __slots__ = ("reflection", "root", "witness", "rid")
+    __slots__ = ("reflection", "witness")
 
-    def __init__(self, reflection, root, witness, rid):
+    def __init__(self, reflection, witness):
         self.reflection = reflection
-        self.root = root
         self.witness = witness  # (w, s) with reflection == w s w^-1
-        self.rid = rid          # interned id of the positive root
 
     @property
     def sort_key(self):
@@ -128,9 +123,13 @@ class CoxeterGroup:
         self._c = tuple(c)
         maxfin = max(matrix.finite_orders(), default=2)
         self._k_cap = k_cap if k_cap else 2 * maxfin * self.rank * 8
-        # interned root vectors: tuple-of-coeff-tuples -> small id
+        # interned root vectors: tuple-of-coeff-tuples -> small id.  The
+        # lock is taken only when a root is new, and the table is read
+        # again inside it, so each root gets one id however threads race;
+        # the other memos store values that racing threads compute alike.
         self._root_list = []
         self._root_index = {}
+        self._intern_lock = threading.Lock()
         zero, one = f.raw_from_int(0), f.raw_from_int(1)
         self._simple = tuple(
             self._intern(tuple(one if j == i else zero
@@ -144,16 +143,18 @@ class CoxeterGroup:
         self._panel_memo = {}
         self._wall_memo = {}
         self._inversion_memo = {(): frozenset()}
-        self._tits_form = None
 
     # -- roots (interned) ---------------------------------------------------
 
     def _intern(self, coords):
         rid = self._root_index.get(coords)
         if rid is None:
-            rid = len(self._root_list)
-            self._root_list.append(coords)
-            self._root_index[coords] = rid
+            with self._intern_lock:
+                rid = self._root_index.get(coords)
+                if rid is None:
+                    rid = len(self._root_list)
+                    self._root_list.append(coords)
+                    self._root_index[coords] = rid
         return rid
 
     def _reflect_id(self, rid, i):
@@ -206,14 +207,6 @@ class CoxeterGroup:
         for a in reversed(word):
             rid = self._reflect_id(rid, a)
         return rid
-
-    def _root_vector(self, rid):
-        f = self.field
-        return RootVector(tuple(AlgebraicReal(f, c)
-                                for c in self._root_list[rid]))
-
-    def _rid_of(self, root):
-        return self._intern(tuple(x.coeffs for x in root.coords))
 
     # -- word reduction -----------------------------------------------------
 
@@ -301,60 +294,14 @@ class CoxeterGroup:
     def length(self, g):
         return len(g.word)
 
-    # -- geometry of roots ----------------------------------------------------
-
-    def tits_form(self):
-        """The bilinear form B: B_ii = 1, B_ij = -cos(pi/m_ij), -1 at infinity."""
-        if self._tits_form is None:
-            f = self.field
-            half = Fraction(1, 2)
-            self._tits_form = tuple(
-                tuple(AlgebraicReal(f, f.raw_scale(self._c[i][j], half))
-                      for j in range(self.rank))
-                for i in range(self.rank))
-        return self._tits_form
-
-    def simple_root(self, i):
-        return self._root_vector(self._simple[i])
-
-    def reflect(self, x, i):
-        """Simple reflection on a root vector: x - 2B(e_i, x) e_i."""
-        return self._root_vector(self._reflect_id(self._rid_of(x), i))
-
-    def apply(self, g, x):
-        return self._root_vector(self._apply_word_root(g.word,
-                                                       self._rid_of(x)))
-
-    def bilinear(self, x, y):
-        """B(x, y), exact."""
-        f = self.field
-        acc = f.raw_from_int(0)
-        xr = [v.coeffs for v in x.coords]
-        yr = [v.coeffs for v in y.coords]
-        for i in range(self.rank):
-            if f.raw_is_zero(xr[i]):
-                continue
-            for j in range(self.rank):
-                if f.raw_is_zero(yr[j]):
-                    continue
-                acc = f.raw_add(acc, f.raw_mul(self._c[i][j],
-                                               f.raw_mul(xr[i], yr[j])))
-        return AlgebraicReal(f, f.raw_scale(acc, Fraction(1, 2)))
-
-    def root_is_positive(self, x):
-        return self._root_sign(self._rid_of(x)) > 0
-
     # -- walls ----------------------------------------------------------------
 
     def _positive_id(self, rid):
         return rid if self._root_sign(rid) > 0 else self._neg_id(rid)
 
-    def _make_wall(self, refl_word, rid, witness):
-        rid = self._positive_id(rid)
-        return Wall(Element(refl_word), self._root_vector(rid), witness, rid)
-
     def panel_root(self, g, s):
-        """Root id (the ``rid``) of the wall between g and g*s."""
+        """This group's id of the positive root of the wall between g and
+        g*s; ``panel_root(*wall.witness)`` is the root of a wall."""
         key = (g.word, s)
         hit = self._panel_memo.get(key)
         if hit is None:
@@ -380,7 +327,7 @@ class CoxeterGroup:
         return n
 
     def generator_wall(self, i):
-        return self._make_wall((i,), self._simple[i], (self.identity(), i))
+        return Wall(Element((i,)), (self.identity(), i))
 
     def wall_between(self, g, s):
         """The wall crossed by the panel between g and g*s (i.e. g s g^-1).
@@ -394,31 +341,16 @@ class CoxeterGroup:
             out = self._mult_gen(w, s)
             for a in reversed(w):
                 out = self._mult_gen(out, a)
-            wall = self._make_wall(out, rid, (g, s))
-            self._wall_memo[rid] = wall
+            wall = self._wall_memo.setdefault(rid, Wall(Element(out), (g, s)))
         return wall
 
     def conjugate_wall(self, t, u):
-        """The wall of t u t (conjugate of u's reflection by t's)."""
-        f = self.field
+        """The wall of t u t (conjugate of u's reflection by t's): if
+        u = w s w^-1, then t u t = (t w) s (t w)^-1."""
         tw, uw = t.reflection.word, u.reflection.word
-        out = self._mult_word((), tw + uw + tw)
-        rt = [x.coeffs for x in t.root.coords]
-        ru = [x.coeffs for x in u.root.coords]
-        scalar = f.raw_from_int(0)
-        for i in range(self.rank):
-            if f.raw_is_zero(rt[i]):
-                continue
-            for j in range(self.rank):
-                if not f.raw_is_zero(ru[j]):
-                    scalar = f.raw_add(scalar, f.raw_mul(self._c[i][j],
-                                                         f.raw_mul(rt[i],
-                                                                   ru[j])))
-        new = tuple(f.raw_sub(ru[k], f.raw_mul(scalar, rt[k]))
-                    for k in range(self.rank))
-        rid = self._intern(new)
-        witness = (self.multiply(t.reflection, u.witness[0]), u.witness[1])
-        return self._make_wall(out, rid, witness)
+        w, s = u.witness
+        return Wall(Element(self._mult_word((), tw + uw + tw)),
+                    (self.multiply(t.reflection, w), s))
 
     def as_reflection(self, g):
         """The wall of g if g is a reflection, else None.
@@ -440,23 +372,21 @@ class CoxeterGroup:
                     break
             else:
                 return None
-        s = cur[0]
-        w = self.normal_form(conjs)
-        rid = self._apply_word_root(w.word, self._simple[s])
-        return self._make_wall(g.word, rid, (w, s))
+        return Wall(g, (self.normal_form(conjs), cur[0]))
 
     def order_of_product(self, t, u):
         """Exact order of (t u) for distinct walls t, u; INFINITY when infinite.
 
-        Finite iff |B(root_t, root_u)| < 1; the finite order is then found
+        Finite iff |B(root_t, root_u)| < 1, read in the doubled form as
+        C(root_t, root_u)^2 < 4; the finite order is then found
         by iterating normal forms (capped, with a consistency dump if the
         cap is ever hit -- it never should be).
         """
         if t.reflection == u.reflection:
             raise InputError("order_of_product needs distinct walls")
         f = self.field
-        rt = [x.coeffs for x in t.root.coords]
-        ru = [x.coeffs for x in u.root.coords]
+        rt = self._root_list[self.panel_root(*t.witness)]
+        ru = self._root_list[self.panel_root(*u.witness)]
         c = f.raw_from_int(0)
         for i in range(self.rank):
             if f.raw_is_zero(rt[i]):
@@ -538,26 +468,14 @@ class CoxeterGroup:
                 word = self._mult_word(self._mult_gen(w.word, s),
                                        tuple(reversed(w.word)))
                 if len(word) <= max_length and word not in out:
-                    rid = self._apply_word_root(w.word, self._simple[s])
-                    out[word] = self._make_wall(word, rid, (w, s))
+                    out[word] = Wall(Element(word), (w, s))
         return sorted(out.values(), key=lambda x: x.sort_key)
-
-    # -- matrices (exact Tits representation; test oracle support) ------------
-
-    def matrix_of(self, g):
-        """Matrix of g in the reflection representation, columns g(e_j)."""
-        f = self.field
-        cols = [self._root_list[self._apply_word_root(g.word, self._simple[j])]
-                for j in range(self.rank)]
-        return tuple(tuple(AlgebraicReal(f, cols[j][i])
-                           for j in range(self.rank))
-                     for i in range(self.rank))
 
 
 def root_span_rank(group, walls):
     """Dimension of the span of the walls' roots (fraction-free elimination)."""
     f = group.field
-    rows = [[x.coeffs for x in w.root.coords] for w in walls]
+    rows = [group._root_list[group.panel_root(*w.witness)] for w in walls]
     n = group.rank
     rank = 0
     for col in range(n):

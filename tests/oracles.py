@@ -4,10 +4,19 @@
 of convexity: a chamber set is convex when it contains every chamber on
 every geodesic between two of its members.  ``coset_index_23inf`` is a
 Todd-Coxeter coset enumeration over the presentation of the (2,3,oo)
-triangle group.
+triangle group.  ``matrix_of`` is the reflection representation built
+from the Coxeter matrix alone, with no root tracking.  The subgroup
+enumeration and the per-pair facet intersection are the first
+implementations of membership and of the Andreev check.
 """
 
+from fractions import Fraction
 from itertools import combinations
+
+from coxlab.algebraic import AlgebraicReal
+from coxlab.errors import BudgetError, ConsistencyError
+from coxlab.matrices import INFINITY, is_finite
+from coxlab.subgroups import contains_reflection
 
 
 def interval(group, u):
@@ -86,3 +95,142 @@ def coset_index_23inf(walls):
     table = fp.coset_enumeration(gens)
     table.compress()
     return table.n
+
+
+# ---------------------------------------------------------------------------
+# the reflection representation, from the Coxeter matrix alone
+
+
+def tits_form(group):
+    """The bilinear form B: B_ii = 1, B_ij = -cos(pi/m), -1 at infinity."""
+    f = group.field
+    m = group.matrix
+
+    def entry(i, j):
+        if i == j:
+            return f.one()
+        if m.order(i, j) == INFINITY:
+            return -f.one()
+        return -AlgebraicReal(f, f.two_cos_pi_over_raw(m.order(i, j))) * \
+            Fraction(1, 2)
+
+    return tuple(tuple(entry(i, j) for j in range(group.rank))
+                 for i in range(group.rank))
+
+
+def matmul(group, a, b):
+    n = group.rank
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)),
+                           start=group.field.zero())
+                       for j in range(n))
+                 for i in range(n))
+
+
+def generator_matrix(group, i):
+    """s_i(x) = x - 2 B(e_i, x) e_i, as the matrix with columns s_i(e_j)."""
+    f = group.field
+    b = tits_form(group)
+    n = group.rank
+    return tuple(tuple((f.one() if r == c else f.zero())
+                       - (b[i][c] * 2 if r == i else f.zero())
+                       for c in range(n))
+                 for r in range(n))
+
+
+def matrix_of(group, g):
+    """Matrix of g in the reflection representation, columns g(e_j)."""
+    n = group.rank
+    f = group.field
+    out = tuple(tuple(f.one() if r == c else f.zero() for c in range(n))
+                for r in range(n))
+    for a in g.word:
+        out = matmul(group, out, generator_matrix(group, a))
+    return out
+
+
+def root_of(group, wall):
+    """The root w(e_s) of a wall with witness (w, s), as a coordinate
+    tuple in the simple-root basis; the wall's positive root is +/- it."""
+    w, s = wall.witness
+    m = matrix_of(group, w)
+    return tuple(row[s] for row in m)
+
+
+def bilinear(group, x, y):
+    b = tits_form(group)
+    n = group.rank
+    return sum((x[i] * b[i][j] * y[j] for i in range(n) for j in range(n)),
+               start=group.field.zero())
+
+
+# ---------------------------------------------------------------------------
+# subgroup membership by enumeration
+
+
+def subgroup_reflections_bounded(group, gens, length_bound, cap=20_000):
+    """Words of the reflections w t w^-1 of the subgroup, over a BFS of
+    subgroup words pruned at the given length."""
+    seen = {group.identity()}
+    frontier = [group.identity()]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for t in gens:
+                v = group.multiply(w, t.reflection)
+                if v not in seen and len(v) <= length_bound:
+                    seen.add(v)
+                    nxt.append(v)
+                    if len(seen) > cap:
+                        raise BudgetError("subgroup enumeration cap hit")
+        frontier = nxt
+    refs = set()
+    for w in seen:
+        for t in gens:
+            r = group.multiply(group.multiply(w, t.reflection),
+                               group.inverse(w))
+            if len(r) <= length_bound:
+                refs.add(r.word)
+    return refs
+
+
+def contains_reflection_enumerative(group, gens, r, slack=0, cap=20_000):
+    bound = len(r.reflection.word) + slack
+    return r.reflection.word in subgroup_reflections_bounded(
+        group, gens, bound, cap)
+
+
+def contains_reflection_checked(group, gens, r, slack=0):
+    """Run both implementations; disagreement is an error."""
+    fast = contains_reflection(group, gens, r)
+    slow = contains_reflection_enumerative(group, gens, r, slack)
+    if fast != slow:
+        raise ConsistencyError(
+            "membership descent disagrees with enumeration",
+            {"gens": [t.reflection.display() for t in gens],
+             "r": r.reflection.display(), "descent": fast, "oracle": slow})
+    return fast
+
+
+# ---------------------------------------------------------------------------
+# the Andreev check, one facet pair at a time
+
+
+def facets_intersect_per_pair(group, polytope, a, b):
+    """Some chamber g of the polytope conjugates both reflections into one
+    finite standard subgroup."""
+    for g in polytope.sorted_chambers():
+        ginv = group.inverse(g)
+        ra = group.multiply(group.multiply(ginv, a.reflection), g)
+        rb = group.multiply(group.multiply(ginv, b.reflection), g)
+        support = sorted(set(ra.word) | set(rb.word))
+        if is_finite(group.matrix.restrict(support)):
+            return True
+    return False
+
+
+def andreev_per_pair(group, polytope):
+    """Facet-wall pairs disjoint along the polytope whose walls meet."""
+    walls = [w for w, _ in polytope.facet_walls]
+    return [(a, b) for a, b in combinations(walls, 2)
+            if group.order_of_product(a, b) != INFINITY
+            and not facets_intersect_per_pair(group, polytope, a, b)]

@@ -11,11 +11,16 @@ from coxlab.davis import (angle_sites, as_polytope, census_record,
                           is_coxeter_polytope, side, stacan_pairs,
                           verify_facet_bound, walls_intersect)
 from coxlab.errors import InputError, PreconditionError
-from coxlab.matrices import INFINITY
-from coxlab.words import CoxeterGroup
+from coxlab.matrices import INFINITY, CoxeterMatrix
+from coxlab.words import CoxeterGroup, root_span_rank
 
 from conftest import MATRICES
-from oracles import census_fixpoint, hull_fixpoint, interval
+from oracles import (andreev_per_pair, census_fixpoint,
+                     facets_intersect_per_pair, hull_fixpoint, interval)
+
+# affine A3: a 4-cycle of order-3 edges
+CYCLE4 = CoxeterMatrix([[1, 3, 2, 3], [3, 1, 3, 2],
+                        [2, 3, 1, 3], [3, 2, 3, 1]])
 
 
 @pytest.fixture(scope="module")
@@ -177,11 +182,8 @@ def test_angle_sites_cached_per_polytope():
     # has also run the stacan search returns the same tuple on every call,
     # equal to the sites of an equal polytope built on a fresh group, and
     # the cache takes no part in polytope equality or hashing
-    from coxlab.matrices import CoxeterMatrix
-    cycle4 = CoxeterMatrix([[1, 3, 2, 3], [3, 1, 3, 2],
-                            [2, 3, 1, 3], [3, 2, 3, 1]])
     matrices = [MATRICES[n] for n in ("t23inf", "t255", "univ3")]
-    for m in matrices + [cycle4]:
+    for m in matrices + [CYCLE4]:
         group = CoxeterGroup(m)
         census = list(enumerate_convex_polytopes(group, 5))
         for _ in stacan_pairs(group, 5, census=census):
@@ -425,11 +427,8 @@ def test_hull_and_census_match_fixpoint_oracle():
     # the inversion-set search against the geodesic-closure fixpoint it
     # replaced: the whole census, then hulls of random seeds, some of
     # which leave out the base chamber
-    from coxlab.matrices import CoxeterMatrix
-    cycle4 = CoxeterMatrix([[1, 3, 2, 3], [3, 1, 3, 2],
-                            [2, 3, 1, 3], [3, 2, 3, 1]])
     matrices = [MATRICES[n] for n in ("t23inf", "a2aff", "t255", "univ3")]
-    for k, m in enumerate(matrices + [cycle4]):
+    for k, m in enumerate(matrices + [CYCLE4]):
         group = CoxeterGroup(m)
         census = {p.chambers for p in enumerate_convex_polytopes(group, 5)}
         assert census == census_fixpoint(group, 5), m
@@ -444,3 +443,73 @@ def test_hull_and_census_match_fixpoint_oracle():
             assert convex_hull(group, seed).chambers == expect, \
                 (m, sorted(c.display() for c in seed))
             assert is_convex(group, seed) == (expect == seed)
+
+
+def test_check_andreev_matches_per_pair_oracle():
+    # the per-polytope conjugate supports against the first, per-pair
+    # implementation, on every census polytope, acute or not
+    matrices = [MATRICES[n] for n in ("t23inf", "t255", "univ3")]
+    violations = 0
+    for m in matrices + [CYCLE4]:
+        group = CoxeterGroup(m)
+        for p in enumerate_convex_polytopes(group, 6):
+            got = check_andreev(group, p)
+            assert got == andreev_per_pair(group, p), (m, p)
+            violations += len(got)
+            if len(p.chambers) == 6 and m.rank == 4:
+                for a, b in combinations([w for w, _ in p.facet_walls], 2):
+                    assert facets_intersect(group, p, a, b) == \
+                        facets_intersect_per_pair(group, p, a, b)
+    assert violations > 0
+
+
+def _stacan_outcome(group, p1, p2):
+    try:
+        return check_stacan(group, p1, p2)
+    except PreconditionError as e:
+        return str(e)
+
+
+def test_walls_are_values_across_groups():
+    # a wall built in one group is a value: another group of the same
+    # matrix, warmed in another order so that its root ids differ, reads
+    # the same sides, root, orders, conjugates, span and glued-pair
+    # outcome from it as from its own wall of that panel
+    for k, m in enumerate([MATRICES[n] for n in ("t23inf", "t255", "univ3")]
+                          + [CYCLE4]):
+        a, b = CoxeterGroup(m), CoxeterGroup(m)
+        census = list(enumerate_convex_polytopes(a, 4))
+        rng = random.Random(k)
+        for _ in range(40):
+            b.normal_form([rng.randrange(m.rank) for _ in range(9)])
+        ball = a.ball(3)
+        gens = [b.generator_wall(i) for i in range(m.rank)]
+        for g in ball:
+            for s in range(m.rank):
+                wa, wb = a.wall_between(g, s), b.wall_between(g, s)
+                assert wa == wb
+                rid = b.panel_root(g, s)
+                assert b.panel_root(*wa.witness) == rid
+                assert b.panel_root(*wb.witness) == rid
+                assert [side(b, wa, c) for c in ball] == \
+                    [side(b, wb, c) for c in ball], (m, g, s)
+                for u in gens:
+                    if u != wa:
+                        assert b.order_of_product(wa, u) == \
+                            b.order_of_product(wb, u)
+                    for x, y in ((b.conjugate_wall(wa, u),
+                                  b.conjugate_wall(wb, u)),
+                                 (b.conjugate_wall(u, wa),
+                                  b.conjugate_wall(u, wb))):
+                        assert x == y
+                        assert b.panel_root(*x.witness) == \
+                            b.panel_root(*y.witness)
+                assert root_span_rank(b, [wa] + gens[1:]) == \
+                    root_span_rank(b, [wb] + gens[1:])
+        pairs = 0
+        for p1, p2, _ in stacan_pairs(a, 5, census=census):
+            q1, q2 = as_polytope(b, p1.chambers), as_polytope(b, p2.chambers)
+            assert _stacan_outcome(b, p1, p2) == \
+                _stacan_outcome(b, q1, q2) == check_stacan(a, p1, p2)
+            pairs += 1
+        assert pairs > 0, m

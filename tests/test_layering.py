@@ -1,0 +1,44 @@
+"""Layering guard: outside ``words.py`` the library reaches a
+``CoxeterGroup`` only through its public surface."""
+
+import ast
+from pathlib import Path
+
+import coxlab
+from coxlab.words import CoxeterGroup
+
+SRC = Path(coxlab.__file__).parent
+
+
+def _group_private_names():
+    """Private methods and class attributes of CoxeterGroup, and the
+    private attributes its ``__init__`` assigns on ``self``."""
+    names = {n for n in vars(CoxeterGroup)
+             if n.startswith("_") and not n.startswith("__")}
+    tree = ast.parse((SRC / "words.py").read_text())
+    cls = next(n for n in tree.body
+               if isinstance(n, ast.ClassDef) and n.name == "CoxeterGroup")
+    init = next(n for n in cls.body
+                if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    for node in ast.walk(init):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Store) and \
+                isinstance(node.value, ast.Name) and \
+                node.value.id == "self" and node.attr.startswith("_"):
+            names.add(node.attr)
+    return names
+
+
+def test_group_privates_are_read_only_in_words():
+    private = _group_private_names()
+    assert {"_mult_word", "_root_list", "_intern"} <= private
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "words.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in private \
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id == "self"):
+                reads.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert reads == []

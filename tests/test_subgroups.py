@@ -5,7 +5,6 @@ from coxlab.errors import BudgetError, InputError, PreconditionError
 from coxlab.matrices import INFINITY, nerve
 from coxlab.subgroups import (analyze, canonical_generators, comm_condition,
                               contains_reflection,
-                              contains_reflection_checked,
                               fundamental_polytope, index_two_by_commutation,
                               induced_matrix, nerve_deletion_check,
                               search_equal_rank_subgroups, subgroup_report,
@@ -13,7 +12,9 @@ from coxlab.subgroups import (analyze, canonical_generators, comm_condition,
 from coxlab.words import CoxeterGroup, root_span_rank
 
 from conftest import MATRICES
-from oracles import coset_index_23inf
+from oracles import (contains_reflection_checked,
+                     contains_reflection_enumerative, coset_index_23inf,
+                     subgroup_reflections_bounded)
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +73,6 @@ def test_descent_preserves_subgroup(t23inf, a1aff):
         (t23inf, [(1,), (2,), (0, 2, 0)]),
         (a1aff, [(0,), (1,), (0, 1, 0)]),
     ]
-    from coxlab.subgroups import contains_reflection_enumerative
     for group, words in cases:
         walls = [_wall(group, w) for w in words]
         gens = canonical_generators(group, walls)
@@ -271,7 +271,6 @@ def test_affine_equal_rank_structure(lab):
 def test_full_group_generating_sets_span(t23inf):
     # a wall set whose reflection closure reaches every generator
     # generates the whole group, so its roots must span everything
-    from coxlab.subgroups import subgroup_reflections_bounded
     candidates = [
         [_wall(t23inf, (0,)), _wall(t23inf, (1,)), _wall(t23inf, (2,))],
         [_wall(t23inf, (0,)), _wall(t23inf, (1,)),

@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,7 +12,8 @@ from coxlab.matrices import INFINITY, CoxeterMatrix
 from coxlab.words import CoxeterGroup, Element, root_span_rank, word_from_text
 
 from conftest import MATRICES
-from oracles import interval
+from oracles import (bilinear, interval, matmul, matrix_of, root_of,
+                     tits_form)
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +32,7 @@ def a2():
 
 
 def test_tits_form_triangle(t23inf):
-    b = t23inf.tits_form()
+    b = tits_form(t23inf)
     assert b[0][0] == 1 and b[1][1] == 1 and b[2][2] == 1
     assert b[0][1] == 0
     assert b[1][2] == Fraction(-1, 2)
@@ -37,36 +41,13 @@ def test_tits_form_triangle(t23inf):
 
 
 def test_tits_form_trivial_cases():
-    b = CoxeterGroup(CoxeterMatrix([[1]])).tits_form()
+    b = tits_form(CoxeterGroup(CoxeterMatrix([[1]])))
     assert b == ((b[0][0],),) and b[0][0] == 1
     g = CoxeterGroup(CoxeterMatrix([[1, 2, 2], [2, 1, 2], [2, 2, 1]]))
-    b = g.tits_form()
+    b = tits_form(g)
     for i in range(3):
         for j in range(3):
             assert b[i][j] == (1 if i == j else 0)
-
-
-def test_reflect_examples(t23inf):
-    e1, e2, e3 = (t23inf.simple_root(i) for i in range(3))
-    assert t23inf.reflect(e1, 0).coords == tuple(-x for x in e1.coords)
-    # m23 = 3: reflecting e2 in s3 adds e3
-    r = t23inf.reflect(e2, 2)
-    assert r.coords[0] == 0 and r.coords[1] == 1 and r.coords[2] == 1
-
-
-def test_reflect_involution_and_form_preserved(t23inf):
-    rng = random.Random(3)
-    b = t23inf.bilinear
-    for _ in range(25):
-        x = t23inf.simple_root(0)
-        y = t23inf.simple_root(1)
-        g = t23inf.normal_form([rng.randrange(3) for _ in range(6)])
-        x = t23inf.apply(g, x)
-        h = t23inf.normal_form([rng.randrange(3) for _ in range(5)])
-        y = t23inf.apply(h, y)
-        i = rng.randrange(3)
-        assert t23inf.reflect(t23inf.reflect(x, i), i).coords == x.coords
-        assert b(t23inf.reflect(x, i), t23inf.reflect(y, i)) == b(x, y)
 
 
 def test_normal_form_basics(t23inf, a1aff, a2):
@@ -109,7 +90,8 @@ def test_relators_die():
 def test_as_reflection_examples(t23inf, a2):
     w = t23inf.as_reflection(t23inf.generator(0))
     assert w is not None
-    assert w.root.coords == t23inf.simple_root(0).coords
+    assert w.witness == (t23inf.identity(), 0)
+    assert root_of(t23inf, w) == (1, 0, 0)
     assert t23inf.as_reflection(t23inf.normal_form([0, 1])) is None
     r = t23inf.as_reflection(t23inf.normal_form([0, 2, 0]))
     assert r is not None and r.reflection.word == (0, 2, 0)
@@ -122,9 +104,9 @@ def _is_reflection_matrix(group, g):
     (all 2x2 minors of M - I vanish, M - I nonzero)."""
     if g == group.identity():
         return False
-    m = group.matrix_of(g)
+    m = matrix_of(group, g)
     n = group.rank
-    sq = group.matrix_of(group.multiply(g, g))
+    sq = matrix_of(group, group.multiply(g, g))
     for i in range(n):
         for j in range(n):
             if sq[i][j] != (1 if i == j else 0):
@@ -140,6 +122,24 @@ def _is_reflection_matrix(group, g):
     return True
 
 
+def _assert_witness_root(group, wall):
+    """The oracle root r = w(e_s) of the witness (w, s) is a unit root,
+    positive exactly when w s is longer than w, and the wall's reflection
+    acts as x -> x - 2 B(r, x) r."""
+    w, s = wall.witness
+    r = root_of(group, wall)
+    assert bilinear(group, r, r) == 1
+    positive = len(group.step(w, s)) > len(w)
+    assert all((x >= 0) if positive else (x <= 0) for x in r), (wall, r)
+    m = matrix_of(group, wall.reflection)
+    n = group.rank
+    for j in range(n):
+        e = tuple(int(i == j) for i in range(n))
+        c = bilinear(group, r, e) * 2
+        assert tuple(row[j] for row in m) == \
+            tuple(e[i] - c * r[i] for i in range(n)), (wall, j)
+
+
 def test_as_reflection_agrees_with_matrix_oracle():
     for name in ("t23inf", "a3", "univ3"):
         g = CoxeterGroup(MATRICES[name])
@@ -149,8 +149,7 @@ def test_as_reflection_agrees_with_matrix_oracle():
             assert (got is not None) == expected, (name, el)
             if got is not None:
                 assert got.reflection == el
-                assert g.root_is_positive(got.root)
-                assert g.bilinear(got.root, got.root) == 1
+                _assert_witness_root(g, got)
                 w, s = got.witness
                 assert g.multiply(g.multiply(w, g.generator(s)),
                                   g.inverse(w)) == el
@@ -191,8 +190,7 @@ def test_enumerated_reflections_are_reflections(t23inf):
     for w in t23inf.enumerate_reflections(7):
         assert t23inf.multiply(w.reflection, w.reflection) == \
             t23inf.identity()
-        assert t23inf.root_is_positive(w.root)
-        assert t23inf.bilinear(w.root, w.root) == 1
+        _assert_witness_root(t23inf, w)
 
 
 def test_interval_to(a1aff, t23inf):
@@ -257,7 +255,7 @@ def test_high_degree_field_stack():
     assert g.order_of_product(g.generator_wall(0), g.generator_wall(2)) == 11
     assert g.normal_form([0, 2] * 11) == g.identity()
     w = g.as_reflection(g.normal_form([2, 0, 2]))
-    assert w is not None and g.bilinear(w.root, w.root) == 1
+    assert w is not None and bilinear(g, root_of(g, w), root_of(g, w)) == 1
 
 
 def test_rank_four_group_order():
@@ -269,16 +267,8 @@ def test_rank_four_group_order():
 
 def test_representation_faithful_on_ball(t23inf):
     ball = t23inf.ball(6)
-    mats = {t23inf.matrix_of(g) for g in ball}
+    mats = {matrix_of(t23inf, g) for g in ball}
     assert len(mats) == len(ball)
-
-
-def _matmul(group, a, b):
-    n = group.rank
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)),
-                           start=group.field.zero())
-                       for j in range(n))
-                 for i in range(n))
 
 
 def _brute_shortlex_ball(group, radius):
@@ -292,8 +282,8 @@ def _brute_shortlex_ball(group, radius):
     def key(m):
         return tuple(x.coeffs for row in m for x in row)
 
-    ident = group.matrix_of(group.identity())
-    gens = [group.matrix_of(group.generator(i)) for i in range(group.rank)]
+    ident = matrix_of(group, group.identity())
+    gens = [matrix_of(group, group.generator(i)) for i in range(group.rank)]
     seen = {key(ident)}
     reps = [()]
     frontier = [((), ident)]
@@ -301,7 +291,7 @@ def _brute_shortlex_ball(group, radius):
         nxt = []
         for word, mat in frontier:
             for t in range(group.rank):
-                m2 = _matmul(group, mat, gens[t])
+                m2 = matmul(group, mat, gens[t])
                 k = key(m2)
                 if k not in seen:
                     seen.add(k)
@@ -340,7 +330,7 @@ def test_wall_identity_across_construction_routes(lab):
     for name in ("t23inf", "a2aff", "univ3"):
         group = lab.group(name)
         # the same reflection reached four different ways must compare
-        # equal and carry the same positive root
+        # equal and have the same positive root id
         g = group.generator(0)
         via_conj = group.conjugate_wall(group.generator_wall(0),
                                         group.generator_wall(2))
@@ -349,9 +339,10 @@ def test_wall_identity_across_construction_routes(lab):
         via_enum = {w.reflection.word: w
                     for w in group.enumerate_reflections(3)}
         w4 = via_enum[(0, 2, 0)]
+        rid = group.panel_root(*via_conj.witness)
         for w in (via_panel, via_descent, w4):
             assert w == via_conj
-            assert w.root.coords == via_conj.root.coords
+            assert group.panel_root(*w.witness) == rid
         # every panel of ball(4), with the wall memo already warm from a
         # census: one Wall per root, agreeing with the descent route, and
         # a witness that conjugates its generator to the reflection
@@ -364,12 +355,13 @@ def test_wall_identity_across_construction_routes(lab):
                 refl = group.as_reflection(
                     group.multiply(group.step(g, s), ginv))
                 assert wall == refl, (name, g, s)
-                assert wall.root.coords == refl.root.coords
-                assert wall.rid == group.panel_root(g, s) == refl.rid
+                rid = group.panel_root(g, s)
+                assert group.panel_root(*wall.witness) == rid
+                assert group.panel_root(*refl.witness) == rid
                 w, t = wall.witness
                 assert group.multiply(group.step(w, t),
                                       group.inverse(w)) == wall.reflection
-                assert by_root.setdefault(wall.rid, wall) is wall
+                assert by_root.setdefault(rid, wall) is wall
 
 
 def test_shared_group_is_thread_safe(t23inf):
@@ -382,6 +374,43 @@ def test_shared_group_is_thread_safe(t23inf):
     with ThreadPoolExecutor(max_workers=8) as pool:
         got = list(pool.map(t23inf.normal_form, words))
     assert got == expected
+
+
+def test_cold_group_is_thread_safe():
+    # eight threads start together on cold (2,5,5) groups, one group after
+    # another for three seconds, so new roots are interned concurrently:
+    # every root must keep one id, and the normal forms must match a
+    # single-threaded group's
+    rng = random.Random(2)
+    words = [[rng.randrange(3) for _ in range(30)] for _ in range(40)]
+    expected = [CoxeterGroup(MATRICES["t255"]).normal_form(w) for w in words]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 3
+        while time.monotonic() < deadline:
+            group = CoxeterGroup(MATRICES["t255"])
+            start = threading.Barrier(8, timeout=30)
+            got = [None] * 8
+
+            def work(k, group=group, start=start, got=got):
+                start.wait()
+                got[k] = [group.normal_form(w) for w in words]
+
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            roots, index = group._root_list, group._root_index
+            one_id_per_root = len(index) == len(roots) and all(
+                index[c] == i for i, c in enumerate(roots))
+            assert one_id_per_root
+            assert got == [expected] * 8
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_enumerate_reflections_budget(a1aff):
