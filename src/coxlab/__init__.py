@@ -1,6 +1,6 @@
 """coxlab: exact chamber-level computations for Coxeter systems."""
 
-from .algebraic import (AlgebraicReal, FieldSpec, SIGN_STATS, field_for)
+from .algebraic import FieldSpec, SIGN_STATS, field_for
 from .errors import (BudgetError, ConsistencyError, CoxlabError, FieldError,
                      InputError, PreconditionError)
 from .matrices import (CoxeterMatrix, DiagramComponent, INFINITY, Nerve,
@@ -10,10 +10,9 @@ from .words import (CoxeterGroup, Element, Wall, root_span_rank,
                     word_from_text)
 from .davis import (AngleSite, ChamberPolytope, angle_sites, check_andreev,
                     check_stacan, convex_hull, census_record,
-                    decomposed_angles, enumerate_convex_polytopes,
-                    facets_intersect, is_acute_angled, is_convex,
-                    is_coxeter_polytope, side, stacan_pairs,
-                    verify_facet_bound, walls_intersect)
+                    enumerate_convex_polytopes, facets_intersect,
+                    is_acute_angled, is_convex, is_coxeter_polytope, side,
+                    stacan_pairs, verify_facet_bound)
 from .subgroups import (ReflectionSubgroup, analyze, canonical_generators,
                         comm_condition, contains_reflection,
                         fundamental_polytope,

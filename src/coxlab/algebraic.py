@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import BudgetError, ConsistencyError, FieldError
 
@@ -318,9 +318,6 @@ class FieldSpec:
                 out[i + j] += x * y
         return self.reduce(out)
 
-    def raw_scale(self, a, q):
-        return tuple(x * q for x in a)
-
     def raw_from_int(self, k):
         return tuple([k] + [0] * (self.degree - 1))
 
@@ -359,29 +356,6 @@ class FieldSpec:
         self._lo, self._hi = lo, hi
         return 1 if vlo > 0 else -1
 
-    # -- public element constructors ---------------------------------------
-
-    def element(self, coeffs):
-        return AlgebraicReal(self, self.reduce(list(coeffs)))
-
-    def zero(self):
-        return AlgebraicReal(self, self.raw_from_int(0))
-
-    def one(self):
-        return AlgebraicReal(self, self.raw_from_int(1))
-
-    def rational(self, q):
-        q = Fraction(q)
-        if q.denominator == 1:
-            return AlgebraicReal(self, self.raw_from_int(int(q)))
-        return AlgebraicReal(self, tuple([q] + [0] * (self.degree - 1)))
-
-    def generator(self):
-        """The element c = 2*cos(pi/N) itself."""
-        if self.degree == 1:
-            return AlgebraicReal(self, (-self.minpoly[0],))
-        return AlgebraicReal(self, self.reduce([0, 1]))
-
     def two_cos_pi_over_raw(self, m):
         """2*cos(pi/m) as a raw tuple; requires m | N.
 
@@ -390,16 +364,11 @@ class FieldSpec:
         if m < 1 or self.N % m != 0:
             raise FieldError(f"order {m} does not divide field order {self.N}")
         k = self.N // m
-        c = self.generator().coeffs
+        c = self.reduce([0, 1])
         prev, cur = self.raw_from_int(2), c
         for _ in range(k - 1):
             prev, cur = cur, self.raw_sub(self.raw_mul(c, cur), prev)
         return cur
-
-    def cos_pi_over(self, m):
-        """cos(pi/m) as a field element; requires m | N."""
-        raw = self.two_cos_pi_over_raw(m)
-        return AlgebraicReal(self, self.raw_scale(raw, Fraction(1, 2)))
 
 
 def _poly_gcd(a, b):
@@ -409,99 +378,6 @@ def _poly_gcd(a, b):
         _, r = _pdivmod(a, b)
         a, b = b, r
     return _ptrim(a)
-
-
-class AlgebraicReal:
-    """An element of the session field, reduced mod the minimal polynomial."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = coeffs  # fixed-length tuple, already reduced
-
-    def _check(self, other):
-        if self.field is not other.field and self.field != other.field:
-            raise FieldError("elements from different fields")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
-        self._check(other)
-        return AlgebraicReal(self.field,
-                             self.field.raw_add(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
-        self._check(other)
-        return AlgebraicReal(self.field,
-                             self.field.raw_sub(self.coeffs, other.coeffs))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return AlgebraicReal(self.field, self.field.raw_neg(self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return AlgebraicReal(self.field,
-                                 self.field.raw_scale(self.coeffs, other))
-        self._check(other)
-        return AlgebraicReal(self.field,
-                             self.field.raw_mul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
-        if not isinstance(other, AlgebraicReal):
-            return NotImplemented
-        return self.field == other.field and all(
-            x == y for x, y in zip(self.coeffs, other.coeffs))
-
-    def __hash__(self):
-        return hash((self.field.N, tuple(Fraction(x) for x in self.coeffs)))
-
-    def is_zero(self):
-        return self.field.raw_is_zero(self.coeffs)
-
-    def sign(self):
-        return self.field.sign_raw(self.coeffs)
-
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
-
-    def __repr__(self):
-        terms = []
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            if i == 0:
-                terms.append(str(x))
-            elif i == 1:
-                terms.append(f"{x}*c")
-            else:
-                terms.append(f"{x}*c^{i}")
-        body = " + ".join(terms) if terms else "0"
-        return f"<{body} | c=2cos(pi/{self.field.N})>"
-
-
-def lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 def field_for(matrix, n_cap=DEFAULT_N_CAP):

@@ -125,12 +125,6 @@ def is_convex(group, chambers):
     return not seed or _hull_limited(group, seed, len(seed)) == seed
 
 
-def as_polytope(group, chambers):
-    if not is_convex(group, chambers):
-        raise InputError("chamber set is not convex")
-    return _polytope_of(group, chambers)
-
-
 # ---------------------------------------------------------------------------
 # angle sites
 
@@ -242,19 +236,8 @@ def is_acute_angled(group, polytope):
     return _acute_angles(angle_sites(group, polytope))
 
 
-def decomposed_angles(group, polytope):
-    """Boundary sites whose angle is split by a wall through the face."""
-    return [z for z in angle_sites(group, polytope)
-            if not z.interior and z.j >= 2]
-
-
 # ---------------------------------------------------------------------------
 # wall and facet intersection
-
-
-def walls_intersect(group, a, b):
-    """Two walls meet iff their reflections generate a finite dihedral."""
-    return group.order_of_product(a, b) != INFINITY
 
 
 def _meeting(group, polytope, walls):
@@ -301,7 +284,7 @@ def check_andreev(group, polytope):
     walls = [w for w, _ in polytope.facet_walls]
     meet = _meeting(group, polytope, walls)
     for a, b in combinations(walls, 2):
-        if not meet(a, b) and walls_intersect(group, a, b):
+        if not meet(a, b) and group.order_of_product(a, b) != INFINITY:
             violations.append((a, b))
     return violations
 

@@ -338,10 +338,6 @@ class Nerve:
     def edges(self):
         return sorted(tuple(sorted(t)) for t in self.simplices if len(t) == 2)
 
-    def faces_of_dim(self, d):
-        return sorted(tuple(sorted(t)) for t in self.simplices
-                      if len(t) == d + 1)
-
     def f_vector(self):
         top = max((len(t) for t in self.simplices), default=0)
         return tuple(sum(1 for t in self.simplices if len(t) == k)

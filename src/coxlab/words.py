@@ -12,10 +12,13 @@ bilinear form is stored doubled (entries -2cos(pi/m)) to keep every
 coordinate an integer polynomial in the field generator.
 
 Chambers of the chamber complex are exactly these elements; a wall is
-a reflection t = w s w^-1 with its witness (w, s), whose positive root
-+/- w(e_s) each group derives and interns for itself, and a chamber's
-inversion set holds the root ids of the walls separating it from the
-base chamber.
+a reflection t = w s w^-1 with its witness (w, s).  Each group reads the
+wall's positive root off the exchange condition: it is w(e_s) when ws is
+longer than w, and otherwise the root of the longer panel named by the
+crossing letter.  Every interned root is therefore positive and the word
+layer decides no signs; the only sign decision left is the test in
+``order_of_product`` of whether two walls meet.  A chamber's inversion
+set holds the root ids of the walls separating it from the base chamber.
 """
 
 from __future__ import annotations
@@ -136,8 +139,6 @@ class CoxeterGroup:
                                for j in range(self.rank)))
             for i in range(self.rank))
         self._reflect_cache = {}
-        self._neg_cache = {}
-        self._sign_cache = {}
         self._mult_cache = {}
         self._canon_memo = {(): ()}
         self._panel_memo = {}
@@ -175,39 +176,6 @@ class CoxeterGroup:
             self._reflect_cache[key] = hit
         return hit
 
-    def _neg_id(self, rid):
-        hit = self._neg_cache.get(rid)
-        if hit is None:
-            f = self.field
-            hit = self._intern(tuple(f.raw_neg(x)
-                                     for x in self._root_list[rid]))
-            self._neg_cache[rid] = hit
-        return hit
-
-    def _root_sign(self, rid):
-        """+1 for a positive root, -1 for a negative one.
-
-        Valid because every root is +/- a nonnegative combination of
-        simple roots, so the first nonzero coordinate decides.
-        """
-        hit = self._sign_cache.get(rid)
-        if hit is None:
-            f = self.field
-            for c in self._root_list[rid]:
-                if not f.raw_is_zero(c):
-                    hit = f.sign_raw(c)
-                    break
-            else:
-                raise ConsistencyError("zero vector is not a root", rid)
-            self._sign_cache[rid] = hit
-        return hit
-
-    def _apply_word_root(self, word, rid):
-        """Image of the root under the element of ``word``."""
-        for a in reversed(word):
-            rid = self._reflect_id(rid, a)
-        return rid
-
     # -- word reduction -----------------------------------------------------
 
     def _left_exchange(self, word, i):
@@ -222,15 +190,17 @@ class CoxeterGroup:
         return None
 
     def _track_right(self, word, t):
-        """Crossing position for right multiplication by s_t, or None."""
+        """Walk alpha_t back through the reduced ``word``: (j, None) when
+        it crosses at letter j, so word * s_t deletes that letter, else
+        (None, id of word(alpha_t)), a positive root."""
         simple = self._simple
         x = simple[t]
         for j in range(len(word) - 1, -1, -1):
             a = word[j]
             if x == simple[a]:
-                return j
+                return j, None
             x = self._reflect_id(x, a)
-        return None
+        return None, x
 
     def _canonical(self, word):
         """ShortLex form of a reduced word: strip smallest left descents."""
@@ -251,7 +221,7 @@ class CoxeterGroup:
         key = (word, t)
         hit = self._mult_cache.get(key)
         if hit is None:
-            j = self._track_right(word, t)
+            j, _ = self._track_right(word, t)
             if j is None:
                 hit = self._canonical(word + (t,))
             else:
@@ -291,22 +261,23 @@ class CoxeterGroup:
     def inverse(self, g):
         return Element(self._canonical(tuple(reversed(g.word))))
 
-    def length(self, g):
-        return len(g.word)
-
     # -- walls ----------------------------------------------------------------
-
-    def _positive_id(self, rid):
-        return rid if self._root_sign(rid) > 0 else self._neg_id(rid)
 
     def panel_root(self, g, s):
         """This group's id of the positive root of the wall between g and
-        g*s; ``panel_root(*wall.witness)`` is the root of a wall."""
+        g*s; ``panel_root(*wall.witness)`` is the root of a wall.
+
+        When g*s is longer the root is g(alpha_s).  When it is shorter the
+        walk crosses at some letter j of g, and the exchange condition
+        gives g s g^-1 = g[:j] a_j g[:j]^-1, the wall of the longer panel
+        (g[:j], a_j).  The side is read off lengths, never off a sign.
+        """
         key = (g.word, s)
         hit = self._panel_memo.get(key)
         if hit is None:
-            hit = self._positive_id(
-                self._apply_word_root(g.word, self._simple[s]))
+            j, hit = self._track_right(g.word, s)
+            if j is not None:
+                hit = self.panel_root(Element(g.word[:j]), g.word[j])
             self._panel_memo[key] = hit
         return hit
 

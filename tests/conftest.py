@@ -20,6 +20,10 @@ MATRICES = {
     "h3": CoxeterMatrix.triangle(5, 3, 2),
 }
 
+# affine A3: a 4-cycle of order-3 edges
+CYCLE4 = CoxeterMatrix([[1, 3, 2, 3], [3, 1, 3, 2],
+                        [2, 3, 1, 3], [3, 2, 3, 1]])
+
 
 class Lab:
     """Session cache of groups and censuses (censuses are the slow part)."""

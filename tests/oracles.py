@@ -4,8 +4,9 @@
 of convexity: a chamber set is convex when it contains every chamber on
 every geodesic between two of its members.  ``coset_index_23inf`` is a
 Todd-Coxeter coset enumeration over the presentation of the (2,3,oo)
-triangle group.  ``matrix_of`` is the reflection representation built
-from the Coxeter matrix alone, with no root tracking.  The subgroup
+triangle group.  ``AlgebraicReal`` is field arithmetic with operators,
+and ``matrix_of`` is the reflection representation built on it from the
+Coxeter matrix alone, with no root tracking.  The subgroup
 enumeration and the per-pair facet intersection are the first
 implementations of membership and of the Andreev check.
 """
@@ -13,8 +14,7 @@ implementations of membership and of the Andreev check.
 from fractions import Fraction
 from itertools import combinations
 
-from coxlab.algebraic import AlgebraicReal
-from coxlab.errors import BudgetError, ConsistencyError
+from coxlab.errors import BudgetError, ConsistencyError, FieldError
 from coxlab.matrices import INFINITY, is_finite
 from coxlab.subgroups import contains_reflection
 
@@ -98,6 +98,132 @@ def coset_index_23inf(walls):
 
 
 # ---------------------------------------------------------------------------
+# elements of the field Q(c), c = 2cos(pi/N), with exact operators
+
+
+def raw_scale(a, q):
+    return tuple(x * q for x in a)
+
+
+def element(f, coeffs):
+    return AlgebraicReal(f, f.reduce(list(coeffs)))
+
+
+def zero(f):
+    return AlgebraicReal(f, f.raw_from_int(0))
+
+
+def one(f):
+    return AlgebraicReal(f, f.raw_from_int(1))
+
+
+def rational(f, q):
+    q = Fraction(q)
+    if q.denominator == 1:
+        return AlgebraicReal(f, f.raw_from_int(int(q)))
+    return AlgebraicReal(f, tuple([q] + [0] * (f.degree - 1)))
+
+
+def generator(f):
+    """The element c = 2*cos(pi/N) itself."""
+    return AlgebraicReal(f, f.reduce([0, 1]))
+
+
+def cos_pi_over(f, m):
+    """cos(pi/m) as a field element; requires m | N."""
+    return AlgebraicReal(f, raw_scale(f.two_cos_pi_over_raw(m),
+                                      Fraction(1, 2)))
+
+
+class AlgebraicReal:
+    """An element of the session field, reduced mod the minimal polynomial."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs):
+        self.field = field
+        self.coeffs = coeffs  # fixed-length tuple, already reduced
+
+    def _check(self, other):
+        if self.field is not other.field and self.field != other.field:
+            raise FieldError("elements from different fields")
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = rational(self.field, other)
+        self._check(other)
+        return AlgebraicReal(self.field,
+                             self.field.raw_add(self.coeffs, other.coeffs))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = rational(self.field, other)
+        self._check(other)
+        return AlgebraicReal(self.field,
+                             self.field.raw_sub(self.coeffs, other.coeffs))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return AlgebraicReal(self.field, self.field.raw_neg(self.coeffs))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return AlgebraicReal(self.field, raw_scale(self.coeffs, other))
+        self._check(other)
+        return AlgebraicReal(self.field,
+                             self.field.raw_mul(self.coeffs, other.coeffs))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = rational(self.field, other)
+        if not isinstance(other, AlgebraicReal):
+            return NotImplemented
+        return self.field == other.field and all(
+            x == y for x, y in zip(self.coeffs, other.coeffs))
+
+    def __hash__(self):
+        return hash((self.field.N, tuple(Fraction(x) for x in self.coeffs)))
+
+    def is_zero(self):
+        return self.field.raw_is_zero(self.coeffs)
+
+    def sign(self):
+        return self.field.sign_raw(self.coeffs)
+
+    def __lt__(self, other):
+        return (self - other).sign() < 0
+
+    def __le__(self, other):
+        return (self - other).sign() <= 0
+
+    def __gt__(self, other):
+        return (self - other).sign() > 0
+
+    def __ge__(self, other):
+        return (self - other).sign() >= 0
+
+    def __repr__(self):
+        terms = []
+        for i, x in enumerate(self.coeffs):
+            if x == 0:
+                continue
+            if i == 0:
+                terms.append(str(x))
+            elif i == 1:
+                terms.append(f"{x}*c")
+            else:
+                terms.append(f"{x}*c^{i}")
+        body = " + ".join(terms) if terms else "0"
+        return f"<{body} | c=2cos(pi/{self.field.N})>"
+
+
+# ---------------------------------------------------------------------------
 # the reflection representation, from the Coxeter matrix alone
 
 
@@ -108,11 +234,10 @@ def tits_form(group):
 
     def entry(i, j):
         if i == j:
-            return f.one()
+            return one(f)
         if m.order(i, j) == INFINITY:
-            return -f.one()
-        return -AlgebraicReal(f, f.two_cos_pi_over_raw(m.order(i, j))) * \
-            Fraction(1, 2)
+            return -one(f)
+        return -cos_pi_over(f, m.order(i, j))
 
     return tuple(tuple(entry(i, j) for j in range(group.rank))
                  for i in range(group.rank))
@@ -121,7 +246,7 @@ def tits_form(group):
 def matmul(group, a, b):
     n = group.rank
     return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)),
-                           start=group.field.zero())
+                           start=zero(group.field))
                        for j in range(n))
                  for i in range(n))
 
@@ -131,8 +256,8 @@ def generator_matrix(group, i):
     f = group.field
     b = tits_form(group)
     n = group.rank
-    return tuple(tuple((f.one() if r == c else f.zero())
-                       - (b[i][c] * 2 if r == i else f.zero())
+    return tuple(tuple((one(f) if r == c else zero(f))
+                       - (b[i][c] * 2 if r == i else zero(f))
                        for c in range(n))
                  for r in range(n))
 
@@ -141,7 +266,7 @@ def matrix_of(group, g):
     """Matrix of g in the reflection representation, columns g(e_j)."""
     n = group.rank
     f = group.field
-    out = tuple(tuple(f.one() if r == c else f.zero() for c in range(n))
+    out = tuple(tuple(one(f) if r == c else zero(f) for c in range(n))
                 for r in range(n))
     for a in g.word:
         out = matmul(group, out, generator_matrix(group, a))
@@ -160,7 +285,7 @@ def bilinear(group, x, y):
     b = tits_form(group)
     n = group.rank
     return sum((x[i] * b[i][j] * y[j] for i in range(n) for j in range(n)),
-               start=group.field.zero())
+               start=zero(group.field))
 
 
 # ---------------------------------------------------------------------------

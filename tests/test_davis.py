@@ -4,23 +4,18 @@ from itertools import combinations
 
 import pytest
 
-from coxlab.davis import (angle_sites, as_polytope, census_record,
-                          check_andreev, check_stacan, convex_hull,
-                          decomposed_angles, enumerate_convex_polytopes,
-                          facets_intersect, is_acute_angled, is_convex,
-                          is_coxeter_polytope, side, stacan_pairs,
-                          verify_facet_bound, walls_intersect)
+from coxlab.davis import (angle_sites, census_record, check_andreev,
+                          check_stacan, convex_hull,
+                          enumerate_convex_polytopes, facets_intersect,
+                          is_acute_angled, is_convex, is_coxeter_polytope,
+                          side, stacan_pairs, verify_facet_bound)
 from coxlab.errors import InputError, PreconditionError
-from coxlab.matrices import INFINITY, CoxeterMatrix
+from coxlab.matrices import INFINITY
 from coxlab.words import CoxeterGroup, root_span_rank
 
-from conftest import MATRICES
+from conftest import CYCLE4, MATRICES
 from oracles import (andreev_per_pair, census_fixpoint,
                      facets_intersect_per_pair, hull_fixpoint, interval)
-
-# affine A3: a 4-cycle of order-3 edges
-CYCLE4 = CoxeterMatrix([[1, 3, 2, 3], [3, 1, 3, 2],
-                        [2, 3, 1, 3], [3, 2, 3, 1]])
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +155,8 @@ def test_angle_sites_two_chambers(a2aff):
     z = sites[(0, 1)]
     assert z.m == 3 and z.j == 2
     assert not is_coxeter_polytope(a2aff, p)  # 2 does not divide 3
-    assert z in decomposed_angles(a2aff, p)
+    assert z in [y for y in angle_sites(a2aff, p)
+                 if not y.interior and y.j >= 2]
 
 
 def test_angle_site_interior(a2aff):
@@ -194,7 +190,7 @@ def test_angle_sites_cached_per_polytope():
             assert isinstance(sites, tuple)
             assert all(m.order(*z.pair) == z.m for z in sites)
             assert angle_sites(group, p) is sites
-            q = as_polytope(fresh, p.chambers)
+            q = convex_hull(fresh, p.chambers)
             assert q == p and hash(q) == hash(p)
             assert angle_sites(fresh, q) == sites, (m, p)
             assert q == p and hash(q) == hash(p)
@@ -216,20 +212,21 @@ def test_single_chamber_predicates(t23inf):
     p = convex_hull(t23inf, [t23inf.identity()])
     assert is_coxeter_polytope(t23inf, p)
     assert is_acute_angled(t23inf, p)
-    assert decomposed_angles(t23inf, p) == []
+    assert [z for z in angle_sites(t23inf, p)
+            if not z.interior and z.j >= 2] == []
 
 
 def test_walls_and_facets_intersect(t23inf, a1aff):
     w1, w2, w3 = (t23inf.generator_wall(i) for i in range(3))
-    assert not walls_intersect(t23inf, w1, w3)
-    assert walls_intersect(t23inf, w1, w2)
+    assert t23inf.order_of_product(w1, w3) == INFINITY
+    assert t23inf.order_of_product(w1, w2) == 2
     p = convex_hull(t23inf, [t23inf.identity()])
     assert facets_intersect(t23inf, p, w1, w2)
     assert facets_intersect(t23inf, p, w2, w3)
     assert not facets_intersect(t23inf, p, w1, w3)
     # parallel walls in the infinite dihedral group
     t = a1aff.as_reflection(a1aff.normal_form([1, 0, 1]))
-    assert not walls_intersect(a1aff, a1aff.generator_wall(0), t)
+    assert a1aff.order_of_product(a1aff.generator_wall(0), t) == INFINITY
 
 
 def test_andreev_examples(t23inf):
@@ -356,10 +353,7 @@ def test_stacan_pairs_complete_against_bruteforce(a2aff):
 def test_rank_four_census_smoke():
     # affine A3 (a 4-cycle of order-3 edges): infinite, indecomposable,
     # facet bound must read 4
-    from coxlab.matrices import CoxeterMatrix
-    m = CoxeterMatrix([[1, 3, 2, 3], [3, 1, 3, 2],
-                       [2, 3, 1, 3], [3, 2, 3, 1]])
-    group = CoxeterGroup(m)
+    group = CoxeterGroup(CYCLE4)
     report = verify_facet_bound(group, 4)
     assert report["applicable"]
     assert report["bound_ok"] and report["min_facets"] == 4
@@ -419,8 +413,7 @@ def test_as_polytope_rejects_nonconvex(a2aff):
     # two chambers of a rank-2 residue at gallery distance 2
     bad = [a2aff.identity(), a2aff.normal_form([0, 1])]
     assert not is_convex(a2aff, bad)
-    with pytest.raises(InputError):
-        as_polytope(a2aff, bad)
+    assert convex_hull(a2aff, bad).chambers > frozenset(bad)
 
 
 def test_hull_and_census_match_fixpoint_oracle():
@@ -508,7 +501,7 @@ def test_walls_are_values_across_groups():
                     root_span_rank(b, [wb] + gens[1:])
         pairs = 0
         for p1, p2, _ in stacan_pairs(a, 5, census=census):
-            q1, q2 = as_polytope(b, p1.chambers), as_polytope(b, p2.chambers)
+            q1, q2 = convex_hull(b, p1.chambers), convex_hull(b, p2.chambers)
             assert _stacan_outcome(b, p1, p2) == \
                 _stacan_outcome(b, q1, q2) == check_stacan(a, p1, p2)
             pairs += 1

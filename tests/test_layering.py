@@ -1,5 +1,6 @@
-"""Layering guard: outside ``words.py`` the library reaches a
-``CoxeterGroup`` only through its public surface."""
+"""Layering guards: outside ``words.py`` the library reaches a
+``CoxeterGroup`` only through its public surface, and the only sign
+decision it makes is whether two walls meet."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,33 @@ def test_group_privates_are_read_only_in_words():
                              and node.value.id == "self"):
                 reads.append(f"{path.name}:{node.lineno} {node.attr}")
     assert reads == []
+
+
+def _call_scopes(tree, name):
+    """Enclosing class and function names of each call of ``name``."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", None)
+                if called == name:
+                    out.append(scope)
+            visit(child, scope)
+
+    visit(tree, ())
+    return out
+
+
+def test_only_order_of_product_decides_signs():
+    calls = [(path.name,) + scope
+             for path in sorted(SRC.glob("*.py"))
+             for scope in _call_scopes(ast.parse(path.read_text()),
+                                       "sign_raw")]
+    assert calls == [("words.py", "CoxeterGroup", "order_of_product")]

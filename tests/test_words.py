@@ -6,14 +6,17 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from coxlab.algebraic import SIGN_STATS
+from coxlab.davis import enumerate_convex_polytopes
 from coxlab.errors import InputError
 from coxlab.matrices import INFINITY, CoxeterMatrix
 from coxlab.words import CoxeterGroup, Element, root_span_rank, word_from_text
 
-from conftest import MATRICES
-from oracles import (bilinear, interval, matmul, matrix_of, root_of,
-                     tits_form)
+from conftest import CYCLE4, MATRICES
+from oracles import (AlgebraicReal, bilinear, interval, matmul, matrix_of,
+                     root_of, tits_form)
 
 
 @pytest.fixture(scope="module")
@@ -446,3 +449,53 @@ def test_inversion_set(t23inf):
             gs = t23inf.step(g, s)
             assert t23inf.inversion_set(gs) == \
                 n ^ {t23inf.panel_root(g, s)}
+
+
+def test_panel_roots_positive_without_sign_decisions():
+    # the word layer reads a wall's side off lengths: a census and the
+    # inversion sets of a ball on a cold group decide no sign, intern only
+    # positive roots, and each panel root is +/- g(e_s) from the matrix
+    # representation, negated exactly when g s is shorter than g
+    matrices = [MATRICES[n] for n in ("t23inf", "t255", "t237", "univ3")]
+    for m in matrices + [CYCLE4]:
+        before = SIGN_STATS.decisions
+        group = CoxeterGroup(m)
+        for _ in enumerate_convex_polytopes(group, 6):
+            pass
+        for g in group.ball(5):
+            group.inversion_set(g)
+        assert SIGN_STATS.decisions == before, m
+        f = group.field
+        for root in group._root_list:
+            coords = [AlgebraicReal(f, c) for c in root]
+            assert all(x >= 0 for x in coords) and \
+                not all(x.is_zero() for x in coords), (m, root)
+        for g in group.ball(4):
+            columns = matrix_of(group, g)
+            for s in range(m.rank):
+                shorter = len(group.step(g, s)) < len(g)
+                expected = tuple((-row[s] if shorter else row[s]).coeffs
+                                 for row in columns)
+                assert group._root_list[group.panel_root(g, s)] == \
+                    expected, (m, g, s)
+
+
+@pytest.fixture(scope="module")
+def warm_groups():
+    return [CoxeterGroup(m) for m in (MATRICES["t237"], MATRICES["univ3"],
+                                      CYCLE4)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_panel_root_properties(warm_groups, data):
+    # both chambers of a panel name the same wall, and crossing it changes
+    # the inversion set by exactly that wall
+    group = data.draw(st.sampled_from(warm_groups))
+    letter = st.integers(0, group.rank - 1)
+    g = group.normal_form(data.draw(st.lists(letter, max_size=14)))
+    s = data.draw(letter)
+    h = group.step(g, s)
+    root = group.panel_root(g, s)
+    assert group.panel_root(h, s) == root
+    assert group.inversion_set(h) == group.inversion_set(g) ^ {root}
