@@ -94,10 +94,6 @@ class VerificationReport:
 # verification suites
 
 
-def _suites_applicable(matrix):
-    return not is_finite(matrix) and is_indecomposable(matrix)
-
-
 def census_list(group, max_chambers, cap=None):
     """Materialized census with a node-count guard (COXLAB_BUDGET)."""
     cap = element_cap() if cap is None else cap
@@ -130,10 +126,6 @@ class _VerifyRun:
 
 
 def suite_facet_bound(run, report):
-    if not _suites_applicable(run.group.matrix):
-        report.add("facet-bound", "skipped",
-                   "needs an infinite indecomposable system")
-        return
     res = davis.verify_facet_bound(run.group, run.max_chambers,
                                    census=run.census)
     detail = (f"{res['polytopes']} polytopes, min facets {res['min_facets']}"
@@ -146,10 +138,6 @@ def suite_facet_bound(run, report):
 
 
 def suite_andreev(run, report):
-    if not _suites_applicable(run.group.matrix):
-        report.add("andreev", "skipped",
-                   "needs an infinite indecomposable system")
-        return
     group = run.group
     checked = 0
     bad = []
@@ -172,10 +160,6 @@ def suite_andreev(run, report):
 
 
 def suite_stacan(run, report):
-    if not _suites_applicable(run.group.matrix):
-        report.add("stacan", "skipped",
-                   "needs an infinite indecomposable system")
-        return
     group = run.group
     pairs = 0
     bad = []
@@ -198,10 +182,6 @@ def suite_stacan(run, report):
 
 
 def suite_nerve_deletion(run, report):
-    if not _suites_applicable(run.group.matrix):
-        report.add("nerve-deletion", "skipped",
-                   "needs an infinite indecomposable system")
-        return
     bad = []
     found = []
     for sub in run.equal_rank:
@@ -223,10 +203,6 @@ def suite_nerve_deletion(run, report):
 
 
 def suite_comm(run, report):
-    if not _suites_applicable(run.group.matrix):
-        report.add("comm", "skipped",
-                   "needs an infinite indecomposable system")
-        return
     cc = subgroups.comm_condition(run.group.matrix)
     proper = [s for s in run.equal_rank if s.index and s.index > 1]
     detail = (f"condition label {cc['label']}; "
@@ -253,6 +229,11 @@ def run_verify(matrix, suite, max_chambers):
         {"max_chambers": max_chambers, "element_cap": element_cap()})
     names = list(_SUITE_FUNCS) if suite == "all" else [suite]
     run = _VerifyRun(CoxeterGroup(matrix), max_chambers)
+    if is_finite(matrix) or not is_indecomposable(matrix):
+        for name in names:
+            report.add(name, "skipped",
+                       "needs an infinite indecomposable system")
+        return report
     for name in names:
         try:
             _SUITE_FUNCS[name](run, report)

@@ -4,12 +4,12 @@ Chambers are group elements; the base chamber is the identity.  A wall
 splits the chamber set in two; a chamber is across it exactly when the
 wall is in the chamber's inversion set.  A convex chamber set is an
 intersection of roots, so one wall-crossing search finds convex hulls
-and fundamental domains.  A convex polytope carries its minimal facet
-walls, its codimension-2 angle sites (rank-2 residues it meets), and the
-angle predicates built from them.  The census enumerates every convex
-chamber set containing the base chamber up to a chamber budget: each one
-arises from a smaller one by adjoining an adjacent chamber and closing
-up, so the growth search is exhaustive.
+and fundamental domains.  A convex polytope carries its facet walls and
+its codimension-2 angle sites (rank-2 residues it meets), both read off
+its boundary panels, and the angle predicates built from the sites.  The
+census enumerates every convex chamber set containing the base chamber
+up to a chamber budget: each one arises from a smaller one by adjoining
+an adjacent chamber and closing up, so the growth search is exhaustive.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ def _hull_limited(group, chambers, limit):
 class ChamberPolytope:
     chambers: frozenset       # of Element
     facet_walls: tuple        # of (Wall, side) pairs
-    convex: bool
     # angle sites, filled by the first angle_sites call
     _sites: tuple = field(default=None, init=False, compare=False,
                           repr=False)
@@ -87,26 +86,23 @@ class ChamberPolytope:
 
 
 def _facet_walls(group, chambers):
-    """Walls of boundary panels with every chamber on one side."""
-    inversions = [group.inversion_set(g) for g in chambers]
-    seen = set()
-    out = []
-    for g in sorted(chambers, key=lambda e: e.sort_key):
+    """Walls of the boundary panels, each with the side the convex set
+    lies on: the side of the panel's own chamber."""
+    facets = {}
+    for g in chambers:
         for s in range(group.rank):
-            rid = group.panel_root(g, s)
-            if rid in seen or group.step(g, s) in chambers:
+            if group.step(g, s) in chambers:
                 continue
-            seen.add(rid)
-            across = sum(rid in n for n in inversions)
-            if across in (0, len(inversions)):
-                out.append((group.wall_between(g, s),
-                            -1 if across else 1))
-    return tuple(sorted(out, key=lambda p: p[0].sort_key))
+            rid = group.panel_root(g, s)
+            if rid not in facets:
+                facets[rid] = (group.wall_between(g, s),
+                               -1 if rid in group.inversion_set(g) else 1)
+    return tuple(sorted(facets.values(), key=lambda p: p[0].sort_key))
 
 
 def _polytope_of(group, chambers):
     return ChamberPolytope(frozenset(chambers),
-                           _facet_walls(group, chambers), True)
+                           _facet_walls(group, chambers))
 
 
 def convex_hull(group, chambers, max_chambers=DEFAULT_HULL_CAP):
@@ -133,18 +129,20 @@ def is_convex(group, chambers):
 class AngleSite:
     """A rank-2 spherical residue meeting the polytope.
 
-    The residue is a 2m-cycle of chambers; the polytope meets it in a
-    contiguous arc of j chambers, giving dihedral angle j*pi/m.  An arc
-    filling the whole cycle (j = 2m) is an interior codimension-2 face
-    and carries no angle.
+    The {s, t} residue of a chamber is a 2m-cycle of chambers; a convex
+    polytope meets it in a contiguous arc of j chambers, giving dihedral
+    angle j*pi/m.  A site records the residue's least chamber, the pair,
+    m, j, and the walls of the panels by which the arc leaves the
+    polytope: two of them, or one when j = m.  An arc filling the whole
+    cycle (j = 2m) is an interior codimension-2 face: it has no exit
+    walls and carries no angle.
     """
 
     base: Element             # least chamber of the residue
     pair: tuple               # generator pair (s, t), s < t
     m: int
     j: int
-    arc: tuple                # chambers of the polytope, in cycle order
-    boundary_walls: tuple     # distinct walls bounding the arc; () if interior
+    boundary_walls: tuple     # distinct exit walls, sorted; () if interior
 
     @property
     def interior(self):
@@ -167,53 +165,45 @@ def angle_sites(group, polytope):
     return sites
 
 
+def _residue_base(group, g, s, t, m):
+    """Least chamber of g's {s, t} residue, reached by right descents in
+    {s, t}: at most m of them, as the residue's longest element has
+    length m."""
+    for _ in range(m + 1):
+        for a in (s, t):
+            x = group.step(g, a)
+            if len(x) < len(g):
+                g = x
+                break
+        else:
+            return g
+    raise ConsistencyError("rank-2 residue has no least chamber",
+                           (g.display(), s, t))
+
+
 def _angle_sites(group, polytope):
-    sites = []
-    seen = set()
+    """Group the chambers by residue; the panels leaving the polytope
+    give the arc's bounding walls, and a contiguous arc has 2 of them."""
     chambers = polytope.chambers
-    for g in polytope.sorted_chambers():
-        for s, t in combinations(range(group.rank), 2):
-            m = group.matrix.order(s, t)
-            if m == INFINITY:
-                continue
-            cyc = [g]
-            letters = []
-            cur = g
-            for k in range(2 * m - 1):
-                a = s if k % 2 == 0 else t
-                cur = group.step(cur, a)
-                cyc.append(cur)
-                letters.append(a)
-            letters.append(t)
-            if group.step(cyc[-1], letters[-1]) != cyc[0]:
-                raise ConsistencyError("rank-2 residue does not close",
-                                       (g.display(), s, t))
-            base = min(cyc, key=lambda e: e.sort_key)
-            key = (base.word, s, t)
-            if key in seen:
-                continue
-            seen.add(key)
-            n = 2 * m
-            inside = [k for k in range(n) if cyc[k] in chambers]
-            j = len(inside)
-            if j == n:
-                sites.append(AngleSite(base, (s, t), m, j, tuple(cyc), ()))
-                continue
-            inset = set(inside)
-            starts = [k for k in inside if (k - 1) % n not in inset]
-            if len(starts) != 1:
+    sites = []
+    for s, t in combinations(range(group.rank), 2):
+        m = group.matrix.order(s, t)
+        if m == INFINITY:
+            continue
+        residues = {}
+        for g in chambers:
+            residues.setdefault(_residue_base(group, g, s, t, m),
+                                []).append(g)
+        for base, arc in residues.items():
+            exits = [(g, a) for g in arc for a in (s, t)
+                     if group.step(g, a) not in chambers]
+            if len(exits) != (0 if len(arc) == 2 * m else 2):
                 raise ConsistencyError(
                     "arc of a convex polytope is not contiguous",
-                    (key, inside))
-            start = starts[0]
-            arc = tuple(cyc[(start + r) % n] for r in range(j))
-            w_in = group.wall_between(cyc[(start - 1) % n],
-                                      letters[(start - 1) % n])
-            end = (start + j - 1) % n
-            w_out = group.wall_between(cyc[end], letters[end])
-            bounds = (w_in,) if w_in == w_out else tuple(
-                sorted((w_in, w_out), key=lambda w: w.sort_key))
-            sites.append(AngleSite(base, (s, t), m, j, arc, bounds))
+                    ((base.word, s, t), sorted(g.word for g in arc)))
+            walls = {group.wall_between(g, a) for g, a in exits}
+            sites.append(AngleSite(base, (s, t), m, len(arc), tuple(
+                sorted(walls, key=lambda w: w.sort_key))))
     sites.sort(key=lambda z: (z.pair, z.base.sort_key))
     return tuple(sites)
 
@@ -278,8 +268,6 @@ def check_andreev(group, polytope):
     The emptiness guarantee holds for acute-angled polytopes; the check
     itself runs on any convex polytope.
     """
-    if not polytope.convex:
-        raise PreconditionError("polytope must be convex")
     violations = []
     walls = [w for w, _ in polytope.facet_walls]
     meet = _meeting(group, polytope, walls)
@@ -310,8 +298,6 @@ def check_stacan(group, p1, p2):
     convex; the preconditions (disjoint, shared facet with matching
     panels, acute angles along it) are checked and reported distinctly.
     """
-    if not (p1.convex and p2.convex):
-        raise PreconditionError("both polytopes must be convex")
     if p1.chambers & p2.chambers:
         raise PreconditionError("polytopes share chambers")
     shared = None
@@ -376,8 +362,6 @@ def stacan_pairs(group, max_total_chambers, census=None):
                         continue
                     p2 = _polytope_of(group, chambers)
                     if _facet_chambers(group, p2, wall) != mirrored:
-                        continue
-                    if dict(p2.facet_walls).get(wall) != -sd:
                         continue
                     if not _acute_along(angle_sites(group, p2), wall):
                         continue

@@ -178,17 +178,6 @@ class CoxeterGroup:
 
     # -- word reduction -----------------------------------------------------
 
-    def _left_exchange(self, word, i):
-        """If s_i is a left descent of the (reduced) word, delete the
-        crossing letter and return the shorter word; else None."""
-        simple = self._simple
-        x = simple[i]
-        for j, a in enumerate(word):
-            if x == simple[a]:
-                return word[:j] + word[j + 1:]
-            x = self._reflect_id(x, a)
-        return None
-
     def _track_right(self, word, t):
         """Walk alpha_t back through the reduced ``word``: (j, None) when
         it crosses at letter j, so word * s_t deletes that letter, else
@@ -207,10 +196,14 @@ class CoxeterGroup:
         hit = self._canon_memo.get(word)
         if hit is not None:
             return hit
+        rev = word[::-1]
         for i in range(self.rank):
-            ex = self._left_exchange(word, i)
-            if ex is not None:
-                res = (i,) + self._canonical(ex)
+            # s_i is a left descent of word iff it is a right descent of
+            # the reversed word; the crossing letter is the one to delete
+            j, _ = self._track_right(rev, i)
+            if j is not None:
+                k = len(word) - 1 - j
+                res = (i,) + self._canonical(word[:k] + word[k + 1:])
                 self._canon_memo[word] = res
                 return res
         raise ConsistencyError("reduced nonempty word has no left descent",
@@ -233,6 +226,10 @@ class CoxeterGroup:
         for t in other:
             word = self._mult_gen(word, t)
         return word
+
+    def _conjugate(self, word, s):
+        """Normal form of w s w^-1 for the normal form ``word`` of w."""
+        return self._mult_word(self._mult_gen(word, s), word[::-1])
 
     # -- public element interface -------------------------------------------
 
@@ -308,11 +305,8 @@ class CoxeterGroup:
         rid = self.panel_root(g, s)
         wall = self._wall_memo.get(rid)
         if wall is None:
-            w = g.word
-            out = self._mult_gen(w, s)
-            for a in reversed(w):
-                out = self._mult_gen(out, a)
-            wall = self._wall_memo.setdefault(rid, Wall(Element(out), (g, s)))
+            wall = self._wall_memo.setdefault(
+                rid, Wall(Element(self._conjugate(g.word, s)), (g, s)))
         return wall
 
     def conjugate_wall(self, t, u):
@@ -436,8 +430,7 @@ class CoxeterGroup:
         out = {}
         for w in self.ball((max_length - 1) // 2, cap):
             for s in range(self.rank):
-                word = self._mult_word(self._mult_gen(w.word, s),
-                                       tuple(reversed(w.word)))
+                word = self._conjugate(w.word, s)
                 if len(word) <= max_length and word not in out:
                     out[word] = Wall(Element(word), (w, s))
         return sorted(out.values(), key=lambda x: x.sort_key)

@@ -8,12 +8,15 @@ triangle group.  ``AlgebraicReal`` is field arithmetic with operators,
 and ``matrix_of`` is the reflection representation built on it from the
 Coxeter matrix alone, with no root tracking.  The subgroup
 enumeration and the per-pair facet intersection are the first
-implementations of membership and of the Andreev check.
+implementations of membership and of the Andreev check; the side count
+and the rank-2 cycle walk are the first implementations of facet walls
+and angle sites.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from coxlab.davis import AngleSite
 from coxlab.errors import BudgetError, ConsistencyError, FieldError
 from coxlab.matrices import INFINITY, is_finite
 from coxlab.subgroups import contains_reflection
@@ -359,3 +362,79 @@ def andreev_per_pair(group, polytope):
     return [(a, b) for a, b in combinations(walls, 2)
             if group.order_of_product(a, b) != INFINITY
             and not facets_intersect_per_pair(group, polytope, a, b)]
+
+
+# ---------------------------------------------------------------------------
+# facets and angle sites, the first implementations
+
+
+def facet_walls_by_count(group, chambers):
+    """Walls of boundary panels with every chamber on one side, the side
+    counted over all the chambers."""
+    inversions = [group.inversion_set(g) for g in chambers]
+    seen = set()
+    out = []
+    for g in sorted(chambers, key=lambda e: e.sort_key):
+        for s in range(group.rank):
+            rid = group.panel_root(g, s)
+            if rid in seen or group.step(g, s) in chambers:
+                continue
+            seen.add(rid)
+            across = sum(rid in n for n in inversions)
+            if across in (0, len(inversions)):
+                out.append((group.wall_between(g, s),
+                            -1 if across else 1))
+    return tuple(sorted(out, key=lambda p: p[0].sort_key))
+
+
+def angle_sites_cycle_walk(group, polytope):
+    """Walk the whole 2m-cycle of every rank-2 residue from every chamber,
+    keep one walk per residue, and read the arc and its two bounding
+    panels off the cycle order."""
+    sites = []
+    seen = set()
+    chambers = polytope.chambers
+    for g in polytope.sorted_chambers():
+        for s, t in combinations(range(group.rank), 2):
+            m = group.matrix.order(s, t)
+            if m == INFINITY:
+                continue
+            cyc = [g]
+            letters = []
+            cur = g
+            for k in range(2 * m - 1):
+                a = s if k % 2 == 0 else t
+                cur = group.step(cur, a)
+                cyc.append(cur)
+                letters.append(a)
+            letters.append(t)
+            if group.step(cyc[-1], letters[-1]) != cyc[0]:
+                raise ConsistencyError("rank-2 residue does not close",
+                                       (g.display(), s, t))
+            base = min(cyc, key=lambda e: e.sort_key)
+            key = (base.word, s, t)
+            if key in seen:
+                continue
+            seen.add(key)
+            n = 2 * m
+            inside = [k for k in range(n) if cyc[k] in chambers]
+            j = len(inside)
+            if j == n:
+                sites.append(AngleSite(base, (s, t), m, j, ()))
+                continue
+            inset = set(inside)
+            starts = [k for k in inside if (k - 1) % n not in inset]
+            if len(starts) != 1:
+                raise ConsistencyError(
+                    "arc of a convex polytope is not contiguous",
+                    (key, inside))
+            start = starts[0]
+            w_in = group.wall_between(cyc[(start - 1) % n],
+                                      letters[(start - 1) % n])
+            end = (start + j - 1) % n
+            w_out = group.wall_between(cyc[end], letters[end])
+            bounds = (w_in,) if w_in == w_out else tuple(
+                sorted((w_in, w_out), key=lambda w: w.sort_key))
+            sites.append(AngleSite(base, (s, t), m, j, bounds))
+    sites.sort(key=lambda z: (z.pair, z.base.sort_key))
+    return tuple(sites)

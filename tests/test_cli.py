@@ -10,6 +10,14 @@ from conftest import MATRICES
 
 T23INF_DOC = '{"rank":3,"m":[[1,2,0],[2,1,3],[0,3,1]]}'
 REMARK_DOC = '{"rank":3,"m":[[1,0,2],[0,1,2],[2,2,1]]}'
+H3_DOC = '{"rank":3,"m":[[1,5,2],[5,1,3],[2,3,1]]}'
+_SKIP = ('{"detail": "needs an infinite indecomposable system", '
+         '"name": "%s", "status": "skipped"}')
+H3_ALL_SKIPPED = (
+    '{"budgets": {"element_cap": 100000, "max_chambers": 6}, "checks": ['
+    + ", ".join(_SKIP % s for s in ("facet-bound", "andreev", "stacan",
+                                    "nerve-deletion", "comm"))
+    + '], "matrix_digest": "fa6cd8768fee", "suite": "all"}\n')
 
 
 @pytest.fixture
@@ -164,11 +172,20 @@ def test_verify_suites_alone_match_all():
             assert alone == [entry], (name, entry["name"])
 
 
-def test_verify_skips_on_precondition(remark_file, capsys):
+def test_verify_skips_on_precondition(remark_file, tmp_path, capsys):
     assert main(["verify", remark_file, "--suite", "facet-bound",
                  "--max-chambers", "4", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["checks"][0]["status"] == "skipped"
+    # a finite system skips every suite of "all", in suite order
+    f = tmp_path / "h3.json"
+    f.write_text(H3_DOC)
+    assert main(["verify", str(f), "--suite", "all",
+                 "--max-chambers", "6", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert [(c["name"], c["status"]) for c in json.loads(out)["checks"]] \
+        == [(s, "skipped") for s in SUITES if s != "all"]
+    assert out == H3_ALL_SKIPPED
 
 
 def test_report_round_trip():

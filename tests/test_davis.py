@@ -14,7 +14,8 @@ from coxlab.matrices import INFINITY
 from coxlab.words import CoxeterGroup, root_span_rank
 
 from conftest import CYCLE4, MATRICES
-from oracles import (andreev_per_pair, census_fixpoint,
+from oracles import (andreev_per_pair, angle_sites_cycle_walk,
+                     census_fixpoint, facet_walls_by_count,
                      facets_intersect_per_pair, hull_fixpoint, interval)
 
 
@@ -196,6 +197,28 @@ def test_angle_sites_cached_per_polytope():
             assert q == p and hash(q) == hash(p)
             assert census_record(group, p)["angles"] == \
                 [{"m": z.m, "j": z.j} for z in sites]
+
+
+def test_sites_and_facets_match_oracles():
+    # sites grouped by residue and facets read off boundary panels against
+    # the cycle walk and the side count they replaced: the K=6 census, with
+    # interior sites from the finite groups, and the glued translates of
+    # the stacan search, which leave out the base chamber
+    interior = 0
+    for m in [MATRICES[n] for n in ("t23inf", "t255", "univ3", "a2aff",
+                                    "a3", "h3")] + [CYCLE4]:
+        group = CoxeterGroup(m)
+        census = list(enumerate_convex_polytopes(group, 6))
+        p2s = [p2 for _, p2, _ in stacan_pairs(group, 5, census=census)]
+        assert p2s and all(group.identity() not in p.chambers for p in p2s)
+        for p in census + p2s:
+            sites = angle_sites(group, p)
+            assert sites == angle_sites_cycle_walk(group, p), (m, p)
+            expect = facet_walls_by_count(group, p.chambers)
+            assert [(w.reflection, sd) for w, sd in p.facet_walls] == \
+                [(w.reflection, sd) for w, sd in expect], (m, p)
+            interior += sum(z.interior for z in sites)
+    assert interior > 0
 
 
 def test_coxeter_polytope_example(t23inf):
