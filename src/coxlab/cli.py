@@ -24,17 +24,18 @@ from .words import DEFAULT_ELEMENT_CAP, CoxeterGroup, word_from_text
 
 DEFAULT_MAX_CHAMBERS = 8
 
-SUITES = ("facet-bound", "andreev", "stacan", "nerve-deletion", "comm", "all")
-
 
 def element_cap():
     raw = os.environ.get("COXLAB_BUDGET")
     if raw is None:
         return DEFAULT_ELEMENT_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise InputError(f"COXLAB_BUDGET must be an integer, got {raw!r}")
+    if cap < 1:
+        raise InputError(f"COXLAB_BUDGET must be >= 1, got {cap}")
+    return cap
 
 
 def matrix_digest(matrix):
@@ -166,7 +167,7 @@ def suite_stacan(run, report):
     for p1, p2, wall in davis.stacan_pairs(group, run.max_chambers,
                                            census=run.census):
         pairs += 1
-        if not davis.check_stacan(group, p1, p2):
+        if not davis.is_convex(group, p1.chambers | p2.chambers):
             bad.append({
                 "p1": [c.display() for c in p1.sorted_chambers()],
                 "p2": [c.display() for c in p2.sorted_chambers()],
@@ -221,6 +222,8 @@ _SUITE_FUNCS = {
     "nerve-deletion": suite_nerve_deletion,
     "comm": suite_comm,
 }
+
+SUITES = (*_SUITE_FUNCS, "all")
 
 
 def run_verify(matrix, suite, max_chambers):

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import (BudgetError, ConsistencyError, InputError,
-                     PreconditionError)
+from .errors import BudgetError, ConsistencyError, InputError
 from .matrices import INFINITY, is_finite, is_indecomposable
 from .words import Element
 
@@ -293,79 +292,44 @@ def _acute_along(sites, wall):
     return _acute_angles([z for z in sites if wall in z.boundary_walls])
 
 
-def check_stacan(group, p1, p2):
-    """Whether the union of two polytopes glued along a common facet is
-    convex; the preconditions (disjoint, shared facet with matching
-    panels, acute angles along it) are checked and reported distinctly.
-    """
-    if p1.chambers & p2.chambers:
-        raise PreconditionError("polytopes share chambers")
-    shared = None
-    f1 = {w.reflection.word: (w, sd) for w, sd in p1.facet_walls}
-    f2 = {w.reflection.word: (w, sd) for w, sd in p2.facet_walls}
-    for word in sorted(set(f1) & set(f2)):
-        w, sd1 = f1[word]
-        _, sd2 = f2[word]
-        if sd1 == -sd2:
-            panels1 = _facet_chambers(group, p1, w)
-            mirrored = frozenset(group.multiply(w.reflection, g)
-                                 for g in panels1)
-            if mirrored == _facet_chambers(group, p2, w):
-                shared = w
-                break
-    if shared is None:
-        raise PreconditionError("no common facet wall with matching panels")
-    if not _acute_along(angle_sites(group, p1), shared) or \
-            not _acute_along(angle_sites(group, p2), shared):
-        raise PreconditionError("angles along the shared facet not acute")
-    union = p1.chambers | p2.chambers
-    return is_convex(group, union)
-
-
 def stacan_pairs(group, max_total_chambers, census=None):
     """All precondition-satisfying glued pairs with a bounded union size.
 
-    The first polytope runs over the census; the second over all
-    translates of census members anchored to the mirror image of the
-    shared facet.  Every qualifying pair arises this way.
+    The first polytope P1 runs over the census.  A glued P2 contains
+    ``anchor``, the least mirror image of P1's panels on the shared wall,
+    so anchor^-1 P2 is a convex set containing the base chamber with
+    |P2| chambers: a census member C, and P2 = anchor C.  So P2 runs over
+    one translate anchor C per census member, and every qualifying pair
+    arises exactly once.  P2 lies across the shared wall from P1, so the
+    two are disjoint.
     """
     if census is None:
         census = enumerate_convex_polytopes(group, max_total_chambers - 1)
     census = [p for p in census
               if len(p.chambers) <= max_total_chambers - 1]
-    seen = set()
     for p1 in census:
         room = max_total_chambers - len(p1.chambers)
         for wall, sd in p1.facet_walls:
-            panels1 = _facet_chambers(group, p1, wall)
             if not _acute_along(angle_sites(group, p1), wall):
                 continue
             mirrored = frozenset(group.multiply(wall.reflection, g)
-                                 for g in panels1)
+                                 for g in _facet_chambers(group, p1, wall))
             anchor = min(mirrored, key=lambda e: e.sort_key)
             for c in census:
                 if len(c.chambers) > room:
                     continue
-                for base in c.sorted_chambers():
-                    shift = group.multiply(anchor, group.inverse(base))
-                    chambers = frozenset(group.multiply(shift, x)
-                                         for x in c.chambers)
-                    key = (p1.chambers, chambers)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if chambers & p1.chambers:
-                        continue
-                    if not mirrored <= chambers:
-                        continue
-                    if any(side(group, wall, g) == sd for g in chambers):
-                        continue
-                    p2 = _polytope_of(group, chambers)
-                    if _facet_chambers(group, p2, wall) != mirrored:
-                        continue
-                    if not _acute_along(angle_sites(group, p2), wall):
-                        continue
-                    yield p1, p2, wall
+                chambers = frozenset(group.multiply(anchor, x)
+                                     for x in c.chambers)
+                if not mirrored <= chambers:
+                    continue
+                if any(side(group, wall, g) == sd for g in chambers):
+                    continue
+                p2 = _polytope_of(group, chambers)
+                if _facet_chambers(group, p2, wall) != mirrored:
+                    continue
+                if not _acute_along(angle_sites(group, p2), wall):
+                    continue
+                yield p1, p2, wall
 
 
 # ---------------------------------------------------------------------------

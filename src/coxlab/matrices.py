@@ -368,20 +368,3 @@ def nerve(matrix):
             if is_finite(matrix.restrict(subset)):
                 simplices.append(frozenset(subset))
     return Nerve(range(n), simplices)
-
-
-def has_finite_index_standard(matrix, subset):
-    """Whether the standard subgroup on ``subset`` has finite index.
-
-    True exactly when every infinite component of the diagram is
-    contained in the subset: finite components contribute a finite
-    factor to the index, while an infinite indecomposable component
-    admits no proper finite-index standard subgroup.
-    """
-    t = set(subset)
-    if not t <= set(range(matrix.rank)):
-        raise InputError("subset contains indices outside the generator set")
-    for comp in components(matrix):
-        if not comp.finite and not set(comp.vertices) <= t:
-            return False
-    return True

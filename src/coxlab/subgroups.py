@@ -102,6 +102,8 @@ def fundamental_polytope(group, gens, max_chambers):
     Returns (polytope, index) when the region fits the budget; raises
     BudgetError otherwise (infinite or large index).
     """
+    if max_chambers < 1:
+        raise InputError("chamber budget must be >= 1")
     mirror = {}
 
     def crosses(g, s):
@@ -219,33 +221,17 @@ def comm_condition(matrix):
     return {"condition1": cond1, "condition2": cond2, "label": label}
 
 
-def index_two_by_commutation(group):
-    """The explicit index-2 generating set available when some generator
-    commutes with all but one other and the remaining order is even or
-    infinite: keep the rest of S and replace s0 by s0 s' s0."""
-    matrix = group.matrix
-    cc = comm_condition(matrix)
-    s0 = cc["condition1"]
-    if s0 is None:
-        return None
-    others = [s for s in range(matrix.rank) if s != s0]
-    s_prime = next(s for s in others if matrix.order(s0, s) != 2)
-    m = matrix.order(s0, s_prime)
-    if m != INFINITY and m % 2 != 0:
-        return None
-    walls = [group.generator_wall(s) for s in others]
-    walls.append(group.conjugate_wall(group.generator_wall(s0),
-                                      group.generator_wall(s_prime)))
-    return tuple(sorted(walls, key=_wall_key))
-
-
 def search_equal_rank_subgroups(group, max_chambers, census=None):
-    """Scan the polytope census for fundamental domains whose wall
-    reflections give exactly rank-many canonical generators.
+    """Scan the polytope census for Coxeter polytopes with exactly
+    rank-many facets.
 
-    Results are one representative per (index, induced signature) class;
-    completeness holds only up to the chamber budget.  A precomputed
-    census may be passed to avoid re-enumeration.
+    A convex polytope whose angles are all pi/k is the fundamental
+    domain of the group its facet reflections generate, so its facet
+    walls are that group's canonical generators, already sorted, and its
+    chamber count is the index.  Results are one representative per
+    (index, induced signature) class; completeness holds only up to the
+    chamber budget.  A precomputed census may be passed to avoid
+    re-enumeration.
     """
     found = {}
     if census is None:
@@ -255,8 +241,7 @@ def search_equal_rank_subgroups(group, max_chambers, census=None):
             continue
         if not is_coxeter_polytope(group, p):
             continue
-        walls = tuple(w for w, _ in p.facet_walls)
-        gens = canonical_generators(group, walls)
+        gens = tuple(w for w, _ in p.facet_walls)
         if len(gens) != group.rank:
             continue
         induced = induced_matrix(group, gens)

@@ -380,14 +380,14 @@ class CoxeterGroup:
 
     # -- enumeration ----------------------------------------------------------
 
-    def _bfs_words(self, max_length, cap):
-        """Canonical words by length, each level sorted; raises on cap."""
+    def ball(self, radius, cap=DEFAULT_ELEMENT_CAP):
+        """All elements of length <= radius, or the whole group when
+        radius is None, level by level with each level sorted; raises
+        BudgetError past ``cap`` elements."""
         level = [()]
         seen = {()}
-        yield ()
-        while level:
-            if max_length is not None and len(level[0]) >= max_length:
-                return
+        words = [()]
+        while level and (radius is None or len(level[0]) < radius):
             nxt = []
             for w in level:
                 for t in range(self.rank):
@@ -399,23 +399,9 @@ class CoxeterGroup:
                                 f"element enumeration exceeded cap {cap}")
                         nxt.append(h)
             nxt.sort()
-            yield from nxt
+            words.extend(nxt)
             level = nxt
-
-    def elements(self, max_length=None, cap=DEFAULT_ELEMENT_CAP):
-        for w in self._bfs_words(max_length, cap):
-            yield Element(w)
-
-    def ball(self, radius, cap=DEFAULT_ELEMENT_CAP):
-        """All elements of length <= radius (complete; raises on cap)."""
-        return [Element(w) for w in self._bfs_words(radius, cap)]
-
-    def element_count(self, cap=DEFAULT_ELEMENT_CAP):
-        """Group order if it is <= cap, else None."""
-        try:
-            return sum(1 for _ in self._bfs_words(None, cap))
-        except BudgetError:
-            return None
+        return [Element(w) for w in words]
 
     def enumerate_reflections(self, max_length=DEFAULT_REFLECTION_LENGTH,
                               cap=DEFAULT_ELEMENT_CAP):

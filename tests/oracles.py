@@ -10,16 +10,28 @@ Coxeter matrix alone, with no root tracking.  The subgroup
 enumeration and the per-pair facet intersection are the first
 implementations of membership and of the Andreev check; the side count
 and the rank-2 cycle walk are the first implementations of facet walls
-and angle sites.
+and angle sites.  ``element_count``, ``has_finite_index_standard`` and
+``index_two_by_commutation`` are closed-form and enumerative facts the
+tests check the library against.  ``check_stacan`` re-derives the glued
+pair's preconditions from scratch, ``stacan_pairs_all_bases`` anchors
+every chamber of every census member, and ``search_equal_rank_by_descent``
+runs the canonical-generator descent on each Coxeter polytope's facet
+walls: the first implementations of the two verify searches.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from coxlab.davis import AngleSite
-from coxlab.errors import BudgetError, ConsistencyError, FieldError
-from coxlab.matrices import INFINITY, is_finite
-from coxlab.subgroups import contains_reflection
+from coxlab.davis import (AngleSite, angle_sites, convex_hull,
+                          enumerate_convex_polytopes, is_convex,
+                          is_coxeter_polytope, side)
+from coxlab.errors import (BudgetError, ConsistencyError, FieldError,
+                           InputError, PreconditionError)
+from coxlab.matrices import INFINITY, components, is_finite
+from coxlab.subgroups import (ReflectionSubgroup, canonical_generators,
+                              comm_condition, contains_reflection,
+                              induced_matrix)
+from coxlab.words import DEFAULT_ELEMENT_CAP
 
 
 def interval(group, u):
@@ -78,6 +90,31 @@ def census_fixpoint(group, max_chambers):
                     seen.add(grown)
                     queue.append(grown)
     return seen
+
+
+def element_count(group, cap=DEFAULT_ELEMENT_CAP):
+    """Group order if it is at most ``cap``, else None."""
+    try:
+        return len(group.ball(None, cap))
+    except BudgetError:
+        return None
+
+
+def has_finite_index_standard(matrix, subset):
+    """Whether the standard subgroup on ``subset`` has finite index.
+
+    True exactly when every infinite component of the diagram is
+    contained in the subset: finite components contribute a finite
+    factor to the index, while an infinite indecomposable component
+    admits no proper finite-index standard subgroup.
+    """
+    t = set(subset)
+    if not t <= set(range(matrix.rank)):
+        raise InputError("subset contains indices outside the generator set")
+    for comp in components(matrix):
+        if not comp.finite and not set(comp.vertices) <= t:
+            return False
+    return True
 
 
 def coset_index_23inf(walls):
@@ -438,3 +475,133 @@ def angle_sites_cycle_walk(group, polytope):
             sites.append(AngleSite(base, (s, t), m, j, bounds))
     sites.sort(key=lambda z: (z.pair, z.base.sort_key))
     return tuple(sites)
+
+
+# ---------------------------------------------------------------------------
+# the verify searches, first implementations
+
+
+def index_two_by_commutation(group):
+    """The explicit index-2 generating set available when some generator
+    commutes with all but one other and the remaining order is even or
+    infinite: keep the rest of S and replace s0 by s0 s' s0."""
+    matrix = group.matrix
+    s0 = comm_condition(matrix)["condition1"]
+    if s0 is None:
+        return None
+    others = [s for s in range(matrix.rank) if s != s0]
+    s_prime = next(s for s in others if matrix.order(s0, s) != 2)
+    m = matrix.order(s0, s_prime)
+    if m != INFINITY and m % 2 != 0:
+        return None
+    walls = [group.generator_wall(s) for s in others]
+    walls.append(group.conjugate_wall(group.generator_wall(s0),
+                                      group.generator_wall(s_prime)))
+    return tuple(sorted(walls, key=lambda w: w.sort_key))
+
+
+def search_equal_rank_by_descent(group, max_chambers, census=None):
+    """Equal-rank classes from the canonical-generator descent run on
+    each Coxeter polytope's facet walls."""
+    found = {}
+    if census is None:
+        census = enumerate_convex_polytopes(group, max_chambers)
+    for p in census:
+        if len(p.chambers) > max_chambers:
+            continue
+        if not is_coxeter_polytope(group, p):
+            continue
+        walls = tuple(w for w, _ in p.facet_walls)
+        gens = canonical_generators(group, walls)
+        if len(gens) != group.rank:
+            continue
+        induced = induced_matrix(group, gens)
+        key = (len(p.chambers), induced.signature())
+        if key not in found:
+            found[key] = ReflectionSubgroup(gens, induced, p,
+                                            len(p.chambers))
+    return sorted(found.values(),
+                  key=lambda r: (r.index, r.induced.signature()))
+
+
+def facet_chambers(group, polytope, wall):
+    """Chambers of the polytope having a panel on the wall."""
+    rid = group.panel_root(*wall.witness)
+    return frozenset(g for g in polytope.chambers
+                     if any(group.panel_root(g, s) == rid
+                            for s in range(group.rank)))
+
+
+def acute_along(group, polytope, wall):
+    """Every angle of the polytope at the wall is at most pi/2."""
+    return all(2 * z.j <= z.m for z in angle_sites(group, polytope)
+               if not z.interior and wall in z.boundary_walls)
+
+
+def check_stacan(group, p1, p2):
+    """Whether the union of two polytopes glued along a common facet is
+    convex; the preconditions (disjoint, shared facet with matching
+    panels, acute angles along it) are checked and reported distinctly.
+    """
+    if p1.chambers & p2.chambers:
+        raise PreconditionError("polytopes share chambers")
+    shared = None
+    f1 = {w.reflection.word: (w, sd) for w, sd in p1.facet_walls}
+    f2 = {w.reflection.word: (w, sd) for w, sd in p2.facet_walls}
+    for word in sorted(set(f1) & set(f2)):
+        w, sd1 = f1[word]
+        _, sd2 = f2[word]
+        if sd1 == -sd2:
+            mirrored = frozenset(group.multiply(w.reflection, g)
+                                 for g in facet_chambers(group, p1, w))
+            if mirrored == facet_chambers(group, p2, w):
+                shared = w
+                break
+    if shared is None:
+        raise PreconditionError("no common facet wall with matching panels")
+    if not acute_along(group, p1, shared) or \
+            not acute_along(group, p2, shared):
+        raise PreconditionError("angles along the shared facet not acute")
+    return is_convex(group, p1.chambers | p2.chambers)
+
+
+def stacan_pairs_all_bases(group, max_total_chambers, census=None):
+    """Glued pairs with P2 over the translates anchor b^-1 C, for every
+    census member C and every chamber b of it, each translate tried once
+    per (P1, chamber set)."""
+    if census is None:
+        census = enumerate_convex_polytopes(group, max_total_chambers - 1)
+    census = [p for p in census
+              if len(p.chambers) <= max_total_chambers - 1]
+    seen = set()
+    for p1 in census:
+        room = max_total_chambers - len(p1.chambers)
+        for wall, sd in p1.facet_walls:
+            if not acute_along(group, p1, wall):
+                continue
+            mirrored = frozenset(group.multiply(wall.reflection, g)
+                                 for g in facet_chambers(group, p1, wall))
+            anchor = min(mirrored, key=lambda e: e.sort_key)
+            for c in census:
+                if len(c.chambers) > room:
+                    continue
+                for base in c.sorted_chambers():
+                    shift = group.multiply(anchor, group.inverse(base))
+                    chambers = frozenset(group.multiply(shift, x)
+                                         for x in c.chambers)
+                    key = (p1.chambers, chambers)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    if chambers & p1.chambers:
+                        continue
+                    if not mirrored <= chambers:
+                        continue
+                    if any(side(group, wall, g) == sd for g in chambers):
+                        continue
+                    p2 = convex_hull(group, chambers)
+                    if facet_chambers(group, p2, wall) != mirrored:
+                        continue
+                    if not acute_along(group, p2, wall):
+                        continue
+                    yield p1, p2, wall

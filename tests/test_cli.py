@@ -4,6 +4,7 @@ import pytest
 
 from coxlab.cli import (SUITES, VerificationReport, element_cap, main,
                         matrix_digest, run_verify)
+from coxlab.errors import InputError
 from coxlab.matrices import parse_matrix
 
 from conftest import MATRICES
@@ -210,11 +211,26 @@ def test_exit_code_logic():
     assert r3.exit_code == 0
 
 
-def test_element_cap_env(monkeypatch):
+def test_element_cap_env(monkeypatch, t23inf_file):
     monkeypatch.delenv("COXLAB_BUDGET", raising=False)
     assert element_cap() == 100_000
     monkeypatch.setenv("COXLAB_BUDGET", "5000")
     assert element_cap() == 5000
+    # a nonpositive cap is bad input, not an exhausted budget
+    for raw in ("0", "-3"):
+        monkeypatch.setenv("COXLAB_BUDGET", raw)
+        with pytest.raises(InputError):
+            element_cap()
+        assert main(["polytopes", t23inf_file, "--max-chambers", "4"]) == 3
+        assert main(["verify", t23inf_file, "--suite", "facet-bound",
+                     "--max-chambers", "4"]) == 3
+
+
+def test_subgroup_nonpositive_budget_exits_3(t23inf_file, capsys):
+    for budget in ("0", "-1"):
+        assert main(["subgroup", t23inf_file, "--reflections", "2;3;1 3 1",
+                     "--budget", budget]) == 3
+        assert "chamber budget must be >= 1" in capsys.readouterr().err
 
 
 def test_budget_env_caps_census(monkeypatch, t23inf_file, capsys):

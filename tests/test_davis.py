@@ -5,8 +5,7 @@ from itertools import combinations
 import pytest
 
 from coxlab.davis import (angle_sites, census_record, check_andreev,
-                          check_stacan, convex_hull,
-                          enumerate_convex_polytopes, facets_intersect,
+                          convex_hull, enumerate_convex_polytopes, facets_intersect,
                           is_acute_angled, is_convex, is_coxeter_polytope,
                           side, stacan_pairs, verify_facet_bound)
 from coxlab.errors import InputError, PreconditionError
@@ -15,8 +14,9 @@ from coxlab.words import CoxeterGroup, root_span_rank
 
 from conftest import CYCLE4, MATRICES
 from oracles import (andreev_per_pair, angle_sites_cycle_walk,
-                     census_fixpoint, facet_walls_by_count,
-                     facets_intersect_per_pair, hull_fixpoint, interval)
+                     census_fixpoint, check_stacan, facet_walls_by_count,
+                     facets_intersect_per_pair, hull_fixpoint, interval,
+                     stacan_pairs_all_bases)
 
 
 @pytest.fixture(scope="module")
@@ -344,33 +344,50 @@ def test_census_affine_line_exact(a1aff):
     assert all(p.facet_count == 2 for p in polys)
 
 
-def test_stacan_pairs_complete_against_bruteforce(a2aff):
+def test_stacan_pairs_complete_against_bruteforce(a2aff, t23inf):
     # every qualifying glued pair must be produced by the anchored
     # translate enumeration: brute-force over all translates of census
     # members placed anywhere in a ball and filtered through the same
     # precondition checks
     from coxlab.davis import _polytope_of
     total = 4
-    got = {(p1.chambers, p2.chambers)
-           for p1, p2, _ in stacan_pairs(a2aff, total)}
-    census = list(enumerate_convex_polytopes(a2aff, total - 1))
-    brute = set()
-    for p1 in census:
-        for c in census:
-            if len(p1.chambers) + len(c.chambers) > total:
-                continue
-            for g in a2aff.ball(5):
-                chambers = frozenset(a2aff.multiply(g, x)
-                                     for x in c.chambers)
-                if chambers & p1.chambers:
+    for group in (a2aff, t23inf):
+        got = {(p1.chambers, p2.chambers)
+               for p1, p2, _ in stacan_pairs(group, total)}
+        census = list(enumerate_convex_polytopes(group, total - 1))
+        brute = set()
+        for p1 in census:
+            for c in census:
+                if len(p1.chambers) + len(c.chambers) > total:
                     continue
-                p2 = _polytope_of(a2aff, chambers)
-                try:
-                    assert check_stacan(a2aff, p1, p2) is True
-                except PreconditionError:
-                    continue
-                brute.add((p1.chambers, p2.chambers))
-    assert got == brute and brute
+                for g in group.ball(5):
+                    chambers = frozenset(group.multiply(g, x)
+                                         for x in c.chambers)
+                    if chambers & p1.chambers:
+                        continue
+                    p2 = _polytope_of(group, chambers)
+                    try:
+                        assert check_stacan(group, p1, p2) is True
+                    except PreconditionError:
+                        continue
+                    brute.add((p1.chambers, p2.chambers))
+        assert got == brute and brute, group.matrix
+
+
+def test_stacan_pairs_match_all_bases_oracle():
+    # one translate per census member yields the same (p1, p2, wall)
+    # triples as anchoring every chamber of every member, each once
+    for m in [MATRICES[n] for n in ("t23inf", "t255", "univ3", "a2aff")] \
+            + [CYCLE4]:
+        group = CoxeterGroup(m)
+        census = list(enumerate_convex_polytopes(group, 4))
+        got = [(p1.chambers, p2.chambers, wall.reflection)
+               for p1, p2, wall in stacan_pairs(group, 5, census=census)]
+        expect = {(p1.chambers, p2.chambers, wall.reflection)
+                  for p1, p2, wall in stacan_pairs_all_bases(
+                      group, 5, census=census)}
+        assert len(got) == len(set(got)), m
+        assert set(got) == expect and expect, m
 
 
 def test_rank_four_census_smoke():

@@ -1,19 +1,19 @@
 import pytest
 
-from coxlab.davis import is_coxeter_polytope
+from coxlab.davis import enumerate_convex_polytopes, is_coxeter_polytope
 from coxlab.errors import BudgetError, InputError, PreconditionError
 from coxlab.matrices import INFINITY, nerve
 from coxlab.subgroups import (analyze, canonical_generators, comm_condition,
-                              contains_reflection,
-                              fundamental_polytope, index_two_by_commutation,
+                              contains_reflection, fundamental_polytope,
                               induced_matrix, nerve_deletion_check,
                               search_equal_rank_subgroups, subgroup_report,
                               verify_rank_theorem)
 from coxlab.words import CoxeterGroup, root_span_rank
 
-from conftest import MATRICES
+from conftest import CYCLE4, MATRICES
 from oracles import (contains_reflection_checked,
                      contains_reflection_enumerative, coset_index_23inf,
+                     index_two_by_commutation, search_equal_rank_by_descent,
                      subgroup_reflections_bounded)
 
 
@@ -217,6 +217,32 @@ def test_search_finds_fundamental_domains(t23inf, lab):
         assert {w.reflection.word for w, _ in poly.facet_walls} == \
             {g.reflection.word for g in sub.generators}
         assert is_coxeter_polytope(t23inf, poly)
+
+
+def test_search_equal_rank_matches_descent(lab):
+    # reading the generators off the facet walls finds the classes the
+    # canonical-generator descent found, and on every Coxeter polytope
+    # of the census the descent leaves the facet walls as they are
+    def summary(subs):
+        return [(s.index, s.induced.signature(), s.generator_words(),
+                 s.polytope.chambers) for s in subs]
+
+    cycle4 = CoxeterGroup(CYCLE4)
+    cases = [(lab.group(n), lab.census(n, 6))
+             for n in ("t23inf", "a2aff", "t244", "t236", "t237", "univ3",
+                       "remark")]
+    cases.append((cycle4, list(enumerate_convex_polytopes(cycle4, 6))))
+    checked = 0
+    for group, census in cases:
+        m = group.matrix
+        assert summary(search_equal_rank_subgroups(group, 6, census)) == \
+            summary(search_equal_rank_by_descent(group, 6, census)), m
+        for p in census:
+            walls = tuple(w for w, _ in p.facet_walls)
+            if walls and is_coxeter_polytope(group, p):
+                assert canonical_generators(group, walls) == walls, (m, p)
+                checked += 1
+    assert checked > 0
 
 
 def test_index_multiplicativity_chain(t23inf, lab):
