@@ -18,8 +18,8 @@ from functools import cached_property
 
 from . import davis, subgroups
 from .errors import BudgetError, CoxlabError, InputError
-from .matrices import (INFINITY, components, is_finite, is_indecomposable,
-                       nerve, parse_matrix)
+from .matrices import (INFINITY, components, is_finite,
+                       is_infinite_indecomposable, nerve, parse_matrix)
 from .words import DEFAULT_ELEMENT_CAP, CoxeterGroup, word_from_text
 
 DEFAULT_MAX_CHAMBERS = 8
@@ -232,7 +232,7 @@ def run_verify(matrix, suite, max_chambers):
         {"max_chambers": max_chambers, "element_cap": element_cap()})
     names = list(_SUITE_FUNCS) if suite == "all" else [suite]
     run = _VerifyRun(CoxeterGroup(matrix), max_chambers)
-    if is_finite(matrix) or not is_indecomposable(matrix):
+    if not is_infinite_indecomposable(matrix):
         for name in names:
             report.add(name, "skipped",
                        "needs an infinite indecomposable system")
@@ -322,8 +322,7 @@ def cmd_subgroup(args):
     theorems = None
     nd = None
     if sub.index is not None:
-        theorems = subgroups.verify_rank_theorem(group, sub.generators,
-                                                 args.budget)
+        theorems = subgroups.verify_rank_theorem(group, sub)
         if len(sub.generators) == matrix.rank:
             nd = subgroups.nerve_deletion_check(group, sub.generators,
                                                 sub.induced)[0]

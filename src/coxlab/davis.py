@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import BudgetError, ConsistencyError, InputError
-from .matrices import INFINITY, is_finite, is_indecomposable
+from .matrices import INFINITY, is_finite, is_infinite_indecomposable
 from .words import Element
 
 DEFAULT_HULL_CAP = 4096
@@ -301,7 +301,11 @@ def stacan_pairs(group, max_total_chambers, census=None):
     |P2| chambers: a census member C, and P2 = anchor C.  So P2 runs over
     one translate anchor C per census member, and every qualifying pair
     arises exactly once.  P2 lies across the shared wall from P1, so the
-    two are disjoint.
+    two are disjoint.  P2 is acute along the wall iff C is acute along
+    anchor^-1 of it, the generator wall of anchor's panel there: C's
+    cached sites decide.  P2's facet on the wall is then P1's mirrored:
+    another chamber on it would, as a facet is connected through rank-2
+    residues, put two facet chambers in one residue, a j = m site.
     """
     if census is None:
         census = enumerate_convex_polytopes(group, max_total_chambers - 1)
@@ -315,8 +319,14 @@ def stacan_pairs(group, max_total_chambers, census=None):
             mirrored = frozenset(group.multiply(wall.reflection, g)
                                  for g in _facet_chambers(group, p1, wall))
             anchor = min(mirrored, key=lambda e: e.sort_key)
+            rid = group.panel_root(*wall.witness)
+            base_wall = next(group.generator_wall(s)
+                             for s in range(group.rank)
+                             if group.panel_root(anchor, s) == rid)
             for c in census:
                 if len(c.chambers) > room:
+                    continue
+                if not _acute_along(angle_sites(group, c), base_wall):
                     continue
                 chambers = frozenset(group.multiply(anchor, x)
                                      for x in c.chambers)
@@ -324,12 +334,7 @@ def stacan_pairs(group, max_total_chambers, census=None):
                     continue
                 if any(side(group, wall, g) == sd for g in chambers):
                     continue
-                p2 = _polytope_of(group, chambers)
-                if _facet_chambers(group, p2, wall) != mirrored:
-                    continue
-                if not _acute_along(angle_sites(group, p2), wall):
-                    continue
-                yield p1, p2, wall
+                yield p1, _polytope_of(group, chambers), wall
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +372,7 @@ def verify_facet_bound(group, max_chambers, census=None):
     precomputed census (of the same budget) may be passed to avoid
     re-enumeration.
     """
-    applicable = (not is_finite(group.matrix)
-                  and is_indecomposable(group.matrix))
+    applicable = is_infinite_indecomposable(group.matrix)
     count = 0
     min_facets = None
     violations = []

@@ -224,6 +224,11 @@ def is_indecomposable(matrix):
     return len(components(matrix)) == 1
 
 
+def is_infinite_indecomposable(matrix):
+    comps = components(matrix)
+    return len(comps) == 1 and not comps[0].finite
+
+
 def _component_kind(matrix, verts):
     n = len(verts)
     if n == 1:

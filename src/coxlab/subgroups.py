@@ -1,12 +1,11 @@
-"""Reflection subgroups: canonical generators, membership, fundamental
-polytopes, induced Coxeter matrices, and the rank/nerve/commutation checks.
+"""Reflection subgroups: canonical generators, fundamental polytopes,
+induced Coxeter matrices, and the rank/nerve/commutation checks.
 
 The canonical generating set of a reflection subgroup is computed by
 conjugation descent: while some pair allows t1 t2 t1 shorter than t2,
-replace t2.  Membership of a reflection is decided the same way (descend
-until landing in the generating set or stalling).  The fundamental
-polytope is what the base chamber reaches without crossing a mirror;
-its chamber count is the subgroup index.
+replace t2.  The fundamental polytope is what the base chamber reaches
+without crossing a canonical wall; its chamber count is the subgroup
+index.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .davis import (ChamberPolytope, _polytope_of, _region,
                     is_coxeter_polytope)
 from .errors import (BudgetError, ConsistencyError, InputError,
                      PreconditionError)
-from .matrices import (INFINITY, CoxeterMatrix, is_finite, is_indecomposable,
+from .matrices import (INFINITY, CoxeterMatrix, is_infinite_indecomposable,
                        nerve)
 from .words import root_span_rank
 
@@ -42,10 +41,6 @@ class ReflectionSubgroup:
         return f"ReflectionSubgroup(index={self.index}, signature=({sig}))"
 
 
-def _wall_key(w):
-    return w.sort_key
-
-
 def canonical_generators(group, walls):
     """Descent fixpoint: no pair t1, t2 with t1 t2 t1 shorter than t2.
 
@@ -59,7 +54,7 @@ def canonical_generators(group, walls):
     changed = True
     while changed:
         changed = False
-        items = sorted(gens.values(), key=_wall_key)
+        items = sorted(gens.values(), key=lambda w: w.sort_key)
         for t1 in items:
             for t2 in items:
                 if t1 == t2:
@@ -76,44 +71,24 @@ def canonical_generators(group, walls):
         if guard < 0:
             raise ConsistencyError("canonical descent failed to terminate",
                                    [w.reflection.display() for w in walls])
-    return tuple(sorted(gens.values(), key=_wall_key))
-
-
-def contains_reflection(group, gens, r):
-    """Membership of a reflection in the subgroup of a canonical set,
-    by conjugation descent through the generators."""
-    genwords = {t.reflection.word for t in gens}
-    cur = r
-    while True:
-        if cur.reflection.word in genwords:
-            return True
-        for t in sorted(gens, key=_wall_key):
-            cand = group.conjugate_wall(t, cur)
-            if len(cand.reflection.word) < len(cur.reflection.word):
-                cur = cand
-                break
-        else:
-            return False
+    return tuple(sorted(gens.values(), key=lambda w: w.sort_key))
 
 
 def fundamental_polytope(group, gens, max_chambers):
-    """Chambers reachable from the base chamber without crossing a mirror.
-
-    Returns (polytope, index) when the region fits the budget; raises
-    BudgetError otherwise (infinite or large index).
+    """Chambers on the base side of every wall of the canonical set
+    ``gens`` (``canonical_generators`` output, or a Coxeter polytope's
+    facet walls): the fundamental domain, as every positive root of the
+    subgroup is a nonnegative combination of the canonical roots (Dyer
+    1990, Deodhar 1989).  It is an intersection of roots, so the search
+    from the base chamber reaches it whole.  Returns (polytope, index)
+    within the budget; raises BudgetError otherwise.
     """
     if max_chambers < 1:
         raise InputError("chamber budget must be >= 1")
-    mirror = {}
-
-    def crosses(g, s):
-        rid = group.panel_root(g, s)
-        if rid not in mirror:
-            mirror[rid] = contains_reflection(group, gens,
-                                              group.wall_between(g, s))
-        return not mirror[rid]
-
-    chambers = _region(group, group.identity(), crosses, max_chambers)
+    cut = {group.panel_root(*t.witness) for t in gens}
+    chambers = _region(group, group.identity(),
+                       lambda g, s: group.panel_root(g, s) not in cut,
+                       max_chambers)
     if chambers is None:
         raise BudgetError(f"fundamental domain exceeds {max_chambers} "
                           "chambers")
@@ -145,26 +120,24 @@ def analyze(group, walls, max_chambers):
     return ReflectionSubgroup(gens, induced, poly, index)
 
 
-def verify_rank_theorem(group, gens, max_chambers):
-    """Rank bound checks for one finite-index subgroup.
+def verify_rank_theorem(group, sub):
+    """Rank bound checks for one analyzed subgroup.
 
-    For an infinite indecomposable system: the canonical set has at
-    least rank-many reflections, the fundamental polytope at least
-    rank-many facets, and the canonical roots span the whole space.
+    For an infinite indecomposable system and a finite index: the
+    canonical set has at least rank-many reflections, the fundamental
+    polytope at least rank-many facets, and the canonical roots span the
+    whole space.
     """
-    applicable = (not is_finite(group.matrix)
-                  and is_indecomposable(group.matrix))
-    if not applicable:
+    if not is_infinite_indecomposable(group.matrix):
         return {"applicable": False, "status": "skipped-precondition"}
-    try:
-        poly, index = fundamental_polytope(group, gens, max_chambers)
-    except BudgetError:
+    if sub.index is None:
         return {"applicable": True, "status": "budget", "index": None}
+    gens, poly = sub.generators, sub.polytope
     span = root_span_rank(group, gens)
     rank = group.rank
     out = {
         "applicable": True,
-        "index": index,
+        "index": sub.index,
         "generators": len(gens),
         "rank_ok": len(gens) >= rank,
         "facets": poly.facet_count,

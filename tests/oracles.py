@@ -10,7 +10,11 @@ Coxeter matrix alone, with no root tracking.  The subgroup
 enumeration and the per-pair facet intersection are the first
 implementations of membership and of the Andreev check; the side count
 and the rank-2 cycle walk are the first implementations of facet walls
-and angle sites.  ``element_count``, ``has_finite_index_standard`` and
+and angle sites.  ``contains_reflection`` decides membership by
+conjugation descent, and ``fundamental_polytope_by_membership`` stops
+the search from the base chamber at every wall whose reflection it
+accepts: the first implementation of the fundamental domain.
+``element_count``, ``has_finite_index_standard`` and
 ``index_two_by_commutation`` are closed-form and enumerative facts the
 tests check the library against.  ``check_stacan`` re-derives the glued
 pair's preconditions from scratch, ``stacan_pairs_all_bases`` anchors
@@ -29,8 +33,7 @@ from coxlab.errors import (BudgetError, ConsistencyError, FieldError,
                            InputError, PreconditionError)
 from coxlab.matrices import INFINITY, components, is_finite
 from coxlab.subgroups import (ReflectionSubgroup, canonical_generators,
-                              comm_condition, contains_reflection,
-                              induced_matrix)
+                              comm_condition, induced_matrix)
 from coxlab.words import DEFAULT_ELEMENT_CAP
 
 
@@ -329,7 +332,53 @@ def bilinear(group, x, y):
 
 
 # ---------------------------------------------------------------------------
-# subgroup membership by enumeration
+# subgroup membership: conjugation descent and enumeration
+
+
+def contains_reflection(group, gens, r):
+    """Membership of a reflection in the subgroup of a canonical set,
+    by conjugation descent through the generators."""
+    genwords = {t.reflection.word for t in gens}
+    cur = r
+    while True:
+        if cur.reflection.word in genwords:
+            return True
+        for t in sorted(gens, key=lambda w: w.sort_key):
+            cand = group.conjugate_wall(t, cur)
+            if len(cand.reflection.word) < len(cur.reflection.word):
+                cur = cand
+                break
+        else:
+            return False
+
+
+def fundamental_polytope_by_membership(group, gens, max_chambers):
+    """Chambers the base chamber reaches without crossing a mirror of
+    the subgroup of the canonical set ``gens``, each panel's wall tested
+    with ``contains_reflection``.  Returns (polytope, index); raises
+    BudgetError past ``max_chambers``."""
+    mirror = {}
+    region = {group.identity()}
+    queue = [group.identity()]
+    for g in queue:
+        for s in range(group.rank):
+            x = group.step(g, s)
+            if x in region:
+                continue
+            rid = group.panel_root(g, s)
+            if rid not in mirror:
+                mirror[rid] = contains_reflection(group, gens,
+                                                  group.wall_between(g, s))
+            if not mirror[rid]:
+                region.add(x)
+                queue.append(x)
+        if len(region) > max_chambers:
+            raise BudgetError(f"fundamental domain exceeds {max_chambers} "
+                              "chambers")
+    if not is_convex(group, region):
+        raise ConsistencyError("fundamental domain is not convex",
+                               sorted(c.display() for c in region))
+    return convex_hull(group, region), len(region)
 
 
 def subgroup_reflections_bounded(group, gens, length_bound, cap=20_000):

@@ -26,7 +26,7 @@ from coxlab.davis import (check_andreev, is_acute_angled,
                           is_coxeter_polytope, stacan_pairs,
                           verify_facet_bound)
 from coxlab.matrices import INFINITY, nerve
-from coxlab.subgroups import (canonical_generators, comm_condition,
+from coxlab.subgroups import (analyze, canonical_generators, comm_condition,
                               fundamental_polytope, nerve_deletion_check,
                               search_equal_rank_subgroups,
                               verify_rank_theorem)
@@ -104,7 +104,7 @@ def test_c02_decomposable_counterexample(lab):
     poly, index = fundamental_polytope(group, gens, 8)
     assert index == 2
     assert len(gens) == 2 < group.rank
-    report = verify_rank_theorem(group, gens, 8)
+    report = verify_rank_theorem(group, analyze(group, gens, 8))
     assert report == {"applicable": False, "status": "skipped-precondition"}
     _line("c02 decomposable matrix: index-2 subgroup of rank 2 < 3, "
           "rank suite skips", True)

@@ -1,6 +1,7 @@
 """Layering guards: outside ``words.py`` the library reaches a
-``CoxeterGroup`` only through its public surface, and the only sign
-decision it makes is whether two walls meet."""
+``CoxeterGroup`` only through its public surface, the only sign
+decision it makes is whether two walls meet, and the only conjugation
+descent it runs is the one to the canonical generators."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,11 @@ def test_only_order_of_product_decides_signs():
              for scope in _call_scopes(ast.parse(path.read_text()),
                                        "sign_raw")]
     assert calls == [("words.py", "CoxeterGroup", "order_of_product")]
+
+
+def test_only_canonical_generators_conjugates_walls():
+    calls = [(path.name,) + scope
+             for path in sorted(SRC.glob("*.py"))
+             for scope in _call_scopes(ast.parse(path.read_text()),
+                                       "conjugate_wall")]
+    assert calls == [("subgroups.py", "canonical_generators")]

@@ -2,7 +2,8 @@ import pytest
 
 from coxlab.errors import InputError
 from coxlab.matrices import (INFINITY, CoxeterMatrix, components, is_finite,
-                             is_indecomposable, nerve, parse_matrix)
+                             is_indecomposable, is_infinite_indecomposable,
+                             nerve, parse_matrix)
 from coxlab.words import CoxeterGroup
 
 from conftest import MATRICES
@@ -60,6 +61,10 @@ def test_components_examples():
     assert [c.finite for c in comps] == [False, True]
 
     assert len(components(CoxeterMatrix([[1]]))) == 1
+
+    assert is_infinite_indecomposable(MATRICES["t23inf"])
+    for name in ("remark", "h3", "i23"):
+        assert not is_infinite_indecomposable(MATRICES[name]), name
 
 
 def test_components_partition_and_edges_inside():

@@ -1,18 +1,21 @@
+import random
+
 import pytest
 
 from coxlab.davis import enumerate_convex_polytopes, is_coxeter_polytope
 from coxlab.errors import BudgetError, InputError, PreconditionError
 from coxlab.matrices import INFINITY, nerve
 from coxlab.subgroups import (analyze, canonical_generators, comm_condition,
-                              contains_reflection, fundamental_polytope,
-                              induced_matrix, nerve_deletion_check,
+                              fundamental_polytope, induced_matrix,
+                              nerve_deletion_check,
                               search_equal_rank_subgroups, subgroup_report,
                               verify_rank_theorem)
 from coxlab.words import CoxeterGroup, root_span_rank
 
 from conftest import CYCLE4, MATRICES
-from oracles import (contains_reflection_checked,
+from oracles import (contains_reflection, contains_reflection_checked,
                      contains_reflection_enumerative, coset_index_23inf,
+                     fundamental_polytope_by_membership,
                      index_two_by_commutation, search_equal_rank_by_descent,
                      subgroup_reflections_bounded)
 
@@ -126,6 +129,38 @@ def test_analyze_budget_is_reported(a1aff):
     assert rep["index"] == ">budget"
 
 
+def test_fundamental_polytope_matches_membership_oracle(lab):
+    # the domain cut out by the canonical walls is the domain the
+    # mirror-blocked search finds, and analyze canonicalizes raw input
+    rng = random.Random(9)
+    cases = []
+    groups = [lab.group(n) for n in ("t237", "t23inf", "univ3", "a2aff")]
+    for group in groups + [CoxeterGroup(CYCLE4)]:
+        refl = group.enumerate_reflections(7)
+        for budget in (12, 24):
+            cases += [(group, rng.sample(refl, 3), budget) for _ in range(6)]
+    for name in ("t23inf", "t244"):
+        group = lab.group(name)
+        for sub in search_equal_rank_subgroups(group, 6,
+                                               census=lab.census(name, 6)):
+            cases.append((group, list(sub.generators), 12))
+    finite = 0
+    for group, walls, budget in cases:
+        sub = analyze(group, walls, budget)
+        gens = canonical_generators(group, walls)
+        try:
+            poly, index = fundamental_polytope_by_membership(group, gens,
+                                                             budget)
+        except BudgetError:
+            assert sub.index is None and sub.polytope is None, walls
+            continue
+        finite += 1
+        assert sub.index == index, walls
+        assert sub.polytope.chambers == poly.chambers, walls
+        assert sub.polytope.facet_walls == poly.facet_walls, walls
+    assert 0 < finite < len(cases)
+
+
 def test_affine_line_index_two(a1aff):
     gens = canonical_generators(
         a1aff, [_wall(a1aff, (0,)), _wall(a1aff, (1, 0, 1))])
@@ -142,15 +177,17 @@ def test_induced_matrix_restriction(t23inf):
     assert m.orders == ((1, 2), (2, 1))
 
 
-def test_verify_rank_theorem_pass_and_skip(t23inf):
-    gens = canonical_generators(t23inf, _index2_gens(t23inf))
-    rep = verify_rank_theorem(t23inf, gens, 10)
+def test_verify_rank_theorem_pass_and_skip(t23inf, a1aff):
+    rep = verify_rank_theorem(t23inf, analyze(t23inf, _index2_gens(t23inf),
+                                              10))
     assert rep["status"] == "pass"
     assert rep["generators"] == 3 and rep["span"] == 3
     group = CoxeterGroup(MATRICES["remark"])
     rep = verify_rank_theorem(
-        group, [_wall(group, (0,)), _wall(group, (1,))], 10)
+        group, analyze(group, [_wall(group, (0,)), _wall(group, (1,))], 10))
     assert rep == {"applicable": False, "status": "skipped-precondition"}
+    rep = verify_rank_theorem(a1aff, analyze(a1aff, [_wall(a1aff, (0,))], 8))
+    assert rep == {"applicable": True, "status": "budget", "index": None}
 
 
 def test_nerve_deletion_examples(t23inf):
