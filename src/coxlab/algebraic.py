@@ -23,7 +23,7 @@ from math import lcm
 
 from .errors import BudgetError, ConsistencyError, FieldError
 
-DEFAULT_N_CAP = 210
+FIELD_ORDER_CAP = 210
 
 
 @dataclass
@@ -380,7 +380,7 @@ def _poly_gcd(a, b):
     return _ptrim(a)
 
 
-def field_for(matrix, n_cap=DEFAULT_N_CAP):
+def field_for(matrix):
     """Field spec for a Coxeter matrix: N = lcm of its finite orders.
 
     Every finite order m then divides N, so each 2*cos(pi/m) lies in the
@@ -390,6 +390,6 @@ def field_for(matrix, n_cap=DEFAULT_N_CAP):
     n = 2
     for m in matrix.finite_orders():
         n = lcm(n, m)
-        if n > n_cap:
-            raise BudgetError(f"field order {n} exceeds cap {n_cap}")
+        if n > FIELD_ORDER_CAP:
+            raise BudgetError(f"field order {n} exceeds cap {FIELD_ORDER_CAP}")
     return FieldSpec(n)

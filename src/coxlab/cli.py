@@ -253,7 +253,7 @@ def _load_matrix(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_matrix(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {path}: {e}") from None
 
 

@@ -67,7 +67,7 @@ def _hull_limited(group, chambers, limit):
 @dataclass(frozen=True)
 class ChamberPolytope:
     chambers: frozenset       # of Element
-    facet_walls: tuple        # of (Wall, side) pairs
+    facet_walls: tuple        # of Wall, sorted
     # angle sites, filled by the first angle_sites call
     _sites: tuple = field(default=None, init=False, compare=False,
                           repr=False)
@@ -85,18 +85,11 @@ class ChamberPolytope:
 
 
 def _facet_walls(group, chambers):
-    """Walls of the boundary panels, each with the side the convex set
-    lies on: the side of the panel's own chamber."""
-    facets = {}
-    for g in chambers:
-        for s in range(group.rank):
-            if group.step(g, s) in chambers:
-                continue
-            rid = group.panel_root(g, s)
-            if rid not in facets:
-                facets[rid] = (group.wall_between(g, s),
-                               -1 if rid in group.inversion_set(g) else 1)
-    return tuple(sorted(facets.values(), key=lambda p: p[0].sort_key))
+    """Walls of the boundary panels, sorted."""
+    return tuple(sorted({group.wall_between(g, s) for g in chambers
+                         for s in range(group.rank)
+                         if group.step(g, s) not in chambers},
+                        key=lambda w: w.sort_key))
 
 
 def _polytope_of(group, chambers):
@@ -268,7 +261,7 @@ def check_andreev(group, polytope):
     itself runs on any convex polytope.
     """
     violations = []
-    walls = [w for w, _ in polytope.facet_walls]
+    walls = polytope.facet_walls
     meet = _meeting(group, polytope, walls)
     for a, b in combinations(walls, 2):
         if not meet(a, b) and group.order_of_product(a, b) != INFINITY:
@@ -280,14 +273,6 @@ def check_andreev(group, polytope):
 # gluing two polytopes along a facet
 
 
-def _facet_chambers(group, polytope, wall):
-    """Chambers of the polytope having a panel on the wall."""
-    rid = group.panel_root(*wall.witness)
-    return frozenset(g for g in polytope.chambers
-                     if any(group.panel_root(g, s) == rid
-                            for s in range(group.rank)))
-
-
 def _acute_along(sites, wall):
     return _acute_angles([z for z in sites if wall in z.boundary_walls])
 
@@ -295,17 +280,16 @@ def _acute_along(sites, wall):
 def stacan_pairs(group, max_total_chambers, census=None):
     """All precondition-satisfying glued pairs with a bounded union size.
 
-    The first polytope P1 runs over the census.  A glued P2 contains
-    ``anchor``, the least mirror image of P1's panels on the shared wall,
-    so anchor^-1 P2 is a convex set containing the base chamber with
-    |P2| chambers: a census member C, and P2 = anchor C.  So P2 runs over
-    one translate anchor C per census member, and every qualifying pair
-    arises exactly once.  P2 lies across the shared wall from P1, so the
-    two are disjoint.  P2 is acute along the wall iff C is acute along
-    anchor^-1 of it, the generator wall of anchor's panel there: C's
-    cached sites decide.  P2's facet on the wall is then P1's mirrored:
-    another chamber on it would, as a facet is connected through rank-2
-    residues, put two facet chambers in one residue, a j = m site.
+    The first polytope P1 runs over the census.  Where P1 is acute along
+    a facet wall W, one chamber g of P1 has a panel (g, s) on W: two
+    would, as a facet is connected through rank-2 residues, share a
+    residue, a j = m site bounded by W alone.  A glued P2 contains
+    ``anchor`` = g s, so anchor^-1 P2 is a census member C, and
+    P2 = anchor C: one translate per member, so every qualifying pair
+    arises exactly once.  anchor^-1 W is the wall of s, so P2 lies
+    across W iff C does not contain s (a convex C containing e and
+    crossing that wall contains s), and P2 is acute along W iff C is
+    acute along the wall of s: C's cached sites decide.
     """
     if census is None:
         census = enumerate_convex_polytopes(group, max_total_chambers - 1)
@@ -313,27 +297,27 @@ def stacan_pairs(group, max_total_chambers, census=None):
               if len(p.chambers) <= max_total_chambers - 1]
     for p1 in census:
         room = max_total_chambers - len(p1.chambers)
-        for wall, sd in p1.facet_walls:
+        for wall in p1.facet_walls:
             if not _acute_along(angle_sites(group, p1), wall):
                 continue
-            mirrored = frozenset(group.multiply(wall.reflection, g)
-                                 for g in _facet_chambers(group, p1, wall))
-            anchor = min(mirrored, key=lambda e: e.sort_key)
             rid = group.panel_root(*wall.witness)
-            base_wall = next(group.generator_wall(s)
-                             for s in range(group.rank)
-                             if group.panel_root(anchor, s) == rid)
+            panels = [(g, s) for g in p1.chambers for s in range(group.rank)
+                      if group.panel_root(g, s) == rid]
+            if len(panels) != 1:
+                raise ConsistencyError(
+                    "acute facet of a convex polytope is not one chamber",
+                    sorted((g.word, s) for g, s in panels))
+            [(g, s)] = panels
+            anchor = group.step(g, s)
+            across = group.generator(s)
+            base_wall = group.generator_wall(s)
             for c in census:
-                if len(c.chambers) > room:
+                if len(c.chambers) > room or across in c.chambers:
                     continue
                 if not _acute_along(angle_sites(group, c), base_wall):
                     continue
                 chambers = frozenset(group.multiply(anchor, x)
                                      for x in c.chambers)
-                if not mirrored <= chambers:
-                    continue
-                if any(side(group, wall, g) == sd for g in chambers):
-                    continue
                 yield p1, _polytope_of(group, chambers), wall
 
 

@@ -19,6 +19,8 @@ from .errors import BudgetError, InputError
 
 INFINITY = inf
 
+# parsers reject larger ranks before allocating the n x n matrix
+MAX_RANK = 256
 _NERVE_RANK_CAP = 16
 
 
@@ -27,11 +29,16 @@ def _encode(m):
 
 
 def _decode(raw, where):
-    if raw == 0:
-        return INFINITY
-    if not isinstance(raw, int) or raw < 1:
+    if type(raw) is not int or raw < 0:
         raise InputError(f"order at {where} must be a positive integer or 0")
-    return raw
+    return INFINITY if raw == 0 else raw
+
+
+def _check_rank(n, where=""):
+    if type(n) is not int or n < 1:
+        raise InputError(f"{where}rank must be a positive integer")
+    if n > MAX_RANK:
+        raise InputError(f"{where}rank {n} exceeds the cap {MAX_RANK}")
 
 
 class CoxeterMatrix:
@@ -126,14 +133,18 @@ def _from_json_dict(data):
     if not isinstance(data, dict) or "rank" not in data or "m" not in data:
         raise InputError("matrix JSON needs 'rank' and 'm' fields")
     n = data["rank"]
-    if not isinstance(n, int) or n < 1:
-        raise InputError("rank must be a positive integer")
+    _check_rank(n)
     raw = data["m"]
+    if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
+        raise InputError("'m' must be a list of rows")
     if len(raw) != n:
         raise InputError(f"'m' has {len(raw)} rows, expected {n}")
+    labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise InputError("'labels' must be a list")
     rows = [[_decode(x, f"({i + 1},{j + 1})") for j, x in enumerate(r)]
             for i, r in enumerate(raw)]
-    return CoxeterMatrix(rows, labels=data.get("labels"))
+    return CoxeterMatrix(rows, labels=labels)
 
 
 def _from_lines(text):
@@ -151,8 +162,7 @@ def _from_lines(text):
                 n = int(parts[1])
             except ValueError:
                 raise InputError(f"line {lineno}: bad rank {parts[1]!r}")
-            if n < 1:
-                raise InputError(f"line {lineno}: rank must be positive")
+            _check_rank(n, f"line {lineno}: ")
             # off-diagonal pairs default to 2 unless listed
             rows = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
             continue
@@ -178,7 +188,7 @@ def parse_matrix(text):
     if stripped.startswith("{"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise InputError(f"bad JSON: {e}") from None
         return _from_json_dict(data)
     return _from_lines(text)

@@ -214,7 +214,7 @@ def search_equal_rank_subgroups(group, max_chambers, census=None):
             continue
         if not is_coxeter_polytope(group, p):
             continue
-        gens = tuple(w for w, _ in p.facet_walls)
+        gens = p.facet_walls
         if len(gens) != group.rank:
             continue
         induced = induced_matrix(group, gens)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .algebraic import field_for, DEFAULT_N_CAP
+from .algebraic import field_for
 from .errors import BudgetError, ConsistencyError, InputError
 from .matrices import INFINITY
 
@@ -105,10 +105,10 @@ def word_from_text(text, rank):
 class CoxeterGroup:
     """Word, root and wall machinery for one Coxeter matrix."""
 
-    def __init__(self, matrix, n_cap=DEFAULT_N_CAP, k_cap=None):
+    def __init__(self, matrix):
         self.matrix = matrix
         self.rank = matrix.rank
-        self.field = field_for(matrix, n_cap)
+        self.field = field_for(matrix)
         f = self.field
         # doubled form C = 2B: integer coordinates throughout
         c = []
@@ -125,7 +125,7 @@ class CoxeterGroup:
             c.append(tuple(row))
         self._c = tuple(c)
         maxfin = max(matrix.finite_orders(), default=2)
-        self._k_cap = k_cap if k_cap else 2 * maxfin * self.rank * 8
+        self._k_cap = 2 * maxfin * self.rank * 8
         # interned root vectors: tuple-of-coeff-tuples -> small id.  The
         # lock is taken only when a root is new, and the table is read
         # again inside it, so each root gets one id however threads race;

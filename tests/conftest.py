@@ -1,8 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from coxlab.davis import enumerate_convex_polytopes
 from coxlab.matrices import INFINITY, CoxeterMatrix
 from coxlab.words import CoxeterGroup
+
+# property tests draw the same examples on every run and keep no example
+# database, so a run leaves nothing behind and repeats exactly
+settings.register_profile("coxlab", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("coxlab")
 
 MATRICES = {
     "t23inf": CoxeterMatrix.triangle(2, 3, INFINITY),

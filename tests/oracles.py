@@ -16,11 +16,14 @@ the search from the base chamber at every wall whose reflection it
 accepts: the first implementation of the fundamental domain.
 ``element_count``, ``has_finite_index_standard`` and
 ``index_two_by_commutation`` are closed-form and enumerative facts the
-tests check the library against.  ``check_stacan`` re-derives the glued
-pair's preconditions from scratch, ``stacan_pairs_all_bases`` anchors
-every chamber of every census member, and ``search_equal_rank_by_descent``
-runs the canonical-generator descent on each Coxeter polytope's facet
-walls: the first implementations of the two verify searches.
+tests check the library against.  ``facet_side`` reads the side of a
+facet wall a polytope lies on off one of its chambers, and
+``facet_chambers`` counts the chambers with a panel on it.
+``check_stacan`` re-derives the glued pair's preconditions from scratch,
+``stacan_pairs_all_bases`` anchors every chamber of every census member,
+and ``search_equal_rank_by_descent`` runs the canonical-generator descent
+on each Coxeter polytope's facet walls: the first implementations of the
+two verify searches.
 """
 
 from fractions import Fraction
@@ -444,8 +447,7 @@ def facets_intersect_per_pair(group, polytope, a, b):
 
 def andreev_per_pair(group, polytope):
     """Facet-wall pairs disjoint along the polytope whose walls meet."""
-    walls = [w for w, _ in polytope.facet_walls]
-    return [(a, b) for a, b in combinations(walls, 2)
+    return [(a, b) for a, b in combinations(polytope.facet_walls, 2)
             if group.order_of_product(a, b) != INFINITY
             and not facets_intersect_per_pair(group, polytope, a, b)]
 
@@ -560,8 +562,7 @@ def search_equal_rank_by_descent(group, max_chambers, census=None):
             continue
         if not is_coxeter_polytope(group, p):
             continue
-        walls = tuple(w for w, _ in p.facet_walls)
-        gens = canonical_generators(group, walls)
+        gens = canonical_generators(group, p.facet_walls)
         if len(gens) != group.rank:
             continue
         induced = induced_matrix(group, gens)
@@ -571,6 +572,11 @@ def search_equal_rank_by_descent(group, max_chambers, census=None):
                                             len(p.chambers))
     return sorted(found.values(),
                   key=lambda r: (r.index, r.induced.signature()))
+
+
+def facet_side(group, polytope, wall):
+    """The side of a facet wall the polytope lies on: any chamber's."""
+    return side(group, wall, next(iter(polytope.chambers)))
 
 
 def facet_chambers(group, polytope, wall):
@@ -595,12 +601,11 @@ def check_stacan(group, p1, p2):
     if p1.chambers & p2.chambers:
         raise PreconditionError("polytopes share chambers")
     shared = None
-    f1 = {w.reflection.word: (w, sd) for w, sd in p1.facet_walls}
-    f2 = {w.reflection.word: (w, sd) for w, sd in p2.facet_walls}
+    f1 = {w.reflection.word: w for w in p1.facet_walls}
+    f2 = {w.reflection.word: w for w in p2.facet_walls}
     for word in sorted(set(f1) & set(f2)):
-        w, sd1 = f1[word]
-        _, sd2 = f2[word]
-        if sd1 == -sd2:
+        w = f1[word]
+        if facet_side(group, p1, w) == -facet_side(group, p2, w):
             mirrored = frozenset(group.multiply(w.reflection, g)
                                  for g in facet_chambers(group, p1, w))
             if mirrored == facet_chambers(group, p2, w):
@@ -625,9 +630,10 @@ def stacan_pairs_all_bases(group, max_total_chambers, census=None):
     seen = set()
     for p1 in census:
         room = max_total_chambers - len(p1.chambers)
-        for wall, sd in p1.facet_walls:
+        for wall in p1.facet_walls:
             if not acute_along(group, p1, wall):
                 continue
+            sd = facet_side(group, p1, wall)
             mirrored = frozenset(group.multiply(wall.reflection, g)
                                  for g in facet_chambers(group, p1, wall))
             anchor = min(mirrored, key=lambda e: e.sort_key)

@@ -140,8 +140,7 @@ def test_c04_rank_bound_for_discovered_subgroups(lab):
         for p in lab.census(name, 6):
             if not is_coxeter_polytope(group, p):
                 continue
-            gens = canonical_generators(group,
-                                        [w for w, _ in p.facet_walls])
+            gens = canonical_generators(group, p.facet_walls)
             assert len(gens) >= group.rank, (name, p)
             assert root_span_rank(group, gens) == group.rank, (name, p)
             checked += 1

@@ -21,7 +21,7 @@ def test_field_for_examples():
 
 def test_field_cap():
     with pytest.raises(BudgetError):
-        field_for(CoxeterMatrix.triangle(7, 11, 13), n_cap=100)
+        field_for(CoxeterMatrix.triangle(7, 11, 13))
 
 
 def test_minpoly_matches_sympy():

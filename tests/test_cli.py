@@ -71,6 +71,30 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "missing.json")]) == 3
 
 
+MALFORMED_DOCS = {
+    "m-not-a-list": b'{"rank": 2, "m": 5}',
+    "m-rows-not-lists": b'{"rank": 2, "m": [1, 2]}',
+    "labels-int": b'{"rank": 2, "m": [[1, 3], [3, 1]], "labels": 5}',
+    "labels-str": b'{"rank": 2, "m": [[1, 3], [3, 1]], "labels": "ab"}',
+    "rank-bool": b'{"rank": true, "m": [[1]]}',
+    "diagonal-bool": b'{"rank": 2, "m": [[true, 3], [3, 1]]}',
+    "order-bool": b'{"rank": 2, "m": [[1, false], [false, 1]]}',
+    "huge-rank-lines": b"rank 99999999\n",
+    "huge-rank-json": b'{"rank": 99999999, "m": []}',
+    "not-utf8": b"\xff\xfe rank 2",
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_DOCS.values(), ids=MALFORMED_DOCS)
+def test_malformed_matrix_exits_3(tmp_path, capsys, doc):
+    f = tmp_path / "bad.json"
+    f.write_bytes(doc)
+    assert main(["classify", str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+
+
 def test_nerve_command(t23inf_file, capsys):
     assert main(["nerve", t23inf_file, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -13,10 +13,10 @@ from coxlab.matrices import INFINITY
 from coxlab.words import CoxeterGroup, root_span_rank
 
 from conftest import CYCLE4, MATRICES
-from oracles import (andreev_per_pair, angle_sites_cycle_walk,
-                     census_fixpoint, check_stacan, facet_walls_by_count,
-                     facets_intersect_per_pair, hull_fixpoint, interval,
-                     stacan_pairs_all_bases)
+from oracles import (acute_along, andreev_per_pair, angle_sites_cycle_walk,
+                     census_fixpoint, check_stacan, facet_chambers, facet_side,
+                     facet_walls_by_count, facets_intersect_per_pair,
+                     hull_fixpoint, interval, stacan_pairs_all_bases)
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +60,9 @@ def test_side_flip_and_length_criterion(t23inf):
 def test_hull_of_single_chamber(t23inf):
     p = convex_hull(t23inf, [t23inf.identity()])
     assert p.chambers == frozenset({t23inf.identity()})
-    assert [w.reflection.word for w, _ in p.facet_walls] == \
+    assert [w.reflection.word for w in p.facet_walls] == \
         [(0,), (1,), (2,)]
-    assert all(sd == 1 for _, sd in p.facet_walls)
+    assert all(facet_side(t23inf, p, w) == 1 for w in p.facet_walls)
 
 
 def test_hull_interval_example(a1aff):
@@ -118,7 +118,7 @@ def test_facet_minimality(t23inf):
     # dropping any facet wall admits its panel neighbor, which satisfies
     # every other facet constraint
     for p in enumerate_convex_polytopes(t23inf, 4):
-        for w, sd in p.facet_walls:
+        for w in p.facet_walls:
             neighbor = None
             for g in p.sorted_chambers():
                 for s in range(t23inf.rank):
@@ -130,15 +130,16 @@ def test_facet_minimality(t23inf):
                 if neighbor:
                     break
             assert neighbor is not None
-            for w2, sd2 in p.facet_walls:
+            for w2 in p.facet_walls:
                 if w2 != w:
-                    assert side(t23inf, w2, neighbor) == sd2
+                    assert side(t23inf, w2, neighbor) == \
+                        facet_side(t23inf, p, w2)
 
 
 def test_no_facet_wall_separates(t23inf):
     for p in enumerate_convex_polytopes(t23inf, 5):
-        for w, sd in p.facet_walls:
-            assert {side(t23inf, w, c) for c in p.chambers} == {sd}
+        for w in p.facet_walls:
+            assert len({side(t23inf, w, c) for c in p.chambers}) == 1
 
 
 def test_angle_sites_single_chamber(a2aff):
@@ -215,15 +216,17 @@ def test_sites_and_facets_match_oracles():
             sites = angle_sites(group, p)
             assert sites == angle_sites_cycle_walk(group, p), (m, p)
             expect = facet_walls_by_count(group, p.chambers)
-            assert [(w.reflection, sd) for w, sd in p.facet_walls] == \
-                [(w.reflection, sd) for w, sd in expect], (m, p)
+            assert [w.reflection for w in p.facet_walls] == \
+                [w.reflection for w, _ in expect], (m, p)
+            assert all(side(group, w, c) == sd for w, sd in expect
+                       for c in p.chambers), (m, p)
             interior += sum(z.interior for z in sites)
     assert interior > 0
 
 
 def test_coxeter_polytope_example(t23inf):
     p = convex_hull(t23inf, [t23inf.identity(), t23inf.generator(0)])
-    assert [w.reflection.word for w, _ in p.facet_walls] == \
+    assert [w.reflection.word for w in p.facet_walls] == \
         [(1,), (2,), (0, 2, 0)]
     sites = {(z.pair, z.j, z.m) for z in angle_sites(t23inf, p)}
     assert ((0, 1), 2, 2) in sites          # flat angle on the s2 wall
@@ -390,6 +393,31 @@ def test_stacan_pairs_match_all_bases_oracle():
         assert set(got) == expect and expect, m
 
 
+def test_acute_facet_is_one_chamber(lab):
+    # the lemma stacan_pairs rests on: a convex polytope acute along a
+    # facet wall has exactly one chamber with a panel on it; facets of
+    # more chambers occur, at non-acute walls only (none in univ3, which
+    # has no finite rank-2 residue)
+    cases = [(lab.group(n), lab.census(n, 7))
+             for n in ("t23inf", "t244", "t255", "t236")]
+    cases.append((lab.group("univ3"), lab.census("univ3", 6)))
+    cycle4 = CoxeterGroup(CYCLE4)
+    cases.append((cycle4, list(enumerate_convex_polytopes(cycle4, 6))))
+    wide = 0
+    for group, census in cases:
+        acute = 0
+        for p in census:
+            for w in p.facet_walls:
+                n = len(facet_chambers(group, p, w))
+                if acute_along(group, p, w):
+                    assert n == 1, (group.matrix, p, w)
+                    acute += 1
+                else:
+                    wide += n > 1
+        assert acute > 0, group.matrix
+    assert wide > 0
+
+
 def test_rank_four_census_smoke():
     # affine A3 (a 4-cycle of order-3 edges): infinite, indecomposable,
     # facet bound must read 4
@@ -436,8 +464,8 @@ def test_polytope_equals_halfspace_intersection():
         ball = group.ball(6)
         for p in enumerate_convex_polytopes(group, 4):
             for x in ball:
-                satisfies = all(side(group, w, x) == sd
-                                for w, sd in p.facet_walls)
+                satisfies = all(side(group, w, x) == facet_side(group, p, w)
+                                for w in p.facet_walls)
                 assert satisfies == (x in p.chambers), \
                     (name, p, x.display())
 
@@ -490,7 +518,7 @@ def test_check_andreev_matches_per_pair_oracle():
             assert got == andreev_per_pair(group, p), (m, p)
             violations += len(got)
             if len(p.chambers) == 6 and m.rank == 4:
-                for a, b in combinations([w for w, _ in p.facet_walls], 2):
+                for a, b in combinations(p.facet_walls, 2):
                     assert facets_intersect(group, p, a, b) == \
                         facets_intersect_per_pair(group, p, a, b)
     assert violations > 0

@@ -1,9 +1,13 @@
+import json
+from itertools import combinations, permutations
+
 import pytest
+from hypothesis import given, strategies as st
 
 from coxlab.errors import InputError
-from coxlab.matrices import (INFINITY, CoxeterMatrix, components, is_finite,
-                             is_indecomposable, is_infinite_indecomposable,
-                             nerve, parse_matrix)
+from coxlab.matrices import (INFINITY, MAX_RANK, CoxeterMatrix, components,
+                             is_finite, is_indecomposable,
+                             is_infinite_indecomposable, nerve, parse_matrix)
 from coxlab.words import CoxeterGroup
 
 from conftest import MATRICES
@@ -33,10 +37,88 @@ def test_parse_rank_one():
     '{"rank":2}',                       # missing m
     'rank 2\n1 2',                      # malformed line
     '',                                 # empty
+    '{"rank":2,"m":[[1,0.0],[0.0,1]]}', # float order
+    f'rank {MAX_RANK + 1}',             # rank over the cap
+    '{"rank":' + '9' * 5000 + '}',      # integer too long to convert
+    '{"m":' + '[' * 100_000 + ']' * 100_000 + '}',  # nested too deep
 ])
 def test_parse_errors(doc):
     with pytest.raises(InputError):
         parse_matrix(doc)
+
+
+def test_parse_rank_cap():
+    rows = [[1 if i == j else 2 for j in range(MAX_RANK)]
+            for i in range(MAX_RANK)]
+    assert parse_matrix(f"rank {MAX_RANK}").rank == MAX_RANK
+    assert parse_matrix(json.dumps({"rank": MAX_RANK, "m": rows})) == \
+        parse_matrix(f"rank {MAX_RANK}")
+
+
+def _parses_or_rejects(text):
+    try:
+        m = parse_matrix(text)
+    except InputError:
+        return False
+    assert isinstance(m, CoxeterMatrix)
+    assert 1 <= m.rank <= MAX_RANK and len(m.labels) == m.rank
+    assert parse_matrix(m.to_json()) == m
+    return True
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["rank", "m", "labels", "x"]), inner,
+                      max_size=4),
+    max_leaves=24)
+
+
+@st.composite
+def _matrix_documents(draw):
+    # a well-formed document with at most one field or entry replaced,
+    # so that both outcomes occur and the checks past the header run
+    n = draw(st.integers(1, 4))
+    rows = [[1] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        rows[i][j] = rows[j][i] = draw(st.sampled_from([0, 2, 3, 4, 6]))
+    doc = {"rank": n, "m": rows, "labels": [f"s{i}" for i in range(n)]}
+    spoil = draw(st.sampled_from([None, None, None, "rank", "m", "labels",
+                                  "entry"]))
+    if spoil == "entry":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(_json_values)
+    elif spoil is not None:
+        doc[spoil] = draw(_json_values)
+    return doc
+
+
+@st.composite
+def _line_documents(draw):
+    # a header and entry lines, each well-formed or token soup
+    n = draw(st.integers(1, 4))
+    token = st.sampled_from(["rank", "x", "#", "-1", "257", "0", "1", "2",
+                             "3", "5"])
+    soup = st.lists(token, max_size=4).map(" ".join)
+    pairs = list(permutations(range(1, n + 1), 2)) or [(1, 2)]
+    entry = st.tuples(st.sampled_from(pairs), st.sampled_from([0, 2, 3, 6])
+                      ).map(lambda t: "%d %d %d" % (*t[0], t[1]))
+    bad = st.tuples(st.integers(-1, n + 1), st.integers(-1, n + 1),
+                    st.integers(-1, 6)).map(lambda t: "%d %d %d" % t) | soup
+    header = draw(st.just(f"rank {n}") | soup)
+    lines = st.lists(entry, max_size=4) | st.lists(entry | bad, max_size=4)
+    return "\n".join([header] + draw(lines))
+
+
+@given(text=st.text() | _line_documents())
+def test_parse_arbitrary_text(text):
+    _parses_or_rejects(text)
+
+
+@given(doc=_matrix_documents() | _json_values)
+def test_parse_arbitrary_json(doc):
+    _parses_or_rejects(json.dumps(doc))
 
 
 def test_parse_line_format_with_defaults():

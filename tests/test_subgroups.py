@@ -108,7 +108,7 @@ def test_fundamental_polytope_index_two(t23inf):
     assert m.signature() == (3, 3, INFINITY)
     assert is_coxeter_polytope(t23inf, poly)
     # facet walls of the domain are exactly the canonical generators
-    assert {w.reflection.word for w, _ in poly.facet_walls} == \
+    assert {w.reflection.word for w in poly.facet_walls} == \
         {g.reflection.word for g in gens}
 
 
@@ -251,7 +251,7 @@ def test_search_finds_fundamental_domains(t23inf, lab):
         poly, index = fundamental_polytope(t23inf, sub.generators, 10)
         assert index == sub.index
         assert poly.chambers == sub.polytope.chambers
-        assert {w.reflection.word for w, _ in poly.facet_walls} == \
+        assert {w.reflection.word for w in poly.facet_walls} == \
             {g.reflection.word for g in sub.generators}
         assert is_coxeter_polytope(t23inf, poly)
 
@@ -275,7 +275,7 @@ def test_search_equal_rank_matches_descent(lab):
         assert summary(search_equal_rank_subgroups(group, 6, census)) == \
             summary(search_equal_rank_by_descent(group, 6, census)), m
         for p in census:
-            walls = tuple(w for w, _ in p.facet_walls)
+            walls = p.facet_walls
             if walls and is_coxeter_polytope(group, p):
                 assert canonical_generators(group, walls) == walls, (m, p)
                 checked += 1

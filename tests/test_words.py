@@ -486,7 +486,7 @@ def warm_groups():
                                       CYCLE4)]
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_panel_root_properties(warm_groups, data):
     # both chambers of a panel name the same wall, and crossing it changes
