@@ -6,9 +6,13 @@ entries, root coordinates -- lives in it.  Elements are polynomials in c
 reduced modulo the minimal polynomial of c; the minimal polynomial is
 derived from the cyclotomic polynomial of order 2N.  Sign determination
 is by bisection refinement of a rational isolating interval for c with
-exact interval evaluation; there is no floating point anywhere in the
-decision path, and ``SIGN_STATS`` counts every decision so a run can
-prove it stayed exact.
+exact interval evaluation; the interval (2 - (63/(20N))^2, 2) is
+closed-form, because the roots are the values 2cos(k*pi/N).  There is
+no floating point anywhere in the decision path, and ``SIGN_STATS``
+counts every decision so a run can prove it stayed exact.  The values
+2cos(j*pi/N), j = 0..N, are tabled once per field: they give the
+bilinear form's entries and, read backwards, the orders of products of
+reflections.
 
 Coefficients are Python ints where possible and ``Fraction`` otherwise;
 the two mix freely (equal values hash equal), and the monic integer
@@ -169,56 +173,6 @@ def _euler_phi(n):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Sturm chains, used once per field to isolate the embedding of c
-
-
-def _sturm_chain(p):
-    chain = [[Fraction(x) for x in p], [Fraction(x) for x in _pderiv(p)]]
-    while _ptrim(chain[-1]) and len(_ptrim(chain[-1])) > 1:
-        _, r = _pdivmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-x for x in r])
-    return chain
-
-
-def _sign_variations(chain, x):
-    signs = []
-    for poly in chain:
-        v = _peval(poly, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _count_roots(chain, a, b):
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
-
-
-def _isolate_largest_root(p):
-    """Rational interval (lo, hi) around the largest real root of p.
-
-    All roots of the minimal polynomials used here lie in (-2, 2).
-    The returned interval contains exactly one root and p changes sign
-    at its endpoints.
-    """
-    chain = _sturm_chain(p)
-    lo, hi = Fraction(-3), Fraction(3)
-    while _count_roots(chain, lo, hi) > 1:
-        mid = (lo + hi) / 2
-        if _count_roots(chain, mid, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    # nudge endpoints so p(lo) * p(hi) < 0 (simple root inside)
-    while _peval(p, lo) == 0:
-        lo -= Fraction(1, 64)
-    while _peval(p, hi) == 0:
-        hi += Fraction(1, 64)
-    return lo, hi
-
-
 def _interval_eval(coeffs, lo, hi):
     """Exact range bound of the polynomial over [lo, hi] (Horner)."""
     vlo = vhi = Fraction(coeffs[-1])
@@ -238,9 +192,22 @@ class FieldSpec:
     Immutable after construction apart from monotone narrowing of the
     isolating interval, which is semantically transparent (any valid
     isolating interval gives the same signs).
+
+    For degree >= 2 (N >= 4) the isolating interval is closed-form:
+    (2 - (63/(20N))^2, 2).  It holds c, since cos x >= 1 - x^2/2 gives
+    c >= 2 - (pi/N)^2, and pi < 63/20.  It holds no other root: the
+    conjugates of c are 2cos(k*pi/N) with k coprime to 2N, so the next
+    largest has k = 3, and cos x <= 1 - x^2/2 + x^4/24 with
+    3.14 < pi < 63/20 puts 2cos(3*pi/N) below 2 - 47/N^2, under the
+    interval for every N >= 4.
+
+    The values V_j = 2cos(j*pi/N), j = 0..N, are tabled once by the
+    Chebyshev recurrence V_{j+1} = c*V_j - V_{j-1}; they are pairwise
+    distinct, so ``two_cos_index`` reads j back off a value.
     """
 
-    __slots__ = ("N", "minpoly", "degree", "_lo", "_hi")
+    __slots__ = ("N", "minpoly", "degree", "_lo", "_hi", "_two_cos",
+                 "_two_cos_index")
 
     def __init__(self, N):
         if N < 2:
@@ -262,7 +229,14 @@ class FieldSpec:
         if self.degree == 1:
             self._lo = self._hi = None
         else:
-            self._lo, self._hi = _isolate_largest_root(list(mp))
+            self._lo, self._hi = 2 - Fraction(63, 20 * N) ** 2, Fraction(2)
+        # multiplying by c shifts the coefficients up one place
+        table = [self.raw_from_int(2), self.reduce([0, 1])]
+        for _ in range(N - 1):
+            table.append(self.raw_sub(self.reduce((0,) + table[-1]),
+                                      table[-2]))
+        self._two_cos = tuple(table)
+        self._two_cos_index = {v: j for j, v in enumerate(table)}
 
     def __repr__(self):
         return f"FieldSpec(N={self.N}, degree={self.degree})"
@@ -357,18 +331,15 @@ class FieldSpec:
         return 1 if vlo > 0 else -1
 
     def two_cos_pi_over_raw(self, m):
-        """2*cos(pi/m) as a raw tuple; requires m | N.
-
-        Uses 2*cos(k*t) = P_k(2*cos t) with the P_k recurrence, at k = N/m.
-        """
+        """2*cos(pi/m) as a raw tuple, V_{N/m}; requires m | N."""
         if m < 1 or self.N % m != 0:
             raise FieldError(f"order {m} does not divide field order {self.N}")
-        k = self.N // m
-        c = self.reduce([0, 1])
-        prev, cur = self.raw_from_int(2), c
-        for _ in range(k - 1):
-            prev, cur = cur, self.raw_sub(self.raw_mul(c, cur), prev)
-        return cur
+        return self._two_cos[self.N // m]
+
+    def two_cos_index(self, t):
+        """The j in 0..N with 2*cos(j*pi/N) equal to the raw value t, or
+        None when t is no such value."""
+        return self._two_cos_index.get(t)
 
 
 def _poly_gcd(a, b):

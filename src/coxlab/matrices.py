@@ -55,7 +55,7 @@ class CoxeterMatrix:
             if len(row) != n:
                 raise InputError(f"row {i + 1} has length {len(row)}, expected {n}")
         for i in range(n):
-            if rows[i][i] != 1:
+            if type(rows[i][i]) is not int or rows[i][i] != 1:
                 raise InputError(f"diagonal entry ({i + 1},{i + 1}) must be 1")
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
@@ -65,6 +65,8 @@ class CoxeterMatrix:
                 if m != INFINITY and (not isinstance(m, int) or m < 2):
                     raise InputError(
                         f"order at ({i + 1},{j + 1}) must be >= 2 or infinity")
+        if isinstance(labels, str):
+            raise InputError("labels must be a sequence of names, not a string")
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
@@ -150,6 +152,7 @@ def _from_json_dict(data):
 def _from_lines(text):
     rows = None
     n = 0
+    listed = {}  # pair -> (order, line number) of its first line
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -174,7 +177,13 @@ def _from_lines(text):
             raise InputError(f"line {lineno}: entries must be integers")
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
             raise InputError(f"line {lineno}: bad pair ({i},{j})")
-        rows[i - 1][j - 1] = rows[j - 1][i - 1] = _decode(m, f"line {lineno}")
+        m = _decode(m, f"line {lineno}")
+        first, first_line = listed.setdefault((min(i, j), max(i, j)),
+                                              (m, lineno))
+        if first != m:
+            raise InputError(f"line {lineno}: pair ({i},{j}) conflicts with "
+                             f"line {first_line}")
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = m
     if rows is None:
         raise InputError("empty matrix document")
     return CoxeterMatrix(rows)

@@ -17,14 +17,17 @@ wall's positive root off the exchange condition: it is w(e_s) when ws is
 longer than w, and otherwise the root of the longer panel named by the
 crossing letter.  Every interned root is therefore positive and the word
 layer decides no signs; the only sign decision left is the test in
-``order_of_product`` of whether two walls meet.  A chamber's inversion
-set holds the root ids of the walls separating it from the base chamber.
+``order_of_product`` of whether two walls meet.  When they do, the order
+of their product is read off the field's table of 2cos(j*pi/N), with no
+power of the product formed.  A chamber's inversion set holds the root
+ids of the walls separating it from the base chamber.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from math import gcd
 
 from .algebraic import field_for
 from .errors import BudgetError, ConsistencyError, InputError
@@ -124,8 +127,6 @@ class CoxeterGroup:
                     row.append(f.raw_neg(f.two_cos_pi_over_raw(m)))
             c.append(tuple(row))
         self._c = tuple(c)
-        maxfin = max(matrix.finite_orders(), default=2)
-        self._k_cap = 2 * maxfin * self.rank * 8
         # interned root vectors: tuple-of-coeff-tuples -> small id.  The
         # lock is taken only when a root is new, and the table is read
         # again inside it, so each root gets one id however threads race;
@@ -158,20 +159,23 @@ class CoxeterGroup:
                     self._root_index[coords] = rid
         return rid
 
+    def _form_row(self, i, coords):
+        """C(e_i, x) for the coordinates of x: row i of the doubled form."""
+        f = self.field
+        ci = self._c[i]
+        out = f.raw_from_int(0)
+        for j in range(self.rank):
+            if not f.raw_is_zero(coords[j]):
+                out = f.raw_add(out, f.raw_mul(ci[j], coords[j]))
+        return out
+
     def _reflect_id(self, rid, i):
         key = (rid, i)
         hit = self._reflect_cache.get(key)
         if hit is None:
-            f = self.field
             coords = self._root_list[rid]
-            ci = self._c[i]
-            scalar = f.raw_from_int(0)
-            for j in range(self.rank):
-                cj = coords[j]
-                if not f.raw_is_zero(cj):
-                    scalar = f.raw_add(scalar, f.raw_mul(ci[j], cj))
             new = list(coords)
-            new[i] = f.raw_sub(coords[i], scalar)
+            new[i] = self.field.raw_sub(coords[i], self._form_row(i, coords))
             hit = self._intern(tuple(new))
             self._reflect_cache[key] = hit
         return hit
@@ -343,9 +347,14 @@ class CoxeterGroup:
         """Exact order of (t u) for distinct walls t, u; INFINITY when infinite.
 
         Finite iff |B(root_t, root_u)| < 1, read in the doubled form as
-        C(root_t, root_u)^2 < 4; the finite order is then found
-        by iterating normal forms (capped, with a consistency dump if the
-        cap is ever hit -- it never should be).
+        C^2 < 4 for C = C(root_t, root_u).  Then s_t s_u rotates the
+        plane of the two roots by 2*psi, where 2cos(2*psi) = C^2 - 2, and
+        fixes its orthogonal complement; so when C^2 - 2 is the table
+        value 2cos(j*pi/N) the order is 2N / gcd(j, 2N), exactly.  A miss
+        cannot occur: by Tits every finite subgroup lies in a conjugate
+        of a finite standard parabolic subgroup, and in each finite type
+        the order k of a product of two reflections divides the lcm of
+        the type's orders, so k | N and 2*psi is a multiple of pi/N.
         """
         if t.reflection == u.reflection:
             raise InputError("order_of_product needs distinct walls")
@@ -354,29 +363,19 @@ class CoxeterGroup:
         ru = self._root_list[self.panel_root(*u.witness)]
         c = f.raw_from_int(0)
         for i in range(self.rank):
-            if f.raw_is_zero(rt[i]):
-                continue
-            for j in range(self.rank):
-                if not f.raw_is_zero(ru[j]):
-                    c = f.raw_add(c, f.raw_mul(self._c[i][j],
-                                               f.raw_mul(rt[i], ru[j])))
-        disc = f.raw_sub(f.raw_mul(c, c), f.raw_from_int(4))
-        if f.sign_raw(disc) >= 0:
+            if not f.raw_is_zero(rt[i]):
+                c = f.raw_add(c, f.raw_mul(rt[i], self._form_row(i, ru)))
+        c2 = f.raw_mul(c, c)
+        if f.sign_raw(f.raw_sub(c2, f.raw_from_int(4))) >= 0:
             return INFINITY
-        p = self._mult_word(t.reflection.word, u.reflection.word)
-        q = p
-        k = 1
-        while q:
-            q = self._mult_word(q, p)
-            k += 1
-            if k > self._k_cap:
-                raise ConsistencyError(
-                    "bounded form value but no finite order found",
-                    {"matrix": self.matrix.to_json_dict(),
-                     "t": t.reflection.display(),
-                     "u": u.reflection.display(),
-                     "cap": self._k_cap})
-        return k
+        j = f.two_cos_index(f.raw_sub(c2, f.raw_from_int(2)))
+        if j is None:
+            raise ConsistencyError(
+                "bounded form value is no 2cos(j pi/N)",
+                {"matrix": self.matrix.to_json_dict(),
+                 "t": t.reflection.display(),
+                 "u": u.reflection.display()})
+        return 2 * f.N // gcd(j, 2 * f.N)
 
     # -- enumeration ----------------------------------------------------------
 

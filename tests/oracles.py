@@ -23,12 +23,16 @@ facet wall a polytope lies on off one of its chambers, and
 ``stacan_pairs_all_bases`` anchors every chamber of every census member,
 and ``search_equal_rank_by_descent`` runs the canonical-generator descent
 on each Coxeter polytope's facet walls: the first implementations of the
-two verify searches.
+two verify searches.  ``sturm_chain``, ``count_roots`` and
+``isolate_largest_root`` are the first implementation of the field's
+isolating interval, built on the library's polynomial helpers, and
+``order_by_powers`` is the first implementation of ``order_of_product``.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from coxlab.algebraic import _pderiv, _pdivmod, _peval, _ptrim
 from coxlab.davis import (AngleSite, angle_sites, convex_hull,
                           enumerate_convex_polytopes, is_convex,
                           is_coxeter_polytope, side)
@@ -270,6 +274,53 @@ class AlgebraicReal:
 
 
 # ---------------------------------------------------------------------------
+# Sturm chains: root counts and the largest root of a polynomial
+
+
+def sturm_chain(p):
+    chain = [[Fraction(x) for x in p], [Fraction(x) for x in _pderiv(p)]]
+    while _ptrim(chain[-1]) and len(_ptrim(chain[-1])) > 1:
+        _, r = _pdivmod(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-x for x in r])
+    return chain
+
+
+def _sign_variations(chain, x):
+    signs = []
+    for poly in chain:
+        v = _peval(poly, x)
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def count_roots(chain, a, b):
+    """Distinct real roots in (a, b] of the chain's polynomial."""
+    return _sign_variations(chain, a) - _sign_variations(chain, b)
+
+
+def isolate_largest_root(p):
+    """Rational interval (lo, hi) around the largest real root of p, by
+    bisection of (-3, 3) on Sturm root counts; it contains exactly one
+    root and p changes sign at its endpoints."""
+    chain = sturm_chain(p)
+    lo, hi = Fraction(-3), Fraction(3)
+    while count_roots(chain, lo, hi) > 1:
+        mid = (lo + hi) / 2
+        if count_roots(chain, mid, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    while _peval(p, lo) == 0:
+        lo -= Fraction(1, 64)
+    while _peval(p, hi) == 0:
+        hi += Fraction(1, 64)
+    return lo, hi
+
+
+# ---------------------------------------------------------------------------
 # the reflection representation, from the Coxeter matrix alone
 
 
@@ -332,6 +383,42 @@ def bilinear(group, x, y):
     n = group.rank
     return sum((x[i] * b[i][j] * y[j] for i in range(n) for j in range(n)),
                start=zero(group.field))
+
+
+def order_by_powers(group, t, u):
+    """Order of t u: INFINITY when the doubled form value C of the walls'
+    roots has C^2 >= 4, else the least k with (t u)^k the identity, found
+    by multiplying normal forms up to a cap of
+    2 * (largest finite order) * rank * 8.  The form is doubled, as in
+    the library, so its entries and the roots' coordinates stay integer
+    polynomials; ``bilinear`` works over Fraction and is far slower."""
+    f = group.field
+    m = group.matrix
+    rt, ru = (group._root_list[group.panel_root(*w.witness)] for w in (t, u))
+    c = zero(f)
+    for i in range(group.rank):
+        for j in range(group.rank):
+            if i == j:
+                cij = f.raw_from_int(2)
+            elif m.order(i, j) == INFINITY:
+                cij = f.raw_from_int(-2)
+            else:
+                cij = f.raw_neg(f.two_cos_pi_over_raw(m.order(i, j)))
+            c = c + AlgebraicReal(f, cij) * AlgebraicReal(f, rt[i]) \
+                * AlgebraicReal(f, ru[j])
+    if c * c >= 4:
+        return INFINITY
+    cap = 2 * max(m.finite_orders(), default=2) * group.rank * 8
+    p = group.multiply(t.reflection, u.reflection)
+    q, k = p, 1
+    while q != group.identity():
+        q = group.multiply(q, p)
+        k += 1
+        if k > cap:
+            raise ConsistencyError("bounded form value but no finite order",
+                                   (t.reflection.display(),
+                                    u.reflection.display()))
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from coxlab.algebraic import (SIGN_STATS, FieldSpec, field_for,
 from coxlab.errors import BudgetError, FieldError
 from coxlab.matrices import INFINITY, CoxeterMatrix
 
-from oracles import cos_pi_over, element, generator, rational
+from oracles import (count_roots, cos_pi_over, element, generator,
+                     isolate_largest_root, rational, sturm_chain)
 
 
 def test_field_for_examples():
@@ -49,6 +50,22 @@ def test_isolating_interval_brackets_generator():
         assert float(lo) < c < float(hi)
 
 
+def test_closed_form_interval_isolates_generator():
+    # the closed-form interval holds exactly one root of the minimal
+    # polynomial and none lies above it; on a sample it shares that root
+    # with the interval Sturm bisection isolates (the slow part)
+    for n in list(range(4, 65)) + [210]:
+        f = FieldSpec(n)
+        mp = list(f.minpoly)
+        chain = sturm_chain(mp)
+        lo, hi = f.isolating_interval
+        assert count_roots(chain, lo, hi) == 1, n
+        assert count_roots(chain, hi, Fraction(3)) == 0, n
+        if n in (4, 5, 7, 12, 30, 64, 210):
+            slo, shi = isolate_largest_root(mp)
+            assert count_roots(chain, max(lo, slo), min(hi, shi)) == 1, n
+
+
 def test_cos_values():
     f = FieldSpec(6)
     assert cos_pi_over(f, 2) == 0
@@ -71,6 +88,15 @@ def test_chebyshev_identity():
     for m in range(2, 13):
         f = FieldSpec(m)
         assert f.two_cos_pi_over_raw(1) == f.raw_from_int(-2)
+        # the table read backwards: 2cos(pi/d) is V_{m/d}, and
+        # c^2 - 2 = 2cos(2 pi/m) is V_2
+        for d in range(1, m + 1):
+            if m % d == 0:
+                assert f.two_cos_index(f.two_cos_pi_over_raw(d)) == m // d
+        c = f.reduce([0, 1])
+        assert f.two_cos_index(f.raw_sub(f.raw_mul(c, c),
+                                         f.raw_from_int(2))) == 2
+        assert f.two_cos_index(f.raw_from_int(3)) is None
 
 
 def test_exact_zero_and_ring_axioms():

@@ -82,6 +82,7 @@ MALFORMED_DOCS = {
     "huge-rank-lines": b"rank 99999999\n",
     "huge-rank-json": b'{"rank": 99999999, "m": []}',
     "not-utf8": b"\xff\xfe rank 2",
+    "conflicting-pair": b"rank 2\n1 2 3\n2 1 5\n",
 }
 
 

@@ -127,6 +127,22 @@ def test_parse_line_format_with_defaults():
     assert m == MATRICES["t23inf"]
 
 
+def test_parse_line_format_conflicting_pair():
+    # a pair listed twice must agree, in either order of its indices
+    with pytest.raises(InputError, match="line 3.*line 2"):
+        parse_matrix("rank 2\n1 2 3\n2 1 5")
+    assert parse_matrix("rank 2\n1 2 3\n2 1 3").order(0, 1) == 3
+
+
+@pytest.mark.parametrize("orders,labels", [
+    ([[True, 3], [3, True]], None),   # True == 1, but is no order
+    ([[1, 3], [3, 1]], "ab"),         # a string, not two labels
+], ids=["diagonal-bool", "labels-str"])
+def test_constructor_rejects(orders, labels):
+    with pytest.raises(InputError):
+        CoxeterMatrix(orders, labels=labels)
+
+
 def test_json_round_trip():
     for m in MATRICES.values():
         assert parse_matrix(m.to_json()) == m

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coxlab.algebraic import SIGN_STATS
 from coxlab.davis import enumerate_convex_polytopes
@@ -16,7 +16,7 @@ from coxlab.words import CoxeterGroup, Element, root_span_rank, word_from_text
 
 from conftest import CYCLE4, MATRICES
 from oracles import (AlgebraicReal, bilinear, element_count, interval,
-                     matmul, matrix_of, root_of, tits_form)
+                     matmul, matrix_of, order_by_powers, root_of, tits_form)
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +178,69 @@ def test_order_matches_matrix_entry():
         for i, j in combinations(range(g.rank), 2):
             o = g.order_of_product(g.generator_wall(i), g.generator_wall(j))
             assert o == g.matrix.order(i, j)
+
+
+FINITE_TYPES = {
+    "A3": MATRICES["a3"], "B3": MATRICES["b3"], "H3": MATRICES["h3"],
+    "H4": CoxeterMatrix([[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 3],
+                         [2, 2, 3, 1]]),
+    "F4": CoxeterMatrix([[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3],
+                         [2, 2, 3, 1]]),
+}
+
+
+def test_order_matches_power_loop():
+    # the table order against multiplying normal forms until the
+    # identity: every reflection pair up to length 7 of five finite types,
+    # and the distinct pairs among 2,000 seeded draws of short walls of
+    # the degree-12 field of (2,3,7) and the degree-48 field of N = 210
+    for name, m in FINITE_TYPES.items():
+        g = CoxeterGroup(m)
+        for t, u in combinations(g.enumerate_reflections(7), 2):
+            assert g.order_of_product(t, u) == order_by_powers(g, t, u), \
+                (name, t, u)
+    n210 = CoxeterMatrix([[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 7],
+                          [2, 2, 7, 1]])
+    for m, length in ((MATRICES["t237"], 17), (n210, 5)):
+        g = CoxeterGroup(m)
+        walls = g.enumerate_reflections(length)
+        rng = random.Random(0)
+        pairs = {tuple(sorted(rng.sample(range(len(walls)), 2)))
+                 for _ in range(2000)}
+        for i, j in sorted(pairs):
+            t, u = walls[i], walls[j]
+            assert g.order_of_product(t, u) == order_by_powers(g, t, u), \
+                (m, t, u)
+
+
+@pytest.fixture(scope="module")
+def small_groups():
+    return [CoxeterGroup(MATRICES[n])
+            for n in ("a3", "b3", "h3", "a2aff", "t244")]
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_order_is_least_identity_power(small_groups, data):
+    # the order is the least k with matrix_of((t u)^k) the identity, and
+    # INFINITY exactly where the form value says the walls never meet
+    group = data.draw(st.sampled_from(small_groups))
+    letter = st.integers(0, group.rank - 1)
+    t, u = (group.wall_between(
+        group.normal_form(data.draw(st.lists(letter, max_size=6))),
+        data.draw(letter)) for _ in range(2))
+    assume(t != u)
+    order = group.order_of_product(t, u)
+    b = bilinear(group, root_of(group, t), root_of(group, u))
+    assert (order == INFINITY) == (b * b >= 1)
+    if order != INFINITY:
+        ident = matrix_of(group, group.identity())
+        p = matrix_of(group, group.multiply(t.reflection, u.reflection))
+        q = p
+        for _ in range(order - 1):
+            assert q != ident
+            q = matmul(group, q, p)
+        assert q == ident
 
 
 def test_enumerate_reflections(t23inf, a1aff, a2):
