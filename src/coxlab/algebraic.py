@@ -112,27 +112,44 @@ def _pdivmod(a, b):
     return _ptrim(q), _ptrim(a)
 
 
-def _pdivexact_int(a, b):
-    """Exact division of integer polynomials; remainder must vanish."""
-    q, r = _pdivmod(a, b)
-    if r:
-        raise ConsistencyError("inexact polynomial division", (a, b))
-    return [int(x) for x in q]
+def _mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
 
 
-def cyclotomic(n, _memo={1: [-1, 1]}):
-    """Integer coefficients of the n-th cyclotomic polynomial, ascending."""
-    if n in _memo:
-        return list(_memo[n])
-    num = [0] * n + [1]
-    num[0] = -1  # x^n - 1
-    den = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _pmul(den, cyclotomic(d))
-    out = _pdivexact_int(num, den)
-    _memo[n] = out
-    return list(out)
+def cyclotomic(n):
+    """Integer coefficients of the n-th cyclotomic polynomial, ascending.
+
+    Moebius product: Phi_n = prod over d | n of (x^d - 1)^mu(n/d).  The
+    factors with mu = 1 are multiplied out first; then each division by
+    an x^d - 1 with mu = -1 is exact and runs as the recurrence
+    q_k = q_{k-d} - p_k read off p = q*(x^d - 1), in integers throughout.
+    """
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    p = [1]
+    for d in divisors:
+        if _mobius(n // d) == 1:
+            out = [0] * d + p  # p*x^d - p
+            for k, x in enumerate(p):
+                out[k] -= x
+            p = out
+    for d in divisors:
+        if _mobius(n // d) == -1:
+            q = [0] * (len(p) - d)
+            for k in range(len(q)):
+                q[k] = (q[k - d] if k >= d else 0) - p[k]
+            if any((q[k - d] if k >= d else 0) != p[k]
+                   for k in range(len(q), len(p))):
+                raise ConsistencyError("inexact cyclotomic division", (n, d))
+            p = q
+    return p
 
 
 def minpoly_two_cos(N):

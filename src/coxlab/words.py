@@ -1,26 +1,30 @@
-"""The word problem: ShortLex normal forms via exact root tracking.
+"""The word problem: ShortLex normal forms on a table of elementary roots.
 
 An element is identified with its ShortLex normal form (the
 lexicographically least geodesic word).  Reduction uses the exchange
 condition read off the natural reflection representation: multiplying a
-reduced word by a generator shortens it exactly when the tracked simple
-root crosses back to a simple root, and the crossing position is the
-letter to delete.  Canonicalization strips the smallest left descent
-recursively.  All root arithmetic happens in the session field on
-interned coordinate vectors, so the hot path is dictionary lookups; the
-bilinear form is stored doubled (entries -2cos(pi/m)) to keep every
-coordinate an integer polynomial in the field generator.
+reduced word by a generator shortens it exactly when the simple root,
+walked back through the word, crosses to the simple root of a letter,
+and that letter is the one to delete.  Canonicalization strips the
+smallest left descent recursively.  Each group tables, once, the
+finitely many elementary roots and their images under the generators;
+a walk that leaves them never crosses, so reduction walks small integers
+in that table and does no field arithmetic.  The table is built in the
+session field, where the bilinear form is stored doubled (entries
+-2cos(pi/m)) to keep every coordinate an integer polynomial in the
+field generator.
 
 Chambers of the chamber complex are exactly these elements; a wall is
 a reflection t = w s w^-1 with its witness (w, s).  Each group reads the
 wall's positive root off the exchange condition: it is w(e_s) when ws is
 longer than w, and otherwise the root of the longer panel named by the
-crossing letter.  Every interned root is therefore positive and the word
-layer decides no signs; the only sign decision left is the test in
-``order_of_product`` of whether two walls meet.  When they do, the order
-of their product is read off the field's table of 2cos(j*pi/N), with no
-power of the product formed.  A chamber's inversion set holds the root
-ids of the walls separating it from the base chamber.
+crossing letter.  These roots are tracked exactly and interned, so every
+interned root is positive and the word layer decides no signs; the only
+sign decision left is the test in ``order_of_product`` of whether two
+walls meet.  When they do, the order of their product is read off the
+field's table of 2cos(j*pi/N), with no power of the product formed.  A
+chamber's inversion set holds the root ids of the walls separating it
+from the base chamber.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ from .matrices import INFINITY
 
 DEFAULT_ELEMENT_CAP = 100_000
 DEFAULT_REFLECTION_LENGTH = 12
+
+# entries of the elementary-root table beside the index of s(y) in E
+CROSS = -1  # y is the simple root of s
+EXIT = -2   # s(y) is not elementary
 
 
 @dataclass(frozen=True)
@@ -139,6 +147,7 @@ class CoxeterGroup:
             self._intern(tuple(one if j == i else zero
                                for j in range(self.rank)))
             for i in range(self.rank))
+        self._small_roots, self._small_table = self._elementary_roots()
         self._reflect_cache = {}
         self._mult_cache = {}
         self._canon_memo = {(): ()}
@@ -180,7 +189,86 @@ class CoxeterGroup:
             self._reflect_cache[key] = hit
         return hit
 
+    def _elementary_roots(self):
+        """The elementary roots E, simple roots first, and the table that
+        maps (index of y in E, s) to CROSS when y = alpha_s, to EXIT when
+        s(y) is not in E, and otherwise to the index of s(y).
+
+        A positive root is elementary when it dominates no other positive
+        root, where x dominates g when w(x) < 0 forces w(g) < 0 for every
+        w.  E is finite and holds the simple roots (Brink and Howlett,
+        Math. Ann. 296 (1993); Bjorner-Brenti, GTM 231, 4.7).
+
+        Early exit.  Walk alpha_t back through a reduced word, reaching
+        x = u(alpha_t) > 0 for the suffix u, and let s be the next letter,
+        so s u is reduced.  If x is not in E, neither is s(x): x dominates
+        some positive g != x.  When g != alpha_s, s(g) > 0 and s(x)
+        dominates s(g) != s(x).  When g = alpha_s, w = s_t u^-1 has
+        w(x) = -alpha_t, so w(alpha_s) < 0 while u^-1(alpha_s) > 0; then
+        u^-1(alpha_s) = alpha_t, and x = alpha_s would be in E.  So a walk
+        that leaves E stays outside it, meets no simple root, and crosses
+        nowhere.
+
+        Construction, with no sign decided.  E is the least set holding
+        the simple roots and s(y) for each y in E with -1 < B(alpha_s, y)
+        < 0, and it holds s(y) for y in E whenever s lowers depth; s(y)
+        has depth dp(y) - 1, dp(y) or dp(y) + 1 as B(alpha_s, y) is > 0,
+        0 or < 0, and 0 exactly when s(y) = y (same references).  So a
+        search in order of discovery meets E depth by depth, and at y of
+        depth d knows all of E of depth d - 1.  For y != alpha_s and
+        z = s(y): z = y, or z already known, puts z in E; otherwise z is
+        no root of E of depth d - 1, so B(alpha_s, y) < 0, and z is in E
+        iff B > -1, that is iff |B| < 1.  That holds iff <s, s_y> is
+        finite: by Dyer the two reflections generate a dihedral Coxeter
+        group whose canonical roots a, b have B(a, b) = -cos(pi/m) when
+        it is finite and B(a, b) <= -1 when not, and the sign of the Gram
+        determinant 1 - B^2 of the plane does not depend on the basis.
+        In the doubled form C = 2B, a finite pair makes s s_y a rotation
+        by 2*psi of the plane, with C^2 - 2 = 2cos(2*psi) and 0 < 2*psi
+        < pi, and the argument of ``order_of_product`` puts 2*psi at a
+        multiple of pi/N: C^2 - 2 is 2cos(j*pi/N) with j >= 1.  An
+        infinite pair has C^2 - 2 >= 2, which is j = 0 or no table value.
+        Raw tuples are canonical, so the table lookup is exact.
+        """
+        f = self.field
+        rank = self.rank
+        roots = [self._root_list[a] for a in self._simple]
+        index = {y: i for i, y in enumerate(roots)}
+        two = f.raw_from_int(2)
+        table = []
+        for i, y in enumerate(roots):  # grows while read: discovery order
+            row = []
+            for s in range(rank):
+                if i == s:
+                    row.append(CROSS)
+                    continue
+                c = self._form_row(s, y)
+                z = y[:s] + (f.raw_sub(y[s], c),) + y[s + 1:]
+                k = index.get(z)  # z = y exactly when c = 0
+                if k is None:
+                    j = f.two_cos_index(f.raw_sub(f.raw_mul(c, c), two))
+                    if j is None or j == 0:
+                        row.append(EXIT)
+                        continue
+                    k = index[z] = len(roots)
+                    roots.append(z)
+                row.append(k)
+            table.append(tuple(row))
+        return tuple(roots), tuple(table)
+
     # -- word reduction -----------------------------------------------------
+
+    def _crossing(self, word, t):
+        """Position of the letter that the reduced ``word`` times s_t
+        deletes, or None when the product is longer: alpha_t walks back
+        through the word in the elementary-root table."""
+        table = self._small_table
+        x = t
+        for j in range(len(word) - 1, -1, -1):
+            x = table[x][word[j]]
+            if x < 0:
+                return j if x == CROSS else None
+        return None
 
     def _track_right(self, word, t):
         """Walk alpha_t back through the reduced ``word``: (j, None) when
@@ -204,7 +292,7 @@ class CoxeterGroup:
         for i in range(self.rank):
             # s_i is a left descent of word iff it is a right descent of
             # the reversed word; the crossing letter is the one to delete
-            j, _ = self._track_right(rev, i)
+            j = self._crossing(rev, i)
             if j is not None:
                 k = len(word) - 1 - j
                 res = (i,) + self._canonical(word[:k] + word[k + 1:])
@@ -218,7 +306,7 @@ class CoxeterGroup:
         key = (word, t)
         hit = self._mult_cache.get(key)
         if hit is None:
-            j, _ = self._track_right(word, t)
+            j = self._crossing(word, t)
             if j is None:
                 hit = self._canonical(word + (t,))
             else:

@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
 from coxlab.davis import enumerate_convex_polytopes
-from coxlab.matrices import INFINITY, CoxeterMatrix
+from coxlab.matrices import INFINITY, CoxeterMatrix, parse_matrix
 from coxlab.words import CoxeterGroup
 
 # property tests draw the same examples on every run and keep no example
@@ -30,6 +32,13 @@ MATRICES = {
 # affine A3: a 4-cycle of order-3 edges
 CYCLE4 = CoxeterMatrix([[1, 3, 2, 3], [3, 1, 3, 2],
                         [2, 3, 1, 3], [3, 2, 3, 1]])
+
+
+# the benchmark's matrix files, by file stem
+BENCH_MATRICES = {
+    p.stem: parse_matrix(p.read_text())
+    for p in sorted((Path(__file__).resolve().parent.parent
+                     / "bench" / "inputs").glob("*.json"))}
 
 
 class Lab:

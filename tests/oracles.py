@@ -27,12 +27,17 @@ two verify searches.  ``sturm_chain``, ``count_roots`` and
 ``isolate_largest_root`` are the first implementation of the field's
 isolating interval, built on the library's polynomial helpers, and
 ``order_by_powers`` is the first implementation of ``order_of_product``.
+``cyclotomic_by_division`` is the first implementation of the cyclotomic
+polynomials, and ``TrackingReduction`` the first implementation of word
+reduction, walking a tracked root through the word in field arithmetic.
+``elementary_table_signed`` builds the elementary roots from their
+definition by signed comparisons, as the library's table must not.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from coxlab.algebraic import _pderiv, _pdivmod, _peval, _ptrim
+from coxlab.algebraic import _pderiv, _pdivmod, _peval, _pmul, _ptrim
 from coxlab.davis import (AngleSite, angle_sites, convex_hull,
                           enumerate_convex_polytopes, is_convex,
                           is_coxeter_polytope, side)
@@ -41,7 +46,7 @@ from coxlab.errors import (BudgetError, ConsistencyError, FieldError,
 from coxlab.matrices import INFINITY, components, is_finite
 from coxlab.subgroups import (ReflectionSubgroup, canonical_generators,
                               comm_condition, induced_matrix)
-from coxlab.words import DEFAULT_ELEMENT_CAP
+from coxlab.words import CROSS, DEFAULT_ELEMENT_CAP, EXIT
 
 
 def interval(group, u):
@@ -320,6 +325,29 @@ def isolate_largest_root(p):
     return lo, hi
 
 
+def cyclotomic_by_division(n, _memo={1: [-1, 1]}):
+    """The n-th cyclotomic polynomial as x^n - 1 divided by the product
+    of the cyclotomic polynomials of the proper divisors of n; the
+    divisor is monic, so the long division stays in integers."""
+    if n in _memo:
+        return list(_memo[n])
+    den = [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _pmul(den, cyclotomic_by_division(d))
+    rem = [-1] + [0] * (n - 1) + [1]
+    q = [0] * (n + 2 - len(den))
+    for shift in range(len(q) - 1, -1, -1):
+        top = rem[shift + len(den) - 1]
+        q[shift] = top
+        for i, b in enumerate(den):
+            rem[shift + i] -= top * b
+    if any(rem):
+        raise ConsistencyError("inexact cyclotomic division", n)
+    _memo[n] = q
+    return list(q)
+
+
 # ---------------------------------------------------------------------------
 # the reflection representation, from the Coxeter matrix alone
 
@@ -419,6 +447,102 @@ def order_by_powers(group, t, u):
                                    (t.reflection.display(),
                                     u.reflection.display()))
     return k
+
+
+class TrackingReduction:
+    """ShortLex reduction with alpha_t walked back through the word as an
+    interned root, through ``CoxeterGroup._track_right``: a crossing is
+    the walk meeting the simple root of a letter."""
+
+    def __init__(self, group):
+        self.group = group
+        self._canon = {(): ()}
+        self._mult = {}
+
+    def canonical(self, word):
+        """ShortLex form of a reduced word: strip smallest left descents."""
+        hit = self._canon.get(word)
+        if hit is None:
+            rev = word[::-1]
+            for i in range(self.group.rank):
+                j, _ = self.group._track_right(rev, i)
+                if j is not None:
+                    k = len(word) - 1 - j
+                    hit = (i,) + self.canonical(word[:k] + word[k + 1:])
+                    break
+            else:
+                raise ConsistencyError("reduced word has no left descent",
+                                       word)
+            self._canon[word] = hit
+        return hit
+
+    def mult_gen(self, word, t):
+        """Normal form of (element of canonical ``word``) * s_t."""
+        key = (word, t)
+        hit = self._mult.get(key)
+        if hit is None:
+            j, _ = self.group._track_right(word, t)
+            hit = self.canonical(word + (t,) if j is None
+                                 else word[:j] + word[j + 1:])
+            self._mult[key] = hit
+        return hit
+
+    def normal_form(self, word):
+        out = ()
+        for t in word:
+            out = self.mult_gen(out, t)
+        return out
+
+
+def library_elementary_table(group):
+    """The group's elementary-root table as a map on root coordinates:
+    (y, s) -> "cross", "exit" or the coordinates of s(y)."""
+    roots = group._small_roots
+    return {(y, s): ("cross" if k == CROSS else "exit" if k == EXIT
+                     else roots[k])
+            for y, row in zip(roots, group._small_table)
+            for s, k in enumerate(row)}
+
+
+def elementary_table_signed(group):
+    """The elementary roots as the least set holding the simple roots and
+    s(y) for each member y with -1 < B(alpha_s, y) < 0, the signs decided
+    through ``AlgebraicReal``; returned as ``library_elementary_table``
+    returns the library's, with "cross" at y = alpha_s.  The form is
+    doubled, C = 2B, so coordinates stay integer polynomials."""
+    f = group.field
+    n = group.rank
+    c = [[AlgebraicReal(f, tuple(int(x) for x in (e * 2).coeffs))
+          for e in row] for row in tits_form(group)]
+    simple = [tuple(f.raw_from_int(int(i == j)) for j in range(n))
+              for i in range(n)]
+    memo = {}
+
+    def form(s, y):  # C(alpha_s, y)
+        if (s, y) not in memo:
+            memo[s, y] = sum((c[s][j] * AlgebraicReal(f, y[j])
+                              for j in range(n)), start=zero(f))
+        return memo[s, y]
+
+    def reflect(y, s):
+        return y[:s] + (f.raw_sub(y[s], form(s, y).coeffs),) + y[s + 1:]
+
+    roots = list(simple)
+    known = set(roots)
+    for y in roots:
+        for s in range(n):
+            if -2 < form(s, y) < 0:
+                z = reflect(y, s)
+                if z not in known:
+                    known.add(z)
+                    roots.append(z)
+    table = {}
+    for y in roots:
+        for s in range(n):
+            z = reflect(y, s)
+            table[y, s] = ("cross" if y == simple[s]
+                           else z if z in known else "exit")
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from coxlab.algebraic import (SIGN_STATS, FieldSpec, field_for,
-                              minpoly_two_cos)
+from coxlab.algebraic import (FIELD_ORDER_CAP, SIGN_STATS, FieldSpec,
+                              cyclotomic, field_for, minpoly_two_cos)
 from coxlab.errors import BudgetError, FieldError
 from coxlab.matrices import INFINITY, CoxeterMatrix
 
-from oracles import (count_roots, cos_pi_over, element, generator,
-                     isolate_largest_root, rational, sturm_chain)
+from oracles import (count_roots, cos_pi_over, cyclotomic_by_division,
+                     element, generator, isolate_largest_root, rational,
+                     sturm_chain)
 
 
 def test_field_for_examples():
@@ -23,6 +24,14 @@ def test_field_for_examples():
 def test_field_cap():
     with pytest.raises(BudgetError):
         field_for(CoxeterMatrix.triangle(7, 11, 13))
+
+
+def test_cyclotomic_matches_division():
+    # the Moebius product against long division of x^n - 1, for the
+    # order 2N of every field the cap admits
+    for n in range(2, 2 * FIELD_ORDER_CAP + 1, 2):
+        assert cyclotomic(n) == cyclotomic_by_division(n), n
+    assert cyclotomic(1) == [-1, 1]
 
 
 def test_minpoly_matches_sympy():

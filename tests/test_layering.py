@@ -1,7 +1,8 @@
 """Layering guards: outside ``words.py`` the library reaches a
 ``CoxeterGroup`` only through its public surface, the only sign
-decision it makes is whether two walls meet, and the only conjugation
-descent it runs is the one to the canonical generators."""
+decision it makes is whether two walls meet, the only conjugation
+descent it runs is the one to the canonical generators, and word
+reduction walks the elementary-root table with no field arithmetic."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,28 @@ def test_only_canonical_generators_conjugates_walls():
              for scope in _call_scopes(ast.parse(path.read_text()),
                                        "conjugate_wall")]
     assert calls == [("subgroups.py", "canonical_generators")]
+
+
+def test_only_panel_root_tracks_roots():
+    calls = [(path.name,) + scope
+             for path in sorted(SRC.glob("*.py"))
+             for scope in _call_scopes(ast.parse(path.read_text()),
+                                       "_track_right")]
+    assert calls == [("words.py", "CoxeterGroup", "panel_root")]
+
+
+def test_reduction_does_no_field_arithmetic():
+    # the methods that reduce words name nothing of the field or of the
+    # interned roots: the crossing letter comes off the table alone
+    tree = ast.parse((SRC / "words.py").read_text())
+    cls = next(n for n in tree.body
+               if isinstance(n, ast.ClassDef) and n.name == "CoxeterGroup")
+    methods = {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
+    field = {"field", "_form_row", "_reflect_id", "_intern", "_root_list",
+             "_track_right", "_intern_lock"}
+    for name in ("_crossing", "_canonical", "_mult_gen", "_mult_word"):
+        named = {n.attr for n in ast.walk(methods[name])
+                 if isinstance(n, ast.Attribute)} | \
+            {n.id for n in ast.walk(methods[name]) if isinstance(n, ast.Name)}
+        assert not named & field, name
+        assert not any(n.startswith("raw_") for n in named), name

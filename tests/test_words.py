@@ -479,6 +479,47 @@ def test_cold_group_is_thread_safe():
         sys.setswitchinterval(switch)
 
 
+def test_cold_group_panel_roots_are_thread_safe():
+    # word reduction interns no root, so the intern lock now guards the
+    # wall roots alone: eight threads ask cold (2,5,5) groups for the
+    # inversion sets of the same chambers, and every root must keep one
+    # id and every set the roots a single-threaded group gives it
+    rng = random.Random(3)
+    words = [[rng.randrange(3) for _ in range(16)] for _ in range(30)]
+
+    def inversion_roots(group):
+        return [frozenset(group._root_list[r] for r in group.inversion_set(
+            group.normal_form(w))) for w in words]
+
+    expected = inversion_roots(CoxeterGroup(MATRICES["t255"]))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 2
+        while time.monotonic() < deadline:
+            group = CoxeterGroup(MATRICES["t255"])
+            start = threading.Barrier(8, timeout=30)
+            got = [None] * 8
+
+            def work(k, group=group, start=start, got=got):
+                start.wait()
+                got[k] = inversion_roots(group)
+
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            roots, index = group._root_list, group._root_index
+            assert len(index) == len(roots) and all(
+                index[c] == i for i, c in enumerate(roots))
+            assert got == [expected] * 8
+    finally:
+        sys.setswitchinterval(switch)
+
+
 def test_enumerate_reflections_budget(a1aff):
     from coxlab.errors import BudgetError
     with pytest.raises(BudgetError):
