@@ -4,30 +4,37 @@ Every Coxeter matrix determines one such field (N = lcm of its finite
 orders), and every quantity the word machinery needs -- bilinear form
 entries, root coordinates -- lives in it.  Elements are polynomials in c
 reduced modulo the minimal polynomial of c; the minimal polynomial is
-derived from the cyclotomic polynomial of order 2N.  Sign determination
-is by bisection refinement of a rational isolating interval for c with
-exact interval evaluation; the interval (2 - (63/(20N))^2, 2) is
-closed-form, because the roots are the values 2cos(k*pi/N).  There is
-no floating point anywhere in the decision path, and ``SIGN_STATS``
-counts every decision so a run can prove it stayed exact.  The values
-2cos(j*pi/N), j = 0..N, are tabled once per field: they give the
-bilinear form's entries and, read backwards, the orders of products of
-reflections.
+derived from the cyclotomic polynomial of order 2N.  A sign is decided
+in integers: each field tables integers L_k <= 2^b c^k <= U_k for the
+powers below its degree, and sum a_k c^k has the sign of the integer
+bounds sum a_k L_k and sum a_k U_k (each a_k taking the end that its
+sign makes low, or high) once they agree; until they do, b doubles.  The
+bracket of c comes from integer bisection on the sign of the minimal
+polynomial, started from the closed-form isolating interval
+(2 - (63/(20N))^2, 2), which holds c alone because the roots are the
+values 2cos(k*pi/N) (Collins and Loos, "Real zeros of polynomials", in
+Computer Algebra, 1983; Basu, Pollack and Roy, Algorithms in Real
+Algebraic Geometry, ch. 10).  There is no floating point anywhere in
+the decision path, and ``SIGN_STATS`` counts every decision so a run can
+prove it stayed exact.  The values 2cos(j*pi/N), j = 0..N, are tabled
+once per field: they give the bilinear form's entries and, read
+backwards, the orders of products of reflections.
 
-Coefficients are Python ints where possible and ``Fraction`` otherwise;
-the two mix freely (equal values hash equal), and the monic integer
-minimal polynomial keeps integer inputs integer through reduction.
+Coefficients are Python ints, and the monic integer minimal polynomial
+keeps them integer through reduction.  Rational coefficients work too:
+reduction and the ring operations take them as they come, and a sign
+decision clears their denominators first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .errors import BudgetError, ConsistencyError, FieldError
 
 FIELD_ORDER_CAP = 210
+SIGN_BITS = 64  # precision of the first table of power brackets
 
 
 @dataclass
@@ -48,7 +55,7 @@ SIGN_STATS = SignStats()
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers; coefficient lists ascending, int/Fraction entries
+# dense polynomial helpers; coefficient lists ascending
 
 
 def _ptrim(c):
@@ -80,36 +87,6 @@ def _pmul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return _ptrim(out)
-
-
-def _peval(c, x):
-    acc = Fraction(0)
-    for coeff in reversed(c):
-        acc = acc * x + coeff
-    return acc
-
-
-def _pderiv(c):
-    return _ptrim([i * c[i] for i in range(1, len(c))])
-
-
-def _pdivmod(a, b):
-    """Quotient and remainder over the rationals; b nonzero."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(a) >= len(b) and _ptrim(a):
-        a = _ptrim(a)
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        factor = a[-1] / lead
-        q[shift] = factor
-        for i in range(len(b)):
-            a[shift + i] -= factor * b[i]
-        a = a[:-1]
-    return _ptrim(q), _ptrim(a)
 
 
 def _mobius(n):
@@ -190,27 +167,27 @@ def _euler_phi(n):
     return out
 
 
-def _interval_eval(coeffs, lo, hi):
-    """Exact range bound of the polynomial over [lo, hi] (Horner)."""
-    vlo = vhi = Fraction(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        p1, p2, p3, p4 = vlo * lo, vlo * hi, vhi * lo, vhi * hi
-        vlo = min(p1, p2, p3, p4) + c
-        vhi = max(p1, p2, p3, p4) + c
-    return vlo, vhi
-
-
 # ---------------------------------------------------------------------------
 
 
 class FieldSpec:
     """The session field Q(c), c = 2*cos(pi/N).
 
-    Immutable after construction apart from monotone narrowing of the
-    isolating interval, which is semantically transparent (any valid
-    isolating interval gives the same signs).
+    Immutable after construction apart from the table of power brackets,
+    which the first sign decision builds and a refinement replaces as one
+    tuple, never mutated.  Any valid table gives the same signs, so a
+    thread that races a refinement reads an old valid table or a new one,
+    and no lock is needed.
 
-    For degree >= 2 (N >= 4) the isolating interval is closed-form:
+    The minimal polynomial.  ``minpoly_two_cos(N)`` is monic, has c as a
+    root, and has degree phi(2N)/2, checked here.  That is the degree of
+    c over Q: for zeta = exp(i*pi/N), Q(zeta) has degree phi(2N), and it
+    is Q(c)(zeta) with zeta a root of x^2 - c*x + 1, of degree 2 as zeta
+    is not real.  So the polynomial is the minimal polynomial of c: it is
+    irreducible, hence square-free, and no nonzero reduced element
+    vanishes at c.
+
+    The isolating interval.  For degree >= 2 (N >= 4) it is closed-form:
     (2 - (63/(20N))^2, 2).  It holds c, since cos x >= 1 - x^2/2 gives
     c >= 2 - (pi/N)^2, and pi < 63/20.  It holds no other root: the
     conjugates of c are 2cos(k*pi/N) with k coprime to 2N, so the next
@@ -218,12 +195,25 @@ class FieldSpec:
     3.14 < pi < 63/20 puts 2cos(3*pi/N) below 2 - 47/N^2, under the
     interval for every N >= 4.
 
+    Signs.  c is the largest root of the monic minimal polynomial mp, and
+    a simple one, so mp < 0 between the next root and c and mp > 0 above
+    c; a rational point is never c.  The bracket of c at b bits bisects
+    the integers m from floor(2^b lo) to 2^(b+1), lo the interval's lower
+    end, on the sign of 2^(b*d) mp(m/2^b) = sum a_k m^k 2^(b(d-k)); the
+    floor loses less than 2^-b <= 37/N^2, so every point stays above the
+    other roots, and the bisection ends with integers l < c*2^b < l + 1.
+    Since c > lo > 1, the powers c^k lie between (l/2^b)^k and
+    ((l+1)/2^b)^k, and the table rounds those down and up to integers
+    L_k and U_k over 2^b.  A nonzero element has a nonzero value, and its
+    bounds straddle 2^b times that value by at most sum |a_k| (U_k - L_k),
+    which stays bounded as b doubles: so refinement ends.
+
     The values V_j = 2cos(j*pi/N), j = 0..N, are tabled once by the
     Chebyshev recurrence V_{j+1} = c*V_j - V_{j-1}; they are pairwise
     distinct, so ``two_cos_index`` reads j back off a value.
     """
 
-    __slots__ = ("N", "minpoly", "degree", "_lo", "_hi", "_two_cos",
+    __slots__ = ("N", "minpoly", "degree", "_powers", "_two_cos",
                  "_two_cos_index")
 
     def __init__(self, N):
@@ -235,18 +225,9 @@ class FieldSpec:
         if len(mp) - 1 != expected:
             raise ConsistencyError("minimal polynomial degree mismatch",
                                    (N, mp))
-        # square-free check: gcd(mp, mp') must be constant
-        if len(mp) > 2:
-            g = _poly_gcd(mp, _pderiv(mp))
-            if len(g) > 1:
-                raise ConsistencyError("minimal polynomial not square-free",
-                                       (N, mp))
         self.minpoly = tuple(mp)
         self.degree = len(mp) - 1
-        if self.degree == 1:
-            self._lo = self._hi = None
-        else:
-            self._lo, self._hi = 2 - Fraction(63, 20 * N) ** 2, Fraction(2)
+        self._powers = None  # (b, L, U), built by the first sign decision
         # multiplying by c shifts the coefficients up one place
         table = [self.raw_from_int(2), self.reduce([0, 1])]
         for _ in range(N - 1):
@@ -263,13 +244,6 @@ class FieldSpec:
 
     def __hash__(self):
         return hash(("FieldSpec", self.N))
-
-    @property
-    def isolating_interval(self):
-        if self.degree == 1:
-            c = -self.minpoly[0]
-            return (Fraction(c) - 1, Fraction(c) + 1)
-        return (self._lo, self._hi)
 
     # -- raw coefficient-tuple operations (hot path; ints stay ints) -------
 
@@ -324,28 +298,57 @@ class FieldSpec:
             # the element is rational: evaluate at c = -minpoly[0]
             v = coeffs[0]
             return 1 if v > 0 else -1
-        lo, hi = self._lo, self._hi
-        mp = self.minpoly
-        sign_lo = 1 if _peval(list(mp), lo) > 0 else -1
+        den = lcm(*(x.denominator for x in coeffs))
+        if den != 1:
+            coeffs = [x.numerator * (den // x.denominator) for x in coeffs]
+        table = self._powers
+        if table is None:
+            # floor of 2^b times the interval's lower end 2 - (63/(20N))^2
+            n2 = 400 * self.N * self.N
+            table = self._powers = self._power_table(
+                SIGN_BITS, ((2 * n2 - 3969) << SIGN_BITS) // n2,
+                2 << SIGN_BITS)
         while True:
-            vlo, vhi = _interval_eval(coeffs, lo, hi)
-            if vlo > 0:
-                break
-            if vhi < 0:
-                break
+            b, lows, highs = table
+            lo = hi = 0
+            for a, low, high in zip(coeffs, lows, highs):
+                if a > 0:
+                    lo += a * low
+                    hi += a * high
+                elif a < 0:
+                    lo += a * high
+                    hi += a * low
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
             SIGN_STATS.refinements += 1
-            mid = (lo + hi) / 2
-            vm = _peval(list(mp), mid)
-            # mid is never a root: mp is irreducible of degree >= 2
-            if (1 if vm > 0 else -1) != sign_lo:
+            table = self._powers = self._power_table(
+                2 * b, lows[1] << b, highs[1] << b)
+
+    def _power_table(self, b, lo, hi):
+        """(b, L, U) with L_k <= 2^b c^k <= U_k for k < degree, from
+        integers lo < hi with mp(lo/2^b) < 0 < mp(hi/2^b)."""
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if self._minpoly_scaled(mid, b) > 0:
                 hi = mid
             else:
                 lo = mid
-        # Unlocked: a racing thread may see one old and one new endpoint,
-        # but every lo and hi ever stored brackets the root inside the
-        # first isolating interval, so any pair it reads still isolates it.
-        self._lo, self._hi = lo, hi
-        return 1 if vlo > 0 else -1
+        lows, highs = [1 << b], [1 << b]
+        for k in range(1, self.degree):
+            shift = b * (k - 1)
+            lows.append(lo ** k >> shift)
+            highs.append(-((-hi ** k) >> shift))
+        return b, tuple(lows), tuple(highs)
+
+    def _minpoly_scaled(self, m, b):
+        """2^(b*d) mp(m/2^b) by Horner in integers; never 0."""
+        acc, scale = 0, 1
+        for a in reversed(self.minpoly):
+            acc = acc * m + a * scale
+            scale <<= b
+        return acc
 
     def two_cos_pi_over_raw(self, m):
         """2*cos(pi/m) as a raw tuple, V_{N/m}; requires m | N."""
@@ -357,15 +360,6 @@ class FieldSpec:
         """The j in 0..N with 2*cos(j*pi/N) equal to the raw value t, or
         None when t is no such value."""
         return self._two_cos_index.get(t)
-
-
-def _poly_gcd(a, b):
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    while _ptrim(b):
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    return _ptrim(a)
 
 
 def field_for(matrix):

@@ -15,7 +15,6 @@ an adjacent chamber and closing up, so the growth search is exhaustive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import BudgetError, ConsistencyError, InputError
@@ -140,11 +139,6 @@ class AngleSite:
     def interior(self):
         return self.j == 2 * self.m
 
-    @property
-    def angle_fraction(self):
-        """Angle as a multiple of pi."""
-        return Fraction(self.j, self.m)
-
 
 def angle_sites(group, polytope):
     """One site per rank-2 spherical residue meeting the polytope, as a
@@ -246,11 +240,6 @@ def _meeting(group, polytope, walls):
                 return True
         return False
     return meet
-
-
-def facets_intersect(group, polytope, a, b):
-    """Whether the two facet walls meet inside the closure of the polytope."""
-    return _meeting(group, polytope, (a, b))(a, b)
 
 
 def check_andreev(group, polytope):

@@ -149,6 +149,7 @@ class CoxeterGroup:
             for i in range(self.rank))
         self._small_roots, self._small_table = self._elementary_roots()
         self._reflect_cache = {}
+        self._form_memo = {}
         self._mult_cache = {}
         self._canon_memo = {(): ()}
         self._panel_memo = {}
@@ -177,6 +178,16 @@ class CoxeterGroup:
             if not f.raw_is_zero(coords[j]):
                 out = f.raw_add(out, f.raw_mul(ci[j], coords[j]))
         return out
+
+    def _form_rows(self, rid):
+        """C(e_i, r) for every i, r the root of ``rid``: memoised, so a form
+        value C(x, r) costs ``rank`` multiplications."""
+        hit = self._form_memo.get(rid)
+        if hit is None:
+            coords = self._root_list[rid]
+            hit = self._form_memo[rid] = tuple(
+                self._form_row(i, coords) for i in range(self.rank))
+        return hit
 
     def _reflect_id(self, rid, i):
         key = (rid, i)
@@ -448,11 +459,10 @@ class CoxeterGroup:
             raise InputError("order_of_product needs distinct walls")
         f = self.field
         rt = self._root_list[self.panel_root(*t.witness)]
-        ru = self._root_list[self.panel_root(*u.witness)]
         c = f.raw_from_int(0)
-        for i in range(self.rank):
-            if not f.raw_is_zero(rt[i]):
-                c = f.raw_add(c, f.raw_mul(rt[i], self._form_row(i, ru)))
+        for x, y in zip(rt, self._form_rows(self.panel_root(*u.witness))):
+            if not f.raw_is_zero(x):
+                c = f.raw_add(c, f.raw_mul(x, y))
         c2 = f.raw_mul(c, c)
         if f.sign_raw(f.raw_sub(c2, f.raw_from_int(4))) >= 0:
             return INFINITY

@@ -25,20 +25,28 @@ and ``search_equal_rank_by_descent`` runs the canonical-generator descent
 on each Coxeter polytope's facet walls: the first implementations of the
 two verify searches.  ``sturm_chain``, ``count_roots`` and
 ``isolate_largest_root`` are the first implementation of the field's
-isolating interval, built on the library's polynomial helpers, and
+isolating interval, built on the rational polynomial helpers here, and
 ``order_by_powers`` is the first implementation of ``order_of_product``.
 ``cyclotomic_by_division`` is the first implementation of the cyclotomic
 polynomials, and ``TrackingReduction`` the first implementation of word
 reduction, walking a tracked root through the word in field arithmetic.
 ``elementary_table_signed`` builds the elementary roots from their
 definition by signed comparisons, as the library's table must not.
+``sign_by_interval_horner`` is the first implementation of the sign
+decision: it bisects ``isolating_interval`` with exact rational interval
+Horner bounds, and ``floor_scaled_generator`` reads floor(2^B c) off the
+same bisection.  ``form_by_rows`` and ``order_by_form_rows`` form the
+doubled form value afresh for each pair of walls, as ``order_of_product``
+did before it memoised C r per root.  ``facets_intersect`` and
+``angle_fraction`` are helpers that no library code calls.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import ceil, floor, gcd
 
-from coxlab.algebraic import _pderiv, _pdivmod, _peval, _pmul, _ptrim
-from coxlab.davis import (AngleSite, angle_sites, convex_hull,
+from coxlab.algebraic import _pmul, _ptrim
+from coxlab.davis import (AngleSite, _meeting, angle_sites, convex_hull,
                           enumerate_convex_polytopes, is_convex,
                           is_coxeter_polytope, side)
 from coxlab.errors import (BudgetError, ConsistencyError, FieldError,
@@ -279,6 +287,110 @@ class AlgebraicReal:
 
 
 # ---------------------------------------------------------------------------
+# rational polynomial helpers and the first sign decision
+
+
+def _peval(c, x):
+    acc = Fraction(0)
+    for coeff in reversed(c):
+        acc = acc * x + coeff
+    return acc
+
+
+def _pderiv(c):
+    return _ptrim([i * c[i] for i in range(1, len(c))])
+
+
+def _pdivmod(a, b):
+    """Quotient and remainder over the rationals; b nonzero."""
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in b]
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    lead = b[-1]
+    while len(a) >= len(b) and _ptrim(a):
+        a = _ptrim(a)
+        if len(a) < len(b):
+            break
+        shift = len(a) - len(b)
+        factor = a[-1] / lead
+        q[shift] = factor
+        for i in range(len(b)):
+            a[shift + i] -= factor * b[i]
+        a = a[:-1]
+    return _ptrim(q), _ptrim(a)
+
+
+def _poly_gcd(a, b):
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in b]
+    while _ptrim(b):
+        _, r = _pdivmod(a, b)
+        a, b = b, r
+    return _ptrim(a)
+
+
+def _interval_eval(coeffs, lo, hi):
+    """Exact range bound of the polynomial over [lo, hi] (Horner)."""
+    vlo = vhi = Fraction(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        p1, p2, p3, p4 = vlo * lo, vlo * hi, vhi * lo, vhi * hi
+        vlo = min(p1, p2, p3, p4) + c
+        vhi = max(p1, p2, p3, p4) + c
+    return vlo, vhi
+
+
+def isolating_interval(f):
+    """A rational interval holding c and no other root of the minimal
+    polynomial: (2 - (63/(20N))^2, 2) for degree >= 2 (the proof is in
+    ``FieldSpec``'s docstring), and around the rational c otherwise."""
+    if f.degree == 1:
+        c = -f.minpoly[0]
+        return (Fraction(c) - 1, Fraction(c) + 1)
+    return (2 - Fraction(63, 20 * f.N) ** 2, Fraction(2))
+
+
+def floor_scaled_generator(f, bits):
+    """floor(2^bits * c), by bisecting the isolating interval on the sign
+    of the minimal polynomial until both ends scale into one unit step."""
+    lo, hi = isolating_interval(f)
+    mp = list(f.minpoly)
+    sign_lo = 1 if _peval(mp, lo) > 0 else -1
+    scale = 2 ** bits
+    while ceil(hi * scale) - floor(lo * scale) > 1:
+        mid = (lo + hi) / 2
+        if (1 if _peval(mp, mid) > 0 else -1) != sign_lo:
+            hi = mid
+        else:
+            lo = mid
+    return floor(lo * scale)
+
+
+def sign_by_interval_horner(f, coeffs, _narrowed={}):
+    """Sign of the value at c: bisect the isolating interval until the
+    interval Horner bound excludes 0.  The narrowed interval is kept per
+    field order, as the field once kept it; it counts no decision."""
+    if all(x == 0 for x in coeffs):
+        return 0
+    if f.degree == 1:
+        return 1 if coeffs[0] > 0 else -1
+    lo, hi = _narrowed.get(f.N) or isolating_interval(f)
+    mp = list(f.minpoly)
+    sign_lo = 1 if _peval(mp, lo) > 0 else -1
+    while True:
+        vlo, vhi = _interval_eval(coeffs, lo, hi)
+        if vlo > 0 or vhi < 0:
+            break
+        mid = (lo + hi) / 2
+        # mid is never a root: mp is irreducible of degree >= 2
+        if (1 if _peval(mp, mid) > 0 else -1) != sign_lo:
+            hi = mid
+        else:
+            lo = mid
+    _narrowed[f.N] = (lo, hi)
+    return 1 if vlo > 0 else -1
+
+
+# ---------------------------------------------------------------------------
 # Sturm chains: root counts and the largest root of a polynomial
 
 
@@ -411,6 +523,35 @@ def bilinear(group, x, y):
     n = group.rank
     return sum((x[i] * b[i][j] * y[j] for i in range(n) for j in range(n)),
                start=zero(group.field))
+
+
+def form_by_rows(group, t, u):
+    """The doubled form value C(root_t, root_u) as a raw tuple, forming
+    row i of C times root_u afresh for each pair."""
+    f = group.field
+    rt = group._root_list[group.panel_root(*t.witness)]
+    ru = group._root_list[group.panel_root(*u.witness)]
+    c = f.raw_from_int(0)
+    for i in range(group.rank):
+        if not f.raw_is_zero(rt[i]):
+            c = f.raw_add(c, f.raw_mul(rt[i], group._form_row(i, ru)))
+    return c
+
+
+def order_by_form_rows(group, t, u):
+    """Order of t u read off the trace table, with the form value of
+    ``form_by_rows``: ``order_of_product`` before it memoised C r."""
+    f = group.field
+    c = form_by_rows(group, t, u)
+    c2 = f.raw_mul(c, c)
+    if f.sign_raw(f.raw_sub(c2, f.raw_from_int(4))) >= 0:
+        return INFINITY
+    j = f.two_cos_index(f.raw_sub(c2, f.raw_from_int(2)))
+    if j is None:
+        raise ConsistencyError("bounded form value is no 2cos(j pi/N)",
+                               (t.reflection.display(),
+                                u.reflection.display()))
+    return 2 * f.N // gcd(j, 2 * f.N)
 
 
 def order_by_powers(group, t, u):
@@ -656,6 +797,12 @@ def facets_intersect_per_pair(group, polytope, a, b):
     return False
 
 
+def facets_intersect(group, polytope, a, b):
+    """Whether the two facet walls meet inside the closure of the
+    polytope, by the library's per-polytope conjugate supports."""
+    return _meeting(group, polytope, (a, b))(a, b)
+
+
 def andreev_per_pair(group, polytope):
     """Facet-wall pairs disjoint along the polytope whose walls meet."""
     return [(a, b) for a, b in combinations(polytope.facet_walls, 2)
@@ -665,6 +812,11 @@ def andreev_per_pair(group, polytope):
 
 # ---------------------------------------------------------------------------
 # facets and angle sites, the first implementations
+
+
+def angle_fraction(site):
+    """A site's angle as a multiple of pi."""
+    return Fraction(site.j, site.m)
 
 
 def facet_walls_by_count(group, chambers):

@@ -3,14 +3,21 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
-from coxlab.algebraic import (FIELD_ORDER_CAP, SIGN_STATS, FieldSpec,
-                              cyclotomic, field_for, minpoly_two_cos)
+from coxlab.algebraic import (FIELD_ORDER_CAP, SIGN_BITS, SIGN_STATS,
+                              FieldSpec, cyclotomic, field_for,
+                              minpoly_two_cos)
 from coxlab.errors import BudgetError, FieldError
 from coxlab.matrices import INFINITY, CoxeterMatrix
+from coxlab.words import CoxeterGroup
 
-from oracles import (count_roots, cos_pi_over, cyclotomic_by_division,
-                     element, generator, isolate_largest_root, rational,
+from conftest import BENCH_MATRICES, MATRICES
+from oracles import (_pderiv, _poly_gcd, count_roots, cos_pi_over,
+                     cyclotomic_by_division, element, floor_scaled_generator,
+                     form_by_rows, generator, isolate_largest_root,
+                     isolating_interval, rational, sign_by_interval_horner,
                      sturm_chain)
 
 
@@ -43,6 +50,14 @@ def test_minpoly_matches_sympy():
         assert ours == [int(c) for c in coeffs], f"m={m}"
 
 
+def test_minimal_polynomial_is_square_free():
+    # FieldSpec relies on minimality and checks only the degree: the
+    # gcd with the derivative is constant for every field the cap admits
+    for n in range(2, FIELD_ORDER_CAP + 1):
+        mp = minpoly_two_cos(n)
+        assert len(_poly_gcd(mp, _pderiv(mp))) == 1, n
+
+
 def test_degree_is_half_totient():
     for n in (2, 3, 4, 5, 6, 7, 10, 12, 30, 42):
         f = FieldSpec(n)
@@ -52,7 +67,7 @@ def test_degree_is_half_totient():
 def test_isolating_interval_brackets_generator():
     for n in (4, 5, 6, 7, 12, 30):
         f = FieldSpec(n)
-        lo, hi = f.isolating_interval
+        lo, hi = isolating_interval(f)
         assert lo < hi
         import math
         c = 2 * math.cos(math.pi / n)
@@ -67,12 +82,84 @@ def test_closed_form_interval_isolates_generator():
         f = FieldSpec(n)
         mp = list(f.minpoly)
         chain = sturm_chain(mp)
-        lo, hi = f.isolating_interval
+        lo, hi = isolating_interval(f)
         assert count_roots(chain, lo, hi) == 1, n
         assert count_roots(chain, hi, Fraction(3)) == 0, n
         if n in (4, 5, 7, 12, 30, 64, 210):
             slo, shi = isolate_largest_root(mp)
             assert count_roots(chain, max(lo, slo), min(hi, shi)) == 1, n
+
+
+def test_power_table_brackets_generator_powers():
+    # the first decision builds the table at SIGN_BITS: a unit bracket of
+    # 2^b c holding c alone, and brackets of 2^b c^k that hold the powers
+    for n in list(range(4, 65)) + [210]:
+        f = FieldSpec(n)
+        assert f._powers is None
+        assert f.sign_raw(f.reduce([0, 1])) == 1
+        b, lows, highs = f._powers
+        assert b == SIGN_BITS and len(lows) == len(highs) == f.degree
+        assert highs[1] - lows[1] == 1
+        chain = sturm_chain(list(f.minpoly))
+        assert count_roots(chain, Fraction(lows[1], 2 ** b),
+                           Fraction(highs[1], 2 ** b)) == 1, n
+        assert lows[1] == floor_scaled_generator(f, b)
+        if n in (4, 5, 7, 12, 42, 210):
+            c = 2 * sympy.cos(sympy.pi / n)
+            for k, (low, high) in enumerate(zip(lows, highs)):
+                v = (2 ** b * c ** k).evalf(1000)
+                assert low <= v <= high, (n, k)
+
+
+def test_sign_matches_interval_horner_on_wall_pairs():
+    # the walls workload's decisions, C^2 - 4 over the distinct pairs among
+    # seeded draws of short walls: the degree-12 field of (2,3,7) and the
+    # degree-48 field of N = 210
+    signs = []
+    for m, length, draws in ((MATRICES["t237"], 17, 2000),
+                             (BENCH_MATRICES["n210"], 5, 300)):
+        g = CoxeterGroup(m)
+        f = g.field
+        walls = g.enumerate_reflections(length)
+        rng = random.Random(0)
+        pairs = {tuple(sorted(rng.sample(range(len(walls)), 2)))
+                 for _ in range(draws)}
+        for i, j in sorted(pairs):
+            c = form_by_rows(g, walls[i], walls[j])
+            x = f.raw_sub(f.raw_mul(c, c), f.raw_from_int(4))
+            signs.append(f.sign_raw(x))
+            assert signs[-1] == sign_by_interval_horner(f, x), (m, i, j)
+    assert {-1, 1} <= set(signs)
+
+
+_FIELDS = {n: FieldSpec(n) for n in (4, 5, 7, 12, 42, 210)}
+
+
+@given(n=st.sampled_from(sorted(_FIELDS)), data=st.data())
+def test_sign_matches_interval_horner_on_drawn_vectors(n, data):
+    f = _FIELDS[n]
+    coeffs = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                min_size=f.degree, max_size=f.degree))
+    den = data.draw(st.integers(1, 12))
+    if den > 1:
+        coeffs = [Fraction(a, den) for a in coeffs]
+    assert f.sign_raw(coeffs) == sign_by_interval_horner(f, coeffs)
+
+
+@pytest.mark.parametrize("n", [5, 42, 210])
+@pytest.mark.parametrize("bits", [70, 150])
+def test_sign_refines_near_zero(n, bits):
+    # 2^B c - floor(2^B c) lies in (0, 1), far below what a 64-bit table
+    # resolves at that scale: the decision must refine, and stay exact
+    f = FieldSpec(n)
+    x = f.raw_add(f.raw_from_int(-floor_scaled_generator(f, bits)),
+                  f.reduce([0, 2 ** bits]))
+    before = SIGN_STATS.refinements
+    assert f.sign_raw(x) == 1
+    assert f.sign_raw(f.raw_neg(x)) == -1
+    assert f.sign_raw(f.raw_sub(x, f.raw_from_int(1))) == -1
+    assert SIGN_STATS.refinements > before
+    assert f._powers[0] > SIGN_BITS
 
 
 def test_cos_values():

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from coxlab.davis import (angle_sites, census_record, check_andreev,
-                          convex_hull, enumerate_convex_polytopes, facets_intersect,
+                          convex_hull, enumerate_convex_polytopes,
                           is_acute_angled, is_convex, is_coxeter_polytope,
                           side, stacan_pairs, verify_facet_bound)
 from coxlab.errors import InputError, PreconditionError
@@ -13,9 +13,10 @@ from coxlab.matrices import INFINITY
 from coxlab.words import CoxeterGroup, root_span_rank
 
 from conftest import CYCLE4, MATRICES
-from oracles import (acute_along, andreev_per_pair, angle_sites_cycle_walk,
-                     census_fixpoint, check_stacan, facet_chambers, facet_side,
-                     facet_walls_by_count, facets_intersect_per_pair,
+from oracles import (acute_along, andreev_per_pair, angle_fraction,
+                     angle_sites_cycle_walk, census_fixpoint, check_stacan,
+                     facet_chambers, facet_side, facet_walls_by_count,
+                     facets_intersect, facets_intersect_per_pair,
                      hull_fixpoint, interval, stacan_pairs_all_bases)
 
 
@@ -147,7 +148,7 @@ def test_angle_sites_single_chamber(a2aff):
     sites = angle_sites(a2aff, p)
     assert len(sites) == 3
     assert all(z.j == 1 and z.m == 3 for z in sites)
-    assert all(z.angle_fraction == Fraction(1, 3) for z in sites)
+    assert all(angle_fraction(z) == Fraction(1, 3) for z in sites)
     assert all(len(z.boundary_walls) == 2 for z in sites)
 
 

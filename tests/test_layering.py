@@ -108,3 +108,23 @@ def test_reduction_does_no_field_arithmetic():
             {n.id for n in ast.walk(methods[name]) if isinstance(n, ast.Name)}
         assert not named & field, name
         assert not any(n.startswith("raw_") for n in named), name
+
+
+def test_sign_decision_names_no_fraction():
+    # a sign is decided on integer brackets alone: FieldSpec.sign_raw and
+    # every function of the module it reaches name no Fraction
+    tree = ast.parse((SRC / "algebraic.py").read_text())
+    defs = {n.name: n for n in ast.walk(tree)
+            if isinstance(n, ast.FunctionDef)}
+    seen, todo = set(), ["sign_raw"]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        named = {n.attr for n in ast.walk(defs[name])
+                 if isinstance(n, ast.Attribute)} | \
+            {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+        assert "Fraction" not in named, name
+        todo.extend(named & defs.keys())
+    assert {"sign_raw", "_power_table", "_minpoly_scaled"} <= seen

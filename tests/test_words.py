@@ -14,9 +14,10 @@ from coxlab.errors import InputError
 from coxlab.matrices import INFINITY, CoxeterMatrix
 from coxlab.words import CoxeterGroup, Element, root_span_rank, word_from_text
 
-from conftest import CYCLE4, MATRICES
-from oracles import (AlgebraicReal, bilinear, element_count, interval,
-                     matmul, matrix_of, order_by_powers, root_of, tits_form)
+from conftest import BENCH_MATRICES, CYCLE4, MATRICES
+from oracles import (AlgebraicReal, bilinear, element_count,
+                     floor_scaled_generator, interval, matmul, matrix_of,
+                     order_by_form_rows, order_by_powers, root_of, tits_form)
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +212,22 @@ def test_order_matches_power_loop():
             t, u = walls[i], walls[j]
             assert g.order_of_product(t, u) == order_by_powers(g, t, u), \
                 (m, t, u)
+
+
+def test_order_matches_per_pair_form_rows():
+    # C r memoised per root against C r formed afresh for each pair, on
+    # seeded pairs of walls up to length 9 of every bench matrix, each
+    # pair asked in both orders so the memo serves both roots
+    for name, m in sorted(BENCH_MATRICES.items()):
+        g = CoxeterGroup(m)
+        walls = g.enumerate_reflections(9)
+        rng = random.Random(1)
+        for _ in range(300):
+            t, u = rng.sample(walls, 2)
+            assert g.order_of_product(t, u) == order_by_form_rows(g, t, u), \
+                (name, t, u)
+            assert g.order_of_product(u, t) == order_by_form_rows(g, u, t), \
+                (name, u, t)
 
 
 @pytest.fixture(scope="module")
@@ -516,6 +533,51 @@ def test_cold_group_panel_roots_are_thread_safe():
             assert len(index) == len(roots) and all(
                 index[c] == i for i, c in enumerate(roots))
             assert got == [expected] * 8
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_cold_group_orders_are_thread_safe():
+    # eight threads start together on cold (2,3,7) groups and ask the
+    # orders of the same wall pairs, so the field's first sign table is
+    # built under a race; one thread first decides 2^64 c - floor(2^64 c),
+    # which the 64-bit table cannot, so a refinement replaces the table
+    # while the others read it: every answer must be the serial one
+    m = MATRICES["t237"]
+    walls = CoxeterGroup(m).enumerate_reflections(13)
+    rng = random.Random(5)
+    pairs = [tuple(rng.sample(walls, 2)) for _ in range(60)]
+    serial = CoxeterGroup(m)
+    f = serial.field
+    near = f.raw_add(f.raw_from_int(-floor_scaled_generator(f, 64)),
+                     f.reduce([0, 2 ** 64]))
+    expected = [serial.order_of_product(t, u) for t, u in pairs]
+    assert f.sign_raw(near) == 1
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 2
+        while time.monotonic() < deadline:
+            group = CoxeterGroup(m)
+            start = threading.Barrier(8, timeout=30)
+            got = [None] * 8
+
+            def work(k, group=group, start=start, got=got):
+                start.wait()
+                sign = group.field.sign_raw(near) if k == 0 else 1
+                got[k] = (sign, [group.order_of_product(t, u)
+                                 for t, u in pairs])
+
+            refinements = SIGN_STATS.refinements
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert SIGN_STATS.refinements > refinements
+            assert got == [(1, expected)] * 8
     finally:
         sys.setswitchinterval(switch)
 
