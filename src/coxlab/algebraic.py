@@ -283,6 +283,14 @@ class FieldSpec:
                 out[i + j] += x * y
         return self.reduce(out)
 
+    def raw_dot(self, a, b):
+        """Sum of a_i * b_i over the i with b_i nonzero."""
+        out = self.raw_from_int(0)
+        for x, y in zip(a, b):
+            if not self.raw_is_zero(y):
+                out = self.raw_add(out, self.raw_mul(x, y))
+        return out
+
     def raw_from_int(self, k):
         return tuple([k] + [0] * (self.degree - 1))
 

@@ -231,12 +231,12 @@ def run_verify(matrix, suite, max_chambers):
         suite, matrix_digest(matrix),
         {"max_chambers": max_chambers, "element_cap": element_cap()})
     names = list(_SUITE_FUNCS) if suite == "all" else [suite]
-    run = _VerifyRun(CoxeterGroup(matrix), max_chambers)
     if not is_infinite_indecomposable(matrix):
         for name in names:
             report.add(name, "skipped",
                        "needs an infinite indecomposable system")
         return report
+    run = _VerifyRun(CoxeterGroup(matrix), max_chambers)
     for name in names:
         try:
             _SUITE_FUNCS[name](run, report)
@@ -354,9 +354,13 @@ def cmd_polytopes(args):
     records = [davis.census_record(group, p)
                for p in census_list(group, args.max_chambers)]
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        try:
+            with open(args.emit, "w", encoding="utf-8") as fh:
+                for rec in records:
+                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        except OSError as e:
+            raise InputError(
+                f"cannot write {args.emit}: {e.strerror}") from None
     summary = {
         "polytopes": len(records),
         "coxeter": sum(1 for r in records if r["coxeter"]),

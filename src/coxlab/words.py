@@ -16,15 +16,18 @@ field generator.
 
 Chambers of the chamber complex are exactly these elements; a wall is
 a reflection t = w s w^-1 with its witness (w, s).  Each group reads the
-wall's positive root off the exchange condition: it is w(e_s) when ws is
-longer than w, and otherwise the root of the longer panel named by the
-crossing letter.  These roots are tracked exactly and interned, so every
-interned root is positive and the word layer decides no signs; the only
-sign decision left is the test in ``order_of_product`` of whether two
-walls meet.  When they do, the order of their product is read off the
-field's table of 2cos(j*pi/N), with no power of the product formed.  A
-chamber's inversion set holds the root ids of the walls separating it
-from the base chamber.
+wall's positive root off the same table walk: it is the root of the
+longer panel named by the crossing letter when ws is shorter than w,
+and otherwise w(e_s), tracked exactly and interned, so every interned
+root is positive and the word layer decides no signs.  ``wall_between``
+keeps one wall per root and builds every wall the group hands out:
+generators, conjugates, enumerated reflections, and ``as_reflection``,
+which reads the middle panel of a normal form.  The only sign decision
+left is the test in ``order_of_product`` of whether two walls meet.
+When they do, the order of their product is read off the field's table
+of 2cos(j*pi/N), with no power of the product formed.  A chamber's
+inversion set holds the root ids of the walls separating it from the
+base chamber.
 """
 
 from __future__ import annotations
@@ -171,13 +174,7 @@ class CoxeterGroup:
 
     def _form_row(self, i, coords):
         """C(e_i, x) for the coordinates of x: row i of the doubled form."""
-        f = self.field
-        ci = self._c[i]
-        out = f.raw_from_int(0)
-        for j in range(self.rank):
-            if not f.raw_is_zero(coords[j]):
-                out = f.raw_add(out, f.raw_mul(ci[j], coords[j]))
-        return out
+        return self.field.raw_dot(self._c[i], coords)
 
     def _form_rows(self, rid):
         """C(e_i, r) for every i, r the root of ``rid``: memoised, so a form
@@ -281,19 +278,6 @@ class CoxeterGroup:
                 return j if x == CROSS else None
         return None
 
-    def _track_right(self, word, t):
-        """Walk alpha_t back through the reduced ``word``: (j, None) when
-        it crosses at letter j, so word * s_t deletes that letter, else
-        (None, id of word(alpha_t)), a positive root."""
-        simple = self._simple
-        x = simple[t]
-        for j in range(len(word) - 1, -1, -1):
-            a = word[j]
-            if x == simple[a]:
-                return j, None
-            x = self._reflect_id(x, a)
-        return None, x
-
     def _canonical(self, word):
         """ShortLex form of a reduced word: strip smallest left descents."""
         hit = self._canon_memo.get(word)
@@ -329,10 +313,6 @@ class CoxeterGroup:
         for t in other:
             word = self._mult_gen(word, t)
         return word
-
-    def _conjugate(self, word, s):
-        """Normal form of w s w^-1 for the normal form ``word`` of w."""
-        return self._mult_word(self._mult_gen(word, s), word[::-1])
 
     # -- public element interface -------------------------------------------
 
@@ -375,9 +355,13 @@ class CoxeterGroup:
         key = (g.word, s)
         hit = self._panel_memo.get(key)
         if hit is None:
-            j, hit = self._track_right(g.word, s)
+            j = self._crossing(g.word, s)
             if j is not None:
                 hit = self.panel_root(Element(g.word[:j]), g.word[j])
+            else:
+                hit = self._simple[s]
+                for a in reversed(g.word):
+                    hit = self._reflect_id(hit, a)
             self._panel_memo[key] = hit
         return hit
 
@@ -398,49 +382,45 @@ class CoxeterGroup:
         return n
 
     def generator_wall(self, i):
-        return Wall(Element((i,)), (self.identity(), i))
+        return self.wall_between(self.identity(), i)
 
     def wall_between(self, g, s):
         """The wall crossed by the panel between g and g*s (i.e. g s g^-1).
 
-        One ``Wall`` per root: its witness is the first panel asked for.
+        One ``Wall`` per root, and every wall the group hands out is made
+        here: its witness is the first panel that reached the root.
         """
         rid = self.panel_root(g, s)
         wall = self._wall_memo.get(rid)
         if wall is None:
-            wall = self._wall_memo.setdefault(
-                rid, Wall(Element(self._conjugate(g.word, s)), (g, s)))
+            word = self._mult_word(self._mult_gen(g.word, s), g.word[::-1])
+            wall = self._wall_memo.setdefault(rid,
+                                              Wall(Element(word), (g, s)))
         return wall
 
     def conjugate_wall(self, t, u):
         """The wall of t u t (conjugate of u's reflection by t's): if
-        u = w s w^-1, then t u t = (t w) s (t w)^-1."""
-        tw, uw = t.reflection.word, u.reflection.word
+        u = w s w^-1, then t u t = (t w) s (t w)^-1, the wall of the panel
+        (t w, s)."""
         w, s = u.witness
-        return Wall(Element(self._mult_word((), tw + uw + tw)),
-                    (self.multiply(t.reflection, w), s))
+        return self.wall_between(self.multiply(t.reflection, w), s)
 
     def as_reflection(self, g):
         """The wall of g if g is a reflection, else None.
 
-        Conjugation descent: a reflection of length > 1 always admits a
-        generator conjugation dropping the length by 2; descending to a
-        generator certifies the reflection and yields the witness.
+        A reflection t of length 2k+1 is the wall of the middle panel
+        (word[:k], word[k]) of its normal form.  A minimal gallery
+        e = c_0, ..., c_{2k+1} = t crosses t's wall once; if it crosses
+        between c_{i-1} and c_i, then t c_{i-1} = c_i, so d(t, c_i) =
+        d(e, c_{i-1}) = i - 1, while the gallery gives d(c_i, t) =
+        2k+1-i; so i = k+1.
         """
-        if len(g.word) % 2 == 0:
+        word = g.word
+        if len(word) % 2 == 0:
             return None
-        cur = g.word
-        conjs = []
-        while len(cur) > 1:
-            for i in range(self.rank):
-                cand = self._mult_word(self._mult_gen((), i), cur + (i,))
-                if len(cand) < len(cur):
-                    conjs.append(i)
-                    cur = cand
-                    break
-            else:
-                return None
-        return Wall(g, (self.normal_form(conjs), cur[0]))
+        k = len(word) // 2
+        wall = self.wall_between(Element(word[:k]), word[k])
+        return wall if wall.reflection == g else None
 
     def order_of_product(self, t, u):
         """Exact order of (t u) for distinct walls t, u; INFINITY when infinite.
@@ -458,11 +438,8 @@ class CoxeterGroup:
         if t.reflection == u.reflection:
             raise InputError("order_of_product needs distinct walls")
         f = self.field
-        rt = self._root_list[self.panel_root(*t.witness)]
-        c = f.raw_from_int(0)
-        for x, y in zip(rt, self._form_rows(self.panel_root(*u.witness))):
-            if not f.raw_is_zero(x):
-                c = f.raw_add(c, f.raw_mul(x, y))
+        c = f.raw_dot(self._form_rows(self.panel_root(*u.witness)),
+                      self._root_list[self.panel_root(*t.witness)])
         c2 = f.raw_mul(c, c)
         if f.sign_raw(f.raw_sub(c2, f.raw_from_int(4))) >= 0:
             return INFINITY
@@ -480,22 +457,25 @@ class CoxeterGroup:
     def ball(self, radius, cap=DEFAULT_ELEMENT_CAP):
         """All elements of length <= radius, or the whole group when
         radius is None, level by level with each level sorted; raises
-        BudgetError past ``cap`` elements."""
+        BudgetError past ``cap`` elements.
+
+        The normal form h of w*t is a child of w exactly when it is longer
+        and ends in t: then h[:-1] is a normal form of w, as ShortLex forms
+        are prefix-closed, so each element is found once, and a sorted
+        level gives a sorted next level.
+        """
         level = [()]
-        seen = {()}
         words = [()]
         while level and (radius is None or len(level[0]) < radius):
             nxt = []
             for w in level:
                 for t in range(self.rank):
                     h = self._mult_gen(w, t)
-                    if len(h) > len(w) and h not in seen:
-                        seen.add(h)
-                        if len(seen) > cap:
+                    if len(h) > len(w) and h[-1] == t:
+                        nxt.append(h)
+                        if len(words) + len(nxt) > cap:
                             raise BudgetError(
                                 f"element enumeration exceeded cap {cap}")
-                        nxt.append(h)
-            nxt.sort()
             words.extend(nxt)
             level = nxt
         return [Element(w) for w in words]
@@ -505,18 +485,16 @@ class CoxeterGroup:
         """All reflections of length <= max_length, as canonical walls.
 
         Complete for the budget: a reflection of length L has a witness
-        of length (L-1)/2, so conjugating generators over the ball of
-        that radius reaches every one of them.
+        of length (L-1)/2, so the walls of the panels of the ball of that
+        radius are every one of them.
         """
         if max_length < 1:
             raise InputError("length budget must be >= 1")
-        out = {}
-        for w in self.ball((max_length - 1) // 2, cap):
-            for s in range(self.rank):
-                word = self._conjugate(w.word, s)
-                if len(word) <= max_length and word not in out:
-                    out[word] = Wall(Element(word), (w, s))
-        return sorted(out.values(), key=lambda x: x.sort_key)
+        walls = {self.wall_between(w, s)
+                 for w in self.ball((max_length - 1) // 2, cap)
+                 for s in range(self.rank)}
+        return sorted((x for x in walls if len(x.reflection) <= max_length),
+                      key=lambda x: x.sort_key)
 
 
 def root_span_rank(group, walls):

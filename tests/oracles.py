@@ -29,7 +29,12 @@ isolating interval, built on the rational polynomial helpers here, and
 ``order_by_powers`` is the first implementation of ``order_of_product``.
 ``cyclotomic_by_division`` is the first implementation of the cyclotomic
 polynomials, and ``TrackingReduction`` the first implementation of word
-reduction, walking a tracked root through the word in field arithmetic.
+reduction and of ``panel_root``, walking a tracked root through the word
+in field arithmetic.  ``as_reflection_by_descent``, ``ball_by_seen_set``
+and ``enumerate_reflections_by_word`` are the first implementations of
+``as_reflection``, ``ball`` and ``enumerate_reflections``: a conjugation
+descent to a generator, a set of the elements found, and walls built
+from conjugates keyed by their words.
 ``elementary_table_signed`` builds the elementary roots from their
 definition by signed comparisons, as the library's table must not.
 ``sign_by_interval_horner`` is the first implementation of the sign
@@ -54,7 +59,7 @@ from coxlab.errors import (BudgetError, ConsistencyError, FieldError,
 from coxlab.matrices import INFINITY, components, is_finite
 from coxlab.subgroups import (ReflectionSubgroup, canonical_generators,
                               comm_condition, induced_matrix)
-from coxlab.words import CROSS, DEFAULT_ELEMENT_CAP, EXIT
+from coxlab.words import CROSS, DEFAULT_ELEMENT_CAP, EXIT, Element, Wall
 
 
 def interval(group, u):
@@ -592,13 +597,33 @@ def order_by_powers(group, t, u):
 
 class TrackingReduction:
     """ShortLex reduction with alpha_t walked back through the word as an
-    interned root, through ``CoxeterGroup._track_right``: a crossing is
-    the walk meeting the simple root of a letter."""
+    interned root of ``group``: a crossing is the walk meeting the simple
+    root of a letter.  ``panel_root`` reads a panel's root off the same
+    walk, as ``CoxeterGroup.panel_root`` did before the table walk found
+    its crossings."""
 
     def __init__(self, group):
         self.group = group
         self._canon = {(): ()}
         self._mult = {}
+
+    def track(self, word, t):
+        """Walk alpha_t back through the reduced ``word``: (j, None) when
+        it crosses at letter j, so word * s_t deletes that letter, else
+        (None, id of word(alpha_t)), a positive root."""
+        simple = self.group._simple
+        x = simple[t]
+        for j in range(len(word) - 1, -1, -1):
+            a = word[j]
+            if x == simple[a]:
+                return j, None
+            x = self.group._reflect_id(x, a)
+        return None, x
+
+    def panel_root(self, word, s):
+        """The group's id of the positive root of the panel (word, s)."""
+        j, x = self.track(word, s)
+        return x if j is None else self.panel_root(word[:j], word[j])
 
     def canonical(self, word):
         """ShortLex form of a reduced word: strip smallest left descents."""
@@ -606,7 +631,7 @@ class TrackingReduction:
         if hit is None:
             rev = word[::-1]
             for i in range(self.group.rank):
-                j, _ = self.group._track_right(rev, i)
+                j, _ = self.track(rev, i)
                 if j is not None:
                     k = len(word) - 1 - j
                     hit = (i,) + self.canonical(word[:k] + word[k + 1:])
@@ -622,7 +647,7 @@ class TrackingReduction:
         key = (word, t)
         hit = self._mult.get(key)
         if hit is None:
-            j, _ = self.group._track_right(word, t)
+            j, _ = self.track(word, t)
             hit = self.canonical(word + (t,) if j is None
                                  else word[:j] + word[j + 1:])
             self._mult[key] = hit
@@ -633,6 +658,64 @@ class TrackingReduction:
         for t in word:
             out = self.mult_gen(out, t)
         return out
+
+
+def as_reflection_by_descent(group, g):
+    """The wall of g if g is a reflection, else None, by conjugation
+    descent: a reflection of length > 1 has a generator conjugation that
+    shortens it by 2, and descending to a generator certifies it and
+    yields the witness."""
+    if len(g) % 2 == 0:
+        return None
+    cur = g
+    conjs = []
+    while len(cur) > 1:
+        for i in range(group.rank):
+            cand = group.step(group.multiply(group.generator(i), cur), i)
+            if len(cand) < len(cur):
+                conjs.append(i)
+                cur = cand
+                break
+        else:
+            return None
+    return Wall(g, (group.normal_form(conjs), cur.word[0]))
+
+
+def ball_by_seen_set(group, radius, cap=DEFAULT_ELEMENT_CAP):
+    """``CoxeterGroup.ball`` keeping a set of the elements found and
+    sorting each level."""
+    level = [()]
+    seen = {()}
+    words = [()]
+    while level and (radius is None or len(level[0]) < radius):
+        nxt = []
+        for w in level:
+            for t in range(group.rank):
+                h = group.step(Element(w), t).word
+                if len(h) > len(w) and h not in seen:
+                    seen.add(h)
+                    if len(seen) > cap:
+                        raise BudgetError(
+                            f"element enumeration exceeded cap {cap}")
+                    nxt.append(h)
+        nxt.sort()
+        words.extend(nxt)
+        level = nxt
+    return [Element(w) for w in words]
+
+
+def enumerate_reflections_by_word(group, max_length):
+    """The reflections w s w^-1 of length <= max_length over the panels
+    (w, s) of the ball of radius (max_length - 1) // 2, keyed by normal
+    form, each a new ``Wall`` witnessed by the first panel that formed
+    it."""
+    out = {}
+    for w in ball_by_seen_set(group, (max_length - 1) // 2):
+        for s in range(group.rank):
+            word = group.multiply(group.step(w, s), group.inverse(w)).word
+            if len(word) <= max_length and word not in out:
+                out[word] = Wall(Element(word), (w, s))
+    return sorted(out.values(), key=lambda x: x.sort_key)
 
 
 def library_elementary_table(group):

@@ -159,6 +159,18 @@ def test_polytopes_emit_roundtrip(t23inf_file, tmp_path, capsys):
     assert out.read_text() == out2.read_text()
 
 
+@pytest.mark.parametrize("where", ["missing/census.jsonl", "."])
+def test_polytopes_unwritable_emit_exits_3(t23inf_file, tmp_path, capsys,
+                                           where):
+    # a missing directory, and a directory
+    path = str(tmp_path / where)
+    assert main(["polytopes", t23inf_file, "--max-chambers", "2",
+                 "--emit", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert path in err
+
+
 def test_verify_all_passes(t23inf_file, capsys):
     assert main(["verify", t23inf_file, "--suite", "all",
                  "--max-chambers", "6", "--json"]) == 0
@@ -212,6 +224,19 @@ def test_verify_skips_on_precondition(remark_file, tmp_path, capsys):
     assert [(c["name"], c["status"]) for c in json.loads(out)["checks"]] \
         == [(s, "skipped") for s in SUITES if s != "all"]
     assert out == H3_ALL_SKIPPED
+
+
+@pytest.mark.parametrize("doc", ["rank 2\n1 2 211\n",
+                                 "rank 4\n1 2 211\n3 4 0\n"])
+def test_verify_skips_before_building_the_group(tmp_path, capsys, doc):
+    # I2(211) and a decomposable system holding it: the field of m = 211
+    # is past the field cap, but no suite applies, so none is built
+    f = tmp_path / "m.txt"
+    f.write_text(doc)
+    assert main(["verify", str(f), "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] \
+        == [(s, "skipped") for s in SUITES if s != "all"]
 
 
 def test_report_round_trip():

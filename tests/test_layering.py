@@ -1,8 +1,10 @@
 """Layering guards: outside ``words.py`` the library reaches a
 ``CoxeterGroup`` only through its public surface, the only sign
 decision it makes is whether two walls meet, the only conjugation
-descent it runs is the one to the canonical generators, and word
-reduction walks the elementary-root table with no field arithmetic."""
+descent it runs is the one to the canonical generators, word reduction
+walks the elementary-root table with no field arithmetic, only
+``panel_root`` walks a root through a word, and only ``wall_between``
+builds a ``Wall``."""
 
 import ast
 from pathlib import Path
@@ -89,8 +91,15 @@ def test_only_panel_root_tracks_roots():
     calls = [(path.name,) + scope
              for path in sorted(SRC.glob("*.py"))
              for scope in _call_scopes(ast.parse(path.read_text()),
-                                       "_track_right")]
+                                       "_reflect_id")]
     assert calls == [("words.py", "CoxeterGroup", "panel_root")]
+
+
+def test_only_wall_between_builds_walls():
+    calls = [(path.name,) + scope
+             for path in sorted(SRC.glob("*.py"))
+             for scope in _call_scopes(ast.parse(path.read_text()), "Wall")]
+    assert calls == [("words.py", "CoxeterGroup", "wall_between")]
 
 
 def test_reduction_does_no_field_arithmetic():
@@ -101,7 +110,7 @@ def test_reduction_does_no_field_arithmetic():
                if isinstance(n, ast.ClassDef) and n.name == "CoxeterGroup")
     methods = {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
     field = {"field", "_form_row", "_reflect_id", "_intern", "_root_list",
-             "_track_right", "_intern_lock"}
+             "_intern_lock"}
     for name in ("_crossing", "_canonical", "_mult_gen", "_mult_word"):
         named = {n.attr for n in ast.walk(methods[name])
                  if isinstance(n, ast.Attribute)} | \
