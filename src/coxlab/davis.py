@@ -6,10 +6,15 @@ wall is in the chamber's inversion set.  A convex chamber set is an
 intersection of roots, so one wall-crossing search finds convex hulls
 and fundamental domains.  A convex polytope carries its facet walls and
 its codimension-2 angle sites (rank-2 residues it meets), both read off
-its boundary panels, and the angle predicates built from the sites.  The
+its boundary panels, and the angle predicates built from the sites; a
+site's residue is found by the group's memoised ``residue_base``.  The
 census enumerates every convex chamber set containing the base chamber
 up to a chamber budget: each one arises from a smaller one by adjoining
 an adjacent chamber and closing up, so the growth search is exhaustive.
+The closure depends only on the facet wall crossed, and its new chambers
+are what the adjoined chamber reaches across the walls of the smaller
+set, so each member runs one search per facet wall, over new chambers
+only.
 """
 
 from __future__ import annotations
@@ -34,11 +39,14 @@ def side(group, wall, chamber):
 # chamber regions: convex hulls and fundamental domains
 
 
-def _region(group, start, crosses, limit):
-    """Chambers reachable from ``start`` through the panels (g, s) with
+def _region(group, start, crosses, limit, queue=None):
+    """The ``start`` chambers and what the chambers of ``queue`` (all of
+    ``start`` by default) reach through the panels (g, s) with
     ``crosses(g, s)``, or None once there are more than ``limit``."""
-    region = {start}
-    queue = [start]
+    region = set(start)
+    if len(region) > limit:
+        return None
+    queue = list(region if queue is None else queue)
     for g in queue:
         for s in range(group.rank):
             x = group.step(g, s)
@@ -59,7 +67,7 @@ def _hull_limited(group, chambers, limit):
     walls = set()
     for c in chambers:
         walls |= group.inversion_set(c) ^ n0
-    return _region(group, c0,
+    return _region(group, {c0},
                    lambda g, s: group.panel_root(g, s) in walls, limit)
 
 
@@ -83,17 +91,28 @@ class ChamberPolytope:
         return f"ChamberPolytope({words}, facets={self.facet_count})"
 
 
-def _facet_walls(group, chambers):
-    """Walls of the boundary panels, sorted."""
-    return tuple(sorted({group.wall_between(g, s) for g in chambers
-                         for s in range(group.rank)
-                         if group.step(g, s) not in chambers},
+def _facet_panels(group, chambers):
+    """The first boundary panel (g, s), g in ``chambers`` and g s outside,
+    on each facet wall, keyed by panel root: panels are met in (sorted
+    chamber, s) order, and the walls keep that order."""
+    panels = {}
+    for g in sorted(chambers, key=lambda e: e.sort_key):
+        for s in range(group.rank):
+            if group.step(g, s) not in chambers:
+                panels.setdefault(group.panel_root(g, s), (g, s))
+    return panels
+
+
+def _facet_walls(group, panels):
+    """The walls of ``_facet_panels``, sorted."""
+    return tuple(sorted((group.wall_between(g, s)
+                         for g, s in panels.values()),
                         key=lambda w: w.sort_key))
 
 
 def _polytope_of(group, chambers):
-    return ChamberPolytope(frozenset(chambers),
-                           _facet_walls(group, chambers))
+    return ChamberPolytope(chambers,
+                           _facet_walls(group, _facet_panels(group, chambers)))
 
 
 def convex_hull(group, chambers, max_chambers=DEFAULT_HULL_CAP):
@@ -151,22 +170,6 @@ def angle_sites(group, polytope):
     return sites
 
 
-def _residue_base(group, g, s, t, m):
-    """Least chamber of g's {s, t} residue, reached by right descents in
-    {s, t}: at most m of them, as the residue's longest element has
-    length m."""
-    for _ in range(m + 1):
-        for a in (s, t):
-            x = group.step(g, a)
-            if len(x) < len(g):
-                g = x
-                break
-        else:
-            return g
-    raise ConsistencyError("rank-2 residue has no least chamber",
-                           (g.display(), s, t))
-
-
 def _angle_sites(group, polytope):
     """Group the chambers by residue; the panels leaving the polytope
     give the arc's bounding walls, and a contiguous arc has 2 of them."""
@@ -178,8 +181,7 @@ def _angle_sites(group, polytope):
             continue
         residues = {}
         for g in chambers:
-            residues.setdefault(_residue_base(group, g, s, t, m),
-                                []).append(g)
+            residues.setdefault(group.residue_base(g, s, t), []).append(g)
         for base, arc in residues.items():
             exits = [(g, a) for g in arc for a in (s, t)
                      if group.step(g, a) not in chambers]
@@ -316,25 +318,49 @@ def stacan_pairs(group, max_total_chambers, census=None):
 
 def enumerate_convex_polytopes(group, max_chambers):
     """All convex chamber sets containing the base chamber, at most
-    ``max_chambers`` chambers, deduplicated as sets."""
+    ``max_chambers`` chambers, deduplicated as sets.
+
+    Each member P grows by one facet wall at a time.  Let N_P be the union
+    of the inversion sets N(c), c in P, and let (g, s) be a boundary panel
+    of P with root r and x = g s outside P.
+
+    - P is the hull of itself, so it is closed under crossing any panel
+      whose wall is in N_P.  So r is not in N_P, and x is longer than g,
+      else r would be in N(g), inside N_P.  Hence N(x) = N(g) | {r}, and
+      H = hull(P | {x}) is what e reaches across N_P | {r}.
+    - A root holding P but not x has its wall between g and x, so it is
+      r's.  So P is H on e's side of r, and the new chambers H - P are H
+      on the far side: a convex set, which holds x.
+    - A minimal gallery between two new chambers stays among them and
+      crosses walls of N_P | {r} other than r.  So the new chambers are
+      what x reaches across N_P, and the child depends on the wall r
+      alone: one search per facet wall, stepping only the new chambers.
+
+    Children are queued in the order their walls are first met in
+    (sorted chamber, s) order; a later panel on the same wall would give
+    the same child.
+    """
     if max_chambers < 1:
         raise InputError("chamber budget must be >= 1")
     start = frozenset({group.identity()})
     seen = {start}
     queue = [start]
     for chambers in queue:
-        yield _polytope_of(group, chambers)
+        panels = _facet_panels(group, chambers)
+        yield ChamberPolytope(chambers, _facet_walls(group, panels))
         if len(chambers) >= max_chambers:
             continue
-        for g in sorted(chambers, key=lambda e: e.sort_key):
-            for s in range(group.rank):
-                x = group.step(g, s)
-                if x in chambers:
-                    continue
-                grown = _hull_limited(group, chambers | {x}, max_chambers)
-                if grown is not None and grown not in seen:
-                    seen.add(grown)
-                    queue.append(grown)
+        inside = set()
+        for c in chambers:
+            inside |= group.inversion_set(c)
+        for panel in panels.values():
+            x = group.step(*panel)
+            grown = _region(group, chambers | {x},
+                            lambda g, s: group.panel_root(g, s) in inside,
+                            max_chambers, queue=[x])
+            if grown is not None and grown not in seen:
+                seen.add(grown)
+                queue.append(grown)
 
 
 def verify_facet_bound(group, max_chambers, census=None):

@@ -86,7 +86,7 @@ def fundamental_polytope(group, gens, max_chambers):
     if max_chambers < 1:
         raise InputError("chamber budget must be >= 1")
     cut = {group.panel_root(*t.witness) for t in gens}
-    chambers = _region(group, group.identity(),
+    chambers = _region(group, {group.identity()},
                        lambda g, s: group.panel_root(g, s) not in cut,
                        max_chambers)
     if chambers is None:

@@ -27,7 +27,8 @@ left is the test in ``order_of_product`` of whether two walls meet.
 When they do, the order of their product is read off the field's table
 of 2cos(j*pi/N), with no power of the product formed.  A chamber's
 inversion set holds the root ids of the walls separating it from the
-base chamber.
+base chamber, and ``residue_base`` the least chamber of its rank-2
+residues.
 """
 
 from __future__ import annotations
@@ -158,6 +159,7 @@ class CoxeterGroup:
         self._panel_memo = {}
         self._wall_memo = {}
         self._inversion_memo = {(): frozenset()}
+        self._residue_memo = {}
 
     # -- roots (interned) ---------------------------------------------------
 
@@ -380,6 +382,28 @@ class CoxeterGroup:
             n = n | {self.panel_root(Element(word[:j]), word[j])}
             memo[word[:j + 1]] = n
         return n
+
+    def residue_base(self, g, s, t):
+        """Least chamber of g's {s, t} residue, reached by right descents in
+        {s, t}: at most m = m(s, t) of them, as the residue's longest
+        element has length m, and at most len(g).  Memoised per group."""
+        key = (g.word, s, t)
+        hit = self._residue_memo.get(key)
+        if hit is not None:
+            return hit
+        m = self.matrix.order(s, t)
+        x = g
+        for _ in range(min(m, len(g)) + 1):
+            for a in (s, t):
+                y = self.step(x, a)
+                if len(y) < len(x):
+                    x = y
+                    break
+            else:
+                self._residue_memo[key] = x
+                return x
+        raise ConsistencyError("rank-2 residue has no least chamber",
+                               (x.display(), s, t))
 
     def generator_wall(self, i):
         return self.wall_between(self.identity(), i)

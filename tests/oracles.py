@@ -27,6 +27,10 @@ two verify searches.  ``sturm_chain``, ``count_roots`` and
 ``isolate_largest_root`` are the first implementation of the field's
 isolating interval, built on the rational polynomial helpers here, and
 ``order_by_powers`` is the first implementation of ``order_of_product``.
+``census_by_full_hulls`` is the first implementation of the census
+growth, one full hull per boundary panel, and ``residue_base_by_descent``
+the first implementation of ``residue_base``, with no memo;
+``residue_by_coset`` lists a rank-2 residue whole.
 ``cyclotomic_by_division`` is the first implementation of the cyclotomic
 polynomials, and ``TrackingReduction`` the first implementation of word
 reduction and of ``panel_root``, walking a tracked root through the word
@@ -118,6 +122,61 @@ def census_fixpoint(group, max_chambers):
                     seen.add(grown)
                     queue.append(grown)
     return seen
+
+
+def census_by_full_hulls(group, max_chambers):
+    """The census as a list of polytopes, each member grown by the full
+    hull of itself and one outside neighbour x, for every boundary panel
+    in (sorted chamber, s) order; a hull past the budget is skipped."""
+    start = convex_hull(group, [group.identity()])
+    seen = {start.chambers}
+    queue = [start]
+    for p in queue:
+        if len(p.chambers) >= max_chambers:
+            continue
+        for g in p.sorted_chambers():
+            for s in range(group.rank):
+                x = group.step(g, s)
+                if x in p.chambers:
+                    continue
+                try:
+                    grown = convex_hull(group, p.chambers | {x},
+                                        max_chambers)
+                except BudgetError:
+                    continue
+                if grown.chambers not in seen:
+                    seen.add(grown.chambers)
+                    queue.append(grown)
+    return queue
+
+
+def residue_base_by_descent(group, g, s, t):
+    """Least chamber of g's {s, t} residue for a finite pair, by right
+    descents in {s, t}, at most m of them, with no memo."""
+    m = group.matrix.order(s, t)
+    for _ in range(m + 1):
+        for a in (s, t):
+            x = group.step(g, a)
+            if len(x) < len(g):
+                g = x
+                break
+        else:
+            return g
+    raise ConsistencyError("rank-2 residue has no least chamber",
+                           (g.display(), s, t))
+
+
+def residue_by_coset(group, g, s, t):
+    """The 2m chambers g w of g's {s, t} residue for a finite pair: w runs
+    over the alternating words in s and t of length at most m."""
+    m = group.matrix.order(s, t)
+    out = set()
+    for a, b in ((s, t), (t, s)):
+        x = g
+        for k in range(m + 1):
+            out.add(x)
+            x = group.step(x, a if k % 2 == 0 else b)
+    return out
 
 
 def element_count(group, cap=DEFAULT_ELEMENT_CAP):

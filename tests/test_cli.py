@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxlab.cli import (SUITES, VerificationReport, element_cap, main,
                         matrix_digest, run_verify)
@@ -313,3 +316,46 @@ def test_census_deterministic_across_processes(t23inf_file, tmp_path):
         assert r.returncode == 0, r.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+_FUZZ_COMMANDS = (["classify"], ["nerve"],
+                  ["polytopes", "--max-chambers", "3"],
+                  ["verify", "--suite", "all", "--max-chambers", "3"])
+
+
+@st.composite
+def _fuzzed_matrix_files(draw):
+    """A matrix document of rank 1-4 with orders in {0, ..., 7, oo}, in
+    either format, with a few entries sometimes spoilt."""
+    n = draw(st.integers(1, 4))
+    orders = st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7, "oo"])
+    rows = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = draw(orders)
+            rows[i][j] = rows[j][i] = 0 if m == "oo" else m
+    spoil = st.sampled_from(["oo", -1, 2.5, True, None, "3", 8, 0, 1])
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(spoil)
+    if draw(st.booleans()):
+        return json.dumps({"rank": draw(st.sampled_from([n, n, n + 1, 0])),
+                           "m": rows})
+    return "\n".join([f"rank {n}"] + [
+        f"{i + 1} {j + 1} {rows[i][j]}"
+        for i in range(n) for j in range(n) if i != j])
+
+
+@settings(max_examples=150)
+@given(doc=_fuzzed_matrix_files(), command=st.sampled_from(_FUZZ_COMMANDS))
+def test_fuzzed_matrix_files_exit_cleanly(tmp_path_factory, doc, command):
+    # every command ends in an exit code of 0-3 on any matrix file, with
+    # a small element cap, and raises nothing
+    f = tmp_path_factory.mktemp("fuzz") / "m.txt"
+    f.write_text(doc)
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        mp.setenv("COXLAB_BUDGET", "8")
+        code = main([command[0], str(f), *command[1:]])
+    assert code in (0, 1, 2, 3), (doc, command, err.getvalue())
