@@ -3,22 +3,30 @@
 Chambers are group elements; the base chamber is the identity.  A wall
 splits the chamber set in two; a chamber is across it exactly when the
 wall is in the chamber's inversion set.  A convex chamber set is an
-intersection of roots, so one wall-crossing search finds convex hulls
-and fundamental domains.  A convex polytope carries its facet walls and
-its codimension-2 angle sites (rank-2 residues it meets), both read off
-its boundary panels, and the angle predicates built from the sites; a
-site's residue is found by the group's memoised ``residue_base``.  The
-census enumerates every convex chamber set containing the base chamber
-up to a chamber budget: each one arises from a smaller one by adjoining
-an adjacent chamber and closing up, so the growth search is exhaustive.
+intersection of roots, so one wall-crossing search, ``region``, finds
+convex hulls and fundamental domains.  A convex polytope carries its
+facet walls and its codimension-2 angle sites (rank-2 residues it
+meets), both read off its boundary panels, and the angle predicates
+built from the sites; a site's arc is walked out from a chamber of the
+residue, named by the group's memoised ``residue_base``.  The census
+enumerates every convex chamber set containing the base chamber up to a
+chamber budget: each one arises from a smaller one by adjoining an
+adjacent chamber and closing up, so the growth search is exhaustive.
 The closure depends only on the facet wall crossed, and its new chambers
 are what the adjoined chamber reaches across the walls of the smaller
 set, so each member runs one search per facet wall, over new chambers
-only.
+only.  A child's records grow from its parent's over its new chambers
+alone: its first boundary panels are the parent's, less those on the
+wall crossed, merged with the new chambers' panels, and its angle sites
+are the parent's whose residue misses the new chambers, plus those
+walked afresh from the new chambers (on the first ``angle_sites``
+call).  Any other polytope is the case with no parent, every chamber
+new.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -39,23 +47,28 @@ def side(group, wall, chamber):
 # chamber regions: convex hulls and fundamental domains
 
 
-def _region(group, start, crosses, limit, queue=None):
+def region(group, start, crosses, limit, queue=None):
     """The ``start`` chambers and what the chambers of ``queue`` (all of
     ``start`` by default) reach through the panels (g, s) with
-    ``crosses(g, s)``, or None once there are more than ``limit``."""
-    region = set(start)
-    if len(region) > limit:
+    ``crosses(g, s)``, or None once there are more than ``limit``.
+
+    The one chamber search: a convex hull crosses the walls separating
+    its input chambers, a fundamental domain every wall but its
+    generators', and a census child the walls of its parent.
+    """
+    found = set(start)
+    if len(found) > limit:
         return None
-    queue = list(region if queue is None else queue)
+    queue = list(found if queue is None else queue)
     for g in queue:
         for s in range(group.rank):
             x = group.step(g, s)
-            if x not in region and crosses(g, s):
-                region.add(x)
+            if x not in found and crosses(g, s):
+                found.add(x)
                 queue.append(x)
-        if len(region) > limit:
+        if len(found) > limit:
             return None
-    return frozenset(region)
+    return frozenset(found)
 
 
 def _hull_limited(group, chambers, limit):
@@ -67,8 +80,8 @@ def _hull_limited(group, chambers, limit):
     walls = set()
     for c in chambers:
         walls |= group.inversion_set(c) ^ n0
-    return _region(group, {c0},
-                   lambda g, s: group.panel_root(g, s) in walls, limit)
+    return region(group, {c0},
+                  lambda g, s: group.panel_root(g, s) in walls, limit)
 
 
 @dataclass(frozen=True)
@@ -78,6 +91,9 @@ class ChamberPolytope:
     # angle sites, filled by the first angle_sites call
     _sites: tuple = field(default=None, init=False, compare=False,
                           repr=False)
+    # (parent, new chambers) of a census child until its sites are filled
+    _origin: tuple = field(default=None, init=False, compare=False,
+                           repr=False)
 
     @property
     def facet_count(self):
@@ -91,16 +107,33 @@ class ChamberPolytope:
         return f"ChamberPolytope({words}, facets={self.facet_count})"
 
 
-def _facet_panels(group, chambers):
+def _panel_key(panel):
+    g, s = panel
+    return g.sort_key, s
+
+
+def _facet_panels(group, chambers, new, inherited=None):
     """The first boundary panel (g, s), g in ``chambers`` and g s outside,
-    on each facet wall, keyed by panel root: panels are met in (sorted
-    chamber, s) order, and the walls keep that order."""
-    panels = {}
-    for g in sorted(chambers, key=lambda e: e.sort_key):
+    on each facet wall, keyed by panel root and ordered by (chamber sort
+    key, s).
+
+    ``inherited`` is this map for the old chambers, ``chambers - new``
+    (none by default, with ``new`` all the chambers).  Its panels into
+    ``new`` are dropped and the boundary panels of ``new`` merged in, the
+    least per root kept.  A census child's old chambers are its parent P,
+    whose panels into the new chambers are all of P's on one wall (see
+    ``enumerate_convex_polytopes``), so the rest are still first.
+    """
+    panels = {rid: panel for rid, panel in (inherited or {}).items()
+              if group.step(*panel) not in new}
+    for g in new:
         for s in range(group.rank):
             if group.step(g, s) not in chambers:
-                panels.setdefault(group.panel_root(g, s), (g, s))
-    return panels
+                rid = group.panel_root(g, s)
+                have = panels.get(rid)
+                if have is None or _panel_key((g, s)) < _panel_key(have):
+                    panels[rid] = (g, s)
+    return dict(sorted(panels.items(), key=lambda item: _panel_key(item[1])))
 
 
 def _facet_walls(group, panels):
@@ -110,9 +143,12 @@ def _facet_walls(group, panels):
                         key=lambda w: w.sort_key))
 
 
-def _polytope_of(group, chambers):
-    return ChamberPolytope(chambers,
-                           _facet_walls(group, _facet_panels(group, chambers)))
+def polytope_of(group, chambers):
+    """The polytope of a convex chamber set (a frozenset of Element), with
+    its facet walls read off its boundary panels; convexity is not
+    checked."""
+    return ChamberPolytope(chambers, _facet_walls(
+        group, _facet_panels(group, chambers, chambers)))
 
 
 def convex_hull(group, chambers, max_chambers=DEFAULT_HULL_CAP):
@@ -123,7 +159,7 @@ def convex_hull(group, chambers, max_chambers=DEFAULT_HULL_CAP):
     h = _hull_limited(group, seed, max_chambers)
     if h is None:
         raise BudgetError(f"hull exceeded {max_chambers} chambers")
-    return _polytope_of(group, h)
+    return polytope_of(group, h)
 
 
 def is_convex(group, chambers):
@@ -161,37 +197,76 @@ class AngleSite:
 
 def angle_sites(group, polytope):
     """One site per rank-2 spherical residue meeting the polytope, as a
-    tuple.  Computed on the first call and cached on the polytope; the
-    sites are values, equal whichever group of the matrix computes them."""
-    sites = polytope._sites
-    if sites is None:
-        sites = _angle_sites(group, polytope)
-        object.__setattr__(polytope, "_sites", sites)
-    return sites
+    tuple sorted by (pair, base).  Computed on the first call and cached
+    on the polytope; the sites are values, equal whichever group of the
+    matrix computes them.
+
+    A census child derives its sites from its parent's (computed first,
+    if they are not yet): a site whose residue misses the child's new
+    chambers keeps its arc and exits, so only the residues of the new
+    chambers are walked.  The child then drops its parent.
+    """
+    pending, p = [], polytope
+    while p._sites is None:
+        origin = p._origin
+        pending.append((p, origin))
+        if origin is None:
+            break
+        p = origin[0]
+    for p, origin in reversed(pending):
+        if origin is None:
+            sites = _angle_sites(group, p.chambers, p.chambers)
+        else:
+            parent, new = origin
+            sites = _angle_sites(group, p.chambers, new, parent._sites)
+        object.__setattr__(p, "_sites", sites)
+        object.__setattr__(p, "_origin", None)
+    return polytope._sites
 
 
-def _angle_sites(group, polytope):
-    """Group the chambers by residue; the panels leaving the polytope
-    give the arc's bounding walls, and a contiguous arc has 2 of them."""
-    chambers = polytope.chambers
-    sites = []
+def _angle_sites(group, chambers, new, inherited=()):
+    """The sites of ``inherited`` (those of the old chambers,
+    ``chambers - new``; none by default, with ``new`` all the chambers)
+    whose residue misses ``new``, and a fresh site for each residue of a
+    new chamber.  The residue meets the convex set in one arc, walked out
+    from that chamber through s and t; the panels leaving the set give
+    the arc's bounding walls.  The arcs of a pair cover the set once."""
+    fresh = []
+    walked = set()
     for s, t in combinations(range(group.rank), 2):
         m = group.matrix.order(s, t)
         if m == INFINITY:
             continue
-        residues = {}
-        for g in chambers:
-            residues.setdefault(group.residue_base(g, s, t), []).append(g)
-        for base, arc in residues.items():
-            exits = [(g, a) for g in arc for a in (s, t)
-                     if group.step(g, a) not in chambers]
-            if len(exits) != (0 if len(arc) == 2 * m else 2):
-                raise ConsistencyError(
-                    "arc of a convex polytope is not contiguous",
-                    ((base.word, s, t), sorted(g.word for g in arc)))
-            walls = {group.wall_between(g, a) for g, a in exits}
-            sites.append(AngleSite(base, (s, t), m, len(arc), tuple(
+        arcs = {}
+        for g in new:
+            base = group.residue_base(g, s, t)
+            if base in arcs:
+                if g not in arcs[base]:
+                    raise ConsistencyError(
+                        "arc of a convex polytope is not contiguous",
+                        ((base.word, s, t), g.word))
+                continue
+            arc, walls = {g}, set()
+            todo = [g]
+            for x in todo:
+                for a in (s, t):
+                    y = group.step(x, a)
+                    if y not in chambers:
+                        walls.add(group.wall_between(x, a))
+                    elif y not in arc:
+                        arc.add(y)
+                        todo.append(y)
+            arcs[base] = arc
+            fresh.append(AngleSite(base, (s, t), m, len(arc), tuple(
                 sorted(walls, key=lambda w: w.sort_key))))
+        walked.update(((s, t), base) for base in arcs)
+    sites = [z for z in inherited if (z.pair, z.base) not in walked] + fresh
+    covered = {}
+    for z in sites:
+        covered[z.pair] = covered.get(z.pair, 0) + z.j
+    if any(j != len(chambers) for j in covered.values()):
+        raise ConsistencyError("arc of a convex polytope is not contiguous",
+                               sorted(g.word for g in chambers))
     sites.sort(key=lambda z: (z.pair, z.base.sort_key))
     return tuple(sites)
 
@@ -309,7 +384,7 @@ def stacan_pairs(group, max_total_chambers, census=None):
                     continue
                 chambers = frozenset(group.multiply(anchor, x)
                                      for x in c.chambers)
-                yield p1, _polytope_of(group, chambers), wall
+                yield p1, polytope_of(group, chambers), wall
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +411,19 @@ def enumerate_convex_polytopes(group, max_chambers):
       what x reaches across N_P, and the child depends on the wall r
       alone: one search per facet wall, stepping only the new chambers.
 
+    A child H = P | F, F its new chambers, keeps most of P's records.
+
+    - Boundary panels: every panel of P on r leads into F, and no other
+      panel of P does, as P is H on e's side of r.  So the boundary of H
+      is that of P less its panels on r, plus the panels of F leaving H.
+      P's first panel on each other wall stays first among H's, and the
+      first panels of H are P's without r, merged with F's by least
+      (chamber sort key, s): computed when the child is queued.
+    - Angle sites: a rank-2 residue that misses F meets H in the arc it
+      meets P in, and its exits leave H as they left P.  So only the
+      residues of F's chambers are walked again; ``angle_sites`` does so
+      on the first call, from the parent's sites.
+
     Children are queued in the order their walls are first met in
     (sorted chamber, s) order; a later panel on the same wall would give
     the same child.
@@ -344,10 +432,12 @@ def enumerate_convex_polytopes(group, max_chambers):
         raise InputError("chamber budget must be >= 1")
     start = frozenset({group.identity()})
     seen = {start}
-    queue = [start]
-    for chambers in queue:
-        panels = _facet_panels(group, chambers)
-        yield ChamberPolytope(chambers, _facet_walls(group, panels))
+    queue = deque([(start, _facet_panels(group, start, start), None)])
+    while queue:
+        chambers, panels, origin = queue.popleft()
+        polytope = ChamberPolytope(chambers, _facet_walls(group, panels))
+        object.__setattr__(polytope, "_origin", origin)
+        yield polytope
         if len(chambers) >= max_chambers:
             continue
         inside = set()
@@ -355,12 +445,14 @@ def enumerate_convex_polytopes(group, max_chambers):
             inside |= group.inversion_set(c)
         for panel in panels.values():
             x = group.step(*panel)
-            grown = _region(group, chambers | {x},
-                            lambda g, s: group.panel_root(g, s) in inside,
-                            max_chambers, queue=[x])
+            grown = region(group, chambers | {x},
+                           lambda g, s: group.panel_root(g, s) in inside,
+                           max_chambers, queue=[x])
             if grown is not None and grown not in seen:
                 seen.add(grown)
-                queue.append(grown)
+                new = grown - chambers
+                queue.append((grown, _facet_panels(group, grown, new, panels),
+                              (polytope, new)))
 
 
 def verify_facet_bound(group, max_chambers, census=None):

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .davis import (ChamberPolytope, _polytope_of, _region,
-                    enumerate_convex_polytopes, is_convex,
-                    is_coxeter_polytope)
+from .davis import (ChamberPolytope, enumerate_convex_polytopes, is_convex,
+                    is_coxeter_polytope, polytope_of, region)
 from .errors import (BudgetError, ConsistencyError, InputError,
                      PreconditionError)
 from .matrices import (INFINITY, CoxeterMatrix, is_infinite_indecomposable,
@@ -86,16 +85,16 @@ def fundamental_polytope(group, gens, max_chambers):
     if max_chambers < 1:
         raise InputError("chamber budget must be >= 1")
     cut = {group.panel_root(*t.witness) for t in gens}
-    chambers = _region(group, {group.identity()},
-                       lambda g, s: group.panel_root(g, s) not in cut,
-                       max_chambers)
+    chambers = region(group, {group.identity()},
+                      lambda g, s: group.panel_root(g, s) not in cut,
+                      max_chambers)
     if chambers is None:
         raise BudgetError(f"fundamental domain exceeds {max_chambers} "
                           "chambers")
     if not is_convex(group, chambers):
         raise ConsistencyError("fundamental domain is not convex",
                                sorted(c.display() for c in chambers))
-    return _polytope_of(group, chambers), len(chambers)
+    return polytope_of(group, chambers), len(chambers)
 
 
 def induced_matrix(group, gens):

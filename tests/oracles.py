@@ -10,7 +10,10 @@ Coxeter matrix alone, with no root tracking.  The subgroup
 enumeration and the per-pair facet intersection are the first
 implementations of membership and of the Andreev check; the side count
 and the rank-2 cycle walk are the first implementations of facet walls
-and angle sites.  ``contains_reflection`` decides membership by
+and angle sites, and ``facet_panels_by_scan`` and
+``angle_sites_by_residue`` the full scans of every chamber that the
+census's inherited boundary panels and angle sites replaced.
+``contains_reflection`` decides membership by
 conjugation descent, and ``fundamental_polytope_by_membership`` stops
 the search from the base chamber at every wall whose reflection it
 accepts: the first implementation of the fundamental domain.
@@ -1029,6 +1032,44 @@ def angle_sites_cycle_walk(group, polytope):
             bounds = (w_in,) if w_in == w_out else tuple(
                 sorted((w_in, w_out), key=lambda w: w.sort_key))
             sites.append(AngleSite(base, (s, t), m, j, bounds))
+    sites.sort(key=lambda z: (z.pair, z.base.sort_key))
+    return tuple(sites)
+
+
+def facet_panels_by_scan(group, chambers):
+    """The first boundary panel (g, s), g in ``chambers`` and g s outside,
+    on each facet wall, keyed by panel root: every chamber's panels are
+    met in (sorted chamber, s) order, and the walls keep that order."""
+    panels = {}
+    for g in sorted(chambers, key=lambda e: e.sort_key):
+        for s in range(group.rank):
+            if group.step(g, s) not in chambers:
+                panels.setdefault(group.panel_root(g, s), (g, s))
+    return panels
+
+
+def angle_sites_by_residue(group, chambers):
+    """Group every chamber by its residue's least chamber; the panels
+    leaving the set give the arc's bounding walls, and a contiguous arc
+    has 2 of them."""
+    sites = []
+    for s, t in combinations(range(group.rank), 2):
+        m = group.matrix.order(s, t)
+        if m == INFINITY:
+            continue
+        residues = {}
+        for g in chambers:
+            residues.setdefault(group.residue_base(g, s, t), []).append(g)
+        for base, arc in residues.items():
+            exits = [(g, a) for g in arc for a in (s, t)
+                     if group.step(g, a) not in chambers]
+            if len(exits) != (0 if len(arc) == 2 * m else 2):
+                raise ConsistencyError(
+                    "arc of a convex polytope is not contiguous",
+                    ((base.word, s, t), sorted(g.word for g in arc)))
+            walls = {group.wall_between(g, a) for g, a in exits}
+            sites.append(AngleSite(base, (s, t), m, len(arc), tuple(
+                sorted(walls, key=lambda w: w.sort_key))))
     sites.sort(key=lambda z: (z.pair, z.base.sort_key))
     return tuple(sites)
 

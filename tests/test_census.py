@@ -1,21 +1,28 @@
 """The census grows one facet wall at a time: the differential test
 against the full-hull growth it replaced, the lemma it rests on, the
-hull's own properties, and the group's memo of rank-2 residue bases."""
+records a child inherits from its parent against the full scans they
+replaced, the hull's own properties, and the group's memo of rank-2
+residue bases."""
 
 import sys
 import threading
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxlab.davis import (_region, angle_sites, convex_hull,
-                          enumerate_convex_polytopes, is_convex, side)
+from coxlab import cli, davis
+from coxlab.davis import (_facet_panels, _facet_walls, angle_sites,
+                          convex_hull, enumerate_convex_polytopes, is_convex,
+                          polytope_of, region, side, stacan_pairs)
+from coxlab.errors import ConsistencyError
 from coxlab.matrices import INFINITY
 from coxlab.words import CoxeterGroup
 
 from conftest import BENCH_MATRICES, CYCLE4, MATRICES
-from oracles import (census_by_full_hulls, hull_fixpoint,
+from oracles import (angle_sites_by_residue, census_by_full_hulls,
+                     facet_panels_by_scan, hull_fixpoint,
                      residue_base_by_descent, residue_by_coset)
 
 DIFFERENTIAL = {**BENCH_MATRICES, "a3": MATRICES["a3"], "h3": MATRICES["h3"],
@@ -64,6 +71,106 @@ def test_child_depends_on_the_facet_wall_alone(name):
         assert set(hulls) == set(p.facet_walls)
     # the chamber graph of (oo,oo,oo) is a tree: a wall is one panel
     assert (shared > 0) == (name != "univ3")
+
+
+def _assert_full_scan_records(group, p, panels):
+    # the same first panels in the same order, the same facet walls, and
+    # equal sites
+    expect = facet_panels_by_scan(group, p.chambers)
+    assert list(panels.items()) == list(expect.items()), p
+    assert p.facet_walls == _facet_walls(group, expect), p
+    sites = angle_sites(group, p)
+    assert sites == angle_sites_by_residue(group, p.chambers), p
+    return sites
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_inherited_records_match_full_scans(name):
+    # a census child's first panels are its parent's merged with those of
+    # its new chambers, and its sites derive from its parent's; polytopes
+    # with no parent, the stacan translates and the convex hulls, take
+    # the same routines with every chamber new.  A census member holds
+    # the base of each of its sites (gate property)
+    group = CoxeterGroup(DIFFERENTIAL[name])
+    census = list(enumerate_convex_polytopes(group, 6))
+    panels = {}
+    for p in census:
+        if p._origin is None:
+            assert p.chambers == {group.identity()}
+            got = _facet_panels(group, p.chambers, p.chambers)
+        else:
+            parent, new = p._origin
+            assert parent.chambers | new == p.chambers
+            assert new and not parent.chambers & new
+            got = _facet_panels(group, p.chambers, new,
+                                panels[parent.chambers])
+        panels[p.chambers] = got
+        sites = _assert_full_scan_records(group, p, got)
+        assert all(z.base in p.chambers for z in sites), p
+    ball = group.ball(2)
+    hulls = [convex_hull(group, pair) for pair in combinations(ball, 2)]
+    translates = [p2 for _, p2, _ in stacan_pairs(group, 5, census=census)]
+    assert hulls and translates
+    for p in hulls + translates:
+        assert p._origin is None
+        got = _facet_panels(group, p.chambers, p.chambers)
+        _assert_full_scan_records(group, p, got)
+
+
+def test_census_sites_are_derived_on_first_call():
+    # no member computes sites until asked; a member asked first derives
+    # its ancestors' sites on the way, and each then drops its parent
+    group = CoxeterGroup(MATRICES["t255"])
+    census = list(enumerate_convex_polytopes(group, 6))
+    assert all(p._sites is None for p in census)
+    p = census[-1]
+    chain = [p]
+    while chain[-1]._origin is not None:
+        chain.append(chain[-1]._origin[0])
+    assert len(chain) > 2 and chain[-1] is census[0]
+    sites = angle_sites(group, p)
+    assert isinstance(sites, tuple)
+    assert sites == angle_sites_by_residue(group, p.chambers)
+    assert angle_sites(group, p) is sites
+    assert all(q._origin is None and q._sites is not None for q in chain)
+    assert sum(q._sites is not None for q in census) == len(chain)
+
+
+def test_facet_bound_computes_no_site(monkeypatch, capsys):
+    # the facet-bound suite reads facet walls alone, so it computes no
+    # angle site; the andreev suite, which reads them, does
+    calls = []
+    routine = davis._angle_sites
+
+    def counted(*args):
+        calls.append(args)
+        return routine(*args)
+
+    monkeypatch.setattr(davis, "_angle_sites", counted)
+    path = str(Path(__file__).resolve().parent.parent
+               / "bench" / "inputs" / "t255.json")
+    verify = ["verify", path, "--max-chambers", "6", "--suite"]
+    assert cli.main(verify + ["facet-bound"]) == 0
+    assert calls == []
+    assert cli.main(verify + ["andreev"]) == 0
+    assert calls
+    capsys.readouterr()
+
+
+def test_non_contiguous_arc_is_refused():
+    # a set meeting a rank-2 residue in two arcs is not convex: the walk
+    # from a new chamber misses the other arc, whether both arcs hold new
+    # chambers or one lies in the parent
+    group = CoxeterGroup(MATRICES["a2aff"])
+    e, s0, s1 = group.identity(), group.generator(0), group.generator(1)
+    with pytest.raises(ConsistencyError):
+        angle_sites(group, polytope_of(group, frozenset({s0, s1})))
+    parent = polytope_of(group, frozenset({e}))
+    new = frozenset({group.normal_form([0, 1])})
+    child = polytope_of(group, parent.chambers | new)
+    object.__setattr__(child, "_origin", (parent, new))
+    with pytest.raises(ConsistencyError):
+        angle_sites(group, child)
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
@@ -147,15 +254,51 @@ def test_cold_group_census_is_thread_safe():
     assert got == [[expected] * len(groups)] * 4
 
 
+def test_shared_census_derives_sites_under_threads():
+    # four threads ask one cold census for its sites in different orders,
+    # so children derive from parents that another thread may be filling
+    # or has just filled: every thread sees the sites of a fresh census
+    group = CoxeterGroup(MATRICES["t237"])
+    census = list(enumerate_convex_polytopes(group, 6))
+    fresh = CoxeterGroup(MATRICES["t237"])
+    expected = [angle_sites(fresh, p)
+                for p in enumerate_convex_polytopes(fresh, 6)]
+    orders = [list(range(len(census)))[::step] + list(range(len(census)))
+              for step in (1, -1, 3, -5)]
+    start = threading.Barrier(4, timeout=30)
+    got = [{} for _ in range(4)]
+
+    def work(k):
+        start.wait()
+        for i in orders[k]:
+            got[k][i] = angle_sites(group, census[i])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    for k in range(4):
+        assert [got[k][i] for i in range(len(census))] == expected
+    assert all(p._origin is None for p in census)
+
+
 def test_region_stops_at_the_limit():
     # a start set past the limit is refused before the first step; the
     # queue alone is stepped from
     group = CoxeterGroup(MATRICES["a2aff"])
     ball = group.ball(1)
-    assert _region(group, ball, lambda g, s: True, 3, queue=[]) is None
-    assert _region(group, ball, lambda g, s: True, 4, queue=[]) == \
+    assert region(group, ball, lambda g, s: True, 3, queue=[]) is None
+    assert region(group, ball, lambda g, s: True, 4, queue=[]) == \
         frozenset(ball)
-    assert _region(group, ball, lambda g, s: True, 6, queue=ball[1:]) \
+    assert region(group, ball, lambda g, s: True, 6, queue=ball[1:]) \
         is None
-    assert _region(group, ball, lambda g, s: len(g) == 1, 10,
-                   queue=ball[1:]) == frozenset(group.ball(2))
+    assert region(group, ball, lambda g, s: len(g) == 1, 10,
+                  queue=ball[1:]) == frozenset(group.ball(2))

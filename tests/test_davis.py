@@ -202,10 +202,11 @@ def test_angle_sites_cached_per_polytope():
 
 
 def test_sites_and_facets_match_oracles():
-    # sites grouped by residue and facets read off boundary panels against
-    # the cycle walk and the side count they replaced: the K=6 census, with
-    # interior sites from the finite groups, and the glued translates of
-    # the stacan search, which leave out the base chamber
+    # sites walked out along each residue and facets read off boundary
+    # panels against the cycle walk and the side count they replaced: the
+    # K=6 census, with interior sites from the finite groups, and the
+    # glued translates of the stacan search, which leave out the base
+    # chamber
     interior = 0
     for m in [MATRICES[n] for n in ("t23inf", "t255", "univ3", "a2aff",
                                     "a3", "h3")] + [CYCLE4]:
@@ -353,7 +354,7 @@ def test_stacan_pairs_complete_against_bruteforce(a2aff, t23inf):
     # translate enumeration: brute-force over all translates of census
     # members placed anywhere in a ball and filtered through the same
     # precondition checks
-    from coxlab.davis import _polytope_of
+    from coxlab.davis import polytope_of
     total = 4
     for group in (a2aff, t23inf):
         got = {(p1.chambers, p2.chambers)
@@ -369,7 +370,7 @@ def test_stacan_pairs_complete_against_bruteforce(a2aff, t23inf):
                                          for x in c.chambers)
                     if chambers & p1.chambers:
                         continue
-                    p2 = _polytope_of(group, chambers)
+                    p2 = polytope_of(group, chambers)
                     try:
                         assert check_stacan(group, p1, p2) is True
                     except PreconditionError:

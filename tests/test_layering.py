@@ -4,7 +4,8 @@ decision it makes is whether two walls meet, the only conjugation
 descent it runs is the one to the canonical generators, word reduction
 walks the elementary-root table with no field arithmetic, only
 ``panel_root`` walks a root through a word, and only ``wall_between``
-builds a ``Wall``."""
+builds a ``Wall``; and no module imports a sibling's underscore
+names."""
 
 import ast
 from pathlib import Path
@@ -137,3 +138,15 @@ def test_sign_decision_names_no_fraction():
         assert "Fraction" not in named, name
         todo.extend(named & defs.keys())
     assert {"sign_raw", "_power_table", "_minpoly_scaled"} <= seen
+
+
+def test_no_private_imports_between_modules():
+    # a module reaches a sibling only through its public names
+    imports = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("coxlab")):
+                imports += [f"{path.name}:{node.lineno} {a.name}"
+                            for a in node.names if a.name.startswith("_")]
+    assert imports == []

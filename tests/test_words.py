@@ -80,6 +80,28 @@ def test_multiply_inverse_fuzz(t23inf):
         assert t23inf.inverse(gu).length == gu.length
 
 
+@pytest.fixture(scope="module")
+def bench_groups():
+    return {name: CoxeterGroup(m)
+            for name, m in sorted(BENCH_MATRICES.items())}
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_group_axioms(bench_groups, data):
+    # multiply is associative, inverse is a two-sided inverse and the
+    # identity a two-sided unit, on random words of every bench matrix
+    group = bench_groups[data.draw(st.sampled_from(sorted(bench_groups)))]
+    word = st.lists(st.integers(0, group.rank - 1), max_size=12)
+    g, h, k = (group.normal_form(data.draw(word)) for _ in range(3))
+    e = group.identity()
+    assert group.multiply(group.multiply(g, h), k) == \
+        group.multiply(g, group.multiply(h, k))
+    assert group.multiply(g, group.inverse(g)) == e
+    assert group.multiply(group.inverse(g), g) == e
+    assert group.multiply(e, g) == g == group.multiply(g, e)
+
+
 def test_relators_die():
     for name in ("t23inf", "a3", "h3", "a2aff", "t255", "t244"):
         g = CoxeterGroup(MATRICES[name])
