@@ -5,14 +5,23 @@ lexicographically least geodesic word).  Reduction uses the exchange
 condition read off the natural reflection representation: multiplying a
 reduced word by a generator shortens it exactly when the simple root,
 walked back through the word, crosses to the simple root of a letter,
-and that letter is the one to delete.  Canonicalization strips the
-smallest left descent recursively.  Each group tables, once, the
+and that letter is the one to delete.  Each group tables, once, the
 finitely many elementary roots and their images under the generators;
 a walk that leaves them never crosses, so reduction walks small integers
 in that table and does no field arithmetic.  The table is built in the
 session field, where the bilinear form is stored doubled (entries
 -2cos(pi/m)) to keep every coordinate an integer polynomial in the
 field generator.
+
+ShortLex forms are the words of a finite automaton (Brink and Howlett):
+the state of a normal form is a set of elementary roots, a letter s may
+follow it exactly when alpha_s is not in the set, and the next state is
+read off the same table.  ``ball`` walks the automaton, and so does a
+product that lengthens its word: w * s_t is w + (t,) when t may follow
+w.  Only a product that shortens, or that lengthens into a word that is
+not ShortLex, is canonicalized, by stripping the smallest left descent
+recursively.  States are memoised per normal-form prefix and
+transitions per state, both as they are first needed.
 
 Chambers of the chamber complex are exactly these elements; a wall is
 a reflection t = w s w^-1 with its witness (w, s).  Each group reads the
@@ -160,6 +169,8 @@ class CoxeterGroup:
         self._wall_memo = {}
         self._inversion_memo = {(): frozenset()}
         self._residue_memo = {}
+        self._row_memo = {}
+        self._state_memo = {(): frozenset()}
 
     # -- roots (interned) ---------------------------------------------------
 
@@ -209,11 +220,12 @@ class CoxeterGroup:
         w.  E is finite and holds the simple roots (Brink and Howlett,
         Math. Ann. 296 (1993); Bjorner-Brenti, GTM 231, 4.7).
 
-        Early exit.  Walk alpha_t back through a reduced word, reaching
-        x = u(alpha_t) > 0 for the suffix u, and let s be the next letter,
-        so s u is reduced.  If x is not in E, neither is s(x): x dominates
-        some positive g != x.  When g != alpha_s, s(g) > 0 and s(x)
-        dominates s(g) != s(x).  When g = alpha_s, w = s_t u^-1 has
+        Early exit.  Let x = u(alpha_t) > 0 with u^-1(alpha_s) > 0, as
+        when alpha_t walks back through a reduced word, u is the suffix
+        walked and s the next letter, so s u is reduced.  If x is not in
+        E, neither is s(x), which is positive as x != alpha_s: x
+        dominates some positive g != x.  When g != alpha_s, s(g) > 0 and
+        s(x) dominates s(g) != s(x).  When g = alpha_s, w = s_t u^-1 has
         w(x) = -alpha_t, so w(alpha_s) < 0 while u^-1(alpha_s) > 0; then
         u^-1(alpha_s) = alpha_t, and x = alpha_s would be in E.  So a walk
         that leaves E stays outside it, meets no simple root, and crosses
@@ -299,17 +311,56 @@ class CoxeterGroup:
                                word)
 
     def _mult_gen(self, word, t):
-        """Normal form of (element of canonical ``word``) * s_t."""
+        """Normal form of (element of canonical ``word``) * s_t: a longer
+        product is ``word + (t,)`` when the automaton lets t follow."""
         key = (word, t)
         hit = self._mult_cache.get(key)
         if hit is None:
             j = self._crossing(word, t)
-            if j is None:
-                hit = self._canonical(word + (t,))
-            else:
+            if j is not None:
                 hit = self._canonical(word[:j] + word[j + 1:])
+            elif self._row(self._state(word))[t] is not None:
+                hit = word + (t,)
+            else:
+                hit = self._canonical(word + (t,))
             self._mult_cache[key] = hit
         return hit
+
+    # -- the ShortLex automaton ---------------------------------------------
+
+    def _row(self, state):
+        """The automaton's transitions out of ``state``: entry s is the
+        state of w s when s may follow a normal form w of this state, and
+        None when alpha_s (index s in E) is in it; see ``ball``.  One row
+        per state, so each (state, s) transition is formed once."""
+        hit = self._row_memo.get(state)
+        if hit is None:
+            table = self._small_table
+            row = []
+            for s in range(self.rank):
+                if s in state:
+                    row.append(None)
+                    continue
+                images = {table[y][s] for y in state}
+                images.update(table[t][s] for t in range(s))
+                images.discard(EXIT)
+                images.add(s)
+                row.append(frozenset(images))
+            hit = self._row_memo[state] = tuple(row)
+        return hit
+
+    def _state(self, word):
+        """The automaton state of a normal form, grown along its prefixes
+        and memoised per prefix, as ``inversion_set`` is."""
+        memo = self._state_memo
+        k = len(word)
+        while word[:k] not in memo:
+            k -= 1
+        state = memo[word[:k]]
+        for j in range(k, len(word)):
+            state = self._row(state)[word[j]]
+            memo[word[:j + 1]] = state
+        return state
 
     def _mult_word(self, word, other):
         for t in other:
@@ -483,24 +534,62 @@ class CoxeterGroup:
         radius is None, level by level with each level sorted; raises
         BudgetError past ``cap`` elements.
 
-        The normal form h of w*t is a child of w exactly when it is longer
-        and ends in t: then h[:-1] is a normal form of w, as ShortLex forms
-        are prefix-closed, so each element is found once, and a sorted
-        level gives a sorted next level.
+        Each normal form w of a level carries its automaton state, and
+        its children are w + (t,) for the letters t that may follow it:
+        ShortLex forms are prefix-closed, so each element is found once,
+        and a sorted level gives a sorted next level.
+
+        The ShortLex automaton (Brink and Howlett, Math. Ann. 296 (1993);
+        Casselman, Electron. J. Combin. 9 (2002) #R25; Bjorner-Brenti,
+        GTM 231, 4.8).  For a normal form w = a_1 ... a_n with suffixes
+        y_i = a_i ... a_n, let D(w) be the positive roots that w makes
+        negative, and L(w) = D(w) | {y_i^-1(alpha_t) : t < a_i}.  The
+        state of w is L(w) & E, as indices into E.
+
+        (i) w + (s,) is a normal form iff alpha_s is not in L(w).  It is
+        reduced iff w(alpha_s) > 0, that is iff alpha_s is not in D(w).
+        A reduced word is ShortLex iff no t < a_i is a left descent of
+        its suffix from a_i: a lesser word of the element first differs
+        there, with such a t.  The one-letter suffix s has no such t.
+        For i <= n, t is no left descent of y_i, as w is a normal form.
+        If t is one of the reduced y_i s, the exchange condition deletes
+        a letter, and not one of y_i, as t y_i is longer than y_i: so
+        t y_i s = y_i, and y_i^-1(alpha_t) = alpha_s, positive as t is
+        no left descent of y_i.  Conversely that equation makes t y_i s
+        = y_i shorter than y_i s.
+
+        (ii) When s follows w, L(ws) = {alpha_s} | s(L(w)) | {s(alpha_t)
+        : t < s}.  D(ws) = {alpha_s} | s(D(w)); s maps y_i^-1(alpha_t)
+        to (y_i s)^-1(alpha_t), the root of the suffix y_i s of ws; and
+        the last suffix s adds s(alpha_t) for t < s.
+
+        (iii) L(ws) & E needs only L(w) & E.  Each beta in L(w) is
+        u(alpha_t) with u^-1(alpha_s) > 0: beta in D(w) is a_n ...
+        a_(i+1)(alpha_(a_i)), with u^-1 = y_(i+1), and the others have
+        u^-1 = y_i; y_(i+1) s and y_i s are reduced, as suffixes of the
+        reduced w s.  So by the early-exit lemma of ``_elementary_roots``
+        a beta outside E has s(beta) outside E.  For y in E, s(y) is the
+        table entry, which is EXIT when s(y) is not in E and never CROSS,
+        as alpha_s is not in the state.  The simple root alpha_s is entry
+        s of E, so the states are subsets of the finite E, and ``_row``
+        reads each transition off the table with no field arithmetic.
         """
-        level = [()]
+        if radius is not None and radius < 0:
+            raise InputError("ball radius must be >= 0")
+        if cap < 1:
+            raise InputError("element cap must be >= 1")
+        level = [((), frozenset())]
         words = [()]
-        while level and (radius is None or len(level[0]) < radius):
+        while level and (radius is None or len(level[0][0]) < radius):
             nxt = []
-            for w in level:
-                for t in range(self.rank):
-                    h = self._mult_gen(w, t)
-                    if len(h) > len(w) and h[-1] == t:
-                        nxt.append(h)
+            for w, state in level:
+                for t, child in enumerate(self._row(state)):
+                    if child is not None:
+                        nxt.append((w + (t,), child))
                         if len(words) + len(nxt) > cap:
                             raise BudgetError(
                                 f"element enumeration exceeded cap {cap}")
-            words.extend(nxt)
+            words.extend(w for w, _ in nxt)
             level = nxt
         return [Element(w) for w in words]
 

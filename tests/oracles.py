@@ -41,7 +41,12 @@ in field arithmetic.  ``as_reflection_by_descent``, ``ball_by_seen_set``
 and ``enumerate_reflections_by_word`` are the first implementations of
 ``as_reflection``, ``ball`` and ``enumerate_reflections``: a conjugation
 descent to a generator, a set of the elements found, and walls built
-from conjugates keyed by their words.
+from conjugates keyed by their words.  ``ball_by_canonical`` and
+``normal_form_by_canonical`` are ``ball`` and word reduction as they
+were before the ShortLex automaton: every product canonicalised by
+stripping left descents.  ``shortlex_by_matrix_bfs`` finds ShortLex
+forms by a BFS that tells elements apart by ``doubled_matrix``, the
+representation of ``matrix_of`` in integer coordinates.
 ``elementary_table_signed`` builds the elementary roots from their
 definition by signed comparisons, as the library's table must not.
 ``sign_by_interval_horner`` is the first implementation of the sign
@@ -577,6 +582,61 @@ def matrix_of(group, g):
     return out
 
 
+def doubled_matrix(group, word, cols=None):
+    """The matrix of ``word`` in the reflection representation, as
+    ``matrix_of`` builds it, but as a tuple of columns w(e_j) of raw
+    coordinates; with ``cols``, that matrix times the word's.  Right
+    multiplication by s_t sends column j to
+    col_j - C(e_t, e_j) col_t in the doubled form C = 2B, read off the
+    Coxeter matrix alone.  The entries are integer polynomials in the
+    field generator, so a product is far cheaper than ``matmul``."""
+    f = group.field
+    n = group.rank
+    m = group.matrix
+
+    def form(i, j):
+        if i == j:
+            return f.raw_from_int(2)
+        if m.order(i, j) == INFINITY:
+            return f.raw_from_int(-2)
+        return f.raw_neg(f.two_cos_pi_over_raw(m.order(i, j)))
+
+    c = [[form(i, j) for j in range(n)] for i in range(n)]
+    if cols is None:
+        cols = tuple(tuple(f.raw_from_int(int(i == j)) for i in range(n))
+                     for j in range(n))
+    for t in word:
+        ct = cols[t]
+        cols = tuple(col if f.raw_is_zero(c[t][j]) else
+                     tuple(f.raw_sub(x, f.raw_mul(c[t][j], y))
+                           for x, y in zip(col, ct))
+                     for j, col in enumerate(cols))
+    return cols
+
+
+def shortlex_by_matrix_bfs(group, radius):
+    """ShortLex representatives by matrix-identified free-monoid BFS, as
+    a map from ``doubled_matrix`` to word in discovery order.
+
+    Independent of the word machinery: elements are told apart only by
+    their exact representation matrices, and the first word reaching an
+    element in ShortLex discovery order is its normal form.
+    """
+    ident = doubled_matrix(group, ())
+    seen = {ident: ()}
+    frontier = [((), ident)]
+    for _ in range(radius):
+        nxt = []
+        for word, cols in frontier:
+            for t in range(group.rank):
+                key = doubled_matrix(group, (t,), cols)
+                if key not in seen:
+                    seen[key] = word + (t,)
+                    nxt.append((word + (t,), key))
+        frontier = nxt
+    return seen
+
+
 def root_of(group, wall):
     """The root w(e_s) of a wall with witness (w, s), as a coordinate
     tuple in the simple-root basis; the wall's positive root is +/- it."""
@@ -761,6 +821,43 @@ def ball_by_seen_set(group, radius, cap=DEFAULT_ELEMENT_CAP):
                             f"element enumeration exceeded cap {cap}")
                     nxt.append(h)
         nxt.sort()
+        words.extend(nxt)
+        level = nxt
+    return [Element(w) for w in words]
+
+
+def mult_gen_by_canonical(group, word, t):
+    """Normal form of (element of canonical ``word``) * s_t with no
+    automaton: the product, shortened at the crossing letter if there is
+    one, is canonicalised by stripping smallest left descents."""
+    j = group._crossing(word, t)
+    return group._canonical(word + (t,) if j is None
+                            else word[:j] + word[j + 1:])
+
+
+def normal_form_by_canonical(group, word):
+    out = ()
+    for t in word:
+        out = mult_gen_by_canonical(group, out, t)
+    return out
+
+
+def ball_by_canonical(group, radius, cap=DEFAULT_ELEMENT_CAP):
+    """``CoxeterGroup.ball`` by the canonicalising child rule: the normal
+    form h of w*t is a child of w exactly when it is longer and ends in
+    t, as ShortLex forms are prefix-closed."""
+    level = [()]
+    words = [()]
+    while level and (radius is None or len(level[0]) < radius):
+        nxt = []
+        for w in level:
+            for t in range(group.rank):
+                h = mult_gen_by_canonical(group, w, t)
+                if len(h) > len(w) and h[-1] == t:
+                    nxt.append(h)
+                    if len(words) + len(nxt) > cap:
+                        raise BudgetError(
+                            f"element enumeration exceeded cap {cap}")
         words.extend(nxt)
         level = nxt
     return [Element(w) for w in words]

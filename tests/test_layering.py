@@ -2,7 +2,8 @@
 ``CoxeterGroup`` only through its public surface, the only sign
 decision it makes is whether two walls meet, the only conjugation
 descent it runs is the one to the canonical generators, word reduction
-walks the elementary-root table with no field arithmetic, only
+and the ShortLex automaton walk the elementary-root table with no
+field arithmetic, ``ball`` walks the automaton alone, only
 ``panel_root`` walks a root through a word, and only ``wall_between``
 builds a ``Wall``; and no module imports a sibling's underscore
 names."""
@@ -103,21 +104,37 @@ def test_only_wall_between_builds_walls():
     assert calls == [("words.py", "CoxeterGroup", "wall_between")]
 
 
-def test_reduction_does_no_field_arithmetic():
-    # the methods that reduce words name nothing of the field or of the
-    # interned roots: the crossing letter comes off the table alone
+def _group_methods():
     tree = ast.parse((SRC / "words.py").read_text())
     cls = next(n for n in tree.body
                if isinstance(n, ast.ClassDef) and n.name == "CoxeterGroup")
-    methods = {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
+    return {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
+
+
+def _named(node):
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)} \
+        | {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_reduction_does_no_field_arithmetic():
+    # the methods that reduce words, and the ShortLex automaton that
+    # ``ball`` walks, name nothing of the field or of the interned roots:
+    # crossings and transitions come off the table alone
+    methods = _group_methods()
     field = {"field", "_form_row", "_reflect_id", "_intern", "_root_list",
              "_intern_lock"}
-    for name in ("_crossing", "_canonical", "_mult_gen", "_mult_word"):
-        named = {n.attr for n in ast.walk(methods[name])
-                 if isinstance(n, ast.Attribute)} | \
-            {n.id for n in ast.walk(methods[name]) if isinstance(n, ast.Name)}
+    for name in ("_crossing", "_canonical", "_mult_gen", "_mult_word",
+                 "_row", "_state", "ball"):
+        named = _named(methods[name])
         assert not named & field, name
         assert not any(n.startswith("raw_") for n in named), name
+
+
+def test_ball_walks_the_automaton_alone():
+    named = _named(_group_methods()["ball"])
+    assert "_row" in named
+    assert not named & {"_canonical", "_mult_gen", "_mult_word", "step",
+                        "normal_form", "_crossing"}
 
 
 def test_sign_decision_names_no_fraction():

@@ -15,9 +15,10 @@ from coxlab.matrices import INFINITY, CoxeterMatrix
 from coxlab.words import CoxeterGroup, Element, root_span_rank, word_from_text
 
 from conftest import BENCH_MATRICES, CYCLE4, MATRICES
-from oracles import (AlgebraicReal, bilinear, element_count,
+from oracles import (AlgebraicReal, bilinear, doubled_matrix, element_count,
                      floor_scaled_generator, interval, matmul, matrix_of,
-                     order_by_form_rows, order_by_powers, root_of, tits_form)
+                     order_by_form_rows, order_by_powers, root_of,
+                     shortlex_by_matrix_bfs, tits_form)
 
 
 @pytest.fixture(scope="module")
@@ -376,47 +377,28 @@ def test_representation_faithful_on_ball(t23inf):
     assert len(mats) == len(ball)
 
 
-def _brute_shortlex_ball(group, radius):
-    """ShortLex representatives by matrix-identified free-monoid BFS.
-
-    Independent of the exchange-condition machinery: elements are told
-    apart only by their exact representation matrices, and the first
-    word reaching an element in shortlex discovery order is its normal
-    form.
-    """
-    def key(m):
-        return tuple(x.coeffs for row in m for x in row)
-
-    ident = matrix_of(group, group.identity())
-    gens = [matrix_of(group, group.generator(i)) for i in range(group.rank)]
-    seen = {key(ident)}
-    reps = [()]
-    frontier = [((), ident)]
-    for _ in range(radius):
-        nxt = []
-        for word, mat in frontier:
-            for t in range(group.rank):
-                m2 = matmul(group, mat, gens[t])
-                k = key(m2)
-                if k not in seen:
-                    seen.add(k)
-                    reps.append(word + (t,))
-                    nxt.append((word + (t,), m2))
-        frontier = nxt
-    return reps
-
-
 @pytest.mark.parametrize("name,radius", [
     ("t23inf", 8), ("a2aff", 6), ("t237", 6), ("h3", 6),
 ])
 def test_shortlex_matches_matrix_bfs(name, radius):
     group = CoxeterGroup(MATRICES[name])
-    brute = _brute_shortlex_ball(group, radius)
+    brute = list(shortlex_by_matrix_bfs(group, radius).values())
     ours = group.ball(radius)
     assert sorted(Element(w).sort_key for w in brute) == \
         [e.sort_key for e in ours]
     for w in brute:
         assert group.normal_form(w).word == w
+
+
+@pytest.mark.parametrize("name", ["t23inf", "t237", "h3", "univ3"])
+def test_doubled_matrix_is_matrix_of(name):
+    # the BFS's cheap columns are the transposed entries of matrix_of
+    group = CoxeterGroup(MATRICES[name])
+    n = group.rank
+    for g in group.ball(4):
+        m = matrix_of(group, g)
+        assert doubled_matrix(group, g.word) == tuple(
+            tuple(m[i][j].coeffs for i in range(n)) for j in range(n))
 
 
 def test_infinite_order_products_never_close(t23inf):
