@@ -213,8 +213,8 @@ class FieldSpec:
     distinct, so ``two_cos_index`` reads j back off a value.
     """
 
-    __slots__ = ("N", "minpoly", "degree", "_powers", "_two_cos",
-                 "_two_cos_index")
+    __slots__ = ("N", "minpoly", "degree", "_minpoly_terms", "_powers",
+                 "_two_cos", "_two_cos_index")
 
     def __init__(self, N):
         if N < 2:
@@ -227,6 +227,10 @@ class FieldSpec:
                                    (N, mp))
         self.minpoly = tuple(mp)
         self.degree = len(mp) - 1
+        # (k, a_k) for the nonzero lower coefficients: what ``reduce``
+        # subtracts for each top coefficient it clears
+        self._minpoly_terms = tuple((k, a) for k, a in enumerate(mp[:-1])
+                                    if a)
         self._powers = None  # (b, L, U), built by the first sign decision
         # multiplying by c shifts the coefficients up one place
         table = [self.raw_from_int(2), self.reduce([0, 1])]
@@ -251,15 +255,15 @@ class FieldSpec:
         """Reduce an ascending coefficient list mod the minimal polynomial."""
         d = self.degree
         c = list(coeffs)
-        mp = self.minpoly
+        terms = self._minpoly_terms
         for i in range(len(c) - 1, d - 1, -1):
-            top = c[i]
-            if top != 0:
-                for k in range(d):
-                    c[i - d + k] -= top * mp[k]
-            c.pop()
-        while len(c) < d:
-            c.append(0)
+            top = c.pop()
+            if top:
+                base = i - d
+                for k, a in terms:
+                    c[base + k] -= top * a
+        if len(c) < d:
+            c.extend([0] * (d - len(c)))
         return tuple(c)
 
     def raw_add(self, a, b):
@@ -272,24 +276,22 @@ class FieldSpec:
         return tuple(-x for x in a)
 
     def raw_mul(self, a, b):
-        d = self.degree
-        if d == 1:
-            return (a[0] * b[0],)
-        out = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return self.reduce(out)
+        return self.raw_dot((a,), (b,))
 
     def raw_dot(self, a, b):
-        """Sum of a_i * b_i over the i with b_i nonzero."""
-        out = self.raw_from_int(0)
+        """Sum of a_i * b_i: the products are convolved into one unreduced
+        polynomial, reduced once, as reduction is linear."""
+        d = self.degree
+        if d == 1:
+            return (sum(x[0] * y[0] for x, y in zip(a, b)),)
+        out = [0] * (2 * d - 1)
         for x, y in zip(a, b):
-            if not self.raw_is_zero(y):
-                out = self.raw_add(out, self.raw_mul(x, y))
-        return out
+            for j, yj in enumerate(y):
+                if yj:
+                    for i, xi in enumerate(x):
+                        if xi:
+                            out[i + j] += xi * yj
+        return self.reduce(out)
 
     def raw_from_int(self, k):
         return tuple([k] + [0] * (self.degree - 1))

@@ -21,7 +21,10 @@ product that lengthens its word: w * s_t is w + (t,) when t may follow
 w.  Only a product that shortens, or that lengthens into a word that is
 not ShortLex, is canonicalized, by stripping the smallest left descent
 recursively.  States are memoised per normal-form prefix and
-transitions per state, both as they are first needed.
+transitions per state, both as they are first needed.  A group hands
+out one interned ``Element`` per normal form (``ball`` alone builds its
+own, as a walk that visits each element once gains nothing from a
+table), and ``step`` is one lookup in a table keyed by (element, letter).
 
 Chambers of the chamber complex are exactly these elements; a wall is
 a reflection t = w s w^-1 with its witness (w, s).  Each group reads the
@@ -43,7 +46,6 @@ residues.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from math import gcd
 
 from .algebraic import field_for
@@ -58,11 +60,38 @@ CROSS = -1  # y is the simple root of s
 EXIT = -2   # s(y) is not elementary
 
 
-@dataclass(frozen=True)
 class Element:
-    """A group element in ShortLex normal form (0-based generator indices)."""
+    """A group element in ShortLex normal form (0-based generator indices).
 
-    word: tuple
+    Immutable, equal by word, with its hash computed once.  A group hands
+    out one object per word (``CoxeterGroup._element``); an element built
+    directly still compares and hashes equal to it.
+    """
+
+    __slots__ = ("word", "_hash")
+
+    def __init__(self, word):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "_hash", hash(word))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Element is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Element is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (Element, (self.word,))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if isinstance(other, Element):
+            return self.word == other.word
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     def __len__(self):
         return len(self.word)
@@ -171,6 +200,8 @@ class CoxeterGroup:
         self._residue_memo = {}
         self._row_memo = {}
         self._state_memo = {(): frozenset()}
+        self._elements = {}
+        self._step_table = {}
 
     # -- roots (interned) ---------------------------------------------------
 
@@ -369,30 +400,44 @@ class CoxeterGroup:
 
     # -- public element interface -------------------------------------------
 
+    def _element(self, word):
+        """The group's one ``Element`` of a normal form: ``setdefault``
+        keeps the first object stored however threads race."""
+        hit = self._elements.get(word)
+        if hit is None:
+            hit = self._elements.setdefault(word, Element(word))
+        return hit
+
     def identity(self):
-        return Element(())
+        return self._element(())
 
     def generator(self, i):
         if not 0 <= i < self.rank:
             raise InputError(f"generator index {i} out of range")
-        return Element((i,))
+        return self._element((i,))
 
     def normal_form(self, word):
         w = tuple(word)
         for a in w:
             if not 0 <= a < self.rank:
                 raise InputError(f"generator index {a} out of range")
-        return Element(self._mult_word((), w))
+        return self._element(self._mult_word((), w))
 
     def step(self, g, s):
-        """Right multiplication by a generator: the adjacent chamber."""
-        return Element(self._mult_gen(g.word, s))
+        """Right multiplication by a generator: the adjacent chamber, read
+        off a table with one entry per panel (g, s) asked for."""
+        key = (g, s)
+        hit = self._step_table.get(key)
+        if hit is None:
+            hit = self._step_table.setdefault(
+                key, self._element(self._mult_gen(g.word, s)))
+        return hit
 
     def multiply(self, g, h):
-        return Element(self._mult_word(g.word, h.word))
+        return self._element(self._mult_word(g.word, h.word))
 
     def inverse(self, g):
-        return Element(self._canonical(tuple(reversed(g.word))))
+        return self._element(self._canonical(tuple(reversed(g.word))))
 
     # -- walls ----------------------------------------------------------------
 
@@ -405,15 +450,19 @@ class CoxeterGroup:
         gives g s g^-1 = g[:j] a_j g[:j]^-1, the wall of the longer panel
         (g[:j], a_j).  The side is read off lengths, never off a sign.
         """
-        key = (g.word, s)
+        return self._panel_root(g.word, s)
+
+    def _panel_root(self, word, s):
+        """``panel_root`` keyed on the normal form, building no element."""
+        key = (word, s)
         hit = self._panel_memo.get(key)
         if hit is None:
-            j = self._crossing(g.word, s)
+            j = self._crossing(word, s)
             if j is not None:
-                hit = self.panel_root(Element(g.word[:j]), g.word[j])
+                hit = self._panel_root(word[:j], word[j])
             else:
                 hit = self._simple[s]
-                for a in reversed(g.word):
+                for a in reversed(word):
                     hit = self._reflect_id(hit, a)
             self._panel_memo[key] = hit
         return hit
@@ -430,7 +479,7 @@ class CoxeterGroup:
             k -= 1
         n = memo[word[:k]]
         for j in range(k, len(word)):
-            n = n | {self.panel_root(Element(word[:j]), word[j])}
+            n = n | {self._panel_root(word[:j], word[j])}
             memo[word[:j + 1]] = n
         return n
 
@@ -469,8 +518,8 @@ class CoxeterGroup:
         wall = self._wall_memo.get(rid)
         if wall is None:
             word = self._mult_word(self._mult_gen(g.word, s), g.word[::-1])
-            wall = self._wall_memo.setdefault(rid,
-                                              Wall(Element(word), (g, s)))
+            wall = self._wall_memo.setdefault(
+                rid, Wall(self._element(word), (g, s)))
         return wall
 
     def conjugate_wall(self, t, u):
@@ -494,7 +543,7 @@ class CoxeterGroup:
         if len(word) % 2 == 0:
             return None
         k = len(word) // 2
-        wall = self.wall_between(Element(word[:k]), word[k])
+        wall = self.wall_between(self._element(word[:k]), word[k])
         return wall if wall.reflection == g else None
 
     def order_of_product(self, t, u):

@@ -49,6 +49,10 @@ forms by a BFS that tells elements apart by ``doubled_matrix``, the
 representation of ``matrix_of`` in integer coordinates.
 ``elementary_table_signed`` builds the elementary roots from their
 definition by signed comparisons, as the library's table must not.
+``raw_dot_per_product`` and ``raw_mul_per_product`` are the first
+field dot product and product: each product is reduced, over every
+coefficient of the minimal polynomial (``reduce_by_full_minpoly``),
+before the sum is taken.
 ``sign_by_interval_horner`` is the first implementation of the sign
 decision: it bisects ``isolating_interval`` with exact rational interval
 Horner bounds, and ``floor_scaled_generator`` reads floor(2^B c) off the
@@ -238,6 +242,46 @@ def coset_index_23inf(walls):
 
 def raw_scale(a, q):
     return tuple(x * q for x in a)
+
+
+def reduce_by_full_minpoly(f, coeffs):
+    """Reduction mod the minimal polynomial over all of its coefficients."""
+    d = f.degree
+    c = list(coeffs)
+    mp = f.minpoly
+    for i in range(len(c) - 1, d - 1, -1):
+        top = c[i]
+        if top != 0:
+            for k in range(d):
+                c[i - d + k] -= top * mp[k]
+        c.pop()
+    while len(c) < d:
+        c.append(0)
+    return tuple(c)
+
+
+def raw_mul_per_product(f, a, b):
+    """One product, convolved and reduced."""
+    d = f.degree
+    if d == 1:
+        return (a[0] * b[0],)
+    out = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return reduce_by_full_minpoly(f, out)
+
+
+def raw_dot_per_product(f, a, b):
+    """Sum of a_i * b_i over the i with b_i nonzero, each product reduced
+    before it is added."""
+    out = f.raw_from_int(0)
+    for x, y in zip(a, b):
+        if not f.raw_is_zero(y):
+            out = f.raw_add(out, raw_mul_per_product(f, x, y))
+    return out
 
 
 def element(f, coeffs):
@@ -560,10 +604,12 @@ def matmul(group, a, b):
                  for i in range(n))
 
 
-def generator_matrix(group, i):
-    """s_i(x) = x - 2 B(e_i, x) e_i, as the matrix with columns s_i(e_j)."""
+def generator_matrix(group, i, b=None):
+    """s_i(x) = x - 2 B(e_i, x) e_i, as the matrix with columns s_i(e_j);
+    ``b`` is ``tits_form(group)``, built when not given."""
     f = group.field
-    b = tits_form(group)
+    if b is None:
+        b = tits_form(group)
     n = group.rank
     return tuple(tuple((one(f) if r == c else zero(f))
                        - (b[i][c] * 2 if r == i else zero(f))
@@ -577,8 +623,10 @@ def matrix_of(group, g):
     f = group.field
     out = tuple(tuple(one(f) if r == c else zero(f) for c in range(n))
                 for r in range(n))
+    b = tits_form(group)
+    gens = {a: generator_matrix(group, a, b) for a in set(g.word)}
     for a in g.word:
-        out = matmul(group, out, generator_matrix(group, a))
+        out = matmul(group, out, gens[a])
     return out
 
 

@@ -17,8 +17,9 @@ from conftest import BENCH_MATRICES, MATRICES
 from oracles import (_pderiv, _poly_gcd, count_roots, cos_pi_over,
                      cyclotomic_by_division, element, floor_scaled_generator,
                      form_by_rows, generator, isolate_largest_root,
-                     isolating_interval, rational, sign_by_interval_horner,
-                     sturm_chain)
+                     isolating_interval, rational, raw_dot_per_product,
+                     raw_mul_per_product, reduce_by_full_minpoly,
+                     sign_by_interval_horner, sturm_chain)
 
 
 def test_field_for_examples():
@@ -144,6 +145,37 @@ def test_sign_matches_interval_horner_on_drawn_vectors(n, data):
     if den > 1:
         coeffs = [Fraction(a, den) for a in coeffs]
     assert f.sign_raw(coeffs) == sign_by_interval_horner(f, coeffs)
+
+
+_PRODUCT_FIELDS = {n: FieldSpec(n) for n in (2, 6, 10, 42, 210)}
+
+
+def _raw(data, f, size):
+    """``size`` coefficients, all ints or all Fractions over one drawn
+    denominator, with zeros common as in root coordinates."""
+    coeffs = data.draw(st.lists(
+        st.one_of(st.just(0), st.integers(-10 ** 9, 10 ** 9)),
+        min_size=size, max_size=size))
+    den = data.draw(st.sampled_from([1, 1, 2, 3, 7, 12]))
+    return tuple(Fraction(a, den) if den > 1 else a for a in coeffs)
+
+
+@given(n=st.sampled_from(sorted(_PRODUCT_FIELDS)), data=st.data())
+def test_dot_reduces_once_like_per_product(n, data):
+    # summing the unreduced convolutions and reducing once gives what
+    # reducing each product gives, over only the minimal polynomial's
+    # nonzero coefficients; no product decides a sign
+    f = _PRODUCT_FIELDS[n]
+    terms = data.draw(st.integers(0, 5))
+    a = [_raw(data, f, f.degree) for _ in range(terms)]
+    b = [_raw(data, f, f.degree) for _ in range(terms)]
+    long = _raw(data, f, data.draw(st.integers(0, 3 * f.degree)))
+    before = SIGN_STATS.decisions
+    assert f.raw_dot(a, b) == raw_dot_per_product(f, a, b)
+    for x, y in zip(a, b):
+        assert f.raw_mul(x, y) == raw_mul_per_product(f, x, y)
+    assert f.reduce(long) == reduce_by_full_minpoly(f, long)
+    assert SIGN_STATS.decisions == before
 
 
 @pytest.mark.parametrize("n", [5, 42, 210])

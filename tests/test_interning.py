@@ -1,0 +1,163 @@
+"""One interned ``Element`` per normal form: a group hands out one object
+per word, through ``CoxeterGroup._element``, and ``step`` reads a table
+with one entry per panel asked for.  Elements stay values: one built
+directly, or by another group of the same matrix, compares and hashes
+equal to the group's object, and elements and walls survive copying and
+pickling."""
+
+import copy
+import pickle
+import random
+import sys
+import threading
+import time
+
+import pytest
+
+from coxlab.words import CoxeterGroup, Element, Wall
+
+from conftest import MATRICES
+
+
+def _words(rng, count, length):
+    return [tuple(rng.randrange(3) for _ in range(rng.randrange(length)))
+            for _ in range(count)]
+
+
+def _answers(group, words):
+    """normal_form, a step-by-step walk, multiply and inverse, per word."""
+    out = []
+    e = group.identity()
+    for i, w in enumerate(words):
+        x = group.normal_form(w)
+        walk = e
+        for a in w:
+            walk = group.step(walk, a)
+        other = group.normal_form(words[i - 1])
+        out.append((x, walk, group.multiply(x, other), group.inverse(x)))
+    return out
+
+
+def test_cold_group_interns_one_element_per_word():
+    # eight threads start together on cold (2,3,7) groups, one group after
+    # another for two seconds, and race step, normal_form, multiply and
+    # inverse over the same words: each answer must be the serial one,
+    # every thread must hold the same object for it, and that object must
+    # be the one ``_element`` returns for its word afterwards
+    rng = random.Random(18)
+    words = _words(rng, 40, 24)
+    expected = _answers(CoxeterGroup(MATRICES["t237"]), words)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 2
+        while time.monotonic() < deadline:
+            group = CoxeterGroup(MATRICES["t237"])
+            start = threading.Barrier(8, timeout=30)
+            got = [None] * 8
+
+            def work(k, group=group, start=start, got=got):
+                start.wait()
+                got[k] = _answers(group, words)
+
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert got == [expected] * 8
+            for i, row in enumerate(got[0]):
+                for j, x in enumerate(row):
+                    assert group._element(x.word) is x
+                    assert all(got[k][i][j] is x for k in range(8))
+            assert all(group._element(x.word) is x
+                       for x in group._step_table.values())
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_every_element_handed_out_is_interned():
+    group = CoxeterGroup(MATRICES["t237"])
+    g = group.normal_form((0, 1, 2, 1, 0))
+    w = group.wall_between(g, 2)
+    handed = [group.identity(), group.generator(1), g,
+              group.step(g, 1), group.multiply(g, g), group.inverse(g),
+              w.reflection, group.as_reflection(w.reflection).reflection]
+    for x in handed:
+        assert group._element(x.word) is x
+    assert group.normal_form(g.word) is g
+    assert group.step(group.step(g, 1), 1) is g
+
+
+def test_user_built_element_is_the_interned_value():
+    group = CoxeterGroup(MATRICES["t237"])
+    g = group.normal_form((0, 1, 2, 0, 1))
+    u = Element(g.word)
+    assert u is not g
+    assert u == g and g == u and hash(u) == hash(g)
+    assert {u: 1}[g] == 1
+    nxt = group.step(g, 2)
+    size = len(group._step_table)
+    other = CoxeterGroup(MATRICES["t237"])
+    twin = other.normal_form(g.word)
+
+    def no_product(word, t):
+        raise AssertionError("step missed its table")
+
+    # an equal element built directly, or by another group of the same
+    # matrix, hits the entry the group's own object filled
+    group._mult_gen = no_product
+    assert group.step(u, 2) is nxt
+    assert group.step(twin, 2) is nxt
+    del group._mult_gen
+    assert len(group._step_table) == size
+    assert other.step(g, 2) == nxt
+    assert u != g.word and u != Element(g.word + (0,))
+
+
+def test_step_table_holds_one_entry_per_panel():
+    group = CoxeterGroup(MATRICES["t23inf"])
+    panels = set()
+    for g in group.ball(5):
+        for s in range(group.rank):
+            group.step(g, s)
+            group.step(Element(g.word), s)
+            panels.add((g.word, s))
+    assert len(group._step_table) == len(panels)
+
+
+def test_element_is_immutable():
+    g = CoxeterGroup(MATRICES["t237"]).normal_form((0, 1, 2))
+    for name in ("word", "_hash", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, (0,))
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert g.word == (0, 1, 2)
+    assert not hasattr(g, "__dict__")
+
+
+def test_element_and_wall_survive_copy_and_pickle():
+    group = CoxeterGroup(MATRICES["t237"])
+    g = group.normal_form((0, 1, 2, 0))
+    wall = group.wall_between(g, 1)
+    copies = [copy.copy(g), copy.deepcopy(g)] + [
+        pickle.loads(pickle.dumps(g, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for x in copies:
+        assert type(x) is Element
+        assert x == g and hash(x) == hash(g) and x.word == g.word
+        assert group.step(x, 1) is group.step(g, 1)
+        with pytest.raises(AttributeError):
+            x.word = ()
+    walls = [copy.copy(wall), copy.deepcopy(wall)] + [
+        pickle.loads(pickle.dumps(wall, protocol))
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for x in walls:
+        assert type(x) is Wall
+        assert x == wall and hash(x) == hash(wall)
+        assert x.witness == wall.witness
+        assert group.panel_root(*x.witness) == group.panel_root(g, 1)
+        assert group.wall_between(*x.witness) is wall

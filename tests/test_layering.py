@@ -4,9 +4,9 @@ decision it makes is whether two walls meet, the only conjugation
 descent it runs is the one to the canonical generators, word reduction
 and the ShortLex automaton walk the elementary-root table with no
 field arithmetic, ``ball`` walks the automaton alone, only
-``panel_root`` walks a root through a word, and only ``wall_between``
-builds a ``Wall``; and no module imports a sibling's underscore
-names."""
+``panel_root`` walks a root through a word, only ``wall_between``
+builds a ``Wall``, and only ``_element`` (and ``ball``) an ``Element``;
+and no module imports a sibling's underscore names."""
 
 import ast
 from pathlib import Path
@@ -90,11 +90,12 @@ def test_only_canonical_generators_conjugates_walls():
 
 
 def test_only_panel_root_tracks_roots():
+    # ``panel_root`` is a call of ``_panel_root``, its memo keyed on words
     calls = [(path.name,) + scope
              for path in sorted(SRC.glob("*.py"))
              for scope in _call_scopes(ast.parse(path.read_text()),
                                        "_reflect_id")]
-    assert calls == [("words.py", "CoxeterGroup", "panel_root")]
+    assert calls == [("words.py", "CoxeterGroup", "_panel_root")]
 
 
 def test_only_wall_between_builds_walls():
@@ -102,6 +103,18 @@ def test_only_wall_between_builds_walls():
              for path in sorted(SRC.glob("*.py"))
              for scope in _call_scopes(ast.parse(path.read_text()), "Wall")]
     assert calls == [("words.py", "CoxeterGroup", "wall_between")]
+
+
+def test_only_element_builds_elements():
+    # the group hands out one interned object per word; ``ball`` alone
+    # builds its elements directly, as interning a whole ball costs the
+    # walk more than its elements gain
+    calls = [(path.name,) + scope
+             for path in sorted(SRC.glob("*.py"))
+             for scope in _call_scopes(ast.parse(path.read_text()),
+                                       "Element")]
+    assert calls == [("words.py", "CoxeterGroup", "_element"),
+                     ("words.py", "CoxeterGroup", "ball")]
 
 
 def _group_methods():

@@ -390,10 +390,12 @@ def test_shortlex_matches_matrix_bfs(name, radius):
         assert group.normal_form(w).word == w
 
 
-@pytest.mark.parametrize("name", ["t23inf", "t237", "h3", "univ3"])
+@pytest.mark.parametrize("name", ["t23inf", "t237", "h3", "univ3", "n210"])
 def test_doubled_matrix_is_matrix_of(name):
-    # the BFS's cheap columns are the transposed entries of matrix_of
-    group = CoxeterGroup(MATRICES[name])
+    # the BFS's cheap columns are the transposed entries of matrix_of; on
+    # the degree-48 n210 field radius 4 takes about a second, as matrix_of
+    # builds each generator matrix once from one Tits form
+    group = CoxeterGroup({**BENCH_MATRICES, **MATRICES}[name])
     n = group.rank
     for g in group.ball(4):
         m = matrix_of(group, g)
