@@ -22,6 +22,15 @@ are the parent's whose residue misses the new chambers, plus those
 walked afresh from the new chambers (on the first ``angle_sites``
 call).  Any other polytope is the case with no parent, every chamber
 new.
+
+All of this runs on the group's chamber ids: a chamber set is an int
+bitmask with bit i for chamber id i, a root set a bitmask of root ids,
+and each step reads the chamber's adjacency row.  An id orders nothing:
+queues, panels, walls, sites and records are ordered by ShortLex keys,
+so the output does not depend on the order in which chambers were
+numbered.  A polytope keeps its chambers as a frozenset of Element and
+its mask beside the group that numbered it; only that group reads the
+mask, and any other group of the matrix converts from the chambers.
 """
 
 from __future__ import annotations
@@ -29,12 +38,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import attrgetter, itemgetter
 
 from .errors import BudgetError, ConsistencyError, InputError
 from .matrices import INFINITY, is_finite, is_infinite_indecomposable
 from .words import Element
 
 DEFAULT_HULL_CAP = 4096
+_wall_key = attrgetter("sort_key")
 
 
 def side(group, wall, chamber):
@@ -44,44 +55,69 @@ def side(group, wall, chamber):
 
 
 # ---------------------------------------------------------------------------
-# chamber regions: convex hulls and fundamental domains
+# chamber masks and regions: convex hulls and fundamental domains
 
 
-def region(group, start, crosses, limit, queue=None):
-    """The ``start`` chambers and what the chambers of ``queue`` (all of
-    ``start`` by default) reach through the panels (g, s) with
-    ``crosses(g, s)``, or None once there are more than ``limit``.
+def _members(mask):
+    """The chamber ids of a mask, in no meaningful order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask(group, chambers):
+    mask = 0
+    for g in chambers:
+        mask |= 1 << group.chamber_id(g)
+    return mask
+
+
+def chambers_of(group, mask):
+    """The chambers of a mask of ``group``'s ids, as a frozenset of
+    Element."""
+    return frozenset(map(group.chamber, _members(mask)))
+
+
+def region(group, start, walls, limit, queue=None):
+    """The chamber mask ``start`` and what the ids of ``queue`` (every
+    chamber of ``start`` by default) reach through the panels whose root
+    id is in the root mask ``walls``, as a chamber mask, or None once
+    there are more than ``limit`` chambers.  The result is a set, so the
+    order of the search does not matter.
 
     The one chamber search: a convex hull crosses the walls separating
-    its input chambers, a fundamental domain every wall but its
-    generators', and a census child the walls of its parent.
+    its input chambers, a census child the walls of its parent, and a
+    fundamental domain every wall but its generators' (``walls`` is then
+    ``~cut``, a negative int with every other root's bit set).
     """
-    found = set(start)
-    if len(found) > limit:
+    size = start.bit_count()
+    if size > limit:
         return None
-    queue = list(found if queue is None else queue)
-    for g in queue:
-        for s in range(group.rank):
-            x = group.step(g, s)
-            if x not in found and crosses(g, s):
-                found.add(x)
-                queue.append(x)
-        if len(found) > limit:
+    queue = list(_members(start) if queue is None else queue)
+    for i in queue:
+        for j, r in group.adjacent(i):
+            if not start >> j & 1 and walls >> r & 1:
+                start |= 1 << j
+                size += 1
+                queue.append(j)
+        if size > limit:
             return None
-    return frozenset(found)
+    return start
 
 
-def _hull_limited(group, chambers, limit):
-    """Convex hull, or None once it exceeds ``limit`` chambers: what the
-    least input chamber c0 reaches across walls separating it from some
-    input chamber, as a convex set is an intersection of roots."""
-    c0 = min(chambers, key=lambda e: e.sort_key)
-    n0 = group.inversion_set(c0)
-    walls = set()
-    for c in chambers:
-        walls |= group.inversion_set(c) ^ n0
-    return region(group, {c0},
-                  lambda g, s: group.panel_root(g, s) in walls, limit)
+def _hull_limited(group, mask, limit):
+    """Convex hull of a chamber mask, or None once it exceeds ``limit``
+    chambers: what the least input chamber c0 reaches across walls
+    separating it from some input chamber, as a convex set is an
+    intersection of roots."""
+    ids = list(_members(mask))
+    c0 = min(ids, key=group.chamber_key)
+    n0 = group.inversion_mask(c0)
+    walls = 0
+    for i in ids:
+        walls |= group.inversion_mask(i) ^ n0
+    return region(group, 1 << c0, walls, limit)
 
 
 @dataclass(frozen=True)
@@ -91,9 +127,17 @@ class ChamberPolytope:
     # angle sites, filled by the first angle_sites call
     _sites: tuple = field(default=None, init=False, compare=False,
                           repr=False)
-    # (parent, new chambers) of a census child until its sites are filled
+    # (parent, new chamber mask) of a census child until its sites are
+    # filled
     _origin: tuple = field(default=None, init=False, compare=False,
                            repr=False)
+    # (group, chamber mask) of the group whose ids built the polytope
+    _numbered: tuple = field(default=(None, 0), init=False, compare=False,
+                             repr=False)
+
+    def __reduce__(self):
+        # a copy is the value: no caches, no numbering group to carry
+        return (ChamberPolytope, (self.chambers, self.facet_walls))
 
     @property
     def facet_count(self):
@@ -107,17 +151,19 @@ class ChamberPolytope:
         return f"ChamberPolytope({words}, facets={self.facet_count})"
 
 
-def _panel_key(panel):
-    g, s = panel
-    return g.sort_key, s
+def _mask_of(group, polytope):
+    """The polytope's chamber mask in ``group``'s ids: the one it was
+    built with if ``group`` numbered it, else read off its chambers."""
+    owner, mask = polytope._numbered
+    return mask if owner is group else _mask(group, polytope.chambers)
 
 
 def _facet_panels(group, chambers, new, inherited=None):
-    """The first boundary panel (g, s), g in ``chambers`` and g s outside,
-    on each facet wall, keyed by panel root and ordered by (chamber sort
-    key, s).
+    """The first boundary panel (i, s), i in the mask ``chambers`` and
+    i s outside, on each facet wall: a map from panel root to (chamber
+    key of i, s, i), ordered by (chamber key, s).
 
-    ``inherited`` is this map for the old chambers, ``chambers - new``
+    ``inherited`` is this map for the old chambers, ``chambers & ~new``
     (none by default, with ``new`` all the chambers).  Its panels into
     ``new`` are dropped and the boundary panels of ``new`` merged in, the
     least per root kept.  A census child's old chambers are its parent P,
@@ -125,30 +171,38 @@ def _facet_panels(group, chambers, new, inherited=None):
     ``enumerate_convex_polytopes``), so the rest are still first.
     """
     panels = {rid: panel for rid, panel in (inherited or {}).items()
-              if group.step(*panel) not in new}
-    for g in new:
-        for s in range(group.rank):
-            if group.step(g, s) not in chambers:
-                rid = group.panel_root(g, s)
+              if not new >> group.adjacent(panel[2])[panel[1]][0] & 1}
+    for i in _members(new):
+        key = group.chamber_key(i)
+        for s, (j, rid) in enumerate(group.adjacent(i)):
+            if not chambers >> j & 1:
                 have = panels.get(rid)
-                if have is None or _panel_key((g, s)) < _panel_key(have):
-                    panels[rid] = (g, s)
-    return dict(sorted(panels.items(), key=lambda item: _panel_key(item[1])))
+                if have is None or (key, s) < have[:2]:
+                    panels[rid] = (key, s, i)
+    return dict(sorted(panels.items(), key=itemgetter(1)))
 
 
 def _facet_walls(group, panels):
-    """The walls of ``_facet_panels``, sorted."""
-    return tuple(sorted((group.wall_between(g, s)
-                         for g, s in panels.values()),
-                        key=lambda w: w.sort_key))
+    """The walls of ``_facet_panels``, each found by its panel's root id,
+    sorted."""
+    return tuple(sorted((group.panel_wall(i, s)
+                         for _, s, i in panels.values()),
+                        key=_wall_key))
+
+
+def _polytope(group, chambers, mask, panels):
+    polytope = ChamberPolytope(chambers, _facet_walls(group, panels))
+    object.__setattr__(polytope, "_numbered", (group, mask))
+    return polytope
 
 
 def polytope_of(group, chambers):
     """The polytope of a convex chamber set (a frozenset of Element), with
     its facet walls read off its boundary panels; convexity is not
     checked."""
-    return ChamberPolytope(chambers, _facet_walls(
-        group, _facet_panels(group, chambers, chambers)))
+    mask = _mask(group, chambers)
+    return _polytope(group, chambers, mask,
+                     _facet_panels(group, mask, mask))
 
 
 def convex_hull(group, chambers, max_chambers=DEFAULT_HULL_CAP):
@@ -156,15 +210,18 @@ def convex_hull(group, chambers, max_chambers=DEFAULT_HULL_CAP):
     seed = frozenset(chambers)
     if not seed:
         raise InputError("hull of an empty chamber set")
-    h = _hull_limited(group, seed, max_chambers)
+    h = _hull_limited(group, _mask(group, seed), max_chambers)
     if h is None:
         raise BudgetError(f"hull exceeded {max_chambers} chambers")
-    return polytope_of(group, h)
+    return polytope_of(group, chambers_of(group, h))
 
 
 def is_convex(group, chambers):
     seed = frozenset(chambers)
-    return not seed or _hull_limited(group, seed, len(seed)) == seed
+    if not seed:
+        return True
+    mask = _mask(group, seed)
+    return _hull_limited(group, mask, len(seed)) == mask
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +261,25 @@ def angle_sites(group, polytope):
     A census child derives its sites from its parent's (computed first,
     if they are not yet): a site whose residue misses the child's new
     chambers keeps its arc and exits, so only the residues of the new
-    chambers are walked.  The child then drops its parent.
+    chambers are walked.  The child then drops its parent.  Another
+    group of the matrix walks every chamber, as the child's new-chamber
+    mask is in the census group's ids.
     """
     pending, p = [], polytope
     while p._sites is None:
-        origin = p._origin
+        # a census child's new-chamber mask is in its own group's ids
+        origin = p._origin if p._numbered[0] is group else None
         pending.append((p, origin))
         if origin is None:
             break
         p = origin[0]
     for p, origin in reversed(pending):
+        mask = _mask_of(group, p)
         if origin is None:
-            sites = _angle_sites(group, p.chambers, p.chambers)
+            sites = _angle_sites(group, mask, mask)
         else:
             parent, new = origin
-            sites = _angle_sites(group, p.chambers, new, parent._sites)
+            sites = _angle_sites(group, mask, new, parent._sites)
         object.__setattr__(p, "_sites", sites)
         object.__setattr__(p, "_origin", None)
     return polytope._sites
@@ -226,47 +287,52 @@ def angle_sites(group, polytope):
 
 def _angle_sites(group, chambers, new, inherited=()):
     """The sites of ``inherited`` (those of the old chambers,
-    ``chambers - new``; none by default, with ``new`` all the chambers)
+    ``chambers & ~new``; none by default, with ``new`` all the chambers)
     whose residue misses ``new``, and a fresh site for each residue of a
-    new chamber.  The residue meets the convex set in one arc, walked out
-    from that chamber through s and t; the panels leaving the set give
-    the arc's bounding walls.  The arcs of a pair cover the set once."""
+    new chamber, on chamber masks.  The residue meets the convex set in
+    one arc, walked out from that chamber through s and t; the panels
+    leaving the set give the arc's bounding walls, by root id.  The arcs
+    of a pair cover the set once."""
     fresh = []
     walked = set()
+    members = list(_members(new))
     for s, t in combinations(range(group.rank), 2):
         m = group.matrix.order(s, t)
         if m == INFINITY:
             continue
-        arcs = {}
-        for g in new:
-            base = group.residue_base(g, s, t)
-            if base in arcs:
-                if g not in arcs[base]:
-                    raise ConsistencyError(
-                        "arc of a convex polytope is not contiguous",
-                        ((base.word, s, t), g.word))
+        bases, done = set(), set()
+        for g in members:
+            if g in done:
                 continue
-            arc, walls = {g}, set()
-            todo = [g]
-            for x in todo:
+            base = group.residue_base(group.chamber(g), s, t)
+            if base in bases:
+                raise ConsistencyError(
+                    "arc of a convex polytope is not contiguous",
+                    ((base.word, s, t), group.chamber(g).word))
+            bases.add(base)
+            done.add(g)
+            arc, exits = [g], {}
+            for x in arc:
+                row = group.adjacent(x)
                 for a in (s, t):
-                    y = group.step(x, a)
-                    if y not in chambers:
-                        walls.add(group.wall_between(x, a))
-                    elif y not in arc:
-                        arc.add(y)
-                        todo.append(y)
-            arcs[base] = arc
+                    y, rid = row[a]
+                    if not chambers >> y & 1:
+                        exits[rid] = (x, a)
+                    elif y not in done:
+                        done.add(y)
+                        arc.append(y)
             fresh.append(AngleSite(base, (s, t), m, len(arc), tuple(
-                sorted(walls, key=lambda w: w.sort_key))))
-        walked.update(((s, t), base) for base in arcs)
+                sorted((group.panel_wall(x, a) for x, a in exits.values()),
+                       key=_wall_key))))
+        walked.update(((s, t), base) for base in bases)
     sites = [z for z in inherited if (z.pair, z.base) not in walked] + fresh
     covered = {}
     for z in sites:
         covered[z.pair] = covered.get(z.pair, 0) + z.j
-    if any(j != len(chambers) for j in covered.values()):
-        raise ConsistencyError("arc of a convex polytope is not contiguous",
-                               sorted(g.word for g in chambers))
+    if any(j != chambers.bit_count() for j in covered.values()):
+        raise ConsistencyError(
+            "arc of a convex polytope is not contiguous",
+            sorted(group.chamber(i).word for i in _members(chambers)))
     sites.sort(key=lambda z: (z.pair, z.base.sort_key))
     return tuple(sites)
 
@@ -367,14 +433,15 @@ def stacan_pairs(group, max_total_chambers, census=None):
             if not _acute_along(angle_sites(group, p1), wall):
                 continue
             rid = group.panel_root(*wall.witness)
-            panels = [(g, s) for g in p1.chambers for s in range(group.rank)
-                      if group.panel_root(g, s) == rid]
+            panels = [(i, s) for i in _members(_mask_of(group, p1))
+                      for s, (_, r) in enumerate(group.adjacent(i))
+                      if r == rid]
             if len(panels) != 1:
                 raise ConsistencyError(
                     "acute facet of a convex polytope is not one chamber",
-                    sorted((g.word, s) for g, s in panels))
-            [(g, s)] = panels
-            anchor = group.step(g, s)
+                    sorted((group.chamber(i).word, s) for i, s in panels))
+            [(i, s)] = panels
+            anchor = group.chamber(group.adjacent(i)[s][0])
             across = group.generator(s)
             base_wall = group.generator_wall(s)
             for c in census:
@@ -430,28 +497,30 @@ def enumerate_convex_polytopes(group, max_chambers):
     """
     if max_chambers < 1:
         raise InputError("chamber budget must be >= 1")
-    start = frozenset({group.identity()})
+    e = group.identity()
+    start = 1 << group.chamber_id(e)
     seen = {start}
-    queue = deque([(start, _facet_panels(group, start, start), None)])
+    queue = deque([(frozenset({e}), start,
+                    _facet_panels(group, start, start), None)])
     while queue:
-        chambers, panels, origin = queue.popleft()
-        polytope = ChamberPolytope(chambers, _facet_walls(group, panels))
+        chambers, mask, panels, origin = queue.popleft()
+        polytope = _polytope(group, chambers, mask, panels)
         object.__setattr__(polytope, "_origin", origin)
         yield polytope
         if len(chambers) >= max_chambers:
             continue
-        inside = set()
-        for c in chambers:
-            inside |= group.inversion_set(c)
-        for panel in panels.values():
-            x = group.step(*panel)
-            grown = region(group, chambers | {x},
-                           lambda g, s: group.panel_root(g, s) in inside,
-                           max_chambers, queue=[x])
+        inside = 0
+        for i in _members(mask):
+            inside |= group.inversion_mask(i)
+        for _, s, i in panels.values():
+            x = group.adjacent(i)[s][0]
+            grown = region(group, mask | 1 << x, inside, max_chambers,
+                           queue=[x])
             if grown is not None and grown not in seen:
                 seen.add(grown)
-                new = grown - chambers
-                queue.append((grown, _facet_panels(group, grown, new, panels),
+                new = grown & ~mask
+                queue.append((chambers | chambers_of(group, new), grown,
+                              _facet_panels(group, grown, new, panels),
                               (polytope, new)))
 
 
@@ -492,8 +561,9 @@ def verify_facet_bound(group, max_chambers, census=None):
 def census_record(group, polytope):
     """JSON-ready census line for one polytope."""
     sites = angle_sites(group, polytope)
+    ids = sorted(_members(_mask_of(group, polytope)), key=group.chamber_key)
     return {
-        "chambers": [c.display() for c in polytope.sorted_chambers()],
+        "chambers": [group.chamber_display(i) for i in ids],
         "facets": polytope.facet_count,
         "coxeter": _coxeter_angles(sites),
         "acute": _acute_angles(sites),

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .davis import (ChamberPolytope, enumerate_convex_polytopes, is_convex,
-                    is_coxeter_polytope, polytope_of, region)
+from .davis import (ChamberPolytope, chambers_of, enumerate_convex_polytopes,
+                    is_convex, is_coxeter_polytope, polytope_of, region)
 from .errors import (BudgetError, ConsistencyError, InputError,
                      PreconditionError)
 from .matrices import (INFINITY, CoxeterMatrix, is_infinite_indecomposable,
@@ -84,13 +84,15 @@ def fundamental_polytope(group, gens, max_chambers):
     """
     if max_chambers < 1:
         raise InputError("chamber budget must be >= 1")
-    cut = {group.panel_root(*t.witness) for t in gens}
-    chambers = region(group, {group.identity()},
-                      lambda g, s: group.panel_root(g, s) not in cut,
-                      max_chambers)
-    if chambers is None:
+    cut = 0
+    for t in gens:
+        cut |= 1 << group.panel_root(*t.witness)
+    found = region(group, 1 << group.chamber_id(group.identity()), ~cut,
+                   max_chambers)
+    if found is None:
         raise BudgetError(f"fundamental domain exceeds {max_chambers} "
                           "chambers")
+    chambers = chambers_of(group, found)
     if not is_convex(group, chambers):
         raise ConsistencyError("fundamental domain is not convex",
                                sorted(c.display() for c in chambers))

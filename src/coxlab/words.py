@@ -40,7 +40,9 @@ When they do, the order of their product is read off the field's table
 of 2cos(j*pi/N), with no power of the product formed.  A chamber's
 inversion set holds the root ids of the walls separating it from the
 base chamber, and ``residue_base`` the least chamber of its rank-2
-residues.
+residues.  ``chamber_id`` numbers chambers as they are first asked for,
+and keeps per id the ShortLex key, the inversion set as a root bitmask
+and the adjacency row that the chamber layer walks.
 """
 
 from __future__ import annotations
@@ -117,24 +119,34 @@ class Wall:
     Two walls are equal iff their reflections are equal.  The wall's
     positive root is +/- w(e_s) for its witness (w, s); a group asks for
     its own id of that root with ``panel_root(*wall.witness)``, so a wall
-    is a value that any group of the same matrix accepts.
+    is a value that any group of the same matrix accepts.  Immutable like
+    ``Element``, with its hash and sort key computed once: a group keeps
+    one wall per root and hands the same object to every caller.
     """
 
-    __slots__ = ("reflection", "witness")
+    __slots__ = ("reflection", "witness", "sort_key", "_hash")
 
     def __init__(self, reflection, witness):
-        self.reflection = reflection
-        self.witness = witness  # (w, s) with reflection == w s w^-1
+        object.__setattr__(self, "reflection", reflection)
+        # (w, s) with reflection == w s w^-1
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "sort_key", reflection.sort_key)
+        object.__setattr__(self, "_hash", hash(("Wall", reflection)))
 
-    @property
-    def sort_key(self):
-        return self.reflection.sort_key
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Wall is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Wall is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (Wall, (self.reflection, self.witness))
 
     def __eq__(self, other):
         return isinstance(other, Wall) and other.reflection == self.reflection
 
     def __hash__(self):
-        return hash(("Wall", self.reflection))
+        return self._hash
 
     def __repr__(self):
         return f"Wall({self.reflection.display() or 'e'})"
@@ -202,6 +214,11 @@ class CoxeterGroup:
         self._state_memo = {(): frozenset()}
         self._elements = {}
         self._step_table = {}
+        # chamber ids: word -> id, and per id the record [element, ShortLex
+        # key, then as first asked: inversion-set root mask, display,
+        # adjacency row]
+        self._ids = {}
+        self._chambers = []
 
     # -- roots (interned) ---------------------------------------------------
 
@@ -575,6 +592,71 @@ class CoxeterGroup:
                  "t": t.reflection.display(),
                  "u": u.reflection.display()})
         return 2 * f.N // gcd(j, 2 * f.N)
+
+    # -- chamber ids ----------------------------------------------------------
+
+    def chamber_id(self, g):
+        """A small integer naming the chamber g in this group, given the
+        first time it is asked.  As in ``_intern``, the table is read again
+        under the lock, so racing threads get one id per word.  An id
+        orders nothing: ``chamber_key`` does, and another group numbers
+        the same chambers otherwise."""
+        word = g.word
+        i = self._ids.get(word)
+        if i is None:
+            record = [self._element(word), (len(word), word), None, None,
+                      None]
+            with self._intern_lock:
+                i = self._ids.get(word)
+                if i is None:
+                    i = len(self._chambers)
+                    self._chambers.append(record)
+                    self._ids[word] = i
+        return i
+
+    def chamber(self, i):
+        """The interned element of chamber id i."""
+        return self._chambers[i][0]
+
+    def chamber_key(self, i):
+        """The ShortLex key (length, word) of chamber id i, kept once."""
+        return self._chambers[i][1]
+
+    def inversion_mask(self, i):
+        """``inversion_set`` of chamber id i as a bitmask of root ids."""
+        record = self._chambers[i]
+        if record[2] is None:
+            record[2] = sum(1 << r for r in self.inversion_set(record[0]))
+        return record[2]
+
+    def chamber_display(self, i):
+        """``chamber(i).display()``, built once."""
+        record = self._chambers[i]
+        if record[3] is None:
+            record[3] = record[0].display()
+        return record[3]
+
+    def adjacent(self, i):
+        """Chamber i's row: for each generator s, the pair (id of i s,
+        ``panel_root`` of the panel (i, s)).  Filled once per chamber;
+        racing threads compute equal rows."""
+        record = self._chambers[i]
+        row = record[4]
+        if row is None:
+            word = record[0].word
+            row = record[4] = tuple(
+                (self.chamber_id(self._element(self._mult_gen(word, s))),
+                 self._panel_root(word, s))
+                for s in range(self.rank))
+        return row
+
+    def panel_wall(self, i, s):
+        """The wall of the panel (chamber i, s), looked up by its root id:
+        ``wall_between`` runs only for a root with no wall yet."""
+        wall = self._wall_memo.get(self.adjacent(i)[s][1])
+        if wall is None:
+            wall = self.wall_between(self._chambers[i][0], s)
+        return wall
 
     # -- enumeration ----------------------------------------------------------
 

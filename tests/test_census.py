@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxlab import cli, davis
-from coxlab.davis import (_facet_panels, _facet_walls, angle_sites,
-                          convex_hull, enumerate_convex_polytopes, is_convex,
-                          polytope_of, region, side, stacan_pairs)
+from coxlab.davis import (_facet_panels, _facet_walls, _mask, angle_sites,
+                          chambers_of, convex_hull, enumerate_convex_polytopes,
+                          is_convex, polytope_of, region, side, stacan_pairs)
 from coxlab.errors import ConsistencyError
 from coxlab.matrices import INFINITY
 from coxlab.words import CoxeterGroup
@@ -73,10 +73,20 @@ def test_child_depends_on_the_facet_wall_alone(name):
     assert (shared > 0) == (name != "univ3")
 
 
+def _by_ids(group, panels):
+    """An oracle's panel map {root: (g, s)} in the library's id form
+    {root: (chamber key, s, id)}."""
+    out = {}
+    for rid, (g, s) in panels.items():
+        i = group.chamber_id(g)
+        out[rid] = (group.chamber_key(i), s, i)
+    return out
+
+
 def _assert_full_scan_records(group, p, panels):
     # the same first panels in the same order, the same facet walls, and
     # equal sites
-    expect = facet_panels_by_scan(group, p.chambers)
+    expect = _by_ids(group, facet_panels_by_scan(group, p.chambers))
     assert list(panels.items()) == list(expect.items()), p
     assert p.facet_walls == _facet_walls(group, expect), p
     sites = angle_sites(group, p)
@@ -95,15 +105,16 @@ def test_inherited_records_match_full_scans(name):
     census = list(enumerate_convex_polytopes(group, 6))
     panels = {}
     for p in census:
+        mask = _mask(group, p.chambers)
+        assert p._numbered == (group, mask)
         if p._origin is None:
             assert p.chambers == {group.identity()}
-            got = _facet_panels(group, p.chambers, p.chambers)
+            got = _facet_panels(group, mask, mask)
         else:
             parent, new = p._origin
-            assert parent.chambers | new == p.chambers
-            assert new and not parent.chambers & new
-            got = _facet_panels(group, p.chambers, new,
-                                panels[parent.chambers])
+            assert parent.chambers | chambers_of(group, new) == p.chambers
+            assert new and not _mask(group, parent.chambers) & new
+            got = _facet_panels(group, mask, new, panels[parent.chambers])
         panels[p.chambers] = got
         sites = _assert_full_scan_records(group, p, got)
         assert all(z.base in p.chambers for z in sites), p
@@ -113,7 +124,8 @@ def test_inherited_records_match_full_scans(name):
     assert hulls and translates
     for p in hulls + translates:
         assert p._origin is None
-        got = _facet_panels(group, p.chambers, p.chambers)
+        mask = _mask(group, p.chambers)
+        got = _facet_panels(group, mask, mask)
         _assert_full_scan_records(group, p, got)
 
 
@@ -168,7 +180,7 @@ def test_non_contiguous_arc_is_refused():
     parent = polytope_of(group, frozenset({e}))
     new = frozenset({group.normal_form([0, 1])})
     child = polytope_of(group, parent.chambers | new)
-    object.__setattr__(child, "_origin", (parent, new))
+    object.__setattr__(child, "_origin", (parent, _mask(group, new)))
     with pytest.raises(ConsistencyError):
         angle_sites(group, child)
 
@@ -291,14 +303,28 @@ def test_shared_census_derives_sites_under_threads():
 
 
 def test_region_stops_at_the_limit():
-    # a start set past the limit is refused before the first step; the
-    # queue alone is stepped from
+    # a start mask past the limit is refused before the first step; the
+    # queue alone is stepped from; a root mask of -1 crosses every wall,
+    # and a complement ~cut every wall but the cut ones
     group = CoxeterGroup(MATRICES["a2aff"])
     ball = group.ball(1)
-    assert region(group, ball, lambda g, s: True, 3, queue=[]) is None
-    assert region(group, ball, lambda g, s: True, 4, queue=[]) == \
-        frozenset(ball)
-    assert region(group, ball, lambda g, s: True, 6, queue=ball[1:]) \
-        is None
-    assert region(group, ball, lambda g, s: len(g) == 1, 10,
-                  queue=ball[1:]) == frozenset(group.ball(2))
+    start = _mask(group, ball)
+    ids = [group.chamber_id(g) for g in ball]
+    assert region(group, start, -1, 3, queue=[]) is None
+    assert region(group, start, -1, 4, queue=[]) == start
+    assert region(group, start, -1, 6, queue=ids[1:]) is None
+    simple = _mask(group, [])
+    for s in range(group.rank):
+        simple |= 1 << group.panel_root(group.identity(), s)
+    assert region(group, 1 << ids[0], ~simple, 1) == 1 << ids[0]
+    # in (oo,oo,oo) each wall has one panel, so crossing the walls of the
+    # generators' panels reaches the ball of radius 2 and stops
+    group = CoxeterGroup(MATRICES["univ3"])
+    ball = group.ball(1)
+    walls = 0
+    for g in ball[1:]:
+        for s in range(group.rank):
+            walls |= 1 << group.panel_root(g, s)
+    assert region(group, _mask(group, ball), walls, 10,
+                  queue=[group.chamber_id(g) for g in ball[1:]]) == \
+        _mask(group, group.ball(2))

@@ -1,0 +1,186 @@
+"""Chamber ids: a group numbers each chamber the first time it is asked
+and runs the chamber layer on those ids, with chamber sets as int
+bitmasks and one adjacency row per chamber.  An id orders nothing, so a
+group that numbered its chambers in another order gives the same census
+and the same ``--emit`` bytes; racing threads get one id per word and
+equal rows; and a polytope stays a value that every group of its matrix
+reads, whichever group numbered it."""
+
+import copy
+import pickle
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+from coxlab import cli
+from coxlab.davis import (angle_sites, census_record, check_andreev,
+                          enumerate_convex_polytopes, is_coxeter_polytope,
+                          polytope_of, stacan_pairs)
+from coxlab.matrices import parse_matrix
+from coxlab.words import CoxeterGroup
+
+from conftest import CYCLE4, MATRICES
+from oracles import angle_sites_by_residue
+
+T237 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / \
+    "t237.json"
+
+
+def _reversed_group(matrix, radius=4):
+    """A cold group that numbers its ball in reverse ShortLex first."""
+    group = CoxeterGroup(matrix)
+    ball = group.ball(radius)
+    for g in reversed(ball):
+        group.chamber_id(g)
+    assert group.chamber_id(ball[-1]) == 0
+    assert group.chamber_id(group.identity()) == len(ball) - 1
+    return group
+
+
+def test_reverse_numbering_gives_the_same_census():
+    matrix = parse_matrix(T237.read_text())
+    fresh, group = CoxeterGroup(matrix), _reversed_group(matrix)
+    got = list(enumerate_convex_polytopes(group, 6))
+    expected = list(enumerate_convex_polytopes(fresh, 6))
+    assert [p.chambers for p in got] == [q.chambers for q in expected]
+    assert [p.facet_walls for p in got] == [q.facet_walls for q in expected]
+    assert [census_record(group, p) for p in got] == \
+        [census_record(fresh, q) for q in expected]
+
+
+def test_reverse_numbering_gives_the_same_emit_bytes(tmp_path, monkeypatch,
+                                                     capsys):
+    out = tmp_path / "census.jsonl"
+    argv = ["polytopes", str(T237), "--max-chambers", "6", "--emit",
+            str(out)]
+    assert cli.main(argv) == 0
+    summary = capsys.readouterr().out
+    expected = out.read_bytes()
+    out.unlink()
+    built = []
+
+    def numbered(matrix):
+        built.append(_reversed_group(matrix))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "CoxeterGroup", numbered)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == summary
+    assert len(built) == 1 and built[0].chamber_id(
+        built[0].identity()) != 0
+    assert expected.count(b"\n") > 50
+    assert out.read_bytes() == expected
+
+
+def _rows(group, i):
+    """Chamber i's row as values: (neighbour word, root coordinates)."""
+    return [(group.chamber(j).word, group._root_list[r])
+            for j, r in group.adjacent(i)]
+
+
+def test_cold_group_numbers_each_chamber_once_under_threads():
+    # eight threads race chamber_id and adjacent on a series of cold
+    # (2,3,7) groups, each walking the ball in its own order: every word
+    # gets one id and every id one interned element, in every thread, and
+    # each row holds the serial values
+    serial = CoxeterGroup(MATRICES["t237"])
+    ball = serial.ball(12)
+    expected = {g.word: _rows(serial, serial.chamber_id(g)) for g in ball}
+    orders = [ball[k:] + ball[:k] for k in (0, 5, 11, 17)]
+    orders += [order[::-1] for order in orders]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            group = CoxeterGroup(MATRICES["t237"])
+            start = threading.Barrier(8, timeout=30)
+            got = [None] * 8
+
+            def work(k, group=group, start=start, got=got):
+                start.wait()
+                seen = {}
+                for g in orders[k]:
+                    i = group.chamber_id(g)
+                    seen[g.word] = (i, group.adjacent(i))
+                got[k] = seen
+
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            for g in ball:
+                i, row = got[0][g.word]
+                assert all(got[k][g.word] == (i, row) for k in range(8))
+                assert group.chamber(i) is group._element(g.word)
+                assert _rows(group, i) == expected[g.word]
+            count = len(group._chambers)
+            assert len(group._ids) == count >= len(ball)
+            assert sorted(group._ids.values()) == list(range(count))
+            for i in range(count):
+                assert group.chamber_id(group.chamber(i)) == i
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def _values(group, p):
+    return (angle_sites(group, p), is_coxeter_polytope(group, p),
+            check_andreev(group, p), polytope_of(group, p.chambers))
+
+
+@pytest.mark.parametrize("name", ["t237", "t255", "CYCLE4"])
+def test_polytopes_stay_values_across_groups(name):
+    # a second group of the matrix, numbered otherwise, reads a census
+    # member, a child whose sites are not yet derived, and a stacan
+    # translate through their chambers, and finds what a fresh group
+    # finds on its own census
+    matrix = CYCLE4 if name == "CYCLE4" else MATRICES[name]
+    group, fresh = CoxeterGroup(matrix), CoxeterGroup(matrix)
+    census = list(enumerate_convex_polytopes(group, 6))
+    fresh_census = list(enumerate_convex_polytopes(fresh, 6))
+    other = _reversed_group(matrix)
+
+    def check(p, q):
+        assert p.chambers == q.chambers
+        sites, coxeter, andreev, poly = _values(other, p)
+        assert sites == angle_sites(fresh, q)
+        assert sites == angle_sites_by_residue(other, p.chambers)
+        assert coxeter == is_coxeter_polytope(fresh, q)
+        assert andreev == check_andreev(fresh, q)
+        assert poly.facet_walls == p.facet_walls == q.facet_walls
+        assert poly._numbered[0] is other
+
+    child = census[-1]
+    assert all(p._sites is None for p in census)
+    assert child._origin is not None
+    for p, q in zip([child] + census[:-1],
+                    [fresh_census[-1]] + fresh_census[:-1]):
+        check(p, q)
+    assert child._origin is None
+    translates = [p2 for _, p2, _ in stacan_pairs(group, 5, census=census)]
+    fresh_translates = [p2 for _, p2, _ in stacan_pairs(fresh, 5,
+                                                        census=fresh_census)]
+    assert translates and len(translates) == len(fresh_translates)
+    for p, q in zip(translates, fresh_translates):
+        assert p._sites is None and p._numbered[0] is group
+        check(p, q)
+
+
+def test_polytope_survives_copy_and_pickle():
+    # a copy is the value without the numbering group (which holds a
+    # lock) or the caches, and any group reads it
+    group = CoxeterGroup(MATRICES["t237"])
+    p = list(enumerate_convex_polytopes(group, 5))[-1]
+    copies = [copy.copy(p), copy.deepcopy(p)] + [
+        pickle.loads(pickle.dumps(p, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    sites = angle_sites(CoxeterGroup(MATRICES["t237"]), p)
+    for x in copies:
+        assert type(x) is type(p) and x == p and hash(x) == hash(p)
+        assert x.facet_walls == p.facet_walls
+        assert x._sites is None and x._numbered == (None, 0)
+        assert angle_sites(group, x) == sites

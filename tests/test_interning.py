@@ -139,6 +139,24 @@ def test_element_is_immutable():
     assert not hasattr(g, "__dict__")
 
 
+def test_wall_is_immutable():
+    # a group hands every caller its one memoised wall per root, so an
+    # assignment would change every later answer for that root
+    group = CoxeterGroup(MATRICES["t237"])
+    wall = group.generator_wall(0)
+    for name in ("reflection", "witness", "sort_key", "_hash", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(wall, name, group.generator(1))
+        with pytest.raises(AttributeError):
+            delattr(wall, name)
+    assert not hasattr(wall, "__dict__")
+    assert group.generator_wall(0) is wall
+    assert group.wall_between(group.identity(), 0) is wall
+    assert wall.reflection == group.generator(0)
+    assert wall.witness == (group.identity(), 0)
+    assert hash(wall) == hash(Wall(group.generator(0), wall.witness))
+
+
 def test_element_and_wall_survive_copy_and_pickle():
     group = CoxeterGroup(MATRICES["t237"])
     g = group.normal_form((0, 1, 2, 0))
@@ -154,10 +172,10 @@ def test_element_and_wall_survive_copy_and_pickle():
             x.word = ()
     walls = [copy.copy(wall), copy.deepcopy(wall)] + [
         pickle.loads(pickle.dumps(wall, protocol))
-        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for x in walls:
         assert type(x) is Wall
         assert x == wall and hash(x) == hash(wall)
-        assert x.witness == wall.witness
+        assert x.witness == wall.witness and x.sort_key == wall.sort_key
         assert group.panel_root(*x.witness) == group.panel_root(g, 1)
         assert group.wall_between(*x.witness) is wall
