@@ -164,13 +164,15 @@ def suite_stacan(run, report):
     group = run.group
     pairs = 0
     bad = []
-    for p1, p2, wall in davis.stacan_pairs(group, run.max_chambers,
-                                           census=run.census):
+    for p1, wall, mask1, mask2 in davis.glued_translates(
+            group, run.max_chambers, census=run.census):
         pairs += 1
-        if not davis.is_convex(group, p1.chambers | p2.chambers):
+        if not davis.is_convex_mask(group, mask1 | mask2):
+            p2 = sorted(davis.chambers_of(group, mask2),
+                        key=lambda e: e.sort_key)
             bad.append({
                 "p1": [c.display() for c in p1.sorted_chambers()],
-                "p2": [c.display() for c in p2.sorted_chambers()],
+                "p2": [c.display() for c in p2],
                 "wall": wall.reflection.display(),
             })
     if bad:

@@ -31,6 +31,9 @@ so the output does not depend on the order in which chambers were
 numbered.  A polytope keeps its chambers as a frozenset of Element and
 its mask beside the group that numbered it; only that group reads the
 mask, and any other group of the matrix converts from the chambers.
+A census member is convex and holds the base chamber, so it holds every
+prefix of each of its normal forms: the stacan search translates it by
+walking its chambers in ShortLex order along the adjacency rows.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .words import Element
 
 DEFAULT_HULL_CAP = 4096
 _wall_key = attrgetter("sort_key")
+_site_order = attrgetter("_order")
 
 
 def side(group, wall, chamber):
@@ -218,10 +222,13 @@ def convex_hull(group, chambers, max_chambers=DEFAULT_HULL_CAP):
 
 def is_convex(group, chambers):
     seed = frozenset(chambers)
-    if not seed:
-        return True
-    mask = _mask(group, seed)
-    return _hull_limited(group, mask, len(seed)) == mask
+    return not seed or is_convex_mask(group, _mask(group, seed))
+
+
+def is_convex_mask(group, mask):
+    """Whether a nonempty chamber mask of ``group``'s ids is convex: its
+    hull, limited to its own size, is itself."""
+    return _hull_limited(group, mask, mask.bit_count()) == mask
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +253,12 @@ class AngleSite:
     m: int
     j: int
     boundary_walls: tuple     # distinct exit walls, sorted; () if interior
+    # (pair, ShortLex key of base): the order of a polytope's sites, built
+    # once per site, as a child inherits most of its parent's
+    _order: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_order", (self.pair, self.base.sort_key))
 
     @property
     def interior(self):
@@ -333,7 +346,9 @@ def _angle_sites(group, chambers, new, inherited=()):
         raise ConsistencyError(
             "arc of a convex polytope is not contiguous",
             sorted(group.chamber(i).word for i in _members(chambers)))
-    sites.sort(key=lambda z: (z.pair, z.base.sort_key))
+    # the kept sites are one sorted run, so the sort merges the fresh ones
+    # into it
+    sites.sort(key=_site_order)
     return tuple(sites)
 
 
@@ -359,22 +374,23 @@ def is_acute_angled(group, polytope):
 # wall and facet intersection
 
 
-def _meeting(group, polytope, walls):
+def _meeting(group, polytope):
     """Whether two of the walls meet inside the closure of the polytope.
 
     They do when some chamber g of the polytope conjugates both
     reflections into one finite standard subgroup: the wall intersection
-    then meets the closure of g.  Each conjugate g^-1 r g is computed once
-    per wall and chamber, and each support's finiteness once.
+    then meets the closure of g.  A wall's conjugates g^-1 r g are
+    computed once, when a pair with it is first asked for, and each
+    support's finiteness once.
     """
-    conj = [(group.inverse(g), g) for g in polytope.sorted_chambers()]
-    supports = {w: [frozenset(group.multiply(
-                        group.multiply(ginv, w.reflection), g).word)
-                    for ginv, g in conj]
-                for w in walls}
-    finite = {}
+    supports, finite = {}, {}
 
     def meet(a, b):
+        for w in (a, b):
+            if w not in supports:
+                supports[w] = [frozenset(group.multiply(group.multiply(
+                    group.inverse(g), w.reflection), g).word)
+                    for g in polytope.chambers]
         for x, y in zip(supports[a], supports[b]):
             union = x | y
             if union not in finite:
@@ -390,23 +406,88 @@ def check_andreev(group, polytope):
     walls still intersect.
 
     The emptiness guarantee holds for acute-angled polytopes; the check
-    itself runs on any convex polytope.
+    itself runs on any convex polytope.  The group's memoised order of
+    the two reflections' product is asked first: walls whose product has
+    infinite order never meet, so their conjugates are never formed.
     """
-    violations = []
-    walls = polytope.facet_walls
-    meet = _meeting(group, polytope, walls)
-    for a, b in combinations(walls, 2):
-        if not meet(a, b) and group.order_of_product(a, b) != INFINITY:
-            violations.append((a, b))
-    return violations
+    meet = _meeting(group, polytope)
+    return [(a, b) for a, b in combinations(polytope.facet_walls, 2)
+            if group.order_of_product(a, b) != INFINITY and not meet(a, b)]
 
 
 # ---------------------------------------------------------------------------
 # gluing two polytopes along a facet
 
 
-def _acute_along(sites, wall):
-    return _acute_angles([z for z in sites if wall in z.boundary_walls])
+def _obtuse_roots(group, polytope):
+    """The root-id mask of the walls bounding a site with 2j > m: the
+    polytope is acute along a wall iff its bit is clear."""
+    mask = 0
+    for z in angle_sites(group, polytope):
+        if 2 * z.j > z.m:
+            for w in z.boundary_walls:
+                mask |= 1 << group.panel_root(*w.witness)
+    return mask
+
+
+def _prefix_walk(group, mask):
+    """A chamber mask closed under prefixes as a walk from the base
+    chamber: (position of x, s) for each other chamber x s, positions
+    counted from 0 at the base in ShortLex order."""
+    ids = sorted(_members(mask), key=group.chamber_key)
+    at = {i: k for k, i in enumerate(ids)}
+    walk = []
+    for i in ids[1:]:
+        s = group.chamber_key(i)[1][-1]
+        walk.append((at[group.adjacent(i)[s][0]], s))
+    return walk
+
+
+def glued_translates(group, max_total_chambers, census=None):
+    """``stacan_pairs`` as (P1, W, P1's chamber mask, P2's chamber mask)
+    in ``group``'s ids.  The census is read once, into each member's
+    obtuse root mask and, per generator s, the list of members that may
+    be glued across the wall of s; a translate multiplies nothing."""
+    if census is None:
+        census = (enumerate_convex_polytopes(group, max_total_chambers - 1)
+                  if max_total_chambers > 1 else ())
+    census = [(p, _mask_of(group, p), _obtuse_roots(group, p))
+              for p in census if len(p.chambers) < max_total_chambers]
+    e = group.identity()
+    gens = [(group.chamber_id(group.generator(s)), group.panel_root(e, s))
+            for s in range(group.rank)]
+    partners = [[] for _ in gens]
+    for c, mask, obtuse in census:
+        walk = None
+        for s, (across, rid) in enumerate(gens):
+            if not (mask >> across & 1 or obtuse >> rid & 1):
+                if walk is None:
+                    walk = _prefix_walk(group, mask)
+                partners[s].append((len(c.chambers), walk))
+    for p1, mask1, obtuse in census:
+        room = max_total_chambers - len(p1.chambers)
+        panels = {}
+        for i in _members(mask1):
+            for s, (j, r) in enumerate(group.adjacent(i)):
+                if not mask1 >> j & 1:
+                    panels.setdefault(r, []).append((i, s))
+        for wall in p1.facet_walls:
+            rid = group.panel_root(*wall.witness)
+            if obtuse >> rid & 1:
+                continue
+            if len(panels[rid]) != 1:
+                raise ConsistencyError(
+                    "acute facet of a convex polytope is not one chamber",
+                    sorted((group.chamber(i).word, s)
+                           for i, s in panels[rid]))
+            [(i, s)] = panels[rid]
+            anchor = group.adjacent(i)[s][0]
+            for size, walk in partners[s]:
+                if size <= room:
+                    ids = [anchor]
+                    for k, a in walk:
+                        ids.append(group.adjacent(ids[k])[a][0])
+                    yield p1, wall, mask1, sum(1 << i for i in ids)
 
 
 def stacan_pairs(group, max_total_chambers, census=None):
@@ -421,37 +502,14 @@ def stacan_pairs(group, max_total_chambers, census=None):
     arises exactly once.  anchor^-1 W is the wall of s, so P2 lies
     across W iff C does not contain s (a convex C containing e and
     crossing that wall contains s), and P2 is acute along W iff C is
-    acute along the wall of s: C's cached sites decide.
+    acute along the wall of s.  C is convex and holds e, so it holds
+    every prefix x of each of its chambers x s, and anchor x s is the
+    s-neighbour of anchor x: ``glued_translates`` walks P2 from the
+    anchor in ShortLex order.
     """
-    if census is None:
-        census = enumerate_convex_polytopes(group, max_total_chambers - 1)
-    census = [p for p in census
-              if len(p.chambers) <= max_total_chambers - 1]
-    for p1 in census:
-        room = max_total_chambers - len(p1.chambers)
-        for wall in p1.facet_walls:
-            if not _acute_along(angle_sites(group, p1), wall):
-                continue
-            rid = group.panel_root(*wall.witness)
-            panels = [(i, s) for i in _members(_mask_of(group, p1))
-                      for s, (_, r) in enumerate(group.adjacent(i))
-                      if r == rid]
-            if len(panels) != 1:
-                raise ConsistencyError(
-                    "acute facet of a convex polytope is not one chamber",
-                    sorted((group.chamber(i).word, s) for i, s in panels))
-            [(i, s)] = panels
-            anchor = group.chamber(group.adjacent(i)[s][0])
-            across = group.generator(s)
-            base_wall = group.generator_wall(s)
-            for c in census:
-                if len(c.chambers) > room or across in c.chambers:
-                    continue
-                if not _acute_along(angle_sites(group, c), base_wall):
-                    continue
-                chambers = frozenset(group.multiply(anchor, x)
-                                     for x in c.chambers)
-                yield p1, polytope_of(group, chambers), wall
+    for p1, wall, _, mask in glued_translates(group, max_total_chambers,
+                                              census):
+        yield p1, polytope_of(group, chambers_of(group, mask)), wall
 
 
 # ---------------------------------------------------------------------------

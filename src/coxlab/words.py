@@ -210,6 +210,7 @@ class CoxeterGroup:
         self._wall_memo = {}
         self._inversion_memo = {(): frozenset()}
         self._residue_memo = {}
+        self._order_memo = {}
         self._row_memo = {}
         self._state_memo = {(): frozenset()}
         self._elements = {}
@@ -575,23 +576,31 @@ class CoxeterGroup:
         of a finite standard parabolic subgroup, and in each finite type
         the order k of a product of two reflections divides the lcm of
         the type's orders, so k | N and 2*psi is a multiple of pi/N.
+        Memoised per group by the pair of root ids, in either order.
         """
-        if t.reflection == u.reflection:
+        a, b = sorted((self.panel_root(*t.witness),
+                       self.panel_root(*u.witness)))
+        if a == b:
             raise InputError("order_of_product needs distinct walls")
+        hit = self._order_memo.get((a, b))
+        if hit is not None:
+            return hit
         f = self.field
-        c = f.raw_dot(self._form_rows(self.panel_root(*u.witness)),
-                      self._root_list[self.panel_root(*t.witness)])
+        c = f.raw_dot(self._form_rows(b), self._root_list[a])
         c2 = f.raw_mul(c, c)
         if f.sign_raw(f.raw_sub(c2, f.raw_from_int(4))) >= 0:
-            return INFINITY
-        j = f.two_cos_index(f.raw_sub(c2, f.raw_from_int(2)))
-        if j is None:
-            raise ConsistencyError(
-                "bounded form value is no 2cos(j pi/N)",
-                {"matrix": self.matrix.to_json_dict(),
-                 "t": t.reflection.display(),
-                 "u": u.reflection.display()})
-        return 2 * f.N // gcd(j, 2 * f.N)
+            hit = INFINITY
+        else:
+            j = f.two_cos_index(f.raw_sub(c2, f.raw_from_int(2)))
+            if j is None:
+                raise ConsistencyError(
+                    "bounded form value is no 2cos(j pi/N)",
+                    {"matrix": self.matrix.to_json_dict(),
+                     "t": t.reflection.display(),
+                     "u": u.reflection.display()})
+            hit = 2 * f.N // gcd(j, 2 * f.N)
+        self._order_memo[(a, b)] = hit
+        return hit
 
     # -- chamber ids ----------------------------------------------------------
 

@@ -60,6 +60,12 @@ same bisection.  ``form_by_rows`` and ``order_by_form_rows`` form the
 doubled form value afresh for each pair of walls, as ``order_of_product``
 did before it memoised C r per root.  ``facets_intersect`` and
 ``angle_fraction`` are helpers that no library code calls.
+``stacan_pairs_by_scan`` is the glued-pair search before its partner
+index: every acute facet scans the whole census, and each translate is
+formed by ``multiply``; ``stacan_entry_by_scan`` is the stacan suite's
+report entry built from it.  ``meeting_by_conjugates`` and
+``check_andreev_by_conjugates`` are the Andreev check before it asked
+the order first: every facet wall conjugated by every chamber up front.
 """
 
 from fractions import Fraction
@@ -69,7 +75,7 @@ from math import ceil, floor, gcd
 from coxlab.algebraic import _pmul, _ptrim
 from coxlab.davis import (AngleSite, _meeting, angle_sites, convex_hull,
                           enumerate_convex_polytopes, is_convex,
-                          is_coxeter_polytope, side)
+                          is_coxeter_polytope, polytope_of, side)
 from coxlab.errors import (BudgetError, ConsistencyError, FieldError,
                            InputError, PreconditionError)
 from coxlab.matrices import INFINITY, components, is_finite
@@ -1090,7 +1096,40 @@ def facets_intersect_per_pair(group, polytope, a, b):
 def facets_intersect(group, polytope, a, b):
     """Whether the two facet walls meet inside the closure of the
     polytope, by the library's per-polytope conjugate supports."""
-    return _meeting(group, polytope, (a, b))(a, b)
+    return _meeting(group, polytope)(a, b)
+
+
+def meeting_by_conjugates(group, polytope, walls):
+    """The library's ``_meeting`` before its supports were formed on
+    demand: every wall conjugated by every chamber up front."""
+    conj = [(group.inverse(g), g) for g in polytope.sorted_chambers()]
+    supports = {w: [frozenset(group.multiply(
+                        group.multiply(ginv, w.reflection), g).word)
+                    for ginv, g in conj]
+                for w in walls}
+    finite = {}
+
+    def meet(a, b):
+        for x, y in zip(supports[a], supports[b]):
+            union = x | y
+            if union not in finite:
+                finite[union] = is_finite(group.matrix.restrict(union))
+            if finite[union]:
+                return True
+        return False
+    return meet
+
+
+def check_andreev_by_conjugates(group, polytope):
+    """``check_andreev`` before it asked the order first: the meeting
+    test on every facet pair, then the order of the disjoint ones."""
+    violations = []
+    walls = polytope.facet_walls
+    meet = meeting_by_conjugates(group, polytope, walls)
+    for a, b in combinations(walls, 2):
+        if not meet(a, b) and group.order_of_product(a, b) != INFINITY:
+            violations.append((a, b))
+    return violations
 
 
 def andreev_per_pair(group, polytope):
@@ -1351,3 +1390,60 @@ def stacan_pairs_all_bases(group, max_total_chambers, census=None):
                     if not acute_along(group, p2, wall):
                         continue
                     yield p1, p2, wall
+
+
+def stacan_pairs_by_scan(group, max_total_chambers, census=None):
+    """``stacan_pairs`` before the partner index: for each acute facet of
+    each P1 the whole census is scanned, acuteness read off the sites by
+    wall equality, and each translate formed by ``multiply``."""
+    if census is None:
+        census = enumerate_convex_polytopes(group, max_total_chambers - 1)
+    census = [p for p in census
+              if len(p.chambers) <= max_total_chambers - 1]
+    for p1 in census:
+        room = max_total_chambers - len(p1.chambers)
+        for wall in p1.facet_walls:
+            if not acute_along(group, p1, wall):
+                continue
+            rid = group.panel_root(*wall.witness)
+            panels = [(g, s) for g in p1.sorted_chambers()
+                      for s in range(group.rank)
+                      if group.panel_root(g, s) == rid]
+            if len(panels) != 1:
+                raise ConsistencyError(
+                    "acute facet of a convex polytope is not one chamber",
+                    sorted((g.word, s) for g, s in panels))
+            [(g, s)] = panels
+            anchor = group.step(g, s)
+            across = group.generator(s)
+            base_wall = group.generator_wall(s)
+            for c in census:
+                if len(c.chambers) > room or across in c.chambers:
+                    continue
+                if not acute_along(group, c, base_wall):
+                    continue
+                chambers = frozenset(group.multiply(anchor, x)
+                                     for x in c.chambers)
+                yield p1, polytope_of(group, chambers), wall
+
+
+def stacan_entry_by_scan(group, max_chambers, census, convex=is_convex):
+    """The stacan suite's report entry as it was built from
+    ``stacan_pairs_by_scan``, each union tested by ``convex`` on its
+    chambers."""
+    pairs, bad = 0, []
+    for p1, p2, wall in stacan_pairs_by_scan(group, max_chambers, census):
+        pairs += 1
+        if not convex(group, p1.chambers | p2.chambers):
+            bad.append({
+                "p1": [c.display() for c in p1.sorted_chambers()],
+                "p2": [c.display() for c in p2.sorted_chambers()],
+                "wall": wall.reflection.display(),
+            })
+    if bad:
+        return {"name": "stacan", "status": "fail",
+                "detail": f"{len(bad)} non-convex unions over {pairs} "
+                          "glued pairs",
+                "counterexample": bad[:3]}
+    return {"name": "stacan", "status": "bounded-pass",
+            "detail": f"all {pairs} glued-pair unions convex"}

@@ -584,8 +584,36 @@ def test_cold_group_orders_are_thread_safe():
                 assert not t.is_alive()
             assert SIGN_STATS.refinements > refinements
             assert got == [(1, expected)] * 8
+            # racing threads store equal values: the memo holds the serial
+            # answer of every pair, once per unordered pair of roots
+            assert group._order_memo == {
+                _order_key(group, t, u): o
+                for (t, u), o in zip(pairs, expected)}
     finally:
         sys.setswitchinterval(switch)
+
+
+def _order_key(group, t, u):
+    return tuple(sorted((group.panel_root(*t.witness),
+                         group.panel_root(*u.witness))))
+
+
+def test_order_memo_is_shared_by_both_orders():
+    # (t, u) and (u, t) read one entry, and the second read decides no
+    # sign; equal walls still raise after a cached call and are not kept
+    g = CoxeterGroup(MATRICES["t237"])
+    walls = g.enumerate_reflections(7)
+    for t, u in combinations(walls[:12], 2):
+        first = g.order_of_product(t, u)
+        decisions = SIGN_STATS.decisions
+        assert g.order_of_product(u, t) == first
+        assert SIGN_STATS.decisions == decisions
+        assert g._order_memo[_order_key(g, t, u)] == first
+    assert len(g._order_memo) == 66
+    for t in walls[:12]:
+        with pytest.raises(InputError):
+            g.order_of_product(t, t)
+    assert len(g._order_memo) == 66
 
 
 def test_enumerate_reflections_budget(a1aff):
