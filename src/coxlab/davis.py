@@ -54,8 +54,8 @@ _site_order = attrgetter("_order")
 
 def side(group, wall, chamber):
     """+1 on the base-chamber side of the wall, -1 across it."""
-    rid = group.panel_root(*wall.witness)
-    return -1 if rid in group.inversion_set(chamber) else 1
+    n = group.inversion_mask(group.chamber_id(chamber))
+    return -1 if n >> group.panel_root(*wall.witness) & 1 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,13 @@ def _facet_walls(group, panels):
                         key=_wall_key))
 
 
-def _polytope(group, chambers, mask, panels):
+def _polytope(group, mask, chambers=None, panels=None):
+    """The polytope of a convex chamber mask; its chambers and boundary
+    panels are read off the mask unless given."""
+    if chambers is None:
+        chambers = chambers_of(group, mask)
+    if panels is None:
+        panels = _facet_panels(group, mask, mask)
     polytope = ChamberPolytope(chambers, _facet_walls(group, panels))
     object.__setattr__(polytope, "_numbered", (group, mask))
     return polytope
@@ -204,9 +210,7 @@ def polytope_of(group, chambers):
     """The polytope of a convex chamber set (a frozenset of Element), with
     its facet walls read off its boundary panels; convexity is not
     checked."""
-    mask = _mask(group, chambers)
-    return _polytope(group, chambers, mask,
-                     _facet_panels(group, mask, mask))
+    return _polytope(group, _mask(group, chambers), chambers)
 
 
 def convex_hull(group, chambers, max_chambers=DEFAULT_HULL_CAP):
@@ -217,7 +221,7 @@ def convex_hull(group, chambers, max_chambers=DEFAULT_HULL_CAP):
     h = _hull_limited(group, _mask(group, seed), max_chambers)
     if h is None:
         raise BudgetError(f"hull exceeded {max_chambers} chambers")
-    return polytope_of(group, chambers_of(group, h))
+    return _polytope(group, h)
 
 
 def is_convex(group, chambers):
@@ -229,6 +233,31 @@ def is_convex_mask(group, mask):
     """Whether a nonempty chamber mask of ``group``'s ids is convex: its
     hull, limited to its own size, is itself."""
     return _hull_limited(group, mask, mask.bit_count()) == mask
+
+
+def fundamental_polytope(group, gens, max_chambers):
+    """Chambers on the base side of every wall of the canonical set
+    ``gens`` (``canonical_generators`` output, or a Coxeter polytope's
+    facet walls): the fundamental domain, as every positive root of the
+    subgroup is a nonnegative combination of the canonical roots (Dyer
+    1990, Deodhar 1989).  It is an intersection of roots, so the search
+    from the base chamber reaches it whole.  Returns (polytope, index)
+    within the budget; raises BudgetError otherwise.
+    """
+    if max_chambers < 1:
+        raise InputError("chamber budget must be >= 1")
+    cut = 0
+    for t in gens:
+        cut |= 1 << group.panel_root(*t.witness)
+    found = region(group, 1 << group.chamber_id(group.identity()), ~cut,
+                   max_chambers)
+    if found is None:
+        raise BudgetError(f"fundamental domain exceeds {max_chambers} "
+                          "chambers")
+    if not is_convex_mask(group, found):
+        raise ConsistencyError("fundamental domain is not convex", sorted(
+            map(group.chamber_display, _members(found))))
+    return _polytope(group, found), found.bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +482,7 @@ def glued_translates(group, max_total_chambers, census=None):
                   if max_total_chambers > 1 else ())
     census = [(p, _mask_of(group, p), _obtuse_roots(group, p))
               for p in census if len(p.chambers) < max_total_chambers]
-    e = group.identity()
-    gens = [(group.chamber_id(group.generator(s)), group.panel_root(e, s))
-            for s in range(group.rank)]
+    gens = group.adjacent(group.chamber_id(group.identity()))
     partners = [[] for _ in gens]
     for c, mask, obtuse in census:
         walk = None
@@ -509,7 +536,7 @@ def stacan_pairs(group, max_total_chambers, census=None):
     """
     for p1, wall, _, mask in glued_translates(group, max_total_chambers,
                                               census):
-        yield p1, polytope_of(group, chambers_of(group, mask)), wall
+        yield p1, _polytope(group, mask), wall
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +589,7 @@ def enumerate_convex_polytopes(group, max_chambers):
                     _facet_panels(group, start, start), None)])
     while queue:
         chambers, mask, panels, origin = queue.popleft()
-        polytope = _polytope(group, chambers, mask, panels)
+        polytope = _polytope(group, mask, chambers, panels)
         object.__setattr__(polytope, "_origin", origin)
         yield polytope
         if len(chambers) >= max_chambers:

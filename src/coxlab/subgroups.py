@@ -1,11 +1,11 @@
-"""Reflection subgroups: canonical generators, fundamental polytopes,
-induced Coxeter matrices, and the rank/nerve/commutation checks.
+"""Reflection subgroups: canonical generators, induced Coxeter matrices,
+and the rank/nerve/commutation checks.
 
 The canonical generating set of a reflection subgroup is computed by
 conjugation descent: while some pair allows t1 t2 t1 shorter than t2,
-replace t2.  The fundamental polytope is what the base chamber reaches
-without crossing a canonical wall; its chamber count is the subgroup
-index.
+replace t2.  The fundamental polytope (``davis.fundamental_polytope``)
+is what the base chamber reaches without crossing a canonical wall; its
+chamber count is the subgroup index.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .davis import (ChamberPolytope, chambers_of, enumerate_convex_polytopes,
-                    is_convex, is_coxeter_polytope, polytope_of, region)
+from .davis import (ChamberPolytope, enumerate_convex_polytopes,
+                    fundamental_polytope, is_coxeter_polytope)
 from .errors import (BudgetError, ConsistencyError, InputError,
                      PreconditionError)
 from .matrices import (INFINITY, CoxeterMatrix, is_infinite_indecomposable,
@@ -71,32 +71,6 @@ def canonical_generators(group, walls):
             raise ConsistencyError("canonical descent failed to terminate",
                                    [w.reflection.display() for w in walls])
     return tuple(sorted(gens.values(), key=lambda w: w.sort_key))
-
-
-def fundamental_polytope(group, gens, max_chambers):
-    """Chambers on the base side of every wall of the canonical set
-    ``gens`` (``canonical_generators`` output, or a Coxeter polytope's
-    facet walls): the fundamental domain, as every positive root of the
-    subgroup is a nonnegative combination of the canonical roots (Dyer
-    1990, Deodhar 1989).  It is an intersection of roots, so the search
-    from the base chamber reaches it whole.  Returns (polytope, index)
-    within the budget; raises BudgetError otherwise.
-    """
-    if max_chambers < 1:
-        raise InputError("chamber budget must be >= 1")
-    cut = 0
-    for t in gens:
-        cut |= 1 << group.panel_root(*t.witness)
-    found = region(group, 1 << group.chamber_id(group.identity()), ~cut,
-                   max_chambers)
-    if found is None:
-        raise BudgetError(f"fundamental domain exceeds {max_chambers} "
-                          "chambers")
-    chambers = chambers_of(group, found)
-    if not is_convex(group, chambers):
-        raise ConsistencyError("fundamental domain is not convex",
-                               sorted(c.display() for c in chambers))
-    return polytope_of(group, chambers), len(chambers)
 
 
 def induced_matrix(group, gens):

@@ -21,10 +21,7 @@ product that lengthens its word: w * s_t is w + (t,) when t may follow
 w.  Only a product that shortens, or that lengthens into a word that is
 not ShortLex, is canonicalized, by stripping the smallest left descent
 recursively.  States are memoised per normal-form prefix and
-transitions per state, both as they are first needed.  A group hands
-out one interned ``Element`` per normal form (``ball`` alone builds its
-own, as a walk that visits each element once gains nothing from a
-table), and ``step`` is one lookup in a table keyed by (element, letter).
+transitions per state, both as they are first needed.
 
 Chambers of the chamber complex are exactly these elements; a wall is
 a reflection t = w s w^-1 with its witness (w, s).  Each group reads the
@@ -37,12 +34,12 @@ generators, conjugates, enumerated reflections, and ``as_reflection``,
 which reads the middle panel of a normal form.  The only sign decision
 left is the test in ``order_of_product`` of whether two walls meet.
 When they do, the order of their product is read off the field's table
-of 2cos(j*pi/N), with no power of the product formed.  A chamber's
-inversion set holds the root ids of the walls separating it from the
-base chamber, and ``residue_base`` the least chamber of its rank-2
-residues.  ``chamber_id`` numbers chambers as they are first asked for,
-and keeps per id the ShortLex key, the inversion set as a root bitmask
-and the adjacency row that the chamber layer walks.
+of 2cos(j*pi/N), with no power of the product formed.
+
+A group numbers each normal form as it first hands it out, and keeps
+per chamber id one record: the word's one ``Element`` (``ball`` builds
+its own, as a walk that visits each element once gains nothing from a
+table), ShortLex key, inversion set as a root mask, display and row.
 """
 
 from __future__ import annotations
@@ -66,8 +63,8 @@ class Element:
     """A group element in ShortLex normal form (0-based generator indices).
 
     Immutable, equal by word, with its hash computed once.  A group hands
-    out one object per word (``CoxeterGroup._element``); an element built
-    directly still compares and hashes equal to it.
+    out one object per word (the one its chamber record holds); an
+    element built directly still compares and hashes equal to it.
     """
 
     __slots__ = ("word", "_hash")
@@ -208,13 +205,10 @@ class CoxeterGroup:
         self._canon_memo = {(): ()}
         self._panel_memo = {}
         self._wall_memo = {}
-        self._inversion_memo = {(): frozenset()}
         self._residue_memo = {}
         self._order_memo = {}
         self._row_memo = {}
         self._state_memo = {(): frozenset()}
-        self._elements = {}
-        self._step_table = {}
         # chamber ids: word -> id, and per id the record [element, ShortLex
         # key, then as first asked: inversion-set root mask, display,
         # adjacency row]
@@ -400,7 +394,7 @@ class CoxeterGroup:
 
     def _state(self, word):
         """The automaton state of a normal form, grown along its prefixes
-        and memoised per prefix, as ``inversion_set`` is."""
+        and memoised per prefix, as ``inversion_mask`` is."""
         memo = self._state_memo
         k = len(word)
         while word[:k] not in memo:
@@ -419,37 +413,31 @@ class CoxeterGroup:
     # -- public element interface -------------------------------------------
 
     def _element(self, word):
-        """The group's one ``Element`` of a normal form: ``setdefault``
-        keeps the first object stored however threads race."""
-        hit = self._elements.get(word)
-        if hit is None:
-            hit = self._elements.setdefault(word, Element(word))
-        return hit
+        """The group's one ``Element`` of a normal form."""
+        return self._chambers[self._id(word)][0]
+
+    def _letter(self, s):
+        if not 0 <= s < self.rank:
+            raise InputError(f"generator index {s} out of range")
 
     def identity(self):
         return self._element(())
 
     def generator(self, i):
-        if not 0 <= i < self.rank:
-            raise InputError(f"generator index {i} out of range")
+        self._letter(i)
         return self._element((i,))
 
     def normal_form(self, word):
         w = tuple(word)
         for a in w:
-            if not 0 <= a < self.rank:
-                raise InputError(f"generator index {a} out of range")
+            self._letter(a)
         return self._element(self._mult_word((), w))
 
     def step(self, g, s):
         """Right multiplication by a generator: the adjacent chamber, read
-        off a table with one entry per panel (g, s) asked for."""
-        key = (g, s)
-        hit = self._step_table.get(key)
-        if hit is None:
-            hit = self._step_table.setdefault(
-                key, self._element(self._mult_gen(g.word, s)))
-        return hit
+        off g's adjacency row."""
+        self._letter(s)
+        return self._chambers[self.adjacent(self.chamber_id(g))[s][0]][0]
 
     def multiply(self, g, h):
         return self._element(self._mult_word(g.word, h.word))
@@ -486,42 +474,33 @@ class CoxeterGroup:
         return hit
 
     def inversion_set(self, g):
-        """Root ids of the walls separating g from the base chamber, grown
-        along the normal form by N(w a) = N(w) | {panel_root(w, a)}: each
-        prefix of a normal form is one, and its next letter lengthens it.
-        """
-        word = g.word
-        memo = self._inversion_memo
-        k = len(word)
-        while word[:k] not in memo:
-            k -= 1
-        n = memo[word[:k]]
-        for j in range(k, len(word)):
-            n = n | {self._panel_root(word[:j], word[j])}
-            memo[word[:j + 1]] = n
-        return n
+        """Root ids of the walls separating g from the base chamber: the
+        bits of ``inversion_mask``."""
+        mask = self.inversion_mask(self.chamber_id(g))
+        return frozenset(r for r in range(mask.bit_length()) if mask >> r & 1)
 
     def residue_base(self, g, s, t):
         """Least chamber of g's {s, t} residue, reached by right descents in
-        {s, t}: at most m = m(s, t) of them, as the residue's longest
-        element has length m, and at most len(g).  Memoised per group."""
-        key = (g.word, s, t)
+        {s, t} along adjacency rows: at most m = m(s, t) of them, as the
+        residue's longest element has length m, and at most len(g)."""
+        key = (self.chamber_id(g), s, t)
         hit = self._residue_memo.get(key)
         if hit is not None:
             return hit
-        m = self.matrix.order(s, t)
-        x = g
-        for _ in range(min(m, len(g)) + 1):
+        chambers = self._chambers
+        x = key[0]
+        for _ in range(min(self.matrix.order(s, t), len(g)) + 1):
+            row, length = self.adjacent(x), chambers[x][1][0]
             for a in (s, t):
-                y = self.step(x, a)
-                if len(y) < len(x):
+                y = row[a][0]
+                if chambers[y][1][0] < length:
                     x = y
                     break
             else:
-                self._residue_memo[key] = x
-                return x
+                hit = self._residue_memo[key] = chambers[x][0]
+                return hit
         raise ConsistencyError("rank-2 residue has no least chamber",
-                               (x.display(), s, t))
+                               (chambers[x][0].display(), s, t))
 
     def generator_wall(self, i):
         return self.wall_between(self.identity(), i)
@@ -532,6 +511,7 @@ class CoxeterGroup:
         One ``Wall`` per root, and every wall the group hands out is made
         here: its witness is the first panel that reached the root.
         """
+        self._letter(s)
         rid = self.panel_root(g, s)
         wall = self._wall_memo.get(rid)
         if wall is None:
@@ -604,23 +584,32 @@ class CoxeterGroup:
 
     # -- chamber ids ----------------------------------------------------------
 
-    def chamber_id(self, g):
-        """A small integer naming the chamber g in this group, given the
-        first time it is asked.  As in ``_intern``, the table is read again
-        under the lock, so racing threads get one id per word.  An id
-        orders nothing: ``chamber_key`` does, and another group numbers
-        the same chambers otherwise."""
-        word = g.word
+    def _id(self, word):
+        """The chamber id of a normal form, numbered with its record when
+        first asked.  As in ``_intern``, the table is read again under the
+        lock, so racing threads get one id and one ``Element`` per word."""
         i = self._ids.get(word)
         if i is None:
-            record = [self._element(word), (len(word), word), None, None,
-                      None]
+            record = [Element(word), (len(word), word), None if word else 0,
+                      None, None]
             with self._intern_lock:
                 i = self._ids.get(word)
                 if i is None:
                     i = len(self._chambers)
                     self._chambers.append(record)
                     self._ids[word] = i
+        return i
+
+    def chamber_id(self, g):
+        """A small integer naming the chamber g in this group.  An id
+        orders nothing: ``chamber_key`` does, and another group numbers
+        the same chambers otherwise.  InputError unless g's word is a
+        normal form of this group."""
+        i = self._ids.get(g.word)
+        if i is None:
+            if self.normal_form(g.word) != g:
+                raise InputError(f"{g.word} is no normal form of this group")
+            i = self._ids[g.word]
         return i
 
     def chamber(self, i):
@@ -632,10 +621,20 @@ class CoxeterGroup:
         return self._chambers[i][1]
 
     def inversion_mask(self, i):
-        """``inversion_set`` of chamber id i as a bitmask of root ids."""
-        record = self._chambers[i]
+        """The root ids of the walls separating chamber id i from the base
+        chamber, as a bitmask, grown as ``_state`` is, from the longest
+        prefix that has one, by N(w a) = N(w) | {panel_root(w, a)}."""
+        chambers = self._chambers
+        record = chambers[i]
         if record[2] is None:
-            record[2] = sum(1 << r for r in self.inversion_set(record[0]))
+            word = record[1][1]
+            k = len(word) - 1
+            while chambers[self._id(word[:k])][2] is None:
+                k -= 1
+            mask = chambers[self._id(word[:k])][2]
+            for j in range(k, len(word)):
+                mask |= 1 << self._panel_root(word[:j], word[j])
+                chambers[self._id(word[:j + 1])][2] = mask
         return record[2]
 
     def chamber_display(self, i):
@@ -654,8 +653,7 @@ class CoxeterGroup:
         if row is None:
             word = record[0].word
             row = record[4] = tuple(
-                (self.chamber_id(self._element(self._mult_gen(word, s))),
-                 self._panel_root(word, s))
+                (self._id(self._mult_gen(word, s)), self._panel_root(word, s))
                 for s in range(self.rank))
         return row
 

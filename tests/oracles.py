@@ -66,6 +66,9 @@ formed by ``multiply``; ``stacan_entry_by_scan`` is the stacan suite's
 report entry built from it.  ``meeting_by_conjugates`` and
 ``check_andreev_by_conjugates`` are the Andreev check before it asked
 the order first: every facet wall conjugated by every chamber up front.
+``inversion_set_by_prefixes`` is the first implementation of
+``inversion_set``: a frozenset grown along the prefixes of the normal
+form, with no chamber ids.
 """
 
 from fractions import Fraction
@@ -182,6 +185,15 @@ def residue_base_by_descent(group, g, s, t):
             return g
     raise ConsistencyError("rank-2 residue has no least chamber",
                            (g.display(), s, t))
+
+
+def inversion_set_by_prefixes(group, g):
+    """Root ids of the walls separating g from the base chamber, grown
+    along its normal form by N(w a) = N(w) | {panel_root(w, a)}."""
+    n = frozenset()
+    for j, a in enumerate(g.word):
+        n = n | {group.panel_root(Element(g.word[:j]), a)}
+    return n
 
 
 def residue_by_coset(group, g, s, t):

@@ -16,13 +16,15 @@ import pytest
 
 from coxlab import cli
 from coxlab.davis import (angle_sites, census_record, check_andreev,
-                          enumerate_convex_polytopes, is_coxeter_polytope,
-                          polytope_of, stacan_pairs)
+                          convex_hull, enumerate_convex_polytopes,
+                          is_convex, is_coxeter_polytope, polytope_of, side,
+                          stacan_pairs)
+from coxlab.errors import InputError
 from coxlab.matrices import parse_matrix
-from coxlab.words import CoxeterGroup
+from coxlab.words import CoxeterGroup, Element
 
-from conftest import CYCLE4, MATRICES
-from oracles import angle_sites_by_residue
+from conftest import BENCH_MATRICES, CYCLE4, MATRICES
+from oracles import angle_sites_by_residue, inversion_set_by_prefixes
 
 T237 = Path(__file__).resolve().parent.parent / "bench" / "inputs" / \
     "t237.json"
@@ -184,3 +186,49 @@ def test_polytope_survives_copy_and_pickle():
         assert x.facet_walls == p.facet_walls
         assert x._sites is None and x._numbered == (None, 0)
         assert angle_sites(group, x) == sites
+
+
+@pytest.mark.parametrize("name", [*BENCH_MATRICES, "a3", "h3"])
+def test_records_match_prefix_and_product_oracles(name):
+    # a cold group asked deepest chamber first grows each inversion mask
+    # back through the records of its prefixes, and reads step off the
+    # adjacency rows: on every chamber of the ball both agree with the
+    # prefix-grown frozenset and with reducing the lengthened word
+    group = CoxeterGroup(BENCH_MATRICES.get(name) or MATRICES[name])
+    for g in reversed(group.ball(8)):
+        n = inversion_set_by_prefixes(group, g)
+        assert group.inversion_mask(group.chamber_id(g)) == \
+            sum(1 << r for r in n)
+        assert group.inversion_set(g) == n
+        for s in range(group.rank):
+            assert group.step(g, s) is group.normal_form(g.word + (s,))
+
+
+def test_words_that_are_no_normal_form_are_refused():
+    # an element whose word is no normal form of the group names no
+    # chamber: every question about it is an input error, never an answer
+    # about another chamber, and no id is handed out for it
+    group = CoxeterGroup(MATRICES["t23inf"])  # m12 = 2, m23 = 3, m13 = oo
+    e = group.identity()
+    bad = [Element((0, 0)), Element((1, 0)), Element((1, 0, 1)),
+           Element((0, 3)), Element((-1,))]
+    for g in bad:
+        with pytest.raises(InputError):
+            group.chamber_id(g)
+        with pytest.raises(InputError):
+            group.step(g, 0)
+        with pytest.raises(InputError):
+            group.inversion_set(g)
+        with pytest.raises(InputError):
+            group.residue_base(g, 0, 1)
+        with pytest.raises(InputError):
+            side(group, group.generator_wall(0), g)
+        with pytest.raises(InputError):
+            convex_hull(group, [g])
+        with pytest.raises(InputError):
+            is_convex(group, [g, e])
+        assert g.word not in group._ids
+    # a normal form the group has not handed out is numbered when asked
+    g = Element((0, 1, 2))
+    assert g.word not in group._ids
+    assert group.chamber(group.chamber_id(g)) == g

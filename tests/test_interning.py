@@ -1,9 +1,9 @@
 """One interned ``Element`` per normal form: a group hands out one object
-per word, through ``CoxeterGroup._element``, and ``step`` reads a table
-with one entry per panel asked for.  Elements stay values: one built
-directly, or by another group of the same matrix, compares and hashes
-equal to the group's object, and elements and walls survive copying and
-pickling."""
+per word, the one its chamber record holds (``CoxeterGroup._element``),
+and ``step`` reads the chamber's adjacency row.  Elements stay values:
+one built directly, or by another group of the same matrix, compares and
+hashes equal to the group's object, and elements and walls survive
+copying and pickling."""
 
 import copy
 import pickle
@@ -72,8 +72,11 @@ def test_cold_group_interns_one_element_per_word():
                 for j, x in enumerate(row):
                     assert group._element(x.word) is x
                     assert all(got[k][i][j] is x for k in range(8))
-            assert all(group._element(x.word) is x
-                       for x in group._step_table.values())
+            assert len(group._ids) == len(group._chambers)
+            for record in group._chambers:
+                for j, _ in record[4] or ():
+                    x = group.chamber(j)
+                    assert group._element(x.word) is x
     finally:
         sys.setswitchinterval(switch)
 
@@ -99,33 +102,32 @@ def test_user_built_element_is_the_interned_value():
     assert u == g and g == u and hash(u) == hash(g)
     assert {u: 1}[g] == 1
     nxt = group.step(g, 2)
-    size = len(group._step_table)
+    size = len(group._chambers)
     other = CoxeterGroup(MATRICES["t237"])
     twin = other.normal_form(g.word)
 
     def no_product(word, t):
-        raise AssertionError("step missed its table")
+        raise AssertionError("step missed its adjacency row")
 
     # an equal element built directly, or by another group of the same
-    # matrix, hits the entry the group's own object filled
+    # matrix, hits the row the group's own object filled
     group._mult_gen = no_product
     assert group.step(u, 2) is nxt
     assert group.step(twin, 2) is nxt
     del group._mult_gen
-    assert len(group._step_table) == size
+    assert len(group._chambers) == size
     assert other.step(g, 2) == nxt
     assert u != g.word and u != Element(g.word + (0,))
 
 
-def test_step_table_holds_one_entry_per_panel():
+def test_step_reads_the_adjacency_row():
     group = CoxeterGroup(MATRICES["t23inf"])
-    panels = set()
     for g in group.ball(5):
+        row = group.adjacent(group.chamber_id(g))
         for s in range(group.rank):
-            group.step(g, s)
-            group.step(Element(g.word), s)
-            panels.add((g.word, s))
-    assert len(group._step_table) == len(panels)
+            x = group.chamber(row[s][0])
+            assert group.step(g, s) is x
+            assert group.step(Element(g.word), s) is x
 
 
 def test_element_is_immutable():

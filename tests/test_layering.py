@@ -5,7 +5,7 @@ descent it runs is the one to the canonical generators, word reduction
 and the ShortLex automaton walk the elementary-root table with no
 field arithmetic, ``ball`` walks the automaton alone, only
 ``panel_root`` walks a root through a word, only ``wall_between``
-builds a ``Wall``, and only ``_element`` (and ``ball``) an ``Element``;
+builds a ``Wall``, and only ``_id`` (and ``ball``) an ``Element``;
 and no module imports a sibling's underscore names."""
 
 import ast
@@ -106,14 +106,14 @@ def test_only_wall_between_builds_walls():
 
 
 def test_only_element_builds_elements():
-    # the group hands out one interned object per word; ``ball`` alone
-    # builds its elements directly, as interning a whole ball costs the
-    # walk more than its elements gain
+    # the group hands out one interned object per word, built with its
+    # chamber record; ``ball`` alone builds its elements directly, as
+    # interning a whole ball costs the walk more than its elements gain
     calls = [(path.name,) + scope
              for path in sorted(SRC.glob("*.py"))
              for scope in _call_scopes(ast.parse(path.read_text()),
                                        "Element")]
-    assert calls == [("words.py", "CoxeterGroup", "_element"),
+    assert calls == [("words.py", "CoxeterGroup", "_id"),
                      ("words.py", "CoxeterGroup", "ball")]
 
 

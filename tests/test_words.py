@@ -63,6 +63,17 @@ def test_normal_form_basics(t23inf, a1aff, a2):
         t23inf.normal_form([5])
 
 
+def test_step_and_wall_between_refuse_a_bad_generator():
+    group = CoxeterGroup(MATRICES["t23inf"])
+    e = group.identity()
+    for s in (-1, group.rank):
+        with pytest.raises(InputError):
+            group.step(e, s)
+        with pytest.raises(InputError):
+            group.wall_between(e, s)
+    assert (-1,) not in group._ids
+
+
 def test_shortlex_is_least_geodesic(a2):
     # in the order-6 dihedral group the longest element has the two
     # reduced words 010 and 101; ShortLex picks 010
