@@ -20,10 +20,19 @@ prove it stayed exact.  The values 2cos(j*pi/N), j = 0..N, are tabled
 once per field: they give the bilinear form's entries and, read
 backwards, the orders of products of reflections.
 
+``brackets`` hands out the same integer bounds lo <= 2^b v <= hi of
+values, for a caller that combines them itself: ``order_of_product``
+brackets its form values from memoised root brackets and settles most
+infinite orders on them alone, with no exact product.  A bound read off
+any table holds at every later precision, so such a decision is as
+exact as a sign.
+
 Coefficients are Python ints, and the monic integer minimal polynomial
 keeps them integer through reduction.  Rational coefficients work too:
 reduction and the ring operations take them as they come, and a sign
-decision clears their denominators first.
+decision clears their denominators first.  ``brackets`` takes integer
+coefficients, as every root of a group has (its form is doubled), so a
+value with rational coefficients is decided on the exact path alone.
 """
 
 from __future__ import annotations
@@ -165,6 +174,21 @@ def _euler_phi(n):
     if m > 1:
         out *= m - 1
     return out
+
+
+def _bracket(coeffs, lows, highs):
+    """Integers lo <= 2^b sum a_k c^k <= hi for integer coefficients a_k
+    and L_k <= 2^b c^k <= U_k: each a_k takes the end that its sign makes
+    low, or high."""
+    lo = hi = 0
+    for a, low, high in zip(coeffs, lows, highs):
+        if a > 0:
+            lo += a * low
+            hi += a * high
+        elif a < 0:
+            lo += a * high
+            hi += a * low
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -311,23 +335,10 @@ class FieldSpec:
         den = lcm(*(x.denominator for x in coeffs))
         if den != 1:
             coeffs = [x.numerator * (den // x.denominator) for x in coeffs]
-        table = self._powers
-        if table is None:
-            # floor of 2^b times the interval's lower end 2 - (63/(20N))^2
-            n2 = 400 * self.N * self.N
-            table = self._powers = self._power_table(
-                SIGN_BITS, ((2 * n2 - 3969) << SIGN_BITS) // n2,
-                2 << SIGN_BITS)
+        table = self._table()
         while True:
             b, lows, highs = table
-            lo = hi = 0
-            for a, low, high in zip(coeffs, lows, highs):
-                if a > 0:
-                    lo += a * low
-                    hi += a * high
-                elif a < 0:
-                    lo += a * high
-                    hi += a * low
+            lo, hi = _bracket(coeffs, lows, highs)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -335,6 +346,32 @@ class FieldSpec:
             SIGN_STATS.refinements += 1
             table = self._powers = self._power_table(
                 2 * b, lows[1] << b, highs[1] << b)
+
+    def brackets(self, values):
+        """(b, ((lo, hi), ...)): for each raw value v with integer
+        coefficients, integers lo <= 2^b v(c) <= hi, all read off the
+        current table of power brackets, which the first call builds.
+
+        The bounds hold at any b, so brackets taken before a refinement
+        stay valid after it.  Degree 1 reads the exact value, at b = 0.
+        """
+        b, lows, highs = self._table()
+        return b, tuple(_bracket(v, lows, highs) for v in values)
+
+    def _table(self):
+        """The current (b, L, U), built at SIGN_BITS when there is none."""
+        table = self._powers
+        if table is None:
+            if self.degree == 1:  # c^0 = 1, exactly
+                table = self._powers = (0, (1,), (1,))
+            else:
+                # floor of 2^b times the interval's lower end
+                # 2 - (63/(20N))^2
+                n2 = 400 * self.N * self.N
+                table = self._powers = self._power_table(
+                    SIGN_BITS, ((2 * n2 - 3969) << SIGN_BITS) // n2,
+                    2 << SIGN_BITS)
+        return table
 
     def _power_table(self, b, lo, hi):
         """(b, L, U) with L_k <= 2^b c^k <= U_k for k < degree, from

@@ -55,7 +55,7 @@ _site_order = attrgetter("_order")
 def side(group, wall, chamber):
     """+1 on the base-chamber side of the wall, -1 across it."""
     n = group.inversion_mask(group.chamber_id(chamber))
-    return -1 if n >> group.panel_root(*wall.witness) & 1 else 1
+    return -1 if n >> group.wall_root(wall) & 1 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ def fundamental_polytope(group, gens, max_chambers):
         raise InputError("chamber budget must be >= 1")
     cut = 0
     for t in gens:
-        cut |= 1 << group.panel_root(*t.witness)
+        cut |= 1 << group.wall_root(t)
     found = region(group, 1 << group.chamber_id(group.identity()), ~cut,
                    max_chambers)
     if found is None:
@@ -455,7 +455,7 @@ def _obtuse_roots(group, polytope):
     for z in angle_sites(group, polytope):
         if 2 * z.j > z.m:
             for w in z.boundary_walls:
-                mask |= 1 << group.panel_root(*w.witness)
+                mask |= 1 << group.wall_root(w)
     return mask
 
 
@@ -499,7 +499,7 @@ def glued_translates(group, max_total_chambers, census=None):
                 if not mask1 >> j & 1:
                     panels.setdefault(r, []).append((i, s))
         for wall in p1.facet_walls:
-            rid = group.panel_root(*wall.witness)
+            rid = group.wall_root(wall)
             if obtuse >> rid & 1:
                 continue
             if len(panels[rid]) != 1:

@@ -32,9 +32,11 @@ root is positive and the word layer decides no signs.  ``wall_between``
 keeps one wall per root and builds every wall the group hands out:
 generators, conjugates, enumerated reflections, and ``as_reflection``,
 which reads the middle panel of a normal form.  The only sign decision
-left is the test in ``order_of_product`` of whether two walls meet.
-When they do, the order of their product is read off the field's table
-of 2cos(j*pi/N), with no power of the product formed.
+left is the test in ``order_of_product`` of whether two walls meet,
+taken on memoised integer brackets of the two roots when those settle
+it, and on the exact form value otherwise.  When the walls meet, the
+order of their product is read off the field's table of 2cos(j*pi/N),
+with no power of the product formed.
 
 A group numbers each normal form as it first hands it out, and keeps
 per chamber id one record: the word's one ``Element`` (``ball`` builds
@@ -47,7 +49,7 @@ from __future__ import annotations
 import threading
 from math import gcd
 
-from .algebraic import field_for
+from .algebraic import SIGN_STATS, field_for
 from .errors import BudgetError, ConsistencyError, InputError
 from .matrices import INFINITY
 
@@ -114,9 +116,10 @@ class Wall:
     """A reflection together with a conjugation witness.
 
     Two walls are equal iff their reflections are equal.  The wall's
-    positive root is +/- w(e_s) for its witness (w, s); a group asks for
-    its own id of that root with ``panel_root(*wall.witness)``, so a wall
-    is a value that any group of the same matrix accepts.  Immutable like
+    positive root is +/- w(e_s) for its witness (w, s); a group reads its
+    own id of that root with ``wall_root(wall)``, from the witness when
+    the wall is not one it handed out, so a wall is a value that any
+    group of the same matrix accepts.  Immutable like
     ``Element``, with its hash and sort key computed once: a group keeps
     one wall per root and hands the same object to every caller.
     """
@@ -205,8 +208,15 @@ class CoxeterGroup:
         self._canon_memo = {(): ()}
         self._panel_memo = {}
         self._wall_memo = {}
+        self._wall_roots = {}
         self._residue_memo = {}
         self._order_memo = {}
+        # integer brackets per root id, of its coordinates and of its form
+        # row, and of the form's entries, as first asked: see
+        # ``order_of_product``
+        self._coord_brackets = {}
+        self._row_brackets = {}
+        self._entry_brackets = None
         self._row_memo = {}
         self._state_memo = {(): frozenset()}
         # chamber ids: word -> id, and per id the record [element, ShortLex
@@ -440,22 +450,27 @@ class CoxeterGroup:
         return self._chambers[self.adjacent(self.chamber_id(g))[s][0]][0]
 
     def multiply(self, g, h):
+        self.chamber_id(g)
+        self.chamber_id(h)
         return self._element(self._mult_word(g.word, h.word))
 
     def inverse(self, g):
-        return self._element(self._canonical(tuple(reversed(g.word))))
+        self.chamber_id(g)
+        return self._element(self._canonical(g.word[::-1]))
 
     # -- walls ----------------------------------------------------------------
 
     def panel_root(self, g, s):
         """This group's id of the positive root of the wall between g and
-        g*s; ``panel_root(*wall.witness)`` is the root of a wall.
+        g*s; ``wall_root`` reads it off a wall.
 
         When g*s is longer the root is g(alpha_s).  When it is shorter the
         walk crosses at some letter j of g, and the exchange condition
         gives g s g^-1 = g[:j] a_j g[:j]^-1, the wall of the longer panel
         (g[:j], a_j).  The side is read off lengths, never off a sign.
         """
+        self._letter(s)
+        self.chamber_id(g)
         return self._panel_root(g.word, s)
 
     def _panel_root(self, word, s):
@@ -509,23 +524,37 @@ class CoxeterGroup:
         """The wall crossed by the panel between g and g*s (i.e. g s g^-1).
 
         One ``Wall`` per root, and every wall the group hands out is made
-        here: its witness is the first panel that reached the root.
+        here: its witness is the first panel that reached the root, and
+        ``wall_root`` reads the root back off the wall.
         """
-        self._letter(s)
         rid = self.panel_root(g, s)
         wall = self._wall_memo.get(rid)
         if wall is None:
             word = self._mult_word(self._mult_gen(g.word, s), g.word[::-1])
             wall = self._wall_memo.setdefault(
                 rid, Wall(self._element(word), (g, s)))
+            self._wall_roots[wall] = rid
         return wall
+
+    def wall_root(self, wall):
+        """This group's id of the wall's positive root: read off the map
+        that ``wall_between`` fills, and for a wall this group has not
+        handed out (one of another group of the matrix), off
+        ``panel_root(*wall.witness)``."""
+        rid = self._wall_roots.get(wall)
+        if rid is None:
+            rid = self.panel_root(*wall.witness)
+        return rid
 
     def conjugate_wall(self, t, u):
         """The wall of t u t (conjugate of u's reflection by t's): if
         u = w s w^-1, then t u t = (t w) s (t w)^-1, the wall of the panel
         (t w, s)."""
         w, s = u.witness
-        return self.wall_between(self.multiply(t.reflection, w), s)
+        self.chamber_id(t.reflection)
+        self.chamber_id(w)
+        return self.wall_between(
+            self._element(self._mult_word(t.reflection.word, w.word)), s)
 
     def as_reflection(self, g):
         """The wall of g if g is a reflection, else None.
@@ -537,6 +566,7 @@ class CoxeterGroup:
         d(e, c_{i-1}) = i - 1, while the gallery gives d(c_i, t) =
         2k+1-i; so i = k+1.
         """
+        self.chamber_id(g)
         word = g.word
         if len(word) % 2 == 0:
             return None
@@ -548,7 +578,24 @@ class CoxeterGroup:
         """Exact order of (t u) for distinct walls t, u; INFINITY when infinite.
 
         Finite iff |B(root_t, root_u)| < 1, read in the doubled form as
-        C^2 < 4 for C = C(root_t, root_u).  Then s_t s_u rotates the
+        C^2 < 4 for C = C(root_t, root_u).
+
+        Brackets first.  Per root the group memoises integer brackets
+        lo <= 2^k x <= hi of its coordinates and of its form row
+        C(e_i, r), read off the field's table of power brackets; their
+        interval dot product brackets C at the sum of the two scales.
+        A bracket at or beyond +/-2 puts |C| >= 2, so C^2 >= 4 and the
+        order is INFINITY.  The bounds are integers that hold for the
+        true values, and a later refinement of the table leaves them
+        valid, so brackets read at two precisions combine, each product
+        at the sum of its factors' scales.  So this decision is exact;
+        it counts as one ``SIGN_STATS`` decision, as the exact test does.  A bracket that reaches inside (-2, 2) -- a
+        finite order, or |C| = 2 exactly, as for parallel walls --
+        leaves the pair to the exact path: C, C^2, the sign of C^2 - 4,
+        and the table lookup below.  In a degree-1 field, where C is one
+        integer product, the exact path runs alone.
+
+        Exact orders.  When C^2 < 4, s_t s_u rotates the
         plane of the two roots by 2*psi, where 2cos(2*psi) = C^2 - 2, and
         fixes its orthogonal complement; so when C^2 - 2 is the table
         value 2cos(j*pi/N) the order is 2N / gcd(j, 2N), exactly.  A miss
@@ -558,14 +605,19 @@ class CoxeterGroup:
         the type's orders, so k | N and 2*psi is a multiple of pi/N.
         Memoised per group by the pair of root ids, in either order.
         """
-        a, b = sorted((self.panel_root(*t.witness),
-                       self.panel_root(*u.witness)))
+        a, b = self.wall_root(t), self.wall_root(u)
         if a == b:
             raise InputError("order_of_product needs distinct walls")
+        if a > b:
+            a, b = b, a
         hit = self._order_memo.get((a, b))
         if hit is not None:
             return hit
         f = self.field
+        if f.degree > 1 and self._surely_infinite(a, b):
+            SIGN_STATS.decisions += 1
+            self._order_memo[(a, b)] = INFINITY
+            return INFINITY
         c = f.raw_dot(self._form_rows(b), self._root_list[a])
         c2 = f.raw_mul(c, c)
         if f.sign_raw(f.raw_sub(c2, f.raw_from_int(4))) >= 0:
@@ -580,6 +632,45 @@ class CoxeterGroup:
                      "u": u.reflection.display()})
             hit = 2 * f.N // gcd(j, 2 * f.N)
         self._order_memo[(a, b)] = hit
+        return hit
+
+    def _surely_infinite(self, a, b):
+        """Whether integer brackets put C = C(root a, root b) at |C| >= 2:
+        with lo <= 2^k C <= hi, lo >= 2^(k+1) or hi <= -2^(k+1) does."""
+        ka, coords = self._root_brackets(a)
+        kb, rows = self._form_row_brackets(b)
+        lo, hi = _interval_dot(coords, rows)
+        two = 2 << (ka + kb)
+        return lo >= two or hi <= -two
+
+    def _root_brackets(self, rid):
+        """(k, brackets of the coordinates at scale 2^k) of a root."""
+        hit = self._coord_brackets.get(rid)
+        if hit is None:
+            hit = self._coord_brackets[rid] = self.field.brackets(
+                self._root_list[rid])
+        return hit
+
+    def _form_row_brackets(self, rid):
+        """(k, brackets of C(e_i, r) for every i at scale 2^k) of a root
+        r, from the brackets of its coordinates and of the form's entries,
+        which are those of the simple roots' rows."""
+        hit = self._row_brackets.get(rid)
+        if hit is None:
+            kr, coords = self._root_brackets(rid)
+            kc, entries = self._form_brackets()
+            n = self.rank
+            hit = self._row_brackets[rid] = (kr + kc, tuple(
+                _interval_dot(entries[i * n:(i + 1) * n], coords)
+                for i in range(n)))
+        return hit
+
+    def _form_brackets(self):
+        """(k, brackets of the form's entries C(e_i, e_j), row by row)."""
+        hit = self._entry_brackets
+        if hit is None:
+            hit = self._entry_brackets = self.field.brackets(
+                [x for row in self._c for x in row])
         return hit
 
     # -- chamber ids ----------------------------------------------------------
@@ -741,17 +832,33 @@ class CoxeterGroup:
         """
         if max_length < 1:
             raise InputError("length budget must be >= 1")
-        walls = {self.wall_between(w, s)
-                 for w in self.ball((max_length - 1) // 2, cap)
-                 for s in range(self.rank)}
-        return sorted((x for x in walls if len(x.reflection) <= max_length),
+        walls = {}
+        for w in self.ball((max_length - 1) // 2, cap):
+            for s in range(self.rank):
+                rid = self._panel_root(w.word, s)
+                if rid not in walls:
+                    walls[rid] = self.wall_between(w, s)
+        return sorted((x for x in walls.values()
+                       if len(x.reflection) <= max_length),
                       key=lambda x: x.sort_key)
+
+
+def _interval_dot(xs, ys):
+    """Integers lo <= sum x_i y_i <= hi from brackets (lo, hi) of each x_i
+    and y_i: each product lies between the least and the greatest of its
+    four corner products, at the product of the two scales."""
+    lo = hi = 0
+    for (a, b), (c, d) in zip(xs, ys):
+        p, q, r, t = a * c, a * d, b * c, b * d
+        lo += min(p, q, r, t)
+        hi += max(p, q, r, t)
+    return lo, hi
 
 
 def root_span_rank(group, walls):
     """Dimension of the span of the walls' roots (fraction-free elimination)."""
     f = group.field
-    rows = [group._root_list[group.panel_root(*w.witness)] for w in walls]
+    rows = [group._root_list[group.wall_root(w)] for w in walls]
     n = group.rank
     rank = 0
     for col in range(n):

@@ -21,7 +21,7 @@ from coxlab.davis import (angle_sites, census_record, check_andreev,
                           stacan_pairs)
 from coxlab.errors import InputError
 from coxlab.matrices import parse_matrix
-from coxlab.words import CoxeterGroup, Element
+from coxlab.words import CoxeterGroup, Element, Wall
 
 from conftest import BENCH_MATRICES, CYCLE4, MATRICES
 from oracles import angle_sites_by_residue, inversion_set_by_prefixes
@@ -232,3 +232,104 @@ def test_words_that_are_no_normal_form_are_refused():
     g = Element((0, 1, 2))
     assert g.word not in group._ids
     assert group.chamber(group.chamber_id(g)) == g
+
+
+# words that are no normal form of (2,3,oo) (m12 = 2, m23 = 3, m13 = oo)
+# or of (2,3,7) (m12 = 2, m23 = 3, m13 = 7), with out-of-range letters
+NOT_NORMAL = [Element((0, 0)), Element((1, 0)), Element((1, 0, 1)),
+              Element((2, 1, 2)), Element((0, 3)), Element((-1,))]
+
+
+def _cold(stem):
+    return CoxeterGroup(BENCH_MATRICES[stem])
+
+
+@pytest.mark.parametrize("stem", ["t23oo", "t237"])
+def test_multiply_refuses_words_that_are_no_normal_form(stem):
+    group = _cold(stem)
+    for g in NOT_NORMAL:
+        with pytest.raises(InputError):
+            group.multiply(g, group.generator(0))
+        with pytest.raises(InputError):
+            group.multiply(group.generator(1), g)
+        assert g.word not in group._ids
+    assert group.multiply(Element((0, 1)), Element((0,))) == \
+        group.normal_form((0, 1, 0))
+
+
+@pytest.mark.parametrize("stem", ["t23oo", "t237"])
+def test_inverse_refuses_words_that_are_no_normal_form(stem):
+    group = _cold(stem)
+    for g in NOT_NORMAL:
+        with pytest.raises(InputError):
+            group.inverse(g)
+        assert g.word not in group._ids
+    assert group.inverse(Element((0, 2))) == group.normal_form((2, 0))
+
+
+@pytest.mark.parametrize("stem", ["t23oo", "t237"])
+def test_panel_root_refuses_words_that_are_no_normal_form(stem):
+    group = _cold(stem)
+    for g in NOT_NORMAL:
+        with pytest.raises(InputError):
+            group.panel_root(g, 0)
+        assert g.word not in group._ids
+    e = group.identity()
+    for s in (-1, 3):
+        with pytest.raises(InputError):
+            group.panel_root(e, s)
+    assert group.panel_root(Element((0, 2)), 1) == \
+        group.wall_root(group.wall_between(group.normal_form((0, 2)), 1))
+
+
+@pytest.mark.parametrize("stem", ["t23oo", "t237"])
+def test_wall_between_refuses_words_that_are_no_normal_form(stem):
+    group = _cold(stem)
+    for g in NOT_NORMAL:
+        for s in range(group.rank):
+            with pytest.raises(InputError):
+                group.wall_between(g, s)
+        assert g.word not in group._ids
+    wall = group.wall_between(Element((0, 2)), 1)
+    assert wall.reflection == group.normal_form((0, 2, 1, 2, 0))
+
+
+@pytest.mark.parametrize("stem", ["t23oo", "t237"])
+def test_conjugate_wall_refuses_words_that_are_no_normal_form(stem):
+    group = _cold(stem)
+    e, u = group.identity(), group.generator_wall(1)
+    for g in NOT_NORMAL:
+        with pytest.raises(InputError):
+            group.conjugate_wall(Wall(g, (e, 0)), u)
+        with pytest.raises(InputError):
+            group.conjugate_wall(u, Wall(group.generator(0), (g, 0)))
+        assert g.word not in group._ids
+    t = group.generator_wall(0)
+    assert group.conjugate_wall(t, u) == group.wall_between(
+        group.generator(0), 1)
+
+
+@pytest.mark.parametrize("stem", ["t23oo", "t237"])
+def test_as_reflection_refuses_words_that_are_no_normal_form(stem):
+    group = _cold(stem)
+    for g in NOT_NORMAL:
+        with pytest.raises(InputError):
+            group.as_reflection(g)
+        assert g.word not in group._ids
+    assert group.as_reflection(Element((0, 1, 2))) is None
+    assert group.as_reflection(Element((0, 2, 0))) == \
+        group.wall_between(group.generator(0), 2)
+
+
+def test_wall_root_reads_the_root_of_any_group_s_wall():
+    # a group's own walls are read off the map that wall_between fills; a
+    # wall of another group of the matrix, numbered in another order,
+    # gets this group's id from its witness
+    m = BENCH_MATRICES["t237"]
+    group, other = CoxeterGroup(m), _reversed_group(m)
+    for mine, theirs in zip(group.enumerate_reflections(9),
+                            other.enumerate_reflections(9)):
+        assert mine == theirs
+        assert group.wall_root(mine) == group.panel_root(*mine.witness)
+        assert group.wall_root(theirs) == group.wall_root(mine)
+        assert other.wall_root(mine) == other.panel_root(*theirs.witness)
