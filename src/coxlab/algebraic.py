@@ -198,7 +198,7 @@ class FieldSpec:
     """The session field Q(c), c = 2*cos(pi/N).
 
     Immutable after construction apart from the table of power brackets,
-    which the first sign decision builds and a refinement replaces as one
+    which the first sign decision or ``brackets`` call builds and a refinement replaces as one
     tuple, never mutated.  Any valid table gives the same signs, so a
     thread that races a refinement reads an old valid table or a new one,
     and no lock is needed.
@@ -350,10 +350,10 @@ class FieldSpec:
     def brackets(self, values):
         """(b, ((lo, hi), ...)): for each raw value v with integer
         coefficients, integers lo <= 2^b v(c) <= hi, all read off the
-        current table of power brackets, which the first call builds.
+        current table of power brackets.
 
         The bounds hold at any b, so brackets taken before a refinement
-        stay valid after it.  Degree 1 reads the exact value, at b = 0.
+        stay valid after it.
         """
         b, lows, highs = self._table()
         return b, tuple(_bracket(v, lows, highs) for v in values)
@@ -362,15 +362,11 @@ class FieldSpec:
         """The current (b, L, U), built at SIGN_BITS when there is none."""
         table = self._powers
         if table is None:
-            if self.degree == 1:  # c^0 = 1, exactly
-                table = self._powers = (0, (1,), (1,))
-            else:
-                # floor of 2^b times the interval's lower end
-                # 2 - (63/(20N))^2
-                n2 = 400 * self.N * self.N
-                table = self._powers = self._power_table(
-                    SIGN_BITS, ((2 * n2 - 3969) << SIGN_BITS) // n2,
-                    2 << SIGN_BITS)
+            # floor of 2^b times the interval's lower end 2 - (63/(20N))^2
+            n2 = 400 * self.N * self.N
+            table = self._powers = self._power_table(
+                SIGN_BITS, ((2 * n2 - 3969) << SIGN_BITS) // n2,
+                2 << SIGN_BITS)
         return table
 
     def _power_table(self, b, lo, hi):

@@ -194,6 +194,32 @@ def test_sign_refines_near_zero(n, bits):
     assert f._powers[0] > SIGN_BITS
 
 
+@pytest.mark.parametrize("n", [2, 5, 42, 210])
+def test_brackets_hold_their_values_across_a_refinement(n):
+    # lo <= 2^b v <= hi, checked by exact signs, for brackets read off the
+    # first table and off a refined one: both stay valid
+    f = FieldSpec(n)
+    rng = random.Random(n)
+    values = [tuple(rng.randint(-99, 99) for _ in range(f.degree))
+              for _ in range(20)] + [f.raw_from_int(0), f.raw_from_int(-2)]
+    first = f.brackets(values)
+    assert first[0] == SIGN_BITS
+    if f.degree > 1:
+        x = f.raw_add(f.raw_from_int(-floor_scaled_generator(f, 70)),
+                      f.reduce([0, 2 ** 70]))
+        assert f.sign_raw(x) == 1
+    second = f.brackets(values)
+    assert second[0] > SIGN_BITS or f.degree == 1
+    for b, pairs in (first, second):
+        for v, (lo, hi) in zip(values, pairs):
+            scaled = tuple(a << b for a in v)
+            assert f.sign_raw(f.raw_sub(scaled, f.raw_from_int(lo))) >= 0
+            assert f.sign_raw(f.raw_sub(scaled, f.raw_from_int(hi))) <= 0
+            assert isinstance(lo, int) and isinstance(hi, int)
+        # an integer is a point: its bracket is exact
+        assert pairs[-1] == (-2 << b, -2 << b)
+
+
 def test_cos_values():
     f = FieldSpec(6)
     assert cos_pi_over(f, 2) == 0
