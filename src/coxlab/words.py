@@ -456,7 +456,7 @@ class CoxeterGroup:
 
     def inverse(self, g):
         self.chamber_id(g)
-        return self._element(self._canonical(g.word[::-1]))
+        return self._element(self._canonical(tuple(reversed(g.word))))
 
     # -- walls ----------------------------------------------------------------
 
@@ -589,8 +589,9 @@ class CoxeterGroup:
         true values, and a later refinement of the table leaves them
         valid, so brackets read at two precisions combine, each product
         at the sum of its factors' scales.  So this decision is exact;
-        it counts as one ``SIGN_STATS`` decision, as the exact test does.  A bracket that reaches inside (-2, 2) -- a
-        finite order, or |C| = 2 exactly, as for parallel walls --
+        it counts as one ``SIGN_STATS`` decision, as the exact test
+        does.  A bracket that reaches inside (-2, 2) -- a finite order,
+        or |C| = 2 exactly for parallel walls with irrational roots --
         leaves the pair to the exact path: C, C^2, the sign of C^2 - 4,
         and the table lookup below.  In a degree-1 field, where C is one
         integer product, the exact path runs alone.
@@ -832,6 +833,8 @@ class CoxeterGroup:
         """
         if max_length < 1:
             raise InputError("length budget must be >= 1")
+        # one ``wall_between`` per root, so only the first panel of each
+        # wall is checked, and numbered, as a chamber
         walls = {}
         for w in self.ball((max_length - 1) // 2, cap):
             for s in range(self.rank):
