@@ -2,8 +2,8 @@
 and the bounded verification suites.
 
 Exit codes: 0 all checks pass, 1 any check fails, 2 a budget ran out
-before meaningful coverage, 3 bad input.  COXLAB_BUDGET overrides the
-default element cap.
+before meaningful coverage, 3 bad input (a usage error too).
+COXLAB_BUDGET overrides the default element cap.
 """
 
 from __future__ import annotations
@@ -393,8 +393,14 @@ def cmd_verify(args):
     return report.exit_code
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # bad input, exit 3: 2 is a spent budget
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coxlab",
         description="Exact chamber-level computations for Coxeter systems.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -436,9 +442,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)

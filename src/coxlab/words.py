@@ -16,12 +16,11 @@ field generator.
 ShortLex forms are the words of a finite automaton (Brink and Howlett):
 the state of a normal form is a set of elementary roots, a letter s may
 follow it exactly when alpha_s is not in the set, and the next state is
-read off the same table.  ``ball`` walks the automaton, and so does a
-product that lengthens its word: w * s_t is w + (t,) when t may follow
-w.  Only a product that shortens, or that lengthens into a word that is
-not ShortLex, is canonicalized, by stripping the smallest left descent
-recursively.  States are memoised per normal-form prefix and
-transitions per state, both as they are first needed.
+read off the same table.  ``ball`` walks the automaton, with its
+transitions memoised per state as they are first needed.  A product
+w * s_t is one walk of alpha_t back through w in the table, which
+deletes a letter, inserts one, or appends t, and never re-reduces the
+word (``_mult_gen``).
 
 Chambers of the chamber complex are exactly these elements; a wall is
 a reflection t = w s w^-1 with its witness (w, s).  Each group reads the
@@ -204,8 +203,6 @@ class CoxeterGroup:
         self._small_roots, self._small_table = self._elementary_roots()
         self._reflect_cache = {}
         self._form_memo = {}
-        self._mult_cache = {}
-        self._canon_memo = {(): ()}
         self._panel_memo = {}
         self._wall_memo = {}
         self._wall_roots = {}
@@ -218,7 +215,6 @@ class CoxeterGroup:
         self._row_brackets = {}
         self._entry_brackets = None
         self._row_memo = {}
-        self._state_memo = {(): frozenset()}
         # chamber ids: word -> id, and per id the record [element, ShortLex
         # key, then as first asked: inversion-set root mask, display,
         # adjacency row]
@@ -345,39 +341,47 @@ class CoxeterGroup:
                 return j if x == CROSS else None
         return None
 
-    def _canonical(self, word):
-        """ShortLex form of a reduced word: strip smallest left descents."""
-        hit = self._canon_memo.get(word)
-        if hit is not None:
-            return hit
-        rev = word[::-1]
-        for i in range(self.rank):
-            # s_i is a left descent of word iff it is a right descent of
-            # the reversed word; the crossing letter is the one to delete
-            j = self._crossing(rev, i)
-            if j is not None:
-                k = len(word) - 1 - j
-                res = (i,) + self._canonical(word[:k] + word[k + 1:])
-                self._canon_memo[word] = res
-                return res
-        raise ConsistencyError("reduced nonempty word has no left descent",
-                               word)
-
     def _mult_gen(self, word, t):
-        """Normal form of (element of canonical ``word``) * s_t: a longer
-        product is ``word + (t,)`` when the automaton lets t follow."""
-        key = (word, t)
-        hit = self._mult_cache.get(key)
-        if hit is None:
-            j = self._crossing(word, t)
-            if j is not None:
-                hit = self._canonical(word[:j] + word[j + 1:])
-            elif self._row(self._state(word))[t] is not None:
-                hit = word + (t,)
-            else:
-                hit = self._canonical(word + (t,))
-            self._mult_cache[key] = hit
-        return hit
+        """Normal form of (element of normal form ``word``) * s_t: one walk
+        of alpha_t back through the word in the elementary-root table,
+        carrying y_i(alpha_t) for the suffixes y_i = word[i:] (Casselman,
+        Electron. J. Combin. 9 (2002) #R25; Brink and Howlett, Math. Ann.
+        296 (1993)).  Delete: the walk crosses at letter j, and the
+        product is word[:j] + word[j+1:].  Insert: at some position i it
+        carries a simple root alpha_x with x < word[i] (E lists the simple
+        roots first, so an index x < word[i] is one), and at the leftmost
+        such i the product is word[:i] + (x,) + word[i:].  Append:
+        neither, and it is word + (t,).  By the early-exit lemma of
+        ``_elementary_roots`` no simple root follows an EXIT.
+
+        Proof.  Let w = word, s = s_t, and first ws > w.  u = NF(ws) is
+        the reduced word w + (t,) or first differs from it at some i with
+        u_i < w_i; then u[i:] = NF(y_i s), which starts with the least
+        left descent t' of y_i s.  By the exchange condition t' y_i s
+        deletes a letter; not one of y_i, or the lesser w[:i] t' ...
+        would spell w.  So t' y_i = y_i s, y_i(alpha_s) = alpha_t' > 0,
+        and u = w[:i] t' y_i: i is an insert position.  Each one gives a
+        reduced word w[:i] x y_i of ws, lesser the further left, so u is
+        the leftmost.  Now let ws < w, so the walk crosses.  u = NF(ws)
+        has us > u, so w = NF(us) is u with one letter inserted: u is w
+        less one letter, and by the exchange condition the unique
+        crossing letter is the one whose deletion gives ws.
+        """
+        table = self._small_table
+        x, at = t, None
+        for i in range(len(word) - 1, -1, -1):
+            a = word[i]
+            x = table[x][a]
+            if x < a:
+                if x >= 0:
+                    at, letter = i, x
+                elif x == CROSS:
+                    return word[:i] + word[i + 1:]
+                else:
+                    break
+        if at is None:
+            return word + (t,)
+        return word[:at] + (letter,) + word[at:]
 
     # -- the ShortLex automaton ---------------------------------------------
 
@@ -401,19 +405,6 @@ class CoxeterGroup:
                 row.append(frozenset(images))
             hit = self._row_memo[state] = tuple(row)
         return hit
-
-    def _state(self, word):
-        """The automaton state of a normal form, grown along its prefixes
-        and memoised per prefix, as ``inversion_mask`` is."""
-        memo = self._state_memo
-        k = len(word)
-        while word[:k] not in memo:
-            k -= 1
-        state = memo[word[:k]]
-        for j in range(k, len(word)):
-            state = self._row(state)[word[j]]
-            memo[word[:j + 1]] = state
-        return state
 
     def _mult_word(self, word, other):
         for t in other:
@@ -456,7 +447,7 @@ class CoxeterGroup:
 
     def inverse(self, g):
         self.chamber_id(g)
-        return self._element(self._canonical(tuple(reversed(g.word))))
+        return self._element(self._mult_word((), g.word[::-1]))
 
     # -- walls ----------------------------------------------------------------
 
@@ -714,7 +705,7 @@ class CoxeterGroup:
 
     def inversion_mask(self, i):
         """The root ids of the walls separating chamber id i from the base
-        chamber, as a bitmask, grown as ``_state`` is, from the longest
+        chamber, as a bitmask, grown from the record of the longest
         prefix that has one, by N(w a) = N(w) | {panel_root(w, a)}."""
         chambers = self._chambers
         record = chambers[i]

@@ -41,10 +41,14 @@ in field arithmetic.  ``as_reflection_by_descent``, ``ball_by_seen_set``
 and ``enumerate_reflections_by_word`` are the first implementations of
 ``as_reflection``, ``ball`` and ``enumerate_reflections``: a conjugation
 descent to a generator, a set of the elements found, and walls built
-from conjugates keyed by their words.  ``ball_by_canonical`` and
-``normal_form_by_canonical`` are ``ball`` and word reduction as they
-were before the ShortLex automaton: every product canonicalised by
-stripping left descents.  ``shortlex_by_matrix_bfs`` finds ShortLex
+from conjugates keyed by their words.  ``canonical_by_descents`` is
+the first ShortLex reduction of a reduced word, stripping its smallest
+left descent again and again; ``mult_gen_by_canonical``,
+``normal_form_by_canonical`` and ``ball_by_canonical`` are products,
+word reduction and ``ball`` built on it, as they were before the
+ShortLex automaton and the one-walk product.  ``automaton_state`` is
+the state of a normal form in the automaton that ``ball`` walks, grown
+along the word's prefixes.  ``shortlex_by_matrix_bfs`` finds ShortLex
 forms by a BFS that tells elements apart by ``doubled_matrix``, the
 representation of ``matrix_of`` in integer coordinates.
 ``elementary_table_signed`` builds the elementary roots from their
@@ -892,13 +896,43 @@ def ball_by_seen_set(group, radius, cap=DEFAULT_ELEMENT_CAP):
     return [Element(w) for w in words]
 
 
+def canonical_by_descents(group, word):
+    """ShortLex form of a reduced word: strip its smallest left descent,
+    again and again.  s_i is a left descent of the word iff it is a right
+    descent of the reversed word, and the crossing letter is the one to
+    delete."""
+    out = []
+    while word:
+        rev = word[::-1]
+        for i in range(group.rank):
+            j = group._crossing(rev, i)
+            if j is not None:
+                k = len(word) - 1 - j
+                out.append(i)
+                word = word[:k] + word[k + 1:]
+                break
+        else:
+            raise ConsistencyError("reduced nonempty word has no left descent",
+                                   word)
+    return tuple(out)
+
+
 def mult_gen_by_canonical(group, word, t):
     """Normal form of (element of canonical ``word``) * s_t with no
     automaton: the product, shortened at the crossing letter if there is
     one, is canonicalised by stripping smallest left descents."""
     j = group._crossing(word, t)
-    return group._canonical(word + (t,) if j is None
-                            else word[:j] + word[j + 1:])
+    return canonical_by_descents(group, word + (t,) if j is None
+                                 else word[:j] + word[j + 1:])
+
+
+def automaton_state(group, word):
+    """The ShortLex automaton state of a normal form: the empty state
+    stepped along the word by ``group._row``."""
+    state = frozenset()
+    for a in word:
+        state = group._row(state)[a]
+    return state
 
 
 def normal_form_by_canonical(group, word):

@@ -1,6 +1,6 @@
-"""The ShortLex automaton: ``ball`` walks its states and ``_mult_gen``
-lengthens through it, each against the canonicalising rule it replaced
-and against the matrix-identified BFS, on cold groups under threads, and
+"""The ShortLex automaton that ``ball`` walks, and the one-walk product
+``_mult_gen``, each against the canonicalising rule it replaced and
+against the matrix-identified BFS, on cold groups under threads, and
 with its input checks."""
 
 import random
@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxlab.errors import BudgetError, InputError
-from coxlab.matrices import is_finite
+from coxlab.matrices import INFINITY, is_finite
 from coxlab.words import CoxeterGroup
 
 from conftest import BENCH_MATRICES, CYCLE4, MATRICES
-from oracles import (ball_by_canonical, doubled_matrix,
-                     normal_form_by_canonical, shortlex_by_matrix_bfs)
+from oracles import (automaton_state, ball_by_canonical,
+                     canonical_by_descents, doubled_matrix,
+                     mult_gen_by_canonical, normal_form_by_canonical,
+                     shortlex_by_matrix_bfs)
 
 DIFFERENTIAL = {**BENCH_MATRICES, "a3": MATRICES["a3"], "b3": MATRICES["b3"],
                 "h3": MATRICES["h3"], "CYCLE4": CYCLE4}
@@ -65,6 +67,70 @@ def test_normal_form_matches_canonical_rule(name):
             normal_form_by_canonical(oracle, word), (name, word)
 
 
+def _random_normal_forms(group, rng, count, longest=45):
+    """Normal forms of seeded random words of length <= ``longest``, with
+    no letter repeated next to itself, so that they reduce less."""
+    out = []
+    for _ in range(count):
+        word = []
+        for _ in range(rng.randrange(longest + 1)):
+            word.append(rng.choice([a for a in range(group.rank)
+                                    if word[-1:] != [a]]))
+        out.append(group.normal_form(word).word)
+    return out
+
+
+def _outcome(word, t, product):
+    if len(product) < len(word):
+        return "delete"
+    return "append" if product == word + (t,) else "insert"
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_mult_gen_matches_descent_stripping(name):
+    # every generator times seeded random normal forms: the one walk gives
+    # the descent-stripping form, appends exactly when the automaton lets
+    # t follow, and on an infinite matrix deletes, inserts and appends;
+    # it inserts nowhere when every pair of generators has order oo, as
+    # then each element has one reduced word
+    m = DIFFERENTIAL[name]
+    group, oracle = CoxeterGroup(m), CoxeterGroup(m)
+    outcomes = Counter()
+    for word in _random_normal_forms(group, random.Random(29), 120):
+        row = oracle._row(automaton_state(oracle, word))
+        for t in range(m.rank):
+            got = group._mult_gen(word, t)
+            assert got == mult_gen_by_canonical(oracle, word, t), \
+                (name, word, t)
+            kind = _outcome(word, t, got)
+            assert (kind == "append") == (row[t] is not None), (name, word, t)
+            outcomes[kind] += 1
+    braided = any(m.order(i, j) != INFINITY
+                  for i in range(m.rank) for j in range(i))
+    if not is_finite(m):
+        assert set(outcomes) == {"delete", "append"} | (
+            {"insert"} if braided else set()), outcomes
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_inverse_matches_descent_stripping(name):
+    m = DIFFERENTIAL[name]
+    group, oracle = CoxeterGroup(m), CoxeterGroup(m)
+    for word in _random_normal_forms(group, random.Random(31), 60):
+        assert group.inverse(group.normal_form(word)).word == \
+            canonical_by_descents(oracle, word[::-1]), (name, word)
+
+
+@settings(max_examples=200)
+@given(name=st.sampled_from(sorted(DIFFERENTIAL)), data=st.data())
+def test_mult_gen_twice_by_a_generator_is_the_identity(name, data):
+    group = CoxeterGroup(DIFFERENTIAL[name])
+    letters = st.integers(0, group.rank - 1)
+    word = group.normal_form(data.draw(st.lists(letters, max_size=45))).word
+    t = data.draw(letters)
+    assert group._mult_gen(group._mult_gen(word, t), t) == word
+
+
 @pytest.fixture(scope="module")
 def bench_bfs():
     """Per bench matrix: a group and its ShortLex forms by matrix BFS."""
@@ -92,8 +158,8 @@ def test_normal_form_is_matrix_bfs_form(bench_bfs, data):
 def test_cold_group_automaton_is_thread_safe():
     # eight threads start together on cold (2,3,7) groups, one group after
     # another for two seconds, each asking for a ball and normal forms:
-    # every answer must be the single-threaded one, and every state the
-    # group cached for a prefix the state a fresh group gives that prefix
+    # every answer must be the single-threaded one, and every automaton
+    # row the group cached for a state the row a fresh group gives it
     m = MATRICES["t237"]
     rng = random.Random(11)
     words = [[rng.randrange(3) for _ in range(30)] for _ in range(40)]
@@ -126,8 +192,9 @@ def test_cold_group_automaton_is_thread_safe():
                 assert not t.is_alive()
             assert got == [expected] * 8
             fresh = CoxeterGroup(m)
-            assert all(fresh._state(prefix) == state
-                       for prefix, state in list(group._state_memo.items()))
+            rows = list(group._row_memo.items())
+            assert rows
+            assert all(fresh._row(state) == row for state, row in rows)
     finally:
         sys.setswitchinterval(switch)
 

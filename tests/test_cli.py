@@ -74,6 +74,28 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "missing.json")]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["polytopes", "{file}", "--max-chambers", "abc"],
+    ["verify"],
+    ["no-such-command", "{file}"],
+], ids=["bad-option-value", "missing-file", "unknown-command"])
+def test_usage_error_exits_3(t23inf_file, capsys, argv):
+    # exit 2 means a budget ran out; a usage error is bad input
+    assert main([a.format(file=t23inf_file) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: coxlab" in captured.err
+    assert "input error:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 0
+    assert "usage: coxlab" in capsys.readouterr().out
+
+
 MALFORMED_DOCS = {
     "m-not-a-list": b'{"rank": 2, "m": 5}',
     "m-rows-not-lists": b'{"rank": 2, "m": [1, 2]}',

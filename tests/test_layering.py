@@ -3,7 +3,8 @@
 decision it makes is whether two walls meet, the only conjugation
 descent it runs is the one to the canonical generators, word reduction
 and the ShortLex automaton walk the elementary-root table with no
-field arithmetic, ``ball`` walks the automaton alone, only
+field arithmetic, a product is one table walk with no memo, ``ball``
+walks the automaton alone, only
 ``panel_root`` walks a root through a word, only ``wall_between``
 builds a ``Wall``, and only ``_id`` (and ``ball``) an ``Element``;
 and no module imports a sibling's underscore names."""
@@ -136,11 +137,21 @@ def test_reduction_does_no_field_arithmetic():
     methods = _group_methods()
     field = {"field", "_form_row", "_reflect_id", "_intern", "_root_list",
              "_intern_lock"}
-    for name in ("_crossing", "_canonical", "_mult_gen", "_mult_word",
-                 "_row", "_state", "ball"):
+    assert "_canonical" not in methods
+    for name in ("_crossing", "_mult_gen", "_mult_word", "_row", "ball"):
         named = _named(methods[name])
         assert not named & field, name
         assert not any(n.startswith("raw_") for n in named), name
+
+
+def test_product_is_one_memo_free_table_walk():
+    # ``_mult_gen`` reads the elementary-root table alone: no automaton,
+    # no recursion and no memo
+    named = _named(_group_methods()["_mult_gen"])
+    assert "_small_table" in named
+    assert not named & {"_row", "_state", "_mult_gen"}
+    assert not [n for n in named if n.startswith("_")
+                and n.endswith(("memo", "cache"))]
 
 
 def test_ball_walks_the_automaton_alone():
