@@ -23,6 +23,9 @@ from .matrices import (INFINITY, components, is_finite,
 from .words import DEFAULT_ELEMENT_CAP, CoxeterGroup, word_from_text
 
 DEFAULT_MAX_CHAMBERS = 8
+# one census line of --emit: the bytes of json.dumps(rec, sort_keys=True),
+# from one encoder for every line
+_encode_line = json.JSONEncoder(sort_keys=True).encode
 
 
 def element_cap():
@@ -359,7 +362,7 @@ def cmd_polytopes(args):
         try:
             with open(args.emit, "w", encoding="utf-8") as fh:
                 for rec in records:
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                    fh.write(_encode_line(rec) + "\n")
         except OSError as e:
             raise InputError(
                 f"cannot write {args.emit}: {e.strerror}") from None

@@ -20,17 +20,23 @@ alone: its first boundary panels are the parent's, less those on the
 wall crossed, merged with the new chambers' panels, and its angle sites
 are the parent's whose residue misses the new chambers, plus those
 walked afresh from the new chambers (on the first ``angle_sites``
-call).  Any other polytope is the case with no parent, every chamber
-new.
+call), and its N_P is the parent's with the inversion sets of the new
+chambers.  Any other polytope is the case with no parent, every chamber
+new.  A polytope builds only what is read: its facet count is the
+number of its first panels, its chambers and facet walls are built on
+first read, and so are a site's exit walls.  A census line
+(``census_record``) reads no wall and no chamber set, so the census and
+its lines build no wall and number no reflection as a chamber.
 
 All of this runs on the group's chamber ids: a chamber set is an int
 bitmask with bit i for chamber id i, a root set a bitmask of root ids,
 and each step reads the chamber's adjacency row.  An id orders nothing:
 queues, panels, walls, sites and records are ordered by ShortLex keys,
 so the output does not depend on the order in which chambers were
-numbered.  A polytope keeps its chambers as a frozenset of Element and
-its mask beside the group that numbered it; only that group reads the
-mask, and any other group of the matrix converts from the chambers.
+numbered.  A polytope keeps its mask beside the group that numbered it,
+and its chambers as a frozenset of Element once read; only that group
+reads the mask, and any other group of the matrix converts from the
+chambers.
 A census member is convex and holds the base chamber, so it holds every
 prefix of each of its normal forms: the stacan search translates it by
 walking its chambers in ShortLex order along the adjacency rows.
@@ -39,13 +45,11 @@ walking its chambers in ShortLex order along the adjacency rows.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from operator import attrgetter, itemgetter
 
 from .errors import BudgetError, ConsistencyError, InputError
 from .matrices import INFINITY, is_finite, is_infinite_indecomposable
-from .words import Element
 
 DEFAULT_HULL_CAP = 4096
 _wall_key = attrgetter("sort_key")
@@ -124,28 +128,83 @@ def _hull_limited(group, mask, limit):
     return region(group, 1 << c0, walls, limit)
 
 
-@dataclass(frozen=True)
 class ChamberPolytope:
-    chambers: frozenset       # of Element
-    facet_walls: tuple        # of Wall, sorted
-    # angle sites, filled by the first angle_sites call
-    _sites: tuple = field(default=None, init=False, compare=False,
-                          repr=False)
-    # (parent, new chamber mask) of a census child until its sites are
-    # filled
-    _origin: tuple = field(default=None, init=False, compare=False,
-                           repr=False)
-    # (group, chamber mask) of the group whose ids built the polytope
-    _numbered: tuple = field(default=(None, 0), init=False, compare=False,
-                             repr=False)
+    """A convex chamber set (a frozenset of Element) and its facet walls,
+    sorted.
 
-    def __reduce__(self):
-        # a copy is the value: no caches, no numbering group to carry
-        return (ChamberPolytope, (self.chambers, self.facet_walls))
+    A value: equal and hashed by its chambers and facet walls, immutable,
+    and copied or pickled as those two alone.  A polytope the library
+    builds keeps instead its chamber mask beside the group that numbered
+    it, and its first boundary panel per facet wall (``_facet_panels``):
+    ``facet_count`` reads the panels, ``chambers`` is built from the mask
+    and ``facet_walls`` from the panels on first read, and the panels are
+    then released.  Racing threads build equal values.
+    """
+
+    __slots__ = ("_chambers", "_walls", "_panels", "_sites", "_origin",
+                 "_numbered")
+
+    def __init__(self, chambers, facet_walls):
+        fill = object.__setattr__
+        fill(self, "_chambers", chambers)
+        fill(self, "_walls", facet_walls)
+        # root id -> (chamber key, s, chamber id) until the walls are built
+        fill(self, "_panels", None)
+        # angle sites, filled by the first angle_sites call
+        fill(self, "_sites", None)
+        # (parent, new chamber mask) of a census child until its sites are
+        # filled
+        fill(self, "_origin", None)
+        # (group, chamber mask) of the group whose ids built the polytope
+        fill(self, "_numbered", (None, 0))
+
+    @property
+    def chambers(self):
+        chambers = self._chambers
+        if chambers is None:
+            chambers = chambers_of(*self._numbered)
+            object.__setattr__(self, "_chambers", chambers)
+        return chambers
+
+    @property
+    def facet_walls(self):
+        walls = self._walls
+        if walls is None:
+            panels = self._panels
+            if panels is None:  # another thread built them
+                return self._walls
+            walls = _facet_walls(self._numbered[0], panels)
+            object.__setattr__(self, "_walls", walls)
+            object.__setattr__(self, "_panels", None)
+        return walls
 
     @property
     def facet_count(self):
-        return len(self.facet_walls)
+        panels = self._panels
+        return len(self.facet_walls) if panels is None else len(panels)
+
+    def _value(self):
+        return (self.chambers, self.facet_walls)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"ChamberPolytope is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"ChamberPolytope is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # a copy is the value: no caches, no numbering group to carry
+        return (ChamberPolytope, self._value())
 
     def sorted_chambers(self):
         return sorted(self.chambers, key=lambda e: e.sort_key)
@@ -162,20 +221,23 @@ def _mask_of(group, polytope):
     return mask if owner is group else _mask(group, polytope.chambers)
 
 
-def _facet_panels(group, chambers, new, inherited=None):
+def _facet_panels(group, chambers, new, inherited=None, crossed=None):
     """The first boundary panel (i, s), i in the mask ``chambers`` and
     i s outside, on each facet wall: a map from panel root to (chamber
     key of i, s, i), ordered by (chamber key, s).
 
     ``inherited`` is this map for the old chambers, ``chambers & ~new``
-    (none by default, with ``new`` all the chambers).  Its panels into
-    ``new`` are dropped and the boundary panels of ``new`` merged in, the
-    least per root kept.  A census child's old chambers are its parent P,
-    whose panels into the new chambers are all of P's on one wall (see
-    ``enumerate_convex_polytopes``), so the rest are still first.
+    (none by default, with ``new`` all the chambers).  Its entry for the
+    root ``crossed`` is dropped and the boundary panels of ``new`` merged
+    in, the least per root kept.  A census child's old chambers are its
+    parent P, whose panels into the new chambers are all of P's on the
+    wall crossed and no others (see ``enumerate_convex_polytopes``), so
+    the rest are still first.
     """
-    panels = {rid: panel for rid, panel in (inherited or {}).items()
-              if not new >> group.adjacent(panel[2])[panel[1]][0] & 1}
+    panels = {}
+    if inherited is not None:
+        panels.update(inherited)
+        del panels[crossed]
     for i in _members(new):
         key = group.chamber_key(i)
         for s, (j, rid) in enumerate(group.adjacent(i)):
@@ -194,14 +256,14 @@ def _facet_walls(group, panels):
                         key=_wall_key))
 
 
-def _polytope(group, mask, chambers=None, panels=None):
-    """The polytope of a convex chamber mask; its chambers and boundary
-    panels are read off the mask unless given."""
-    if chambers is None:
-        chambers = chambers_of(group, mask)
+def _polytope(group, mask, chambers=None, panels=None, origin=None):
+    """The polytope of a convex chamber mask; its boundary panels are read
+    off the mask unless given, and its chambers too on first read."""
+    polytope = ChamberPolytope(chambers, None)
     if panels is None:
         panels = _facet_panels(group, mask, mask)
-    polytope = ChamberPolytope(chambers, _facet_walls(group, panels))
+    object.__setattr__(polytope, "_panels", panels)
+    object.__setattr__(polytope, "_origin", origin)
     object.__setattr__(polytope, "_numbered", (group, mask))
     return polytope
 
@@ -264,7 +326,6 @@ def fundamental_polytope(group, gens, max_chambers):
 # angle sites
 
 
-@dataclass(frozen=True)
 class AngleSite:
     """A rank-2 spherical residue meeting the polytope.
 
@@ -275,23 +336,89 @@ class AngleSite:
     polytope: two of them, or one when j = m.  An arc filling the whole
     cycle (j = 2m) is an interior codimension-2 face: it has no exit
     walls and carries no angle.
+
+    A value like ``ChamberPolytope``, over those five.  A site the
+    library builds keeps instead its exit panels (chamber id, letter)
+    beside the group that numbered them, and builds ``boundary_walls``
+    on first read.
     """
 
-    base: Element             # least chamber of the residue
-    pair: tuple               # generator pair (s, t), s < t
-    m: int
-    j: int
-    boundary_walls: tuple     # distinct exit walls, sorted; () if interior
-    # (pair, ShortLex key of base): the order of a polytope's sites, built
-    # once per site, as a child inherits most of its parent's
-    _order: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("base", "pair", "m", "j", "_walls", "_exits", "_order")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_order", (self.pair, self.base.sort_key))
+    def __init__(self, base, pair, m, j, boundary_walls):
+        fill = object.__setattr__
+        fill(self, "base", base)        # least chamber of the residue
+        fill(self, "pair", pair)        # generator pair (s, t), s < t
+        fill(self, "m", m)
+        fill(self, "j", j)
+        # distinct exit walls, sorted; () if interior
+        fill(self, "_walls", boundary_walls)
+        # (group, chamber id, letter, ...) of the exit panels until the
+        # walls are built
+        fill(self, "_exits", None)
+        # (pair, ShortLex key of base): the order of a polytope's sites,
+        # built once per site, as a child inherits most of its parent's
+        fill(self, "_order", (pair, base.sort_key))
+
+    @property
+    def boundary_walls(self):
+        walls = self._walls
+        if walls is None:
+            exits = self._exits
+            if exits is None:  # another thread built them
+                return self._walls
+            group = exits[0]
+            walls = tuple(sorted((group.panel_wall(x, a)
+                                  for x, a in _exit_panels(exits)),
+                                 key=_wall_key))
+            object.__setattr__(self, "_walls", walls)
+            object.__setattr__(self, "_exits", None)
+        return walls
 
     @property
     def interior(self):
         return self.j == 2 * self.m
+
+    def _value(self):
+        return (self.base, self.pair, self.m, self.j, self.boundary_walls)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AngleSite is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"AngleSite is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (AngleSite, self._value())
+
+    def __repr__(self):
+        return (f"AngleSite(base={self.base!r}, pair={self.pair!r}, "
+                f"m={self.m!r}, j={self.j!r}, "
+                f"boundary_walls={self.boundary_walls!r})")
+
+
+def _site(group, base, pair, m, j, exits):
+    """A site whose exit walls are built on first read from its exit
+    panels ``exits``, (chamber id of ``group``, letter) pairs, kept as one
+    flat tuple (group, x, a, ...)."""
+    site = AngleSite(base, pair, m, j, None if exits else ())
+    if exits:
+        object.__setattr__(site, "_exits", (group, *chain(*exits)))
+    return site
+
+
+def _exit_panels(exits):
+    """The (chamber id, letter) pairs of a site's flat ``_exits``."""
+    return zip(exits[1::2], exits[2::2])
 
 
 def angle_sites(group, polytope):
@@ -363,9 +490,8 @@ def _angle_sites(group, chambers, new, inherited=()):
                     elif y not in done:
                         done.add(y)
                         arc.append(y)
-            fresh.append(AngleSite(base, (s, t), m, len(arc), tuple(
-                sorted((group.panel_wall(x, a) for x, a in exits.values()),
-                       key=_wall_key))))
+            fresh.append(_site(group, base, (s, t), m, len(arc),
+                               exits.values()))
         walked.update(((s, t), base) for base in bases)
     sites = [z for z in inherited if (z.pair, z.base) not in walked] + fresh
     covered = {}
@@ -450,12 +576,19 @@ def check_andreev(group, polytope):
 
 def _obtuse_roots(group, polytope):
     """The root-id mask of the walls bounding a site with 2j > m: the
-    polytope is acute along a wall iff its bit is clear."""
+    polytope is acute along a wall iff its bit is clear.  A site of
+    ``group``'s own ids gives its exit roots off the adjacency rows, with
+    no wall built."""
     mask = 0
     for z in angle_sites(group, polytope):
         if 2 * z.j > z.m:
-            for w in z.boundary_walls:
-                mask |= 1 << group.wall_root(w)
+            exits = z._exits
+            if exits is not None and exits[0] is group:
+                for x, a in _exit_panels(exits):
+                    mask |= 1 << group.adjacent(x)[a][1]
+            else:
+                for w in z.boundary_walls:
+                    mask |= 1 << group.wall_root(w)
     return mask
 
 
@@ -480,19 +613,20 @@ def glued_translates(group, max_total_chambers, census=None):
     if census is None:
         census = (enumerate_convex_polytopes(group, max_total_chambers - 1)
                   if max_total_chambers > 1 else ())
-    census = [(p, _mask_of(group, p), _obtuse_roots(group, p))
-              for p in census if len(p.chambers) < max_total_chambers]
+    masks = ((p, _mask_of(group, p)) for p in census)
+    census = [(p, mask, _obtuse_roots(group, p)) for p, mask in masks
+              if mask.bit_count() < max_total_chambers]
     gens = group.adjacent(group.chamber_id(group.identity()))
     partners = [[] for _ in gens]
-    for c, mask, obtuse in census:
+    for _, mask, obtuse in census:
         walk = None
         for s, (across, rid) in enumerate(gens):
             if not (mask >> across & 1 or obtuse >> rid & 1):
                 if walk is None:
                     walk = _prefix_walk(group, mask)
-                partners[s].append((len(c.chambers), walk))
+                partners[s].append((mask.bit_count(), walk))
     for p1, mask1, obtuse in census:
-        room = max_total_chambers - len(p1.chambers)
+        room = max_total_chambers - mask1.bit_count()
         panels = {}
         for i in _members(mask1):
             for s, (j, r) in enumerate(group.adjacent(i)):
@@ -571,6 +705,8 @@ def enumerate_convex_polytopes(group, max_chambers):
       P's first panel on each other wall stays first among H's, and the
       first panels of H are P's without r, merged with F's by least
       (chamber sort key, s): computed when the child is queued.
+    - N_H is N_P with the inversion sets of F's chambers: computed when
+      the child is dequeued, if it is to grow.
     - Angle sites: a rank-2 residue that misses F meets H in the arc it
       meets P in, and its exits leave H as they left P.  So only the
       residues of F's chambers are walked again; ``angle_sites`` does so
@@ -582,31 +718,30 @@ def enumerate_convex_polytopes(group, max_chambers):
     """
     if max_chambers < 1:
         raise InputError("chamber budget must be >= 1")
-    e = group.identity()
-    start = 1 << group.chamber_id(e)
+    start = 1 << group.chamber_id(group.identity())
     seen = {start}
-    queue = deque([(frozenset({e}), start,
-                    _facet_panels(group, start, start), None)])
+    # (mask, first panels, (parent, new chambers), parent's N_P); the base
+    # chamber's inversion set is empty
+    queue = deque([(start, _facet_panels(group, start, start), None, 0)])
     while queue:
-        chambers, mask, panels, origin = queue.popleft()
-        polytope = _polytope(group, mask, chambers, panels)
-        object.__setattr__(polytope, "_origin", origin)
+        mask, panels, origin, inside = queue.popleft()
+        polytope = _polytope(group, mask, panels=panels, origin=origin)
         yield polytope
-        if len(chambers) >= max_chambers:
+        if mask.bit_count() >= max_chambers:
             continue
-        inside = 0
-        for i in _members(mask):
-            inside |= group.inversion_mask(i)
-        for _, s, i in panels.values():
+        if origin is not None:
+            for i in _members(origin[1]):
+                inside |= group.inversion_mask(i)
+        for rid, (_, s, i) in panels.items():
             x = group.adjacent(i)[s][0]
             grown = region(group, mask | 1 << x, inside, max_chambers,
                            queue=[x])
             if grown is not None and grown not in seen:
                 seen.add(grown)
                 new = grown & ~mask
-                queue.append((chambers | chambers_of(group, new), grown,
-                              _facet_panels(group, grown, new, panels),
-                              (polytope, new)))
+                queue.append((grown,
+                              _facet_panels(group, grown, new, panels, rid),
+                              (polytope, new), inside))
 
 
 def verify_facet_bound(group, max_chambers, census=None):
@@ -624,7 +759,7 @@ def verify_facet_bound(group, max_chambers, census=None):
     if census is None:
         census = enumerate_convex_polytopes(group, max_chambers)
     for p in census:
-        if len(p.chambers) > max_chambers:
+        if _mask_of(group, p).bit_count() > max_chambers:
             continue
         count += 1
         k = p.facet_count

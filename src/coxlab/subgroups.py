@@ -185,18 +185,18 @@ def search_equal_rank_subgroups(group, max_chambers, census=None):
     if census is None:
         census = enumerate_convex_polytopes(group, max_chambers)
     for p in census:
-        if len(p.chambers) > max_chambers:
+        # the cheap tests first: a census member builds its chamber set
+        # and walls only when read
+        if p.facet_count != group.rank or not is_coxeter_polytope(group, p):
             continue
-        if not is_coxeter_polytope(group, p):
+        index = len(p.chambers)
+        if index > max_chambers:
             continue
         gens = p.facet_walls
-        if len(gens) != group.rank:
-            continue
         induced = induced_matrix(group, gens)
-        key = (len(p.chambers), induced.signature())
+        key = (index, induced.signature())
         if key not in found:
-            found[key] = ReflectionSubgroup(gens, induced, p,
-                                            len(p.chambers))
+            found[key] = ReflectionSubgroup(gens, induced, p, index)
     return sorted(found.values(),
                   key=lambda r: (r.index, r.induced.signature()))
 

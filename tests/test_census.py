@@ -1,9 +1,10 @@
 """The census grows one facet wall at a time: the differential test
 against the full-hull growth it replaced, the lemma it rests on, the
 records a child inherits from its parent against the full scans they
-replaced, the hull's own properties, and the group's memo of rank-2
-residue bases."""
+replaced, the walls built only when read, the hull's own properties,
+and the group's memo of rank-2 residue bases."""
 
+import json
 import sys
 import threading
 from itertools import combinations
@@ -22,11 +23,13 @@ from coxlab.words import CoxeterGroup
 
 from conftest import BENCH_MATRICES, CYCLE4, MATRICES
 from oracles import (angle_sites_by_residue, census_by_full_hulls,
-                     facet_panels_by_scan, hull_fixpoint,
-                     residue_base_by_descent, residue_by_coset)
+                     facet_panels_by_scan, facet_walls_by_count,
+                     hull_fixpoint, residue_base_by_descent,
+                     residue_by_coset)
 
 DIFFERENTIAL = {**BENCH_MATRICES, "a3": MATRICES["a3"], "h3": MATRICES["h3"],
                 "CYCLE4": CYCLE4}
+INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 LEMMA = {"t23inf": MATRICES["t23inf"], "t255": MATRICES["t255"],
          "univ3": MATRICES["univ3"], "CYCLE4": CYCLE4}
 
@@ -96,11 +99,12 @@ def _assert_full_scan_records(group, p, panels):
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
 def test_inherited_records_match_full_scans(name):
-    # a census child's first panels are its parent's merged with those of
-    # its new chambers, and its sites derive from its parent's; polytopes
-    # with no parent, the stacan translates and the convex hulls, take
-    # the same routines with every chamber new.  A census member holds
-    # the base of each of its sites (gate property)
+    # a census child's first panels are its parent's, less the one on the
+    # wall crossed, merged with those of its new chambers, and its sites
+    # derive from its parent's; polytopes with no parent, the stacan
+    # translates and the convex hulls, take the same routines with every
+    # chamber new.  A census member holds the base of each of its sites
+    # (gate property)
     group = CoxeterGroup(DIFFERENTIAL[name])
     census = list(enumerate_convex_polytopes(group, 6))
     panels = {}
@@ -114,7 +118,13 @@ def test_inherited_records_match_full_scans(name):
             parent, new = p._origin
             assert parent.chambers | chambers_of(group, new) == p.chambers
             assert new and not _mask(group, parent.chambers) & new
-            got = _facet_panels(group, mask, new, panels[parent.chambers])
+            inherited = panels[parent.chambers]
+            # the lemma: exactly one of the parent's first panels leads
+            # into the new chambers, and its root is the wall crossed
+            into = [rid for rid, (_, s, i) in inherited.items()
+                    if new >> group.adjacent(i)[s][0] & 1]
+            assert len(into) == 1, p
+            got = _facet_panels(group, mask, new, inherited, into[0])
         panels[p.chambers] = got
         sites = _assert_full_scan_records(group, p, got)
         assert all(z.base in p.chambers for z in sites), p
@@ -149,7 +159,7 @@ def test_census_sites_are_derived_on_first_call():
 
 
 def test_facet_bound_computes_no_site(monkeypatch, capsys):
-    # the facet-bound suite reads facet walls alone, so it computes no
+    # the facet-bound suite reads facet counts alone, so it computes no
     # angle site; the andreev suite, which reads them, does
     calls = []
     routine = davis._angle_sites
@@ -159,8 +169,7 @@ def test_facet_bound_computes_no_site(monkeypatch, capsys):
         return routine(*args)
 
     monkeypatch.setattr(davis, "_angle_sites", counted)
-    path = str(Path(__file__).resolve().parent.parent
-               / "bench" / "inputs" / "t255.json")
+    path = str(INPUTS / "t255.json")
     verify = ["verify", path, "--max-chambers", "6", "--suite"]
     assert cli.main(verify + ["facet-bound"]) == 0
     assert calls == []
@@ -183,6 +192,58 @@ def test_non_contiguous_arc_is_refused():
     object.__setattr__(child, "_origin", (parent, _mask(group, new)))
     with pytest.raises(ConsistencyError):
         angle_sites(group, child)
+
+
+@pytest.mark.parametrize("stem", sorted(BENCH_MATRICES))
+def test_polytopes_emit_builds_no_wall(stem, tmp_path, monkeypatch, capsys):
+    # a census line reads chamber displays, the facet count and each
+    # site's (m, j): none of them is a wall, so the command never asks
+    # for one and the group ends with no wall and no reflection numbered
+    def refused(self, g, s):
+        raise AssertionError(f"wall_between({g!r}, {s}) on polytopes")
+
+    built = []
+
+    def recorded(matrix):
+        built.append(CoxeterGroup(matrix))
+        return built[-1]
+
+    monkeypatch.setattr(CoxeterGroup, "wall_between", refused)
+    monkeypatch.setattr(cli, "CoxeterGroup", recorded)
+    out = tmp_path / "census.jsonl"
+    assert cli.main(["polytopes", str(INPUTS / f"{stem}.json"),
+                     "--max-chambers", "5", "--emit", str(out),
+                     "--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert out.read_bytes().count(b"\n") == summary["polytopes"] > 1
+    [group] = built
+    assert group._wall_memo == {} and group._wall_roots == {}
+
+
+@pytest.mark.parametrize("walls_first", [True, False])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_lazy_walls_match_oracles(name, walls_first):
+    # facet walls built from the first panels, and exit walls from the
+    # exit panels, are the walls the full scans find, whether read before
+    # or after the sites; reading the facet walls releases the panels
+    m = DIFFERENTIAL[name]
+    group, oracle = CoxeterGroup(m), CoxeterGroup(m)
+    for p in enumerate_convex_polytopes(group, 6):
+        assert p._walls is None and p._panels is not None
+        if walls_first:
+            walls = p.facet_walls
+            sites = angle_sites(group, p)
+        else:
+            sites = angle_sites(group, p)
+            walls = p.facet_walls
+        assert p._panels is None and p.facet_walls is walls
+        assert p.facet_count == len(walls)
+        expect = facet_walls_by_count(oracle, p.chambers)
+        assert walls == tuple(w for w, _ in expect), (name, p)
+        assert [z.boundary_walls for z in sites] == [
+            z.boundary_walls
+            for z in angle_sites_by_residue(oracle, p.chambers)], (name, p)
+        assert all(z._exits is None for z in sites)
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
@@ -270,11 +331,16 @@ def test_shared_census_derives_sites_under_threads():
     # four threads ask one cold census for its sites in different orders,
     # so children derive from parents that another thread may be filling
     # or has just filled: every thread sees the sites of a fresh census
+    # and read their facet and exit walls, which other threads may be
+    # building from the same panels
+    def read(group, p):
+        sites = angle_sites(group, p)
+        return sites, p.facet_walls, [z.boundary_walls for z in sites]
+
     group = CoxeterGroup(MATRICES["t237"])
     census = list(enumerate_convex_polytopes(group, 6))
     fresh = CoxeterGroup(MATRICES["t237"])
-    expected = [angle_sites(fresh, p)
-                for p in enumerate_convex_polytopes(fresh, 6)]
+    expected = [read(fresh, p) for p in enumerate_convex_polytopes(fresh, 6)]
     orders = [list(range(len(census)))[::step] + list(range(len(census)))
               for step in (1, -1, 3, -5)]
     start = threading.Barrier(4, timeout=30)
@@ -283,7 +349,7 @@ def test_shared_census_derives_sites_under_threads():
     def work(k):
         start.wait()
         for i in orders[k]:
-            got[k][i] = angle_sites(group, census[i])
+            got[k][i] = read(group, census[i])
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -299,7 +365,7 @@ def test_shared_census_derives_sites_under_threads():
         sys.setswitchinterval(switch)
     for k in range(4):
         assert [got[k][i] for i in range(len(census))] == expected
-    assert all(p._origin is None for p in census)
+    assert all(p._origin is None and p._panels is None for p in census)
 
 
 def test_region_stops_at_the_limit():

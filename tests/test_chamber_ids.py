@@ -15,9 +15,10 @@ from pathlib import Path
 import pytest
 
 from coxlab import cli
-from coxlab.davis import (angle_sites, census_record, check_andreev,
-                          convex_hull, enumerate_convex_polytopes,
-                          is_convex, is_coxeter_polytope, polytope_of, side,
+from coxlab.davis import (AngleSite, ChamberPolytope, angle_sites,
+                          census_record, check_andreev, convex_hull,
+                          enumerate_convex_polytopes, is_convex,
+                          is_coxeter_polytope, polytope_of, side,
                           stacan_pairs)
 from coxlab.errors import InputError
 from coxlab.matrices import parse_matrix
@@ -186,6 +187,38 @@ def test_polytope_survives_copy_and_pickle():
         assert x.facet_walls == p.facet_walls
         assert x._sites is None and x._numbered == (None, 0)
         assert angle_sites(group, x) == sites
+
+
+_COPIERS = [copy.copy, copy.deepcopy] + [
+    lambda x, protocol=protocol: pickle.loads(pickle.dumps(x, protocol))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+
+@pytest.mark.parametrize("copier", _COPIERS)
+def test_unread_polytope_and_site_survive_copy_and_pickle(copier):
+    # a census member whose chambers and walls were never read, and a lone
+    # site whose exit walls were never read, copy as their values: the
+    # walls are built for the copy, which carries no group
+    group = CoxeterGroup(MATRICES["t237"])
+    p = list(enumerate_convex_polytopes(group, 5))[-1]
+    assert p._chambers is None and p._walls is None
+    x = copier(p)
+    assert type(x) is ChamberPolytope and x._numbered == (None, 0)
+    assert x._panels is None and x._sites is None
+    site = next(z for z in angle_sites(group, p) if z._walls is None)
+    assert site._exits[0] is group
+    y = copier(site)
+    assert type(y) is AngleSite and y._exits is None
+    expected = CoxeterGroup(MATRICES["t237"])
+    q = list(enumerate_convex_polytopes(expected, 5))[-1]
+    assert x == p == q and hash(x) == hash(p) == hash(q)
+    assert x.chambers == q.chambers and x.facet_walls == q.facet_walls
+    assert x.facet_count == p.facet_count == q.facet_count
+    assert angle_sites(group, x) == angle_sites(expected, q)
+    z = angle_sites(expected, q)[angle_sites(group, p).index(site)]
+    assert y == site == z and hash(y) == hash(site) == hash(z)
+    assert y.boundary_walls == z.boundary_walls
+    assert (y.base, y.pair, y.m, y.j) == (z.base, z.pair, z.m, z.j)
 
 
 @pytest.mark.parametrize("name", [*BENCH_MATRICES, "a3", "h3"])

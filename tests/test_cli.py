@@ -323,14 +323,21 @@ def test_matrix_digest_stable():
 
 
 def test_census_deterministic_across_processes(t23inf_file, tmp_path):
-    # different hash seeds must not change any emitted ordering
+    # different hash seeds must not change any emitted ordering; the
+    # subprocess imports the coxlab this test imported, from its source
+    # directory, whether or not PYTHONPATH is set
     import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import coxlab
+    src = str(Path(coxlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for seed in ("1", "31337"):
         out = tmp_path / f"census-{seed}.jsonl"
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         r = subprocess.run(
             [sys.executable, "-m", "coxlab.cli", "polytopes", t23inf_file,
              "--max-chambers", "5", "--emit", str(out)],
