@@ -98,9 +98,9 @@ class VerificationReport:
 # verification suites
 
 
-def census_list(group, max_chambers, cap=None):
+def census_list(group, max_chambers):
     """Materialized census with a node-count guard (COXLAB_BUDGET)."""
-    cap = element_cap() if cap is None else cap
+    cap = element_cap()
     out = []
     for p in davis.enumerate_convex_polytopes(group, max_chambers):
         out.append(p)
@@ -242,6 +242,14 @@ def run_verify(matrix, suite, max_chambers):
                        "needs an infinite indecomposable system")
         return report
     run = _VerifyRun(CoxeterGroup(matrix), max_chambers)
+    # every suite reads the census, and a cached_property caches no
+    # exception: build it here, so that a spent budget is spent once
+    try:
+        run.census
+    except BudgetError as e:
+        for name in names:
+            report.add(name, "budget", str(e))
+        return report
     for name in names:
         try:
             _SUITE_FUNCS[name](run, report)

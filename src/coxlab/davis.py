@@ -17,16 +17,18 @@ are what the adjoined chamber reaches across the walls of the smaller
 set, so each member runs one search per facet wall, over new chambers
 only.  A child's records grow from its parent's over its new chambers
 alone: its first boundary panels are the parent's, less those on the
-wall crossed, merged with the new chambers' panels, and its angle sites
-are the parent's whose residue misses the new chambers, plus those
-walked afresh from the new chambers (on the first ``angle_sites``
-call), and its N_P is the parent's with the inversion sets of the new
-chambers.  Any other polytope is the case with no parent, every chamber
-new.  A polytope builds only what is read: its facet count is the
-number of its first panels, its chambers and facet walls are built on
-first read, and so are a site's exit walls.  A census line
+wall crossed, merged with the new chambers' panels, its N_P is the
+parent's with the inversion sets of the new chambers, and its angle
+sites, on the first ``angle_sites`` call, are in one step the parent's
+whose residue misses the new chambers, plus those walked afresh from
+the new chambers, when the parent has its sites.  Any other polytope is
+the case with no parent, every chamber new, and so is a child asked
+before its parent.  A polytope builds only what is read: its facet
+count is the number of its first panels, its chambers and facet walls
+are built on first read, and so are a site's exit walls.  A census line
 (``census_record``) reads no wall and no chamber set, so the census and
 its lines build no wall and number no reflection as a chamber.
+Polytopes and sites are immutable values (``words.Value``).
 
 All of this runs on the group's chamber ids: a chamber set is an int
 bitmask with bit i for chamber id i, a root set a bitmask of root ids,
@@ -50,6 +52,7 @@ from operator import attrgetter, itemgetter
 
 from .errors import BudgetError, ConsistencyError, InputError
 from .matrices import INFINITY, is_finite, is_infinite_indecomposable
+from .words import Value
 
 DEFAULT_HULL_CAP = 4096
 _wall_key = attrgetter("sort_key")
@@ -128,7 +131,7 @@ def _hull_limited(group, mask, limit):
     return region(group, 1 << c0, walls, limit)
 
 
-class ChamberPolytope:
+class ChamberPolytope(Value):
     """A convex chamber set (a frozenset of Element) and its facet walls,
     sorted.
 
@@ -173,7 +176,8 @@ class ChamberPolytope:
             panels = self._panels
             if panels is None:  # another thread built them
                 return self._walls
-            walls = _facet_walls(self._numbered[0], panels)
+            walls = _walls(self._numbered[0],
+                           ((i, s) for _, s, i in panels.values()))
             object.__setattr__(self, "_walls", walls)
             object.__setattr__(self, "_panels", None)
         return walls
@@ -183,28 +187,9 @@ class ChamberPolytope:
         panels = self._panels
         return len(self.facet_walls) if panels is None else len(panels)
 
-    def _value(self):
-        return (self.chambers, self.facet_walls)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self._value() == other._value()
-
-    def __hash__(self):
-        return hash(self._value())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(
-            f"ChamberPolytope is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(
-            f"ChamberPolytope is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
+    def _args(self):
         # a copy is the value: no caches, no numbering group to carry
-        return (ChamberPolytope, self._value())
+        return (self.chambers, self.facet_walls)
 
     def sorted_chambers(self):
         return sorted(self.chambers, key=lambda e: e.sort_key)
@@ -248,11 +233,10 @@ def _facet_panels(group, chambers, new, inherited=None, crossed=None):
     return dict(sorted(panels.items(), key=itemgetter(1)))
 
 
-def _facet_walls(group, panels):
-    """The walls of ``_facet_panels``, each found by its panel's root id,
-    sorted."""
-    return tuple(sorted((group.panel_wall(i, s)
-                         for _, s, i in panels.values()),
+def _walls(group, panels):
+    """The walls of the panels (chamber id, letter), each found by its
+    root id, sorted."""
+    return tuple(sorted((group.panel_wall(i, s) for i, s in panels),
                         key=_wall_key))
 
 
@@ -326,7 +310,7 @@ def fundamental_polytope(group, gens, max_chambers):
 # angle sites
 
 
-class AngleSite:
+class AngleSite(Value):
     """A rank-2 spherical residue meeting the polytope.
 
     The {s, t} residue of a chamber is a 2m-cycle of chambers; a convex
@@ -367,10 +351,7 @@ class AngleSite:
             exits = self._exits
             if exits is None:  # another thread built them
                 return self._walls
-            group = exits[0]
-            walls = tuple(sorted((group.panel_wall(x, a)
-                                  for x, a in _exit_panels(exits)),
-                                 key=_wall_key))
+            walls = _walls(exits[0], _exit_panels(exits))
             object.__setattr__(self, "_walls", walls)
             object.__setattr__(self, "_exits", None)
         return walls
@@ -379,26 +360,8 @@ class AngleSite:
     def interior(self):
         return self.j == 2 * self.m
 
-    def _value(self):
+    def _args(self):
         return (self.base, self.pair, self.m, self.j, self.boundary_walls)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self._value() == other._value()
-
-    def __hash__(self):
-        return hash(self._value())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"AngleSite is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(
-            f"AngleSite is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return (AngleSite, self._value())
 
     def __repr__(self):
         return (f"AngleSite(base={self.base!r}, pair={self.pair!r}, "
@@ -427,41 +390,37 @@ def angle_sites(group, polytope):
     on the polytope; the sites are values, equal whichever group of the
     matrix computes them.
 
-    A census child derives its sites from its parent's (computed first,
-    if they are not yet): a site whose residue misses the child's new
-    chambers keeps its arc and exits, so only the residues of the new
-    chambers are walked.  The child then drops its parent.  Another
-    group of the matrix walks every chamber, as the child's new-chamber
-    mask is in the census group's ids.
+    A census child whose parent has its sites derives its own from them
+    in one step: a site whose residue misses the child's new chambers
+    keeps its arc and exits, so only the residues of the new chambers are
+    walked.  Any other polytope walks every chamber: one with no parent
+    or whose parent has no sites yet, and one asked by another group of
+    the matrix, as the child's new-chamber mask is in the census group's
+    ids.  The child then drops its parent.  A census read in order, as
+    every command reads it, asks each parent first.
     """
-    pending, p = [], polytope
-    while p._sites is None:
-        # a census child's new-chamber mask is in its own group's ids
-        origin = p._origin if p._numbered[0] is group else None
-        pending.append((p, origin))
-        if origin is None:
-            break
-        p = origin[0]
-    for p, origin in reversed(pending):
-        mask = _mask_of(group, p)
-        if origin is None:
-            sites = _angle_sites(group, mask, mask)
-        else:
-            parent, new = origin
-            sites = _angle_sites(group, mask, new, parent._sites)
-        object.__setattr__(p, "_sites", sites)
-        object.__setattr__(p, "_origin", None)
-    return polytope._sites
+    sites = polytope._sites
+    if sites is None:
+        mask = _mask_of(group, polytope)
+        new, inherited = mask, ()
+        origin = polytope._origin
+        if origin is not None and origin[0]._sites is not None and \
+                polytope._numbered[0] is group:
+            new, inherited = origin[1], origin[0]._sites
+        sites = _angle_sites(group, mask, new, inherited)
+        object.__setattr__(polytope, "_sites", sites)
+        object.__setattr__(polytope, "_origin", None)
+    return sites
 
 
-def _angle_sites(group, chambers, new, inherited=()):
+def _angle_sites(group, chambers, new, inherited):
     """The sites of ``inherited`` (those of the old chambers,
-    ``chambers & ~new``; none by default, with ``new`` all the chambers)
-    whose residue misses ``new``, and a fresh site for each residue of a
-    new chamber, on chamber masks.  The residue meets the convex set in
-    one arc, walked out from that chamber through s and t; the panels
-    leaving the set give the arc's bounding walls, by root id.  The arcs
-    of a pair cover the set once."""
+    ``chambers & ~new``; none when ``new`` is all the chambers) whose
+    residue misses ``new``, and a fresh site for each residue of a new
+    chamber, on chamber masks.  The residue meets the convex set in one
+    arc, walked out from that chamber through s and t; the panels leaving
+    the set give the arc's bounding walls, by root id.  The arcs of a
+    pair cover the set once."""
     fresh = []
     walked = set()
     members = list(_members(new))
@@ -632,16 +591,19 @@ def glued_translates(group, max_total_chambers, census=None):
             for s, (j, r) in enumerate(group.adjacent(i)):
                 if not mask1 >> j & 1:
                     panels.setdefault(r, []).append((i, s))
-        for wall in p1.facet_walls:
-            rid = group.wall_root(wall)
+        glued = []
+        for rid, on in panels.items():
             if obtuse >> rid & 1:
                 continue
-            if len(panels[rid]) != 1:
+            if len(on) != 1:
                 raise ConsistencyError(
                     "acute facet of a convex polytope is not one chamber",
-                    sorted((group.chamber(i).word, s)
-                           for i, s in panels[rid]))
-            [(i, s)] = panels[rid]
+                    sorted((group.chamber(i).word, s) for i, s in on))
+            if any(size <= room for size, _ in partners[on[0][1]]):
+                glued += on
+        # only an acute facet with a partner builds its wall
+        for wall in _walls(group, glued):
+            [(i, s)] = panels[group.wall_root(wall)]
             anchor = group.adjacent(i)[s][0]
             for size, walk in partners[s]:
                 if size <= room:
@@ -710,7 +672,8 @@ def enumerate_convex_polytopes(group, max_chambers):
     - Angle sites: a rank-2 residue that misses F meets H in the arc it
       meets P in, and its exits leave H as they left P.  So only the
       residues of F's chambers are walked again; ``angle_sites`` does so
-      on the first call, from the parent's sites.
+      on the first call, from the parent's sites once the parent has
+      them.
 
     Children are queued in the order their walls are first met in
     (sorted chamber, s) order; a later panel on the same wall would give

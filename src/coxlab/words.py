@@ -60,7 +60,35 @@ CROSS = -1  # y is the simple root of s
 EXIT = -2   # s(y) is not elementary
 
 
-class Element:
+class Value:
+    """An immutable value.  A subclass fills its slots once, through
+    ``object.__setattr__``, and defines ``_args()``: the arguments it is
+    rebuilt from, so copies and pickles carry them alone, and what
+    equality and the hash compare (a subclass may answer those faster)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (type(self), self._args())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._args() == other._args()
+
+    def __hash__(self):
+        return hash(self._args())
+
+
+class Element(Value):
     """A group element in ShortLex normal form (0-based generator indices).
 
     Immutable, equal by word, with its hash computed once.  A group hands
@@ -74,14 +102,8 @@ class Element:
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "_hash", hash(word))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Element is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Element is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return (Element, (self.word,))
+    def _args(self):
+        return (self.word,)
 
     def __eq__(self, other):
         if self is other:
@@ -111,7 +133,7 @@ class Element:
         return f"<{self.display() or 'e'}>"
 
 
-class Wall:
+class Wall(Value):
     """A reflection together with a conjugation witness.
 
     Two walls are equal iff their reflections are equal.  The wall's
@@ -132,14 +154,8 @@ class Wall:
         object.__setattr__(self, "sort_key", reflection.sort_key)
         object.__setattr__(self, "_hash", hash(("Wall", reflection)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Wall is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Wall is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return (Wall, (self.reflection, self.witness))
+    def _args(self):
+        return (self.reflection, self.witness)
 
     def __eq__(self, other):
         return isinstance(other, Wall) and other.reflection == self.reflection

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxlab import cli, davis
-from coxlab.davis import (_facet_panels, _facet_walls, _mask, angle_sites,
+from coxlab.davis import (_facet_panels, _mask, _walls, angle_sites,
                           chambers_of, convex_hull, enumerate_convex_polytopes,
                           is_convex, polytope_of, region, side, stacan_pairs)
 from coxlab.errors import ConsistencyError
@@ -91,7 +91,8 @@ def _assert_full_scan_records(group, p, panels):
     # equal sites
     expect = _by_ids(group, facet_panels_by_scan(group, p.chambers))
     assert list(panels.items()) == list(expect.items()), p
-    assert p.facet_walls == _facet_walls(group, expect), p
+    assert p.facet_walls == _walls(
+        group, [(i, s) for _, s, i in expect.values()]), p
     sites = angle_sites(group, p)
     assert sites == angle_sites_by_residue(group, p.chambers), p
     return sites
@@ -139,23 +140,41 @@ def test_inherited_records_match_full_scans(name):
         _assert_full_scan_records(group, p, got)
 
 
-def test_census_sites_are_derived_on_first_call():
-    # no member computes sites until asked; a member asked first derives
-    # its ancestors' sites on the way, and each then drops its parent
+def test_census_sites_are_derived_on_first_call(monkeypatch):
+    # no member computes sites until asked; a member asked before its
+    # parent walks its own chambers and leaves its parent alone, and one
+    # asked after its parent derives its sites from the parent's over its
+    # new chambers alone; each then drops its parent
     group = CoxeterGroup(MATRICES["t255"])
     census = list(enumerate_convex_polytopes(group, 6))
     assert all(p._sites is None for p in census)
+    walked = []
+    routine = davis._angle_sites
+
+    def recorded(group, chambers, new, inherited):
+        walked.append(new)
+        return routine(group, chambers, new, inherited)
+
+    monkeypatch.setattr(davis, "_angle_sites", recorded)
     p = census[-1]
-    chain = [p]
-    while chain[-1]._origin is not None:
-        chain.append(chain[-1]._origin[0])
-    assert len(chain) > 2 and chain[-1] is census[0]
+    parent = p._origin[0]
+    mask = _mask(group, p.chambers)
     sites = angle_sites(group, p)
     assert isinstance(sites, tuple)
     assert sites == angle_sites_by_residue(group, p.chambers)
     assert angle_sites(group, p) is sites
-    assert all(q._origin is None and q._sites is not None for q in chain)
-    assert sum(q._sites is not None for q in census) == len(chain)
+    assert walked == [mask] and p._origin is None
+    assert sum(q._sites is not None for q in census) == 1
+    assert parent._origin is not None
+    del walked[:]
+    for q in census[:-1]:
+        origin = q._origin
+        got = angle_sites(group, q)
+        assert got == angle_sites_by_residue(group, q.chambers), q
+        assert walked[-1] == (_mask(group, q.chambers) if origin is None
+                              else origin[1]), q
+        assert angle_sites(group, q) is got and q._origin is None
+    assert len(walked) == len(census) - 1
 
 
 def test_facet_bound_computes_no_site(monkeypatch, capsys):

@@ -1,10 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxlab import cli
 from coxlab.cli import (SUITES, VerificationReport, element_cap, main,
                         matrix_digest, run_verify)
 from coxlab.errors import InputError
@@ -315,6 +317,32 @@ def test_budget_env_caps_census(monkeypatch, t23inf_file, capsys):
                  "--max-chambers", "6", "--json"]) == 2
     data = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert data["checks"][0]["status"] == "budget"
+
+
+def test_verify_builds_one_census(monkeypatch, tmp_path, capsys):
+    # every suite reads one census, built once per run_verify: on a pass,
+    # and on a spent budget, which each requested suite reports alike
+    calls = []
+    census_list = cli.census_list
+
+    def counted(*args):
+        calls.append(args)
+        return census_list(*args)
+
+    monkeypatch.setattr(cli, "census_list", counted)
+    assert run_verify(MATRICES["t23inf"], "all", 6).exit_code == 0
+    assert len(calls) == 1
+    monkeypatch.setenv("COXLAB_BUDGET", "50")
+    f = tmp_path / "tooo.json"
+    f.write_text(MATRICES["univ3"].to_json())
+    assert main(["verify", str(f), "--max-chambers", "8", "--json"]) == 2
+    assert len(calls) == 2
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == "8ae0fb55f33f"
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == [s for s in SUITES if s != "all"]
+    assert {c["status"] for c in checks} == {"budget"}
+    assert len({c["detail"] for c in checks}) == 1
 
 
 def test_matrix_digest_stable():

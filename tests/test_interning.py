@@ -8,12 +8,14 @@ copying and pickling."""
 import copy
 import pickle
 import random
+import re
 import sys
 import threading
 import time
 
 import pytest
 
+from coxlab.davis import angle_sites, convex_hull
 from coxlab.words import CoxeterGroup, Element, Wall
 
 from conftest import MATRICES
@@ -157,6 +159,29 @@ def test_wall_is_immutable():
     assert wall.reflection == group.generator(0)
     assert wall.witness == (group.identity(), 0)
     assert hash(wall) == hash(Wall(group.generator(0), wall.witness))
+
+
+@pytest.mark.parametrize("kind", ["Element", "Wall", "ChamberPolytope",
+                                  "AngleSite"])
+def test_value_is_immutable(kind):
+    # the four value classes share one protocol: setting or deleting any
+    # attribute, a slot or not, raises and names the class
+    group = CoxeterGroup(MATRICES["t237"])
+    g = group.normal_form((0, 1, 2))
+    polytope = convex_hull(group, [group.identity(), g])
+    values = [g, group.generator_wall(0), polytope,
+              angle_sites(group, polytope)[0]]
+    [value] = [v for v in values if type(v).__name__ == kind]
+    slots = type(value).__slots__
+    before = [getattr(value, name) for name in slots]
+    for name in slots + ("extra",):
+        for action, attempt in (("set", lambda: setattr(value, name, 0)),
+                                ("delete", lambda: delattr(value, name))):
+            message = f"{kind} is immutable: cannot {action} {name!r}"
+            with pytest.raises(AttributeError, match=re.escape(message)):
+                attempt()
+    assert [getattr(value, name) for name in slots] == before
+    assert not hasattr(value, "__dict__")
 
 
 def test_element_and_wall_survive_copy_and_pickle():

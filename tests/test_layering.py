@@ -7,7 +7,8 @@ field arithmetic, a product is one table walk with no memo, ``ball``
 walks the automaton alone, only
 ``panel_root`` walks a root through a word, only ``wall_between``
 builds a ``Wall``, and only ``_id`` (and ``ball``) an ``Element``;
-and no module imports a sibling's underscore names."""
+``Value`` alone writes the immutable-value protocol; and no module
+imports a sibling's underscore names."""
 
 import ast
 from pathlib import Path
@@ -116,6 +117,20 @@ def test_only_element_builds_elements():
                                        "Element")]
     assert calls == [("words.py", "CoxeterGroup", "_id"),
                      ("words.py", "CoxeterGroup", "ball")]
+
+
+def test_only_value_defines_the_value_protocol():
+    # the immutability and pickle protocol is written once, in
+    # ``words.Value``, which the value classes subclass
+    defining = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(n, ast.FunctionDef) and n.name in (
+                        "__setattr__", "__delattr__", "__reduce__")
+                    for n in node.body):
+                defining.append((path.name, node.name))
+    assert defining == [("words.py", "Value")]
 
 
 def _group_methods():
