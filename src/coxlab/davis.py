@@ -5,10 +5,13 @@ splits the chamber set in two; a chamber is across it exactly when the
 wall is in the chamber's inversion set.  A convex chamber set is an
 intersection of roots, so one wall-crossing search, ``region``, finds
 convex hulls and fundamental domains.  A convex polytope carries its
-facet walls and its codimension-2 angle sites (rank-2 residues it
-meets), both read off its boundary panels, and the angle predicates
-built from the sites; a site's arc is walked out from a chamber of the
-residue, named by the group's memoised ``residue_base``.  The census
+facet walls, read off its boundary panels, and its codimension-2 angle
+sites (rank-2 residues it meets) as counts: a map from residue (finite
+pair, least chamber, as the group's ``residues`` names it) to the
+number j of its chambers there, as each chamber lies in one residue
+per pair.  The angle predicates and census lines read the counts;
+``angle_sites`` builds the site values, walking each arc out from one
+of its chambers for its exit panels.  The census
 enumerates every convex chamber set containing the base chamber up to a
 chamber budget: each one arises from a smaller one by adjoining an
 adjacent chamber and closing up, so the growth search is exhaustive.
@@ -18,10 +21,9 @@ set, so each member runs one search per facet wall, over new chambers
 only.  A child's records grow from its parent's over its new chambers
 alone: its first boundary panels are the parent's, less those on the
 wall crossed, merged with the new chambers' panels, its N_P is the
-parent's with the inversion sets of the new chambers, and its angle
-sites, on the first ``angle_sites`` call, are in one step the parent's
-whose residue misses the new chambers, plus those walked afresh from
-the new chambers, when the parent has its sites.  Any other polytope is
+parent's with the inversion sets of the new chambers, and its site
+counts, on first read, are the parent's plus one per new chamber and
+finite pair, when the parent has its counts.  Any other polytope is
 the case with no parent, every chamber new, and so is a child asked
 before its parent.  A polytope builds only what is read: its facet
 count is the number of its first panels, its chambers and facet walls
@@ -49,6 +51,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import chain, combinations
 from operator import attrgetter, itemgetter
+from types import MappingProxyType
 
 from .errors import BudgetError, ConsistencyError, InputError
 from .matrices import INFINITY, is_finite, is_infinite_indecomposable
@@ -56,7 +59,8 @@ from .words import Value
 
 DEFAULT_HULL_CAP = 4096
 _wall_key = attrgetter("sort_key")
-_site_order = attrgetter("_order")
+# the counts of a polytope of a group with no finite pair
+_NO_COUNTS = MappingProxyType({})
 
 
 def side(group, wall, chamber):
@@ -144,8 +148,8 @@ class ChamberPolytope(Value):
     then released.  Racing threads build equal values.
     """
 
-    __slots__ = ("_chambers", "_walls", "_panels", "_sites", "_origin",
-                 "_numbered")
+    __slots__ = ("_chambers", "_walls", "_panels", "_counts", "_sites",
+                 "_origin", "_numbered")
 
     def __init__(self, chambers, facet_walls):
         fill = object.__setattr__
@@ -153,10 +157,13 @@ class ChamberPolytope(Value):
         fill(self, "_walls", facet_walls)
         # root id -> (chamber key, s, chamber id) until the walls are built
         fill(self, "_panels", None)
+        # angle sites as counts in the numbering group's ids, filled on
+        # first read (``_site_counts``)
+        fill(self, "_counts", None)
         # angle sites, filled by the first angle_sites call
         fill(self, "_sites", None)
-        # (parent, new chamber mask) of a census child until its sites are
-        # filled
+        # (parent, new chamber mask) of a census child until its counts or
+        # its sites are filled
         fill(self, "_origin", None)
         # (group, chamber mask) of the group whose ids built the polytope
         fill(self, "_numbered", (None, 0))
@@ -327,7 +334,7 @@ class AngleSite(Value):
     on first read.
     """
 
-    __slots__ = ("base", "pair", "m", "j", "_walls", "_exits", "_order")
+    __slots__ = ("base", "pair", "m", "j", "_walls", "_exits")
 
     def __init__(self, base, pair, m, j, boundary_walls):
         fill = object.__setattr__
@@ -340,9 +347,6 @@ class AngleSite(Value):
         # (group, chamber id, letter, ...) of the exit panels until the
         # walls are built
         fill(self, "_exits", None)
-        # (pair, ShortLex key of base): the order of a polytope's sites,
-        # built once per site, as a child inherits most of its parent's
-        fill(self, "_order", (pair, base.sort_key))
 
     @property
     def boundary_walls(self):
@@ -351,7 +355,7 @@ class AngleSite(Value):
             exits = self._exits
             if exits is None:  # another thread built them
                 return self._walls
-            walls = _walls(exits[0], _exit_panels(exits))
+            walls = _walls(exits[0], zip(exits[1::2], exits[2::2]))
             object.__setattr__(self, "_walls", walls)
             object.__setattr__(self, "_exits", None)
         return walls
@@ -379,109 +383,159 @@ def _site(group, base, pair, m, j, exits):
     return site
 
 
-def _exit_panels(exits):
-    """The (chamber id, letter) pairs of a site's flat ``_exits``."""
-    return zip(exits[1::2], exits[2::2])
+def _arc(group, chambers, start, s, t):
+    """The arc of the chamber mask ``chambers`` in the {s, t} residue of
+    the chamber id ``start``, walked out from it through s and t: its
+    chamber ids, and a map from root id to (chamber id, letter) of the
+    panels by which it leaves the mask."""
+    arc, seen, exits = [start], {start}, {}
+    for x in arc:
+        row = group.adjacent(x)
+        for a in (s, t):
+            y, rid = row[a]
+            if not chambers >> y & 1:
+                exits[rid] = (x, a)
+            elif y not in seen:
+                seen.add(y)
+                arc.append(y)
+    return arc, exits
+
+
+def _residue_counts(group, chambers, new, inherited):
+    """The angle sites of the chamber mask ``chambers`` as counts: a map
+    from residue (k, base id) of ``group.residues`` to the number j of
+    chambers the set holds in it.  ``inherited`` is this map for the old
+    chambers, ``chambers & ~new`` (none when ``new`` is all the
+    chambers); each new chamber adds 1 to each of its residues.
+
+    The check.  From one new chamber of each residue the new chambers
+    touch, the walk through s and t inside the set must reach the j
+    counted chambers, or the set meets the residue in more than one arc
+    and ConsistencyError is raised.  This is the check of two conditions:
+    that no two walks of a pair start from chambers of one residue, and
+    that the arcs of each pair cover the set once.  The walk reaches the
+    arc of its start, so it reaches j chambers exactly when the set's j
+    chambers of the residue form one arc, which is the first condition
+    for that residue: a second walk could only start in a second arc.  A
+    residue the new chambers miss holds the same chambers as in the old
+    set, whose map passed this check, by induction from a map with every
+    chamber new, in which every residue meeting the set is walked.  Each
+    chamber lies in exactly one residue per pair, so the counts of a pair
+    sum to the size of the set: the second condition holds by
+    construction.  A residue holding one chamber is one arc, and is not
+    walked: the walk stays in the residue and the set, so it reaches
+    only counted chambers.
+    """
+    counts = dict(inherited) if inherited is not None else {}
+    touched = {}
+    for i in _members(new):
+        for key in group.residues(i):
+            counts[key] = counts.get(key, 0) + 1
+            touched[key] = i
+    pairs = group.finite_pairs
+    for key, i in touched.items():
+        j = counts[key]
+        if j == 1:
+            continue
+        s, t, _ = pairs[key[0]]
+        if len(_arc(group, chambers, i, s, t)[0]) != j:
+            raise ConsistencyError(
+                "arc of a convex polytope is not contiguous",
+                ((group.chamber(key[1]).word, s, t), group.chamber(i).word))
+    return counts
+
+
+def _site_counts(group, polytope):
+    """The polytope's ``_residue_counts`` map in ``group``'s ids.  For the
+    group that numbered it, computed on the first call and kept: a census
+    child whose parent has its map copies it and counts its new chambers
+    alone, and then drops its parent.  Any other polytope counts every
+    chamber: one with no parent or whose parent has no map yet, and one
+    asked by another group of the matrix, which keeps nothing.  A group
+    with no finite pair has no site to count."""
+    owner, mask = polytope._numbered
+    if owner is not group:
+        mask = _mask_of(group, polytope)
+        return _residue_counts(group, mask, mask, None)
+    counts = polytope._counts
+    if counts is None:
+        if not group.finite_pairs:
+            counts = _NO_COUNTS
+        else:
+            new, inherited = mask, None
+            origin = polytope._origin
+            if origin is not None and origin[0]._counts is not None:
+                new, inherited = origin[1], origin[0]._counts
+            counts = _residue_counts(group, mask, new, inherited)
+        object.__setattr__(polytope, "_counts", counts)
+        object.__setattr__(polytope, "_origin", None)
+    return counts
+
+
+def _arc_starts(group, chambers, counts):
+    """A chamber of the mask in each residue of a counts map: its base
+    when the mask holds it, as a convex set holding the base chamber does
+    (the base lies on a minimal gallery from e to each chamber of the
+    residue), and otherwise the first member met in it."""
+    starts = {key: key[1] for key in counts if chambers >> key[1] & 1}
+    if len(starts) < len(counts):
+        for i in _members(chambers):
+            for key in group.residues(i):
+                starts.setdefault(key, i)
+    return starts
+
+
+def _angles(group, items):
+    """(m, j) of each site of the (residue, j) items of a counts map, in
+    their order."""
+    pairs = group.finite_pairs
+    return [(pairs[k][2], j) for (k, _), j in items]
 
 
 def angle_sites(group, polytope):
     """One site per rank-2 spherical residue meeting the polytope, as a
-    tuple sorted by (pair, base).  Computed on the first call and cached
-    on the polytope; the sites are values, equal whichever group of the
-    matrix computes them.
-
-    A census child whose parent has its sites derives its own from them
-    in one step: a site whose residue misses the child's new chambers
-    keeps its arc and exits, so only the residues of the new chambers are
-    walked.  Any other polytope walks every chamber: one with no parent
-    or whose parent has no sites yet, and one asked by another group of
-    the matrix, as the child's new-chamber mask is in the census group's
-    ids.  The child then drops its parent.  A census read in order, as
-    every command reads it, asks each parent first.
+    tuple sorted by (pair, base).  Computed on the first call from the
+    polytope's counts, with each arc walked out from one of its chambers
+    for its exit panels, and cached on the polytope, which then drops its
+    parent; the sites are values, equal whichever group of the matrix
+    computes them.
     """
     sites = polytope._sites
     if sites is None:
         mask = _mask_of(group, polytope)
-        new, inherited = mask, ()
-        origin = polytope._origin
-        if origin is not None and origin[0]._sites is not None and \
-                polytope._numbered[0] is group:
-            new, inherited = origin[1], origin[0]._sites
-        sites = _angle_sites(group, mask, new, inherited)
+        counts = _site_counts(group, polytope)
+        starts = _arc_starts(group, mask, counts)
+        pairs = group.finite_pairs
+        sites = []
+        for key, j in counts.items():
+            s, t, m = pairs[key[0]]
+            exits = _arc(group, mask, starts[key], s, t)[1]
+            sites.append(_site(group, group.chamber(key[1]), (s, t), m, j,
+                               exits.values()))
+        sites = tuple(sorted(sites, key=lambda z: (z.pair, z.base.sort_key)))
         object.__setattr__(polytope, "_sites", sites)
         object.__setattr__(polytope, "_origin", None)
     return sites
 
 
-def _angle_sites(group, chambers, new, inherited):
-    """The sites of ``inherited`` (those of the old chambers,
-    ``chambers & ~new``; none when ``new`` is all the chambers) whose
-    residue misses ``new``, and a fresh site for each residue of a new
-    chamber, on chamber masks.  The residue meets the convex set in one
-    arc, walked out from that chamber through s and t; the panels leaving
-    the set give the arc's bounding walls, by root id.  The arcs of a
-    pair cover the set once."""
-    fresh = []
-    walked = set()
-    members = list(_members(new))
-    for s, t in combinations(range(group.rank), 2):
-        m = group.matrix.order(s, t)
-        if m == INFINITY:
-            continue
-        bases, done = set(), set()
-        for g in members:
-            if g in done:
-                continue
-            base = group.residue_base(group.chamber(g), s, t)
-            if base in bases:
-                raise ConsistencyError(
-                    "arc of a convex polytope is not contiguous",
-                    ((base.word, s, t), group.chamber(g).word))
-            bases.add(base)
-            done.add(g)
-            arc, exits = [g], {}
-            for x in arc:
-                row = group.adjacent(x)
-                for a in (s, t):
-                    y, rid = row[a]
-                    if not chambers >> y & 1:
-                        exits[rid] = (x, a)
-                    elif y not in done:
-                        done.add(y)
-                        arc.append(y)
-            fresh.append(_site(group, base, (s, t), m, len(arc),
-                               exits.values()))
-        walked.update(((s, t), base) for base in bases)
-    sites = [z for z in inherited if (z.pair, z.base) not in walked] + fresh
-    covered = {}
-    for z in sites:
-        covered[z.pair] = covered.get(z.pair, 0) + z.j
-    if any(j != chambers.bit_count() for j in covered.values()):
-        raise ConsistencyError(
-            "arc of a convex polytope is not contiguous",
-            sorted(group.chamber(i).word for i in _members(chambers)))
-    # the kept sites are one sorted run, so the sort merges the fresh ones
-    # into it
-    sites.sort(key=_site_order)
-    return tuple(sites)
+def _coxeter_angles(angles):
+    return all(m % j == 0 for m, j in angles if j != 2 * m)
 
 
-def _coxeter_angles(sites):
-    return all(z.m % z.j == 0 for z in sites if not z.interior)
-
-
-def _acute_angles(sites):
-    return all(2 * z.j <= z.m for z in sites if not z.interior)
+def _acute_angles(angles):
+    return all(2 * j <= m for m, j in angles if j != 2 * m)
 
 
 def is_coxeter_polytope(group, polytope):
     """All boundary angles are integer submultiples of pi (j | m)."""
-    return _coxeter_angles(angle_sites(group, polytope))
+    return _coxeter_angles(
+        _angles(group, _site_counts(group, polytope).items()))
 
 
 def is_acute_angled(group, polytope):
     """All boundary angles are at most pi/2 (2j <= m)."""
-    return _acute_angles(angle_sites(group, polytope))
+    return _acute_angles(
+        _angles(group, _site_counts(group, polytope).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +576,16 @@ def check_andreev(group, polytope):
     The emptiness guarantee holds for acute-angled polytopes; the check
     itself runs on any convex polytope.  The group's memoised order of
     the two reflections' product is asked first: walls whose product has
-    infinite order never meet, so their conjugates are never formed.
+    infinite order never meet, so their conjugates are never formed.  On
+    a polytope the group numbered, the orders are asked first on the
+    root ids of its first panels, and when every pair has infinite order
+    no facet wall is built.
     """
+    panels = polytope._panels
+    if polytope._numbered[0] is group and panels is not None and all(
+            group.order_of_roots(a, b) == INFINITY
+            for a, b in combinations(panels, 2)):
+        return []
     meet = _meeting(group, polytope)
     return [(a, b) for a, b in combinations(polytope.facet_walls, 2)
             if group.order_of_product(a, b) != INFINITY and not meet(a, b)]
@@ -535,20 +597,21 @@ def check_andreev(group, polytope):
 
 def _obtuse_roots(group, polytope):
     """The root-id mask of the walls bounding a site with 2j > m: the
-    polytope is acute along a wall iff its bit is clear.  A site of
-    ``group``'s own ids gives its exit roots off the adjacency rows, with
-    no wall built."""
-    mask = 0
-    for z in angle_sites(group, polytope):
-        if 2 * z.j > z.m:
-            exits = z._exits
-            if exits is not None and exits[0] is group:
-                for x, a in _exit_panels(exits):
-                    mask |= 1 << group.adjacent(x)[a][1]
-            else:
-                for w in z.boundary_walls:
-                    mask |= 1 << group.wall_root(w)
-    return mask
+    polytope is acute along a wall iff its bit is clear.  Only the arcs of
+    those sites are walked, for the root ids of their exit panels; no
+    wall is built."""
+    counts = _site_counts(group, polytope)
+    pairs = group.finite_pairs
+    obtuse = [key for key, j in counts.items() if 2 * j > pairs[key[0]][2]]
+    roots = 0
+    if obtuse:
+        mask = _mask_of(group, polytope)
+        starts = _arc_starts(group, mask, obtuse)
+        for key in obtuse:
+            s, t, _ = pairs[key[0]]
+            for rid in _arc(group, mask, starts[key], s, t)[1]:
+                roots |= 1 << rid
+    return roots
 
 
 def _prefix_walk(group, mask):
@@ -567,8 +630,9 @@ def _prefix_walk(group, mask):
 def glued_translates(group, max_total_chambers, census=None):
     """``stacan_pairs`` as (P1, W, P1's chamber mask, P2's chamber mask)
     in ``group``'s ids.  The census is read once, into each member's
-    obtuse root mask and, per generator s, the list of members that may
-    be glued across the wall of s; a translate multiplies nothing."""
+    obtuse root mask and, per generator s and room r, the list of members
+    of at most r chambers that may be glued across the wall of s, in
+    census order; a translate multiplies nothing."""
     if census is None:
         census = (enumerate_convex_polytopes(group, max_total_chambers - 1)
                   if max_total_chambers > 1 else ())
@@ -576,14 +640,15 @@ def glued_translates(group, max_total_chambers, census=None):
     census = [(p, mask, _obtuse_roots(group, p)) for p, mask in masks
               if mask.bit_count() < max_total_chambers]
     gens = group.adjacent(group.chamber_id(group.identity()))
-    partners = [[] for _ in gens]
+    fits = [[[] for _ in range(max_total_chambers)] for _ in gens]
     for _, mask, obtuse in census:
         walk = None
         for s, (across, rid) in enumerate(gens):
             if not (mask >> across & 1 or obtuse >> rid & 1):
                 if walk is None:
                     walk = _prefix_walk(group, mask)
-                partners[s].append((mask.bit_count(), walk))
+                for partners in fits[s][mask.bit_count():]:
+                    partners.append(walk)
     for p1, mask1, obtuse in census:
         room = max_total_chambers - mask1.bit_count()
         panels = {}
@@ -599,18 +664,17 @@ def glued_translates(group, max_total_chambers, census=None):
                 raise ConsistencyError(
                     "acute facet of a convex polytope is not one chamber",
                     sorted((group.chamber(i).word, s) for i, s in on))
-            if any(size <= room for size, _ in partners[on[0][1]]):
+            if fits[on[0][1]][room]:
                 glued += on
         # only an acute facet with a partner builds its wall
         for wall in _walls(group, glued):
             [(i, s)] = panels[group.wall_root(wall)]
             anchor = group.adjacent(i)[s][0]
-            for size, walk in partners[s]:
-                if size <= room:
-                    ids = [anchor]
-                    for k, a in walk:
-                        ids.append(group.adjacent(ids[k])[a][0])
-                    yield p1, wall, mask1, sum(1 << i for i in ids)
+            for walk in fits[s][room]:
+                ids = [anchor]
+                for k, a in walk:
+                    ids.append(group.adjacent(ids[k])[a][0])
+                yield p1, wall, mask1, sum(1 << i for i in ids)
 
 
 def stacan_pairs(group, max_total_chambers, census=None):
@@ -669,11 +733,11 @@ def enumerate_convex_polytopes(group, max_chambers):
       (chamber sort key, s): computed when the child is queued.
     - N_H is N_P with the inversion sets of F's chambers: computed when
       the child is dequeued, if it is to grow.
-    - Angle sites: a rank-2 residue that misses F meets H in the arc it
-      meets P in, and its exits leave H as they left P.  So only the
-      residues of F's chambers are walked again; ``angle_sites`` does so
-      on the first call, from the parent's sites once the parent has
-      them.
+    - Angle sites: each chamber lies in one residue per finite pair, so
+      H's site counts are P's plus one per chamber of F and pair, and
+      only the residues of F's chambers are walked, to check that each
+      is still one arc (``_residue_counts``).  They are counted on first
+      read, from the parent's counts once the parent has them.
 
     Children are queued in the order their walls are first met in
     (sorted chamber, s) order; a later panel on the same wall would give
@@ -743,12 +807,15 @@ def verify_facet_bound(group, max_chambers, census=None):
 
 def census_record(group, polytope):
     """JSON-ready census line for one polytope."""
-    sites = angle_sites(group, polytope)
-    ids = sorted(_members(_mask_of(group, polytope)), key=group.chamber_key)
+    key = group.chamber_key
+    # sites in (pair, ShortLex key of base) order
+    angles = _angles(group, sorted(_site_counts(group, polytope).items(),
+                                   key=lambda e: (e[0][0], key(e[0][1]))))
+    ids = sorted(_members(_mask_of(group, polytope)), key=key)
     return {
         "chambers": [group.chamber_display(i) for i in ids],
         "facets": polytope.facet_count,
-        "coxeter": _coxeter_angles(sites),
-        "acute": _acute_angles(sites),
-        "angles": [{"m": z.m, "j": z.j} for z in sites],
+        "coxeter": _coxeter_angles(angles),
+        "acute": _acute_angles(angles),
+        "angles": [{"m": m, "j": j} for m, j in angles],
     }

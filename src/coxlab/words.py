@@ -40,7 +40,8 @@ with no power of the product formed.
 A group numbers each normal form as it first hands it out, and keeps
 per chamber id one record: the word's one ``Element`` (``ball`` builds
 its own, as a walk that visits each element once gains nothing from a
-table), ShortLex key, inversion set as a root mask, display and row.
+table), ShortLex key, inversion set as a root mask, display, row, and
+the least chamber of its residue for each pair of finite order.
 """
 
 from __future__ import annotations
@@ -222,7 +223,6 @@ class CoxeterGroup:
         self._panel_memo = {}
         self._wall_memo = {}
         self._wall_roots = {}
-        self._residue_memo = {}
         self._order_memo = {}
         # integer brackets per root id, of its coordinates and of its form
         # row, and of the form's entries, as first asked: see
@@ -233,9 +233,15 @@ class CoxeterGroup:
         self._row_memo = {}
         # chamber ids: word -> id, and per id the record [element, ShortLex
         # key, then as first asked: inversion-set root mask, display,
-        # adjacency row]
+        # adjacency row, residues]
         self._ids = {}
         self._chambers = []
+        # (s, t, m) per pair s < t of finite order m: the pairs that
+        # ``residues`` names, by index
+        self.finite_pairs = tuple(
+            (s, t, matrix.order(s, t)) for s in range(self.rank)
+            for t in range(s + 1, self.rank)
+            if matrix.order(s, t) != INFINITY)
 
     # -- roots (interned) ---------------------------------------------------
 
@@ -502,16 +508,31 @@ class CoxeterGroup:
         return frozenset(r for r in range(mask.bit_length()) if mask >> r & 1)
 
     def residue_base(self, g, s, t):
-        """Least chamber of g's {s, t} residue, reached by right descents in
-        {s, t} along adjacency rows: at most m = m(s, t) of them, as the
-        residue's longest element has length m, and at most len(g)."""
-        key = (self.chamber_id(g), s, t)
-        hit = self._residue_memo.get(key)
-        if hit is not None:
-            return hit
+        """Least chamber of g's {s, t} residue, walked by ``_descend``."""
+        return self._chambers[self._descend(
+            self.chamber_id(g), s, t, self.matrix.order(s, t))][0]
+
+    def residues(self, i):
+        """Chamber id i's rank-2 spherical residues: per finite pair k (an
+        index into ``finite_pairs``), the pair (k, id of the residue's
+        least chamber).  Filled once per chamber; racing threads compute
+        equal tuples."""
+        record = self._chambers[i]
+        hit = record[5]
+        if hit is None:
+            hit = record[5] = tuple(
+                (k, self._descend(i, s, t, m))
+                for k, (s, t, m) in enumerate(self.finite_pairs))
+        return hit
+
+    def _descend(self, i, s, t, m):
+        """Id of the least chamber of chamber id i's {s, t} residue, m =
+        m(s, t), reached by right descents in {s, t} along adjacency rows:
+        at most m of them, as the residue's longest element has length m,
+        and at most the length of i."""
         chambers = self._chambers
-        x = key[0]
-        for _ in range(min(self.matrix.order(s, t), len(g)) + 1):
+        x = i
+        for _ in range(min(m, chambers[i][1][0]) + 1):
             row, length = self.adjacent(x), chambers[x][1][0]
             for a in (s, t):
                 y = row[a][0]
@@ -519,8 +540,7 @@ class CoxeterGroup:
                     x = y
                     break
             else:
-                hit = self._residue_memo[key] = chambers[x][0]
-                return hit
+                return x
         raise ConsistencyError("rank-2 residue has no least chamber",
                                (chambers[x][0].display(), s, t))
 
@@ -611,9 +631,14 @@ class CoxeterGroup:
         of a finite standard parabolic subgroup, and in each finite type
         the order k of a product of two reflections divides the lcm of
         the type's orders, so k | N and 2*psi is a multiple of pi/N.
-        Memoised per group by the pair of root ids, in either order.
+        Read off ``order_of_roots`` on the two walls' root ids.
         """
-        a, b = self.wall_root(t), self.wall_root(u)
+        return self.order_of_roots(self.wall_root(t), self.wall_root(u))
+
+    def order_of_roots(self, a, b):
+        """``order_of_product`` of the walls of the distinct root ids a and
+        b, with no wall built: memoised per group by the pair of ids, in
+        either order."""
         if a == b:
             raise InputError("order_of_product needs distinct walls")
         if a > b:
@@ -636,8 +661,7 @@ class CoxeterGroup:
                 raise ConsistencyError(
                     "bounded form value is no 2cos(j pi/N)",
                     {"matrix": self.matrix.to_json_dict(),
-                     "t": t.reflection.display(),
-                     "u": u.reflection.display()})
+                     "roots": [self._root_list[a], self._root_list[b]]})
             hit = 2 * f.N // gcd(j, 2 * f.N)
         self._order_memo[(a, b)] = hit
         return hit
@@ -690,7 +714,7 @@ class CoxeterGroup:
         i = self._ids.get(word)
         if i is None:
             record = [Element(word), (len(word), word), None if word else 0,
-                      None, None]
+                      None, None, None]
             with self._intern_lock:
                 i = self._ids.get(word)
                 if i is None:

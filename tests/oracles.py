@@ -12,7 +12,10 @@ implementations of membership and of the Andreev check; the side count
 and the rank-2 cycle walk are the first implementations of facet walls
 and angle sites, and ``facet_panels_by_scan`` and
 ``angle_sites_by_residue`` the full scans of every chamber that the
-census's inherited boundary panels and angle sites replaced.
+census's inherited boundary panels and angle sites replaced;
+``census_record_by_residue`` is a census line built on the latter, and
+``angle_sites_by_arc_walk`` the arc walk from every chamber that the
+residue counts replaced.
 ``contains_reflection`` decides membership by
 conjugation descent, and ``fundamental_polytope_by_membership`` stops
 the search from the base chamber at every wall whose reflection it
@@ -1302,6 +1305,66 @@ def angle_sites_by_residue(group, chambers):
                 sorted(walls, key=lambda w: w.sort_key))))
     sites.sort(key=lambda z: (z.pair, z.base.sort_key))
     return tuple(sites)
+
+
+def angle_sites_by_arc_walk(group, chambers):
+    """The arc walk ``angle_sites`` ran before it counted residues: for
+    each finite pair, walk each chamber not yet reached out through s and
+    t inside the set, refuse a second walk in one residue, and require
+    the arcs of each pair to cover the set once; the panels leaving the
+    set give the arc's bounding walls."""
+    ids = [group.chamber_id(g) for g in chambers]
+    mask = sum(1 << i for i in ids)
+    sites = []
+    for s, t in combinations(range(group.rank), 2):
+        m = group.matrix.order(s, t)
+        if m == INFINITY:
+            continue
+        bases, done, covered = set(), set(), 0
+        for g in ids:
+            if g in done:
+                continue
+            base = group.residue_base(group.chamber(g), s, t)
+            if base in bases:
+                raise ConsistencyError(
+                    "arc of a convex polytope is not contiguous",
+                    ((base.word, s, t), group.chamber(g).word))
+            bases.add(base)
+            done.add(g)
+            arc, exits = [g], set()
+            for x in arc:
+                row = group.adjacent(x)
+                for a in (s, t):
+                    y = row[a][0]
+                    if not mask >> y & 1:
+                        exits.add(group.panel_wall(x, a))
+                    elif y not in done:
+                        done.add(y)
+                        arc.append(y)
+            covered += len(arc)
+            sites.append(AngleSite(base, (s, t), m, len(arc), tuple(
+                sorted(exits, key=lambda w: w.sort_key))))
+        if covered != len(ids):
+            raise ConsistencyError(
+                "arc of a convex polytope is not contiguous",
+                sorted(g.word for g in chambers))
+    sites.sort(key=lambda z: (z.pair, z.base.sort_key))
+    return tuple(sites)
+
+
+def census_record_by_residue(group, chambers):
+    """A census line built from ``angle_sites_by_residue`` and the side
+    count's facet walls."""
+    sites = angle_sites_by_residue(group, chambers)
+    boundary = [z for z in sites if not z.interior]
+    return {
+        "chambers": [g.display()
+                     for g in sorted(chambers, key=lambda e: e.sort_key)],
+        "facets": len(facet_walls_by_count(group, chambers)),
+        "coxeter": all(z.m % z.j == 0 for z in boundary),
+        "acute": all(2 * z.j <= z.m for z in boundary),
+        "angles": [{"m": z.m, "j": z.j} for z in sites],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,16 @@ from hypothesis import given, settings, strategies as st
 
 from coxlab import cli, davis
 from coxlab.davis import (_facet_panels, _mask, _walls, angle_sites,
-                          chambers_of, convex_hull, enumerate_convex_polytopes,
+                          census_record, chambers_of, convex_hull,
+                          enumerate_convex_polytopes, is_acute_angled,
                           is_convex, polytope_of, region, side, stacan_pairs)
 from coxlab.errors import ConsistencyError
 from coxlab.matrices import INFINITY
 from coxlab.words import CoxeterGroup
 
 from conftest import BENCH_MATRICES, CYCLE4, MATRICES
-from oracles import (angle_sites_by_residue, census_by_full_hulls,
+from oracles import (angle_sites_by_arc_walk, angle_sites_by_residue,
+                     census_by_full_hulls, census_record_by_residue,
                      facet_panels_by_scan, facet_walls_by_count,
                      hull_fixpoint, residue_base_by_descent,
                      residue_by_coset)
@@ -141,21 +143,21 @@ def test_inherited_records_match_full_scans(name):
 
 
 def test_census_sites_are_derived_on_first_call(monkeypatch):
-    # no member computes sites until asked; a member asked before its
-    # parent walks its own chambers and leaves its parent alone, and one
-    # asked after its parent derives its sites from the parent's over its
-    # new chambers alone; each then drops its parent
+    # no member counts its sites until asked; a member asked before its
+    # parent counts its own chambers and leaves its parent alone, and one
+    # asked after its parent copies the parent's counts and counts its
+    # new chambers alone; each then drops its parent, and counts once
     group = CoxeterGroup(MATRICES["t255"])
     census = list(enumerate_convex_polytopes(group, 6))
-    assert all(p._sites is None for p in census)
-    walked = []
-    routine = davis._angle_sites
+    assert all(p._counts is None and p._sites is None for p in census)
+    counted = []
+    routine = davis._residue_counts
 
     def recorded(group, chambers, new, inherited):
-        walked.append(new)
+        counted.append(new)
         return routine(group, chambers, new, inherited)
 
-    monkeypatch.setattr(davis, "_angle_sites", recorded)
+    monkeypatch.setattr(davis, "_residue_counts", recorded)
     p = census[-1]
     parent = p._origin[0]
     mask = _mask(group, p.chambers)
@@ -163,31 +165,35 @@ def test_census_sites_are_derived_on_first_call(monkeypatch):
     assert isinstance(sites, tuple)
     assert sites == angle_sites_by_residue(group, p.chambers)
     assert angle_sites(group, p) is sites
-    assert walked == [mask] and p._origin is None
+    assert counted == [mask] and p._origin is None
+    assert sum(q._counts is not None for q in census) == 1
     assert sum(q._sites is not None for q in census) == 1
     assert parent._origin is not None
-    del walked[:]
+    del counted[:]
     for q in census[:-1]:
         origin = q._origin
+        record = census_record(group, q)
+        assert record == census_record_by_residue(group, q.chambers), q
+        assert counted[-1] == (_mask(group, q.chambers) if origin is None
+                               else origin[1]), q
+        assert q._origin is None and q._sites is None
         got = angle_sites(group, q)
         assert got == angle_sites_by_residue(group, q.chambers), q
-        assert walked[-1] == (_mask(group, q.chambers) if origin is None
-                              else origin[1]), q
-        assert angle_sites(group, q) is got and q._origin is None
-    assert len(walked) == len(census) - 1
+        assert angle_sites(group, q) is got
+    assert len(counted) == len(census) - 1
 
 
 def test_facet_bound_computes_no_site(monkeypatch, capsys):
-    # the facet-bound suite reads facet counts alone, so it computes no
+    # the facet-bound suite reads facet counts alone, so it counts no
     # angle site; the andreev suite, which reads them, does
     calls = []
-    routine = davis._angle_sites
+    routine = davis._residue_counts
 
     def counted(*args):
         calls.append(args)
         return routine(*args)
 
-    monkeypatch.setattr(davis, "_angle_sites", counted)
+    monkeypatch.setattr(davis, "_residue_counts", counted)
     path = str(INPUTS / "t255.json")
     verify = ["verify", path, "--max-chambers", "6", "--suite"]
     assert cli.main(verify + ["facet-bound"]) == 0
@@ -197,20 +203,57 @@ def test_facet_bound_computes_no_site(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_non_contiguous_arc_is_refused():
+def test_non_contiguous_arc_is_refused(monkeypatch):
     # a set meeting a rank-2 residue in two arcs is not convex: the walk
     # from a new chamber misses the other arc, whether both arcs hold new
-    # chambers or one lies in the parent
+    # chambers or one lies in the parent, whose counts the child copies
     group = CoxeterGroup(MATRICES["a2aff"])
     e, s0, s1 = group.identity(), group.generator(0), group.generator(1)
     with pytest.raises(ConsistencyError):
         angle_sites(group, polytope_of(group, frozenset({s0, s1})))
+    counted = []
+    routine = davis._residue_counts
+
+    def recorded(group, chambers, new, inherited):
+        counted.append((new, inherited))
+        return routine(group, chambers, new, inherited)
+
+    monkeypatch.setattr(davis, "_residue_counts", recorded)
     parent = polytope_of(group, frozenset({e}))
+    assert is_acute_angled(group, parent)
     new = frozenset({group.normal_form([0, 1])})
     child = polytope_of(group, parent.chambers | new)
     object.__setattr__(child, "_origin", (parent, _mask(group, new)))
     with pytest.raises(ConsistencyError):
         angle_sites(group, child)
+    assert counted == [(_mask(group, parent.chambers), None),
+                       (_mask(group, new), parent._counts)]
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_counted_sites_match_oracles(name):
+    # every census member at K = 7, its counts copied from its parent's,
+    # and every hull of two chambers of the ball of radius 2, with every
+    # chamber counted: the census line is the one built from the full
+    # residue scan, and the sites, exit walls included, are those of the
+    # residue scan and of the arc walk that counting replaced
+    m = DIFFERENTIAL[name]
+    group, oracle = CoxeterGroup(m), CoxeterGroup(m)
+    census = list(enumerate_convex_polytopes(group, 7))
+    hulls = [convex_hull(group, pair)
+             for pair in combinations(group.ball(2), 2)]
+    for p in census + hulls:
+        record = census_record(group, p)
+        assert record == census_record_by_residue(oracle, p.chambers), p
+        sites = angle_sites(group, p)
+        by_residue = angle_sites_by_residue(oracle, p.chambers)
+        by_walk = angle_sites_by_arc_walk(oracle, p.chambers)
+        assert sites == by_residue == by_walk, p
+        walls = [z.boundary_walls for z in sites]
+        assert walls == [z.boundary_walls for z in by_residue] == \
+            [z.boundary_walls for z in by_walk], p
+        assert [{"m": z.m, "j": z.j} for z in sites] == record["angles"]
+    assert all(p._origin is None for p in census)
 
 
 @pytest.mark.parametrize("stem", sorted(BENCH_MATRICES))

@@ -6,7 +6,9 @@ and the ShortLex automaton walk the elementary-root table with no
 field arithmetic, a product is one table walk with no memo, ``ball``
 walks the automaton alone, only
 ``panel_root`` walks a root through a word, only ``wall_between``
-builds a ``Wall``, and only ``_id`` (and ``ball``) an ``Element``;
+builds a ``Wall``, only ``_id`` (and ``ball``) an ``Element``, and
+only ``angle_sites`` an ``AngleSite``, which no reader of a polytope's
+sites calls, while the group keeps residue bases per chamber record;
 ``Value`` alone writes the immutable-value protocol; and no module
 imports a sibling's underscore names."""
 
@@ -76,11 +78,14 @@ def _call_scopes(tree, name):
 
 
 def test_only_order_of_product_decides_signs():
+    # the one sign decision sits in ``order_of_roots``: ``order_of_product``
+    # delegates to it, and the andreev check asks it on root ids, with no
+    # wall built
     calls = [(path.name,) + scope
              for path in sorted(SRC.glob("*.py"))
              for scope in _call_scopes(ast.parse(path.read_text()),
                                        "sign_raw")]
-    assert calls == [("words.py", "CoxeterGroup", "order_of_product")]
+    assert calls == [("words.py", "CoxeterGroup", "order_of_roots")]
 
 
 def test_only_canonical_generators_conjugates_walls():
@@ -131,6 +136,43 @@ def test_only_value_defines_the_value_protocol():
                     for n in node.body):
                 defining.append((path.name, node.name))
     assert defining == [("words.py", "Value")]
+
+
+def test_only_angle_sites_builds_sites():
+    # a polytope's sites are residue counts; only the public
+    # ``angle_sites`` builds ``AngleSite`` values, through ``_site``
+    sites, through = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        sites += [(path.name,) + s for s in _call_scopes(tree, "AngleSite")]
+        through += [(path.name,) + s for s in _call_scopes(tree, "_site")]
+    assert sites == [("davis.py", "_site")]
+    assert through == [("davis.py", "angle_sites")]
+
+
+def test_site_readers_build_no_sites():
+    # the census line, the angle predicates and the stacan search read
+    # the counts: no function they reach in ``davis`` calls angle_sites
+    tree = ast.parse((SRC / "davis.py").read_text())
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name in ("census_record", "is_acute_angled", "is_coxeter_polytope",
+                 "_obtuse_roots", "glued_translates"):
+        seen, todo = set(), [name]
+        while todo:
+            fn = todo.pop()
+            if fn in seen:
+                continue
+            seen.add(fn)
+            assert not _call_scopes(defs[fn], "angle_sites"), (name, fn)
+            todo.extend(_named(defs[fn]) & defs.keys())
+    assert "_site_counts" in seen
+
+
+def test_group_has_no_residue_memo():
+    # residue bases live in the chamber records (``residues``), not in a
+    # memo keyed by (chamber id, s, t)
+    assert "_residue_memo" not in _group_private_names()
+    assert "residues" in vars(CoxeterGroup)
 
 
 def _group_methods():
