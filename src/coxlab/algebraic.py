@@ -29,10 +29,10 @@ exact as a sign.
 
 Coefficients are Python ints, and the monic integer minimal polynomial
 keeps them integer through reduction.  Rational coefficients work too:
-reduction and the ring operations take them as they come, and a sign
-decision clears their denominators first.  ``brackets`` takes integer
-coefficients, as every root of a group has (its form is doubled), so a
-value with rational coefficients is decided on the exact path alone.
+reduction and the ring operations take them as they come.  A sign
+decision (``sign_raw``) and ``brackets`` take integer coefficients, as
+every root of a group has (its form is doubled); a caller with rational
+coefficients scales them to integers first.
 """
 
 from __future__ import annotations
@@ -324,7 +324,8 @@ class FieldSpec:
         return all(x == 0 for x in a)
 
     def sign_raw(self, coeffs):
-        """Exact sign of the value at the real embedding c; in {-1, 0, +1}."""
+        """Exact sign of the value, with integer coefficients, at the real
+        embedding c; in {-1, 0, +1}."""
         SIGN_STATS.decisions += 1
         if all(x == 0 for x in coeffs):
             return 0
@@ -332,9 +333,6 @@ class FieldSpec:
             # the element is rational: evaluate at c = -minpoly[0]
             v = coeffs[0]
             return 1 if v > 0 else -1
-        den = lcm(*(x.denominator for x in coeffs))
-        if den != 1:
-            coeffs = [x.numerator * (den // x.denominator) for x in coeffs]
         table = self._table()
         while True:
             b, lows, highs = table

@@ -18,7 +18,7 @@ from functools import cached_property
 
 from . import davis, subgroups
 from .errors import BudgetError, CoxlabError, InputError
-from .matrices import (INFINITY, components, is_finite,
+from .matrices import (components, format_order, is_finite,
                        is_infinite_indecomposable, nerve, parse_matrix)
 from .words import DEFAULT_ELEMENT_CAP, CoxeterGroup, word_from_text
 
@@ -43,10 +43,6 @@ def element_cap():
 
 def matrix_digest(matrix):
     return hashlib.sha256(matrix.to_json().encode()).hexdigest()[:12]
-
-
-def _fmt_order(m):
-    return "oo" if m == INFINITY else str(m)
 
 
 @dataclass
@@ -111,17 +107,14 @@ def census_list(group, max_chambers):
 
 
 class _VerifyRun:
-    """The group and budget of one ``run_verify`` call, and the census and
-    equal-rank search its suites share: each is computed on first use,
-    at most once per call."""
+    """The group, budget and census of one ``run_verify`` call, and the
+    equal-rank search its suites share, computed on first use, at most
+    once per call."""
 
-    def __init__(self, group, max_chambers):
+    def __init__(self, group, max_chambers, census):
         self.group = group
         self.max_chambers = max_chambers
-
-    @cached_property
-    def census(self):
-        return census_list(self.group, self.max_chambers)
+        self.census = census
 
     @cached_property
     def equal_rank(self):
@@ -196,7 +189,7 @@ def suite_nerve_deletion(run, report):
                                                      sub.induced)
         found.append({
             "index": sub.index,
-            "signature": [_fmt_order(m) for m in sub.induced.signature()],
+            "signature": list(map(format_order, sub.induced.signature())),
             "nerve_deletion": ok,
         })
         if not ok:
@@ -236,20 +229,22 @@ def run_verify(matrix, suite, max_chambers):
         suite, matrix_digest(matrix),
         {"max_chambers": max_chambers, "element_cap": element_cap()})
     names = list(_SUITE_FUNCS) if suite == "all" else [suite]
+    if max_chambers < 1:
+        raise InputError("chamber budget must be >= 1")
     if not is_infinite_indecomposable(matrix):
         for name in names:
             report.add(name, "skipped",
                        "needs an infinite indecomposable system")
         return report
-    run = _VerifyRun(CoxeterGroup(matrix), max_chambers)
-    # every suite reads the census, and a cached_property caches no
-    # exception: build it here, so that a spent budget is spent once
+    group = CoxeterGroup(matrix)
+    # every suite reads the census: a spent budget is spent once
     try:
-        run.census
+        census = census_list(group, max_chambers)
     except BudgetError as e:
         for name in names:
             report.add(name, "budget", str(e))
         return report
+    run = _VerifyRun(group, max_chambers, census)
     for name in names:
         try:
             _SUITE_FUNCS[name](run, report)
@@ -343,7 +338,7 @@ def cmd_subgroup(args):
     if args.json:
         print(json.dumps(data, sort_keys=True))
     else:
-        sig = ",".join(_fmt_order(m) for m in sub.induced.signature())
+        sig = ",".join(map(format_order, sub.induced.signature()))
         print(f"canonical generators: {'; '.join(data['generators'])}")
         print(f"induced signature: ({sig})")
         print(f"index: {data['index']}")

@@ -9,9 +9,10 @@ facet walls, read off its boundary panels, and its codimension-2 angle
 sites (rank-2 residues it meets) as counts: a map from residue (finite
 pair, least chamber, as the group's ``residues`` names it) to the
 number j of its chambers there, as each chamber lies in one residue
-per pair.  The angle predicates and census lines read the counts;
-``angle_sites`` builds the site values, walking each arc out from one
-of its chambers for its exit panels.  The census
+per pair.  The counts are its only record of its sites: the angle
+predicates and census lines read them, and ``angle_sites`` builds the
+site values from them on each call, walking each arc out from one of
+its chambers for its exit walls.  The census
 enumerates every convex chamber set containing the base chamber up to a
 chamber budget: each one arises from a smaller one by adjoining an
 adjacent chamber and closing up, so the growth search is exhaustive.
@@ -26,8 +27,8 @@ counts, on first read, are the parent's plus one per new chamber and
 finite pair, when the parent has its counts.  Any other polytope is
 the case with no parent, every chamber new, and so is a child asked
 before its parent.  A polytope builds only what is read: its facet
-count is the number of its first panels, its chambers and facet walls
-are built on first read, and so are a site's exit walls.  A census line
+count is the number of its first panels, and its chambers and facet
+walls are built on first read.  A census line
 (``census_record``) reads no wall and no chamber set, so the census and
 its lines build no wall and number no reflection as a chamber.
 Polytopes and sites are immutable values (``words.Value``).
@@ -49,7 +50,7 @@ walking its chambers in ShortLex order along the adjacency rows.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, combinations
+from itertools import combinations
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
@@ -148,8 +149,8 @@ class ChamberPolytope(Value):
     then released.  Racing threads build equal values.
     """
 
-    __slots__ = ("_chambers", "_walls", "_panels", "_counts", "_sites",
-                 "_origin", "_numbered")
+    __slots__ = ("_chambers", "_walls", "_panels", "_counts", "_origin",
+                 "_numbered")
 
     def __init__(self, chambers, facet_walls):
         fill = object.__setattr__
@@ -160,10 +161,8 @@ class ChamberPolytope(Value):
         # angle sites as counts in the numbering group's ids, filled on
         # first read (``_site_counts``)
         fill(self, "_counts", None)
-        # angle sites, filled by the first angle_sites call
-        fill(self, "_sites", None)
-        # (parent, new chamber mask) of a census child until its counts or
-        # its sites are filled
+        # (parent, new chamber mask) of a census child until its counts
+        # are filled
         fill(self, "_origin", None)
         # (group, chamber mask) of the group whose ids built the polytope
         fill(self, "_numbered", (None, 0))
@@ -328,13 +327,10 @@ class AngleSite(Value):
     cycle (j = 2m) is an interior codimension-2 face: it has no exit
     walls and carries no angle.
 
-    A value like ``ChamberPolytope``, over those five.  A site the
-    library builds keeps instead its exit panels (chamber id, letter)
-    beside the group that numbered them, and builds ``boundary_walls``
-    on first read.
+    A plain value over those five, like ``ChamberPolytope`` over its own.
     """
 
-    __slots__ = ("base", "pair", "m", "j", "_walls", "_exits")
+    __slots__ = ("base", "pair", "m", "j", "boundary_walls")
 
     def __init__(self, base, pair, m, j, boundary_walls):
         fill = object.__setattr__
@@ -343,22 +339,7 @@ class AngleSite(Value):
         fill(self, "m", m)
         fill(self, "j", j)
         # distinct exit walls, sorted; () if interior
-        fill(self, "_walls", boundary_walls)
-        # (group, chamber id, letter, ...) of the exit panels until the
-        # walls are built
-        fill(self, "_exits", None)
-
-    @property
-    def boundary_walls(self):
-        walls = self._walls
-        if walls is None:
-            exits = self._exits
-            if exits is None:  # another thread built them
-                return self._walls
-            walls = _walls(exits[0], zip(exits[1::2], exits[2::2]))
-            object.__setattr__(self, "_walls", walls)
-            object.__setattr__(self, "_exits", None)
-        return walls
+        fill(self, "boundary_walls", boundary_walls)
 
     @property
     def interior(self):
@@ -371,16 +352,6 @@ class AngleSite(Value):
         return (f"AngleSite(base={self.base!r}, pair={self.pair!r}, "
                 f"m={self.m!r}, j={self.j!r}, "
                 f"boundary_walls={self.boundary_walls!r})")
-
-
-def _site(group, base, pair, m, j, exits):
-    """A site whose exit walls are built on first read from its exit
-    panels ``exits``, (chamber id of ``group``, letter) pairs, kept as one
-    flat tuple (group, x, a, ...)."""
-    site = AngleSite(base, pair, m, j, None if exits else ())
-    if exits:
-        object.__setattr__(site, "_exits", (group, *chain(*exits)))
-    return site
 
 
 def _arc(group, chambers, start, s, t):
@@ -472,17 +443,31 @@ def _site_counts(group, polytope):
     return counts
 
 
-def _arc_starts(group, chambers, counts):
-    """A chamber of the mask in each residue of a counts map: its base
-    when the mask holds it, as a convex set holding the base chamber does
-    (the base lies on a minimal gallery from e to each chamber of the
-    residue), and otherwise the first member met in it."""
-    starts = {key: key[1] for key in counts if chambers >> key[1] & 1}
-    if len(starts) < len(counts):
-        for i in _members(chambers):
+def _exits(group, polytope, keys):
+    """The exit panels of the polytope's arc in each residue of ``keys``
+    (a list of keys of its counts map in ``group``'s ids), in their order:
+    a map from root id to (chamber id, letter).  Each arc is walked from
+    its base when the polytope holds it, as a convex set holding the base
+    chamber does (the base lies on a minimal gallery from e to each
+    chamber of the residue), and otherwise from the first member met in
+    it."""
+    mask = _mask_of(group, polytope)
+    starts = {key: key[1] for key in keys if mask >> key[1] & 1}
+    if len(starts) < len(keys):
+        for i in _members(mask):
             for key in group.residues(i):
                 starts.setdefault(key, i)
-    return starts
+    pairs = group.finite_pairs
+    for key in keys:
+        s, t, _ = pairs[key[0]]
+        yield _arc(group, mask, starts[key], s, t)[1]
+
+
+def _site_items(group, counts):
+    """The (residue, j) items of a counts map in site order: by pair, then
+    by the ShortLex key of the residue's least chamber."""
+    key = group.chamber_key
+    return sorted(counts.items(), key=lambda e: (e[0][0], key(e[0][1])))
 
 
 def _angles(group, items):
@@ -494,28 +479,18 @@ def _angles(group, items):
 
 def angle_sites(group, polytope):
     """One site per rank-2 spherical residue meeting the polytope, as a
-    tuple sorted by (pair, base).  Computed on the first call from the
-    polytope's counts, with each arc walked out from one of its chambers
-    for its exit panels, and cached on the polytope, which then drops its
-    parent; the sites are values, equal whichever group of the matrix
+    tuple sorted by (pair, base): built on each call from the polytope's
+    counts, each arc walked out from one of its chambers for its exit
+    walls.  The sites are values, equal whichever group of the matrix
     computes them.
     """
-    sites = polytope._sites
-    if sites is None:
-        mask = _mask_of(group, polytope)
-        counts = _site_counts(group, polytope)
-        starts = _arc_starts(group, mask, counts)
-        pairs = group.finite_pairs
-        sites = []
-        for key, j in counts.items():
-            s, t, m = pairs[key[0]]
-            exits = _arc(group, mask, starts[key], s, t)[1]
-            sites.append(_site(group, group.chamber(key[1]), (s, t), m, j,
-                               exits.values()))
-        sites = tuple(sorted(sites, key=lambda z: (z.pair, z.base.sort_key)))
-        object.__setattr__(polytope, "_sites", sites)
-        object.__setattr__(polytope, "_origin", None)
-    return sites
+    items = _site_items(group, _site_counts(group, polytope))
+    exits = _exits(group, polytope, [key for key, _ in items])
+    pairs = group.finite_pairs
+    return tuple(
+        AngleSite(group.chamber(base), pairs[k][:2], pairs[k][2], j,
+                  _walls(group, panels.values()))
+        for ((k, base), j), panels in zip(items, exits))
 
 
 def _coxeter_angles(angles):
@@ -605,11 +580,8 @@ def _obtuse_roots(group, polytope):
     obtuse = [key for key, j in counts.items() if 2 * j > pairs[key[0]][2]]
     roots = 0
     if obtuse:
-        mask = _mask_of(group, polytope)
-        starts = _arc_starts(group, mask, obtuse)
-        for key in obtuse:
-            s, t, _ = pairs[key[0]]
-            for rid in _arc(group, mask, starts[key], s, t)[1]:
+        for exits in _exits(group, polytope, obtuse):
+            for rid in exits:
                 roots |= 1 << rid
     return roots
 
@@ -807,11 +779,8 @@ def verify_facet_bound(group, max_chambers, census=None):
 
 def census_record(group, polytope):
     """JSON-ready census line for one polytope."""
-    key = group.chamber_key
-    # sites in (pair, ShortLex key of base) order
-    angles = _angles(group, sorted(_site_counts(group, polytope).items(),
-                                   key=lambda e: (e[0][0], key(e[0][1]))))
-    ids = sorted(_members(_mask_of(group, polytope)), key=key)
+    angles = _angles(group, _site_items(group, _site_counts(group, polytope)))
+    ids = sorted(_members(_mask_of(group, polytope)), key=group.chamber_key)
     return {
         "chambers": [group.chamber_display(i) for i in ids],
         "facets": polytope.facet_count,

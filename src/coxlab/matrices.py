@@ -19,6 +19,12 @@ from .errors import BudgetError, InputError
 
 INFINITY = inf
 
+
+def format_order(m):
+    """An order as text: "oo" for ``INFINITY``."""
+    return "oo" if m == INFINITY else str(m)
+
+
 # parsers reject larger ranks before allocating the n x n matrix
 MAX_RANK = 256
 _NERVE_RANK_CAP = 16

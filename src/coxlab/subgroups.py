@@ -17,8 +17,8 @@ from .davis import (ChamberPolytope, enumerate_convex_polytopes,
                     fundamental_polytope, is_coxeter_polytope)
 from .errors import (BudgetError, ConsistencyError, InputError,
                      PreconditionError)
-from .matrices import (INFINITY, CoxeterMatrix, is_infinite_indecomposable,
-                       nerve)
+from .matrices import (INFINITY, CoxeterMatrix, format_order,
+                       is_infinite_indecomposable, nerve)
 from .words import root_span_rank
 
 _NERVE_PERM_CAP = 8
@@ -35,8 +35,7 @@ class ReflectionSubgroup:
         return [w.reflection.display() for w in self.generators]
 
     def __repr__(self):
-        sig = ",".join("oo" if m == INFINITY else str(m)
-                       for m in self.induced.signature())
+        sig = ",".join(map(format_order, self.induced.signature()))
         return f"ReflectionSubgroup(index={self.index}, signature=({sig}))"
 
 

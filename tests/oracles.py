@@ -80,7 +80,7 @@ form, with no chamber ids.
 
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 from coxlab.algebraic import _pmul, _ptrim
 from coxlab.davis import (AngleSite, _meeting, angle_sites, convex_hull,
@@ -398,7 +398,9 @@ class AlgebraicReal:
         return self.field.raw_is_zero(self.coeffs)
 
     def sign(self):
-        return self.field.sign_raw(self.coeffs)
+        # sign_raw takes integer coefficients: clear the denominators
+        den = lcm(*(Fraction(x).denominator for x in self.coeffs))
+        return self.field.sign_raw(tuple(int(x * den) for x in self.coeffs))
 
     def __lt__(self, other):
         return (self - other).sign() < 0

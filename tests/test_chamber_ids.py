@@ -140,7 +140,8 @@ def test_polytopes_stay_values_across_groups(name):
     # a second group of the matrix, numbered otherwise, reads a census
     # member, a child whose sites are not yet derived, and a stacan
     # translate through their chambers, and finds what a fresh group
-    # finds on its own census
+    # finds on its own census; it keeps nothing on them, so the child
+    # keeps its parent until its own group counts its sites
     matrix = CYCLE4 if name == "CYCLE4" else MATRICES[name]
     group, fresh = CoxeterGroup(matrix), CoxeterGroup(matrix)
     census = list(enumerate_convex_polytopes(group, 6))
@@ -158,18 +159,21 @@ def test_polytopes_stay_values_across_groups(name):
         assert poly._numbered[0] is other
 
     child = census[-1]
-    assert all(p._sites is None for p in census)
+    assert all(p._counts is None for p in census)
     assert child._origin is not None
     for p, q in zip([child] + census[:-1],
                     [fresh_census[-1]] + fresh_census[:-1]):
         check(p, q)
+    assert child._origin is not None
+    assert census_record(group, child) == census_record(fresh,
+                                                        fresh_census[-1])
     assert child._origin is None
     translates = [p2 for _, p2, _ in stacan_pairs(group, 5, census=census)]
     fresh_translates = [p2 for _, p2, _ in stacan_pairs(fresh, 5,
                                                         census=fresh_census)]
     assert translates and len(translates) == len(fresh_translates)
     for p, q in zip(translates, fresh_translates):
-        assert p._sites is None and p._numbered[0] is group
+        assert p._counts is None and p._numbered[0] is group
         check(p, q)
 
 
@@ -185,7 +189,7 @@ def test_polytope_survives_copy_and_pickle():
     for x in copies:
         assert type(x) is type(p) and x == p and hash(x) == hash(p)
         assert x.facet_walls == p.facet_walls
-        assert x._sites is None and x._numbered == (None, 0)
+        assert x._counts is None and x._numbered == (None, 0)
         assert angle_sites(group, x) == sites
 
 
@@ -196,19 +200,18 @@ _COPIERS = [copy.copy, copy.deepcopy] + [
 
 @pytest.mark.parametrize("copier", _COPIERS)
 def test_unread_polytope_and_site_survive_copy_and_pickle(copier):
-    # a census member whose chambers and walls were never read, and a lone
-    # site whose exit walls were never read, copy as their values: the
-    # walls are built for the copy, which carries no group
+    # a census member whose chambers and walls were never read copies as
+    # its value: the walls are built for the copy, which carries no group;
+    # a site with exit walls copies as its five fields
     group = CoxeterGroup(MATRICES["t237"])
     p = list(enumerate_convex_polytopes(group, 5))[-1]
     assert p._chambers is None and p._walls is None
     x = copier(p)
     assert type(x) is ChamberPolytope and x._numbered == (None, 0)
-    assert x._panels is None and x._sites is None
-    site = next(z for z in angle_sites(group, p) if z._walls is None)
-    assert site._exits[0] is group
+    assert x._panels is None and x._counts is None
+    site = next(z for z in angle_sites(group, p) if z.boundary_walls)
     y = copier(site)
-    assert type(y) is AngleSite and y._exits is None
+    assert type(y) is AngleSite
     expected = CoxeterGroup(MATRICES["t237"])
     q = list(enumerate_convex_polytopes(expected, 5))[-1]
     assert x == p == q and hash(x) == hash(p) == hash(q)

@@ -310,6 +310,19 @@ def test_subgroup_nonpositive_budget_exits_3(t23inf_file, capsys):
         assert "chamber budget must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-4"])
+@pytest.mark.parametrize("doc", [H3_DOC, REMARK_DOC], ids=["h3", "remark"])
+def test_verify_nonpositive_budget_exits_3_without_suites(tmp_path, capsys,
+                                                          doc, budget):
+    # a chamber budget below 1 is bad input even where no suite applies
+    f = tmp_path / "matrix.json"
+    f.write_text(doc)
+    assert main(["verify", str(f), "--max-chambers", budget, "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: chamber budget must be >= 1" in captured.err
+
+
 def test_budget_env_caps_census(monkeypatch, t23inf_file, capsys):
     monkeypatch.setenv("COXLAB_BUDGET", "5")
     assert main(["polytopes", t23inf_file, "--max-chambers", "6"]) == 2

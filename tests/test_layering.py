@@ -8,7 +8,9 @@ walks the automaton alone, only
 ``panel_root`` walks a root through a word, only ``wall_between``
 builds a ``Wall``, only ``_id`` (and ``ball``) an ``Element``, and
 only ``angle_sites`` an ``AngleSite``, which no reader of a polytope's
-sites calls, while the group keeps residue bases per chamber record;
+sites calls, a site is its five fields, only the residue count check
+and the one exit walk walk an arc, while the group keeps residue bases
+per chamber record;
 ``Value`` alone writes the immutable-value protocol; and no module
 imports a sibling's underscore names."""
 
@@ -16,6 +18,7 @@ import ast
 from pathlib import Path
 
 import coxlab
+from coxlab.davis import AngleSite, ChamberPolytope
 from coxlab.words import CoxeterGroup
 
 SRC = Path(coxlab.__file__).parent
@@ -140,14 +143,25 @@ def test_only_value_defines_the_value_protocol():
 
 def test_only_angle_sites_builds_sites():
     # a polytope's sites are residue counts; only the public
-    # ``angle_sites`` builds ``AngleSite`` values, through ``_site``
-    sites, through = [], []
+    # ``angle_sites`` builds ``AngleSite`` values
+    sites = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         sites += [(path.name,) + s for s in _call_scopes(tree, "AngleSite")]
-        through += [(path.name,) + s for s in _call_scopes(tree, "_site")]
-    assert sites == [("davis.py", "_site")]
-    assert through == [("davis.py", "angle_sites")]
+    assert sites == [("davis.py", "angle_sites")]
+
+
+def test_sites_are_plain_values_with_one_exit_walk():
+    # an arc is walked by the residue count check and by the one exit
+    # walk; a site holds its five fields alone, and a polytope keeps its
+    # residue counts as its only site record
+    tree = ast.parse((SRC / "davis.py").read_text())
+    assert sorted(_call_scopes(tree, "_arc")) == [("_exits",),
+                                                   ("_residue_counts",)]
+    assert AngleSite.__slots__ == ("base", "pair", "m", "j",
+                                   "boundary_walls")
+    assert "_counts" in ChamberPolytope.__slots__
+    assert "_sites" not in ChamberPolytope.__slots__
 
 
 def test_site_readers_build_no_sites():

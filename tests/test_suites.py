@@ -37,8 +37,7 @@ def test_stacan_matches_scan_oracle(name, k, monkeypatch):
     expect = [(p1.chambers, p2, wall)
               for p1, p2, wall in stacan_pairs_by_scan(group, k, census)]
     assert got == expect and got
-    run = cli._VerifyRun(group, k)
-    run.census = census
+    run = cli._VerifyRun(group, k, census)
     # every union is convex, so a second pass with every union refused
     # compares the counterexamples too
     for convex in (is_convex, lambda *_: False):
