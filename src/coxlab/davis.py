@@ -45,6 +45,11 @@ chambers.
 A census member is convex and holds the base chamber, so it holds every
 prefix of each of its normal forms: the stacan search translates it by
 walking its chambers in ShortLex order along the adjacency rows.
+Two walls meet in the closure of a polytope exactly when both cross one
+maximal spherical residue meeting it, so the Andreev check reads the
+walls crossing each such residue off the inversion masks of its least
+and longest chambers: it forms no group product, and builds facet walls
+only to display a pair it reports.
 """
 
 from __future__ import annotations
@@ -55,7 +60,8 @@ from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
 from .errors import BudgetError, ConsistencyError, InputError
-from .matrices import INFINITY, is_finite, is_infinite_indecomposable
+from .matrices import (INFINITY, is_infinite_indecomposable,
+                       spherical_subsets)
 from .words import Value
 
 DEFAULT_HULL_CAP = 4096
@@ -517,53 +523,73 @@ def is_acute_angled(group, polytope):
 # wall and facet intersection
 
 
-def _meeting(group, polytope):
-    """Whether two of the walls meet inside the closure of the polytope.
-
-    They do when some chamber g of the polytope conjugates both
-    reflections into one finite standard subgroup: the wall intersection
-    then meets the closure of g.  A wall's conjugates g^-1 r g are
-    computed once, when a pair with it is first asked for, and each
-    support's finiteness once.
-    """
-    supports, finite = {}, {}
-
-    def meet(a, b):
-        for w in (a, b):
-            if w not in supports:
-                supports[w] = [frozenset(group.multiply(group.multiply(
-                    group.inverse(g), w.reflection), g).word)
-                    for g in polytope.chambers]
-        for x, y in zip(supports[a], supports[b]):
-            union = x | y
-            if union not in finite:
-                finite[union] = is_finite(group.matrix.restrict(union))
-            if finite[union]:
-                return True
-        return False
-    return meet
+def _residue_roots(group, mask):
+    """The root mask of each residue gW_J meeting the chamber mask, g in
+    it and J a maximal spherical set of two or more letters, once per
+    (least chamber b, J): N(b w_J) xor N(b), the root ids of the walls
+    crossing it (see ``check_andreev``).  As a subset of a spherical set
+    is spherical, J is maximal when no one-letter extension is."""
+    spherical = spherical_subsets(group.matrix)
+    found = set(spherical)
+    tops = [j for j in spherical if len(j) > 1 and not any(
+        tuple(sorted((*j, a))) in found
+        for a in range(group.matrix.rank) if a not in j)]
+    roots = {}
+    for i in _members(mask):
+        for j in tops:
+            base = group.residue_end(i, j)
+            if (base, j) not in roots:
+                roots[base, j] = group.inversion_mask(base) ^ \
+                    group.inversion_mask(group.residue_end(base, j, True))
+    return roots.values()
 
 
 def check_andreev(group, polytope):
     """Facet-wall pairs that are disjoint along the polytope but whose
-    walls still intersect.
+    walls still intersect, in ``combinations(facet_walls, 2)`` order.
 
     The emptiness guarantee holds for acute-angled polytopes; the check
-    itself runs on any convex polytope.  The group's memoised order of
-    the two reflections' product is asked first: walls whose product has
-    infinite order never meet, so their conjugates are never formed.  On
-    a polytope the group numbered, the orders are asked first on the
-    root ids of its first panels, and when every pair has infinite order
-    no facet wall is built.
+    itself runs on any convex polytope P, on the root ids of its facets:
+    the keys of its first panels, or of a scan of its boundary panels
+    when those are released or another group numbered P.  Walls whose
+    product has infinite order never meet.  A pair of finite order is
+    reported when no mask of ``_residue_roots`` holds both its roots,
+    which is exactly when its walls do not meet in the closure of P:
+
+    (i) Walls a and b meet in the closure of P iff both cross gW_J for
+    some chamber g of P and some maximal spherical J.  They meet in the
+    closure of the chamber g iff g^-1 s_a g and g^-1 s_b g fix one point
+    of the base chamber's closure, whose stabiliser is a finite standard
+    subgroup W_T: iff the union of their supports is spherical.  Such a T
+    lies in a maximal spherical J, and W_T in W_J as J contains T.  A
+    reflection lies in g W_J g^-1 iff its wall separates two chambers of
+    gW_J, that is crosses the residue.  A one-letter J is left out, as
+    one wall alone crosses its residue.
+
+    (ii) Let b be the least chamber of R = bW_J.  Then l(b w) = l(b) +
+    l(w) for w in W_J, the walls crossing R are those of the roots
+    b(Phi+_J), all positive, and N(b w_J) = N(b) + b(Phi+_J), disjointly.
+    So the root mask of R is N(b w_J) xor N(b), read off the two ends of
+    the residue walk (``residue_end``).
+
+    Facet walls are built only to display a reported pair.  The maximal
+    spherical sets are read off ``spherical_subsets``, so a pair of
+    finite order past rank 16 raises its BudgetError.
     """
-    panels = polytope._panels
-    if polytope._numbered[0] is group and panels is not None and all(
-            group.order_of_roots(a, b) == INFINITY
-            for a, b in combinations(panels, 2)):
+    mask, panels = _mask_of(group, polytope), polytope._panels
+    if polytope._numbered[0] is not group or panels is None:
+        panels = _facet_panels(group, mask, mask)
+    finite = [1 << a | 1 << b for a, b in combinations(panels, 2)
+              if group.order_of_roots(a, b) != INFINITY]
+    if finite:
+        roots = _residue_roots(group, mask)
+        finite = {pair for pair in finite
+                  if not any(r & pair == pair for r in roots)}
+    if not finite:
         return []
-    meet = _meeting(group, polytope)
+    rid = group.wall_root
     return [(a, b) for a, b in combinations(polytope.facet_walls, 2)
-            if group.order_of_product(a, b) != INFINITY and not meet(a, b)]
+            if (1 << rid(a) | 1 << rid(b)) in finite]
 
 
 # ---------------------------------------------------------------------------

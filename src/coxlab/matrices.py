@@ -387,14 +387,25 @@ class Nerve:
         return f"Nerve({len(self.vertices)} vertices, f={self.f_vector()})"
 
 
+def spherical_subsets(matrix):
+    """The nonempty subsets T of S whose standard subgroup is finite, as
+    sorted tuples, by size and then lexicographically.  A subset of a
+    spherical set is spherical, so each one grows from its least letters
+    by one greater letter: only extensions of spherical sets are tested.
+    There may be 2^rank - 2 of them (affine type A), so BudgetError past
+    rank 16."""
+    if matrix.rank > _NERVE_RANK_CAP:
+        raise BudgetError(f"nerve enumeration capped at rank {_NERVE_RANK_CAP}")
+    level = [(s,) for s in range(matrix.rank)]
+    found = []
+    while level:
+        found += level
+        level = [t + (a,) for t in level
+                 for a in range(t[-1] + 1, matrix.rank)
+                 if is_finite(matrix.restrict(t + (a,)))]
+    return found
+
+
 def nerve(matrix):
     """All nonempty subsets T of S whose standard subgroup is finite."""
-    n = matrix.rank
-    if n > _NERVE_RANK_CAP:
-        raise BudgetError(f"nerve enumeration capped at rank {_NERVE_RANK_CAP}")
-    simplices = []
-    for k in range(1, n + 1):
-        for subset in combinations(range(n), k):
-            if is_finite(matrix.restrict(subset)):
-                simplices.append(frozenset(subset))
-    return Nerve(range(n), simplices)
+    return Nerve(range(matrix.rank), spherical_subsets(matrix))

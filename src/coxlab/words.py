@@ -51,7 +51,7 @@ from math import gcd
 
 from .algebraic import SIGN_STATS, field_for
 from .errors import BudgetError, ConsistencyError, InputError
-from .matrices import INFINITY
+from .matrices import INFINITY, is_finite
 
 DEFAULT_ELEMENT_CAP = 100_000
 DEFAULT_REFLECTION_LENGTH = 12
@@ -507,11 +507,6 @@ class CoxeterGroup:
         mask = self.inversion_mask(self.chamber_id(g))
         return frozenset(r for r in range(mask.bit_length()) if mask >> r & 1)
 
-    def residue_base(self, g, s, t):
-        """Least chamber of g's {s, t} residue, walked by ``_descend``."""
-        return self._chambers[self._descend(
-            self.chamber_id(g), s, t, self.matrix.order(s, t))][0]
-
     def residues(self, i):
         """Chamber id i's rank-2 spherical residues: per finite pair k (an
         index into ``finite_pairs``), the pair (k, id of the residue's
@@ -521,28 +516,38 @@ class CoxeterGroup:
         hit = record[5]
         if hit is None:
             hit = record[5] = tuple(
-                (k, self._descend(i, s, t, m))
-                for k, (s, t, m) in enumerate(self.finite_pairs))
+                (k, self.residue_end(i, (s, t)))
+                for k, (s, t, _) in enumerate(self.finite_pairs))
         return hit
 
-    def _descend(self, i, s, t, m):
-        """Id of the least chamber of chamber id i's {s, t} residue, m =
-        m(s, t), reached by right descents in {s, t} along adjacency rows:
-        at most m of them, as the residue's longest element has length m,
-        and at most the length of i."""
+    def residue_end(self, i, letters, longest=False):
+        """Id of the least chamber of chamber id i's residue of the tuple
+        ``letters``, reached by right descents in them along adjacency
+        rows; with ``longest``, id of its longest chamber, reached by
+        right ascents, which only a spherical set of letters has: an
+        infinite residue has no top, so InputError for one.  Each step
+        moves one length down (up) inside the residue, and the least
+        (longest) chamber is the one with no descent (ascent) in it, so
+        the walk ends there.  For a pair of order m it takes at most m
+        steps, as the residue's longest element has length m:
+        ConsistencyError past that."""
+        if longest and not is_finite(self.matrix.restrict(letters)):
+            raise InputError(f"letters {letters} span an infinite residue")
         chambers = self._chambers
-        x = i
-        for _ in range(min(m, chambers[i][1][0]) + 1):
+        up = 1 if longest else -1
+        m = self.matrix.order(*letters) if len(letters) == 2 else INFINITY
+        x, steps = i, 0
+        while steps <= m:
             row, length = self.adjacent(x), chambers[x][1][0]
-            for a in (s, t):
+            for a in letters:
                 y = row[a][0]
-                if chambers[y][1][0] < length:
-                    x = y
+                if chambers[y][1][0] == length + up:
+                    x, steps = y, steps + 1
                     break
             else:
                 return x
-        raise ConsistencyError("rank-2 residue has no least chamber",
-                               (chambers[x][0].display(), s, t))
+        raise ConsistencyError("rank-2 residue walk passes m steps",
+                               (chambers[x][0].display(), letters))
 
     def generator_wall(self, i):
         return self.wall_between(self.identity(), i)

@@ -35,7 +35,8 @@ isolating interval, built on the rational polynomial helpers here, and
 ``order_by_powers`` is the first implementation of ``order_of_product``.
 ``census_by_full_hulls`` is the first implementation of the census
 growth, one full hull per boundary panel, and ``residue_base_by_descent``
-the first implementation of ``residue_base``, with no memo;
+the first implementation of the least-chamber walk of a rank-2 residue,
+with no memo;
 ``residue_by_coset`` lists a rank-2 residue whole.
 ``cyclotomic_by_division`` is the first implementation of the cyclotomic
 polynomials, and ``TrackingReduction`` the first implementation of word
@@ -65,14 +66,17 @@ decision: it bisects ``isolating_interval`` with exact rational interval
 Horner bounds, and ``floor_scaled_generator`` reads floor(2^B c) off the
 same bisection.  ``form_by_rows`` and ``order_by_form_rows`` form the
 doubled form value afresh for each pair of walls, as ``order_of_product``
-did before it memoised C r per root.  ``facets_intersect`` and
-``angle_fraction`` are helpers that no library code calls.
+did before it memoised C r per root.  ``facets_intersect`` asks the
+library's residue root masks whether one pair of walls meets, and
+``angle_fraction`` is a helper that no library code calls.
 ``stacan_pairs_by_scan`` is the glued-pair search before its partner
 index: every acute facet scans the whole census, and each translate is
 formed by ``multiply``; ``stacan_entry_by_scan`` is the stacan suite's
 report entry built from it.  ``meeting_by_conjugates`` and
-``check_andreev_by_conjugates`` are the Andreev check before it asked
-the order first: every facet wall conjugated by every chamber up front.
+``check_andreev_by_conjugates`` are the Andreev check before it read
+residue root masks: every facet wall conjugated by every chamber up
+front, and two walls meeting when the union of two conjugates' supports
+is spherical.
 ``inversion_set_by_prefixes`` is the first implementation of
 ``inversion_set``: a frozenset grown along the prefixes of the normal
 form, with no chamber ids.
@@ -83,8 +87,8 @@ from itertools import combinations
 from math import ceil, floor, gcd, lcm
 
 from coxlab.algebraic import _pmul, _ptrim
-from coxlab.davis import (AngleSite, _meeting, angle_sites, convex_hull,
-                          enumerate_convex_polytopes, is_convex,
+from coxlab.davis import (AngleSite, _mask_of, _residue_roots, angle_sites,
+                          convex_hull, enumerate_convex_polytopes, is_convex,
                           is_coxeter_polytope, polytope_of, side)
 from coxlab.errors import (BudgetError, ConsistencyError, FieldError,
                            InputError, PreconditionError)
@@ -1146,13 +1150,17 @@ def facets_intersect_per_pair(group, polytope, a, b):
 
 def facets_intersect(group, polytope, a, b):
     """Whether the two facet walls meet inside the closure of the
-    polytope, by the library's per-polytope conjugate supports."""
-    return _meeting(group, polytope)(a, b)
+    polytope, by the library's residue root masks: some maximal spherical
+    residue meeting it is crossed by both."""
+    both = 1 << group.wall_root(a) | 1 << group.wall_root(b)
+    return any(r & both == both for r in _residue_roots(
+        group, _mask_of(group, polytope)))
 
 
 def meeting_by_conjugates(group, polytope, walls):
-    """The library's ``_meeting`` before its supports were formed on
-    demand: every wall conjugated by every chamber up front."""
+    """The meeting test on conjugates: every wall conjugated by every
+    chamber up front, and a pair meeting when, for some chamber, the
+    union of its two conjugates' supports is spherical."""
     conj = [(group.inverse(g), g) for g in polytope.sorted_chambers()]
     supports = {w: [frozenset(group.multiply(
                         group.multiply(ginv, w.reflection), g).word)
@@ -1172,8 +1180,8 @@ def meeting_by_conjugates(group, polytope, walls):
 
 
 def check_andreev_by_conjugates(group, polytope):
-    """``check_andreev`` before it asked the order first: the meeting
-    test on every facet pair, then the order of the disjoint ones."""
+    """``check_andreev`` on conjugates: the meeting test on every facet
+    pair, then the order of the disjoint ones."""
     violations = []
     walls = polytope.facet_walls
     meet = meeting_by_conjugates(group, polytope, walls)
@@ -1294,7 +1302,8 @@ def angle_sites_by_residue(group, chambers):
             continue
         residues = {}
         for g in chambers:
-            residues.setdefault(group.residue_base(g, s, t), []).append(g)
+            residues.setdefault(residue_base_by_descent(group, g, s, t),
+                                []).append(g)
         for base, arc in residues.items():
             exits = [(g, a) for g in arc for a in (s, t)
                      if group.step(g, a) not in chambers]
@@ -1326,7 +1335,7 @@ def angle_sites_by_arc_walk(group, chambers):
         for g in ids:
             if g in done:
                 continue
-            base = group.residue_base(group.chamber(g), s, t)
+            base = residue_base_by_descent(group, group.chamber(g), s, t)
             if base in bases:
                 raise ConsistencyError(
                     "arc of a convex polytope is not contiguous",

@@ -256,8 +256,6 @@ def test_words_that_are_no_normal_form_are_refused():
         with pytest.raises(InputError):
             group.inversion_set(g)
         with pytest.raises(InputError):
-            group.residue_base(g, 0, 1)
-        with pytest.raises(InputError):
             side(group, group.generator_wall(0), g)
         with pytest.raises(InputError):
             convex_hull(group, [g])

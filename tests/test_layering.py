@@ -10,7 +10,7 @@ builds a ``Wall``, only ``_id`` (and ``ball``) an ``Element``, and
 only ``angle_sites`` an ``AngleSite``, which no reader of a polytope's
 sites calls, a site is its five fields, only the residue count check
 and the one exit walk walk an arc, while the group keeps residue bases
-per chamber record;
+per chamber record; the chamber layer forms no group product;
 ``Value`` alone writes the immutable-value protocol; and no module
 imports a sibling's underscore names."""
 
@@ -89,6 +89,16 @@ def test_only_order_of_product_decides_signs():
              for scope in _call_scopes(ast.parse(path.read_text()),
                                        "sign_raw")]
     assert calls == [("words.py", "CoxeterGroup", "order_of_roots")]
+
+
+def test_davis_forms_no_product_and_no_conjugate_meeting():
+    # the chamber layer decides whether walls meet on residue root masks:
+    # it forms no group product, asks orders on root ids rather than walls,
+    # takes its spherical sets whole from ``matrices``, and the conjugate
+    # meeting test lives in the test oracles
+    named = _named(ast.parse((SRC / "davis.py").read_text()))
+    assert not named & {"multiply", "inverse", "order_of_product",
+                        "is_finite", "_meeting"}
 
 
 def test_only_canonical_generators_conjugates_walls():

@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 from coxlab.errors import InputError
 from coxlab.matrices import (INFINITY, MAX_RANK, CoxeterMatrix, components,
                              is_finite, is_indecomposable,
-                             is_infinite_indecomposable, nerve, parse_matrix)
+                             is_infinite_indecomposable, nerve, parse_matrix,
+                             spherical_subsets)
 from coxlab.words import CoxeterGroup
 
-from conftest import MATRICES
+from conftest import BENCH_MATRICES, CYCLE4, MATRICES
 from oracles import element_count, has_finite_index_standard
 
 
@@ -297,6 +298,16 @@ def test_nerve_downward_closed_and_singletons():
                 smaller = t - {v}
                 if smaller:
                     assert smaller in nv.simplices
+
+
+def test_spherical_subsets_match_every_subset():
+    # grown from spherical sets only, they are every spherical subset, by
+    # size and then lexicographically
+    for m in [*MATRICES.values(), *BENCH_MATRICES.values(), CYCLE4]:
+        assert spherical_subsets(m) == [
+            t for k in range(1, m.rank + 1)
+            for t in combinations(range(m.rank), k)
+            if is_finite(m.restrict(t))], m
 
 
 def test_nerve_rank_cap():
