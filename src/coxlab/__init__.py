@@ -9,7 +9,7 @@ from .matrices import (CoxeterMatrix, DiagramComponent, INFINITY, Nerve,
 from .words import (CoxeterGroup, Element, Wall, root_span_rank,
                     word_from_text)
 from .davis import (AngleSite, ChamberPolytope, angle_sites, check_andreev,
-                    convex_hull, census_record, enumerate_convex_polytopes,
+                    convex_hull, census_line, enumerate_convex_polytopes,
                     is_acute_angled, is_convex, is_coxeter_polytope, side,
                     stacan_pairs, verify_facet_bound)
 from .subgroups import (ReflectionSubgroup, analyze, canonical_generators,

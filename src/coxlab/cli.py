@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,9 +24,6 @@ from .matrices import (components, format_order, is_finite,
 from .words import DEFAULT_ELEMENT_CAP, CoxeterGroup, word_from_text
 
 DEFAULT_MAX_CHAMBERS = 8
-# one census line of --emit: the bytes of json.dumps(rec, sort_keys=True),
-# from one encoder for every line
-_encode_line = json.JSONEncoder(sort_keys=True).encode
 
 
 def element_cap():
@@ -94,16 +92,23 @@ class VerificationReport:
 # verification suites
 
 
-def census_list(group, max_chambers):
-    """Materialized census with a node-count guard (COXLAB_BUDGET)."""
+def capped_census(group, max_chambers):
+    """The census, as it is enumerated, with a node-count guard
+    (COXLAB_BUDGET): BudgetError in place of the member past the cap."""
     cap = element_cap()
-    out = []
+    count = 0
     for p in davis.enumerate_convex_polytopes(group, max_chambers):
-        out.append(p)
-        if len(out) > cap:
+        count += 1
+        if count > cap:
             raise BudgetError(
                 f"census exceeded {cap} polytopes (raise COXLAB_BUDGET)")
-    return out
+        yield p
+
+
+def census_list(group, max_chambers):
+    """Materialized census with the node-count guard of
+    ``capped_census``."""
+    return list(capped_census(group, max_chambers))
 
 
 class _VerifyRun:
@@ -356,24 +361,56 @@ def cmd_subgroup(args):
     return 0
 
 
+@contextmanager
+def _emitting(path):
+    """A text file for the census lines.  With a path, a new file beside
+    it under a unique name, made with the mode ``open(path, "w")`` gives,
+    renamed onto the path on success and removed on any exception, so
+    the path holds the whole census or what it held before; with none
+    or an empty one, a sink."""
+    if not path:
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            yield sink
+        return
+    head, tail = os.path.split(path)
+    # O_EXCL: a clash of the random names fails rather than clobbers
+    temp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror}") from None
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException as e:
+        os.unlink(temp)
+        if isinstance(e, OSError):
+            raise InputError(
+                f"cannot write {path}: {e.strerror}") from None
+        raise
+
+
 def cmd_polytopes(args):
     matrix = _load_matrix(args.file)
     group = CoxeterGroup(matrix)
-    records = [davis.census_record(group, p)
-               for p in census_list(group, args.max_chambers)]
-    if args.emit:
-        try:
-            with open(args.emit, "w", encoding="utf-8") as fh:
-                for rec in records:
-                    fh.write(_encode_line(rec) + "\n")
-        except OSError as e:
-            raise InputError(
-                f"cannot write {args.emit}: {e.strerror}") from None
+    count = coxeter = acute = 0
+    min_facets = None
+    with _emitting(args.emit) as fh:
+        for p in capped_census(group, args.max_chambers):
+            count += 1
+            line, is_coxeter, is_acute = davis.census_line(group, p)
+            fh.write(line + "\n")
+            coxeter += is_coxeter
+            acute += is_acute
+            facets = p.facet_count
+            if min_facets is None or facets < min_facets:
+                min_facets = facets
     summary = {
-        "polytopes": len(records),
-        "coxeter": sum(1 for r in records if r["coxeter"]),
-        "acute": sum(1 for r in records if r["acute"]),
-        "min_facets": min(r["facets"] for r in records),
+        "polytopes": count,
+        "coxeter": coxeter,
+        "acute": acute,
+        "min_facets": min_facets,
         "max_chambers": args.max_chambers,
     }
     if args.json:

@@ -29,7 +29,7 @@ the case with no parent, every chamber new, and so is a child asked
 before its parent.  A polytope builds only what is read: its facet
 count is the number of its first panels, and its chambers and facet
 walls are built on first read.  A census line
-(``census_record``) reads no wall and no chamber set, so the census and
+(``census_line``) reads no wall and no chamber set, so the census and
 its lines build no wall and number no reflection as a chamber.
 Polytopes and sites are immutable values (``words.Value``).
 
@@ -68,6 +68,7 @@ DEFAULT_HULL_CAP = 4096
 _wall_key = attrgetter("sort_key")
 # the counts of a polytope of a group with no finite pair
 _NO_COUNTS = MappingProxyType({})
+_JSON_BOOL = {False: "false", True: "true"}
 
 
 def side(group, wall, chamber):
@@ -803,14 +804,20 @@ def verify_facet_bound(group, max_chambers, census=None):
     }
 
 
-def census_record(group, polytope):
-    """JSON-ready census line for one polytope."""
+def census_line(group, polytope):
+    """The polytope's census line, with the ``coxeter`` and ``acute``
+    flags it holds.  The line is the text ``json.dumps(..., sort_keys=True)``
+    gives for the record of its chamber displays in ShortLex order, its
+    facet count, the two flags and its angles {"m": m, "j": j} in site
+    order, built directly from the counts, read once.  A chamber display
+    is digits and spaces, so it is quoted as it is."""
     angles = _angles(group, _site_items(group, _site_counts(group, polytope)))
+    coxeter, acute = _coxeter_angles(angles), _acute_angles(angles)
     ids = sorted(_members(_mask_of(group, polytope)), key=group.chamber_key)
-    return {
-        "chambers": [group.chamber_display(i) for i in ids],
-        "facets": polytope.facet_count,
-        "coxeter": _coxeter_angles(angles),
-        "acute": _acute_angles(angles),
-        "angles": [{"m": m, "j": j} for m, j in angles],
-    }
+    line = (f'{{"acute": {_JSON_BOOL[acute]}, "angles": ['
+            + ", ".join([f'{{"j": {j}, "m": {m}}}' for m, j in angles])
+            + '], "chambers": ["'
+            + '", "'.join([group.chamber_display(i) for i in ids])
+            + f'"], "coxeter": {_JSON_BOOL[coxeter]}, '
+            f'"facets": {polytope.facet_count}}}')
+    return line, coxeter, acute

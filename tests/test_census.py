@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from coxlab import cli, davis
 from coxlab.davis import (_facet_panels, _mask, _walls, angle_sites,
-                          census_record, chambers_of, convex_hull,
+                          census_line, chambers_of, convex_hull,
                           enumerate_convex_polytopes, is_acute_angled,
                           is_convex, polytope_of, region, side, stacan_pairs)
 from coxlab.errors import ConsistencyError, InputError
@@ -171,8 +171,9 @@ def test_census_sites_are_derived_on_first_call(monkeypatch):
     del counted[:]
     for q in census[:-1]:
         origin = q._origin
-        record = census_record(group, q)
-        assert record == census_record_by_residue(group, q.chambers), q
+        line, _, _ = census_line(group, q)
+        assert line == json.dumps(
+            census_record_by_residue(group, q.chambers), sort_keys=True), q
         assert counted[-1] == (_mask(group, q.chambers) if origin is None
                                else origin[1]), q
         assert q._origin is None
@@ -233,17 +234,20 @@ def test_non_contiguous_arc_is_refused(monkeypatch):
 def test_counted_sites_match_oracles(name):
     # every census member at K = 7, its counts copied from its parent's,
     # and every hull of two chambers of the ball of radius 2, with every
-    # chamber counted: the census line is the one built from the full
-    # residue scan, and the sites, exit walls included, are those of the
-    # residue scan and of the arc walk that counting replaced
+    # chamber counted: the census line is, byte for byte, the encoder's
+    # text of the record built from the full residue scan, with its two
+    # flags, and the sites, exit walls included, are those of the residue
+    # scan and of the arc walk that counting replaced
     m = DIFFERENTIAL[name]
     group, oracle = CoxeterGroup(m), CoxeterGroup(m)
     census = list(enumerate_convex_polytopes(group, 7))
     hulls = [convex_hull(group, pair)
              for pair in combinations(group.ball(2), 2)]
     for p in census + hulls:
-        record = census_record(group, p)
-        assert record == census_record_by_residue(oracle, p.chambers), p
+        line, coxeter, acute = census_line(group, p)
+        record = census_record_by_residue(oracle, p.chambers)
+        assert line == json.dumps(record, sort_keys=True), p
+        assert (coxeter, acute) == (record["coxeter"], record["acute"]), p
         sites = angle_sites(group, p)
         by_residue = angle_sites_by_residue(oracle, p.chambers)
         by_walk = angle_sites_by_arc_walk(oracle, p.chambers)

@@ -16,7 +16,7 @@ import pytest
 
 from coxlab import cli
 from coxlab.davis import (AngleSite, ChamberPolytope, angle_sites,
-                          census_record, check_andreev, convex_hull,
+                          census_line, check_andreev, convex_hull,
                           enumerate_convex_polytopes, is_convex,
                           is_coxeter_polytope, polytope_of, side,
                           stacan_pairs)
@@ -49,8 +49,8 @@ def test_reverse_numbering_gives_the_same_census():
     expected = list(enumerate_convex_polytopes(fresh, 6))
     assert [p.chambers for p in got] == [q.chambers for q in expected]
     assert [p.facet_walls for p in got] == [q.facet_walls for q in expected]
-    assert [census_record(group, p) for p in got] == \
-        [census_record(fresh, q) for q in expected]
+    assert [census_line(group, p) for p in got] == \
+        [census_line(fresh, q) for q in expected]
 
 
 def test_reverse_numbering_gives_the_same_emit_bytes(tmp_path, monkeypatch,
@@ -165,8 +165,8 @@ def test_polytopes_stay_values_across_groups(name):
                     [fresh_census[-1]] + fresh_census[:-1]):
         check(p, q)
     assert child._origin is not None
-    assert census_record(group, child) == census_record(fresh,
-                                                        fresh_census[-1])
+    assert census_line(group, child) == census_line(fresh,
+                                                    fresh_census[-1])
     assert child._origin is None
     translates = [p2 for _, p2, _ in stacan_pairs(group, 5, census=census)]
     fresh_translates = [p2 for _, p2, _ in stacan_pairs(fresh, 5,

@@ -2,11 +2,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import stat
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxlab import cli
+from coxlab import cli, davis
 from coxlab.cli import (SUITES, VerificationReport, element_cap, main,
                         matrix_digest, run_verify)
 from coxlab.errors import InputError
@@ -186,16 +188,105 @@ def test_polytopes_emit_roundtrip(t23inf_file, tmp_path, capsys):
     assert out.read_text() == out2.read_text()
 
 
+def test_polytopes_empty_emit_writes_nothing(t23inf_file, tmp_path,
+                                            monkeypatch, capsys):
+    # an empty --emit path is no path: the summary alone, and no file
+    monkeypatch.chdir(tmp_path)
+    listing = sorted(os.listdir(tmp_path))
+    argv = ["polytopes", t23inf_file, "--max-chambers", "3", "--json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    assert main(argv + ["--emit", ""]) == 0
+    assert capsys.readouterr().out == expected
+    assert sorted(os.listdir(tmp_path)) == listing
+
+
 @pytest.mark.parametrize("where", ["missing/census.jsonl", "."])
 def test_polytopes_unwritable_emit_exits_3(t23inf_file, tmp_path, capsys,
                                            where):
-    # a missing directory, and a directory
+    # a missing directory, and a directory (the path is then tmp_path
+    # itself, and the temporary file would go beside it): no temporary
+    # file is left in either place
     path = str(tmp_path / where)
+    listing = sorted(os.listdir(tmp_path))
     assert main(["polytopes", t23inf_file, "--max-chambers", "2",
                  "--emit", path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("input error:")
     assert path in err
+    assert sorted(os.listdir(tmp_path)) == listing
+    assert not [n for n in os.listdir(tmp_path.parent)
+                if n.startswith(f".{tmp_path.name}.")]
+
+
+def test_polytopes_emit_has_the_mode_of_a_new_file(t23inf_file, tmp_path,
+                                                   capsys):
+    # the census file is made as ``open(path, "w")`` makes a file under
+    # the current umask, not with a private temporary file's 0600
+    reference = tmp_path / "reference"
+    with open(reference, "w"):
+        pass
+    out = tmp_path / "census.jsonl"
+    assert main(["polytopes", t23inf_file, "--max-chambers", "3",
+                 "--emit", str(out)]) == 0
+    capsys.readouterr()
+    assert stat.S_IMODE(out.stat().st_mode) == \
+        stat.S_IMODE(reference.stat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["census.jsonl", "reference", os.path.basename(t23inf_file)])
+
+
+@pytest.mark.parametrize("existing", [None, b"an earlier census\n"])
+def test_polytopes_budget_exit_leaves_the_emit_path(t23inf_file, tmp_path,
+                                                    monkeypatch, capsys,
+                                                    existing):
+    # a census past COXLAB_BUDGET exits 2 and writes nothing: no file
+    # where there was none, an earlier file byte for byte, and no
+    # temporary file beside it
+    out = tmp_path / "census.jsonl"
+    if existing is not None:
+        out.write_bytes(existing)
+    listing = sorted(os.listdir(tmp_path))
+    monkeypatch.setenv("COXLAB_BUDGET", "5")
+    assert main(["polytopes", t23inf_file, "--max-chambers", "6",
+                 "--emit", str(out), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("budget exhausted: census exceeded 5 polytopes "
+                            "(raise COXLAB_BUDGET)\n")
+    assert sorted(os.listdir(tmp_path)) == listing
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == existing
+
+
+def test_polytopes_writes_each_line_as_its_member_is_yielded(
+        t23inf_file, tmp_path, monkeypatch, capsys):
+    # the census is streamed: each member's line is formatted before the
+    # next member is asked for, and only the lines of the members yielded
+    # reach the file
+    events = []
+    enumerate_convex_polytopes = davis.enumerate_convex_polytopes
+    census_line = davis.census_line
+
+    def enumerated(group, max_chambers):
+        for p in enumerate_convex_polytopes(group, max_chambers):
+            events.append("member")
+            yield p
+
+    def formatted(group, p):
+        events.append("line")
+        return census_line(group, p)
+
+    monkeypatch.setattr(davis, "enumerate_convex_polytopes", enumerated)
+    monkeypatch.setattr(davis, "census_line", formatted)
+    out = tmp_path / "census.jsonl"
+    assert main(["polytopes", t23inf_file, "--max-chambers", "5",
+                 "--emit", str(out), "--json"]) == 0
+    polytopes = json.loads(capsys.readouterr().out)["polytopes"]
+    assert events == ["member", "line"] * polytopes
+    assert out.read_bytes().count(b"\n") == polytopes > 5
 
 
 def test_verify_all_passes(t23inf_file, capsys):

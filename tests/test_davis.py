@@ -1,10 +1,11 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from coxlab.davis import (angle_sites, census_record, check_andreev,
+from coxlab.davis import (angle_sites, census_line, check_andreev,
                           convex_hull, enumerate_convex_polytopes,
                           is_acute_angled, is_convex, is_coxeter_polytope,
                           side, stacan_pairs, verify_facet_bound)
@@ -197,7 +198,7 @@ def test_angle_sites_equal_on_every_call():
             assert q == p and hash(q) == hash(p)
             assert angle_sites(fresh, q) == sites, (m, p)
             assert q == p and hash(q) == hash(p)
-            assert census_record(group, p)["angles"] == \
+            assert json.loads(census_line(group, p)[0])["angles"] == \
                 [{"m": z.m, "j": z.j} for z in sites]
 
 
@@ -326,9 +327,9 @@ def test_census_members_are_convex_and_contain_identity(a2aff):
 
 
 def test_census_deterministic(t23inf):
-    a = [census_record(t23inf, p)
+    a = [census_line(t23inf, p)
          for p in enumerate_convex_polytopes(t23inf, 4)]
-    b = [census_record(t23inf, p)
+    b = [census_line(t23inf, p)
          for p in enumerate_convex_polytopes(t23inf, 4)]
     assert a == b
 

@@ -11,8 +11,9 @@ only ``angle_sites`` an ``AngleSite``, which no reader of a polytope's
 sites calls, a site is its five fields, only the residue count check
 and the one exit walk walk an arc, while the group keeps residue bases
 per chamber record; the chamber layer forms no group product;
-``Value`` alone writes the immutable-value protocol; and no module
-imports a sibling's underscore names."""
+``Value`` alone writes the immutable-value protocol; ``polytopes``
+streams its census through ``census_line`` with no materialised list;
+and no module imports a sibling's underscore names."""
 
 import ast
 from pathlib import Path
@@ -179,7 +180,7 @@ def test_site_readers_build_no_sites():
     # the counts: no function they reach in ``davis`` calls angle_sites
     tree = ast.parse((SRC / "davis.py").read_text())
     defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    for name in ("census_record", "is_acute_angled", "is_coxeter_polytope",
+    for name in ("census_line", "is_acute_angled", "is_coxeter_polytope",
                  "_obtuse_roots", "glued_translates"):
         seen, todo = set(), [name]
         while todo:
@@ -272,3 +273,25 @@ def test_no_private_imports_between_modules():
                 imports += [f"{path.name}:{node.lineno} {a.name}"
                             for a in node.names if a.name.startswith("_")]
     assert imports == []
+
+
+def test_polytopes_streams_its_census():
+    # ``polytopes`` writes each census line as its member is yielded: no
+    # function ``cmd_polytopes`` reaches in ``cli`` names the materialised
+    # ``census_list``, and the lines come from ``davis.census_line``, not
+    # from a generic encoder of a record
+    tree = ast.parse((SRC / "cli.py").read_text())
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    seen, todo = set(), ["cmd_polytopes"]
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        assert "census_list" not in _named(defs[fn]), fn
+        todo.extend(_named(defs[fn]) & defs.keys())
+    assert {"capped_census", "_emitting"} <= seen
+    assert _call_scopes(defs["cmd_polytopes"], "census_line")
+    assigned = {t.id for n in tree.body if isinstance(n, ast.Assign)
+                for t in n.targets if isinstance(t, ast.Name)}
+    assert "_encode_line" not in assigned | defs.keys()
