@@ -165,12 +165,13 @@ def suite_stacan(run, report):
     group = run.group
     pairs = 0
     bad = []
-    for p1, wall, mask1, mask2 in davis.glued_translates(
+    for p1, wall, _, anchor, mask, convex in davis.glued_unions(
             group, run.max_chambers, census=run.census):
         pairs += 1
-        if not davis.is_convex_mask(group, mask1 | mask2):
-            p2 = sorted(davis.chambers_of(group, mask2),
-                        key=lambda e: e.sort_key)
+        if not convex:
+            p2 = sorted(davis.chambers_of(
+                group, davis.translate(group, mask, anchor)[0]),
+                key=lambda e: e.sort_key)
             bad.append({
                 "p1": [c.display() for c in p1.sorted_chambers()],
                 "p2": [c.display() for c in p2],

@@ -42,14 +42,18 @@ numbered.  A polytope keeps its mask beside the group that numbered it,
 and its chambers as a frozenset of Element once read; only that group
 reads the mask, and any other group of the matrix converts from the
 chambers.
-A census member is convex and holds the base chamber, so it holds every
-prefix of each of its normal forms: the stacan search translates it by
-walking its chambers in ShortLex order along the adjacency rows.
+A convex chamber set is gallery-connected, so the stacan search
+translates one by walking it along the adjacency rows and replaying each
+step from the image of its start.  A glued union holds the base chamber
+in its partner's frame, where it is convex iff no wall of its boundary
+panels is in its inversion union: the search tests each union on four
+masks and walks a partner only to yield or display it.
 Two walls meet in the closure of a polytope exactly when both cross one
 maximal spherical residue meeting it, so the Andreev check reads the
 walls crossing each such residue off the inversion masks of its least
 and longest chambers: it forms no group product, and builds facet walls
-only to display a pair it reports.
+only to display a pair it reports.  With no finite label in the matrix,
+no two walls meet, and it reads nothing.
 """
 
 from __future__ import annotations
@@ -573,10 +577,22 @@ def check_andreev(group, polytope):
     So the root mask of R is N(b w_J) xor N(b), read off the two ends of
     the residue walk (``residue_end``).
 
+    (iii) With no finite entry in the matrix (``group.finite_pairs``
+    empty), no pair has finite order, and the check returns [] before it
+    reads a panel.  Two distinct reflections whose product has finite
+    order m generate a finite dihedral group of order 2m >= 4.  A finite
+    group of isometries of the CAT(0) Davis complex fixes a point of it
+    (Bruhat-Tits), and the stabiliser of a point is a conjugate of a
+    spherical standard subgroup W_T (Davis, *The Geometry and Topology of
+    Coxeter Groups*, 2008).  W_T is finite, so T is spherical, and with
+    no finite m no T of two letters is: |T| <= 1 and |W_T| <= 2 < 4.
+
     Facet walls are built only to display a reported pair.  The maximal
     spherical sets are read off ``spherical_subsets``, so a pair of
     finite order past rank 16 raises its BudgetError.
     """
+    if not group.finite_pairs:
+        return []
     mask, panels = _mask_of(group, polytope), polytope._panels
     if polytope._numbered[0] is not group or panels is None:
         panels = _facet_panels(group, mask, mask)
@@ -613,41 +629,103 @@ def _obtuse_roots(group, polytope):
     return roots
 
 
-def _prefix_walk(group, mask):
-    """A chamber mask closed under prefixes as a walk from the base
-    chamber: (position of x, s) for each other chamber x s, positions
-    counted from 0 at the base in ShortLex order."""
-    ids = sorted(_members(mask), key=group.chamber_key)
-    at = {i: k for k, i in enumerate(ids)}
-    walk = []
-    for i in ids[1:]:
-        s = group.chamber_key(i)[1][-1]
-        walk.append((at[group.adjacent(i)[s][0]], s))
-    return walk
+def translate(group, mask, target, source=None):
+    """(h P, N, B) of a gallery-connected chamber mask P, for the h
+    taking its chamber id ``source`` (the base chamber by default) to the
+    chamber id ``target``: the chamber mask h P, the root ids N of the
+    walls separating one of its chambers from the base chamber (the union
+    of their inversion masks), and the root ids B of the walls of its
+    boundary panels.  P is walked from ``source`` along the adjacency
+    rows, and each step x -> x s replayed as h x -> h x s, as right steps
+    commute with left translation: no product is formed.  The boundary
+    panels of h P are the (h x, s) of those (x, s) of P."""
+    if source is None:
+        source = group.chamber_id(group.identity())
+    image, walk = {source: target}, [source]
+    out = inversions = boundary = 0
+    for i in walk:
+        x = image[i]
+        out |= 1 << x
+        inversions |= group.inversion_mask(x)
+        row = group.adjacent(x)
+        for s, (j, _) in enumerate(group.adjacent(i)):
+            if not mask >> j & 1:
+                boundary |= 1 << row[s][1]
+            elif j not in image:
+                image[j] = row[s][0]
+                walk.append(j)
+    return out, inversions, boundary
 
 
-def glued_translates(group, max_total_chambers, census=None):
-    """``stacan_pairs`` as (P1, W, P1's chamber mask, P2's chamber mask)
-    in ``group``'s ids.  The census is read once, into each member's
-    obtuse root mask and, per generator s and room r, the list of members
-    of at most r chambers that may be glued across the wall of s, in
-    census order; a translate multiplies nothing."""
+def union_is_convex(n1, b1, n2, b2, root):
+    """Whether the union of two chamber sets glued across the wall of the
+    root id ``root`` is convex, from their masks (n1, b1) and (n2, b2),
+    the N and B of ``translate``: no wall of N1 | N2 is a wall of B1 | B2
+    but that one (see ``glued_unions``)."""
+    return not (n1 | n2) & (b1 | b2) & ~(1 << root)
+
+
+def glued_unions(group, max_total_chambers, census=None):
+    """``stacan_pairs`` as (P1, W, P1's chamber mask, anchor, C, convex)
+    in ``group``'s ids, with anchor the chamber id g s of P1's panel
+    (g, s) on W, C the census member's chamber mask, so that P2 is
+    anchor C (the mask of ``translate(group, C, anchor)``), and ``convex``
+    whether P1 | P2 is convex.  No P2 is walked and no hull is taken.
+
+    The census is read once, into each member's obtuse root mask and,
+    per generator s and room r, the list of the members of at most r
+    chambers that may be glued across the wall of s, in census order,
+    each as its (C, N_C, B_C), ``translate`` by the identity.  P1 is
+    walked into the frame of its partners once per acute facet with a
+    partner, and each pair is then tested on four masks, by the two facts
+    below.
+
+    Lemma (Abramenko & Brown, *Buildings*, GTM 248, 2008, ch. 3).  A
+    chamber set U holding e is convex iff no wall of a boundary panel of
+    U is in N_U, the union of the N(x), x in U.  If U is convex, it is an
+    intersection of roots; a root holding U but not the outer chamber of
+    a boundary panel has the panel's wall, so U lies on one side of it,
+    e's, and no N(x) holds it.  Conversely, U then lies on e's side of
+    every such wall, in the intersection V of those roots.  A chamber z of
+    V outside U ends a minimal gallery from e, which leaves U by a
+    boundary panel and crosses its wall H once; so H is in N(z), and z is
+    not on e's side of H, which is absurd.  So U = V, a convex set.
+
+    Reduction.  Let Q = anchor^-1 P1, which holds anchor^-1 g = s; left
+    translation maps walls to walls, so P1 | P2 is convex iff Q | C is.
+    P1 lies on one side of W, so Q lies on s's side of the wall of s, and
+    C on e's: a chamber of C across it would have a reduced word that
+    starts with s, and C, convex and holding e, would hold s.  So Q and C
+    are disjoint, U = Q | C holds e, and N_U = N_Q | N_C.  A panel
+    between Q and C crosses the wall of s; every other boundary panel of
+    Q or C leaves U, so B_Q | B_C is B_U and at most alpha_s, the root
+    of the wall of s.  Both are acute along that wall, so each has one
+    panel on it (see ``stacan_pairs``): Q's is (s, e) and C's (e, s), the
+    panel between them, and no boundary panel of U lies on the wall of s.
+    So B_U is B_Q | B_C without alpha_s, and U is convex iff
+    (N_Q | N_C) & (B_Q | B_C) & ~bit(alpha_s) is 0.  The last term is
+    needed: alpha_s is in N_Q, as s is in Q, and in B_C, by (e, s).
+
+    Q is walked by ``translate`` from the chamber s, along a walk of P1
+    from g, as anchor^-1 = s g^-1 takes g to s.
+    """
     if census is None:
         census = (enumerate_convex_polytopes(group, max_total_chambers - 1)
                   if max_total_chambers > 1 else ())
     masks = ((p, _mask_of(group, p)) for p in census)
     census = [(p, mask, _obtuse_roots(group, p)) for p, mask in masks
               if mask.bit_count() < max_total_chambers]
-    gens = group.adjacent(group.chamber_id(group.identity()))
+    base = group.chamber_id(group.identity())
+    gens = group.adjacent(base)
     fits = [[[] for _ in range(max_total_chambers)] for _ in gens]
     for _, mask, obtuse in census:
-        walk = None
+        partner = None
         for s, (across, rid) in enumerate(gens):
             if not (mask >> across & 1 or obtuse >> rid & 1):
-                if walk is None:
-                    walk = _prefix_walk(group, mask)
+                if partner is None:
+                    partner = translate(group, mask, base, base)
                 for partners in fits[s][mask.bit_count():]:
-                    partners.append(walk)
+                    partners.append(partner)
     for p1, mask1, obtuse in census:
         room = max_total_chambers - mask1.bit_count()
         panels = {}
@@ -669,11 +747,20 @@ def glued_translates(group, max_total_chambers, census=None):
         for wall in _walls(group, glued):
             [(i, s)] = panels[group.wall_root(wall)]
             anchor = group.adjacent(i)[s][0]
-            for walk in fits[s][room]:
-                ids = [anchor]
-                for k, a in walk:
-                    ids.append(group.adjacent(ids[k])[a][0])
-                yield p1, wall, mask1, sum(1 << i for i in ids)
+            across, root = gens[s]
+            _, n_q, b_q = translate(group, mask1, across, i)
+            for mask, n_c, b_c in fits[s][room]:
+                yield (p1, wall, mask1, anchor, mask,
+                       union_is_convex(n_q, b_q, n_c, b_c, root))
+
+
+def glued_translates(group, max_total_chambers, census=None):
+    """``stacan_pairs`` as (P1, W, P1's chamber mask, P2's chamber mask)
+    in ``group``'s ids: the pairs of ``glued_unions``, each P2 walked
+    from its anchor (``translate``)."""
+    for p1, wall, mask1, anchor, mask, _ in glued_unions(
+            group, max_total_chambers, census):
+        yield p1, wall, mask1, translate(group, mask, anchor)[0]
 
 
 def stacan_pairs(group, max_total_chambers, census=None):
@@ -688,10 +775,9 @@ def stacan_pairs(group, max_total_chambers, census=None):
     arises exactly once.  anchor^-1 W is the wall of s, so P2 lies
     across W iff C does not contain s (a convex C containing e and
     crossing that wall contains s), and P2 is acute along W iff C is
-    acute along the wall of s.  C is convex and holds e, so it holds
-    every prefix x of each of its chambers x s, and anchor x s is the
-    s-neighbour of anchor x: ``glued_translates`` walks P2 from the
-    anchor in ShortLex order.
+    acute along the wall of s.  C is convex, so gallery-connected, and
+    holds e: ``glued_translates`` walks P2 from the anchor along a walk
+    of C from e.
     """
     for p1, wall, _, mask in glued_translates(group, max_total_chambers,
                                               census):

@@ -72,7 +72,9 @@ library's residue root masks whether one pair of walls meets, and
 ``stacan_pairs_by_scan`` is the glued-pair search before its partner
 index: every acute facet scans the whole census, and each translate is
 formed by ``multiply``; ``stacan_entry_by_scan`` is the stacan suite's
-report entry built from it.  ``meeting_by_conjugates`` and
+report entry built from it, and ``glued_unions_wide`` the same scan
+with the partners obtuse along the wall kept, whose unions need not be
+convex.  ``meeting_by_conjugates`` and
 ``check_andreev_by_conjugates`` are the Andreev check before it read
 residue root masks: every facet wall conjugated by every chamber up
 front, and two walls meeting when the union of two conjugates' supports
@@ -1512,14 +1514,17 @@ def stacan_pairs_all_bases(group, max_total_chambers, census=None):
                     yield p1, p2, wall
 
 
-def stacan_pairs_by_scan(group, max_total_chambers, census=None):
-    """``stacan_pairs`` before the partner index: for each acute facet of
-    each P1 the whole census is scanned, acuteness read off the sites by
-    wall equality, and each translate formed by ``multiply``."""
+def _census_by_scan(group, max_total_chambers, census):
+    """The census members with room for a partner."""
     if census is None:
         census = enumerate_convex_polytopes(group, max_total_chambers - 1)
-    census = [p for p in census
-              if len(p.chambers) <= max_total_chambers - 1]
+    return [p for p in census if len(p.chambers) <= max_total_chambers - 1]
+
+
+def _acute_panels_by_scan(group, max_total_chambers, census):
+    """(P1, room, W, g, s) for each facet wall W along which a member P1
+    of the census is acute, in census and wall order, with (g, s) P1's
+    one panel on W and room the chambers left for a partner."""
     for p1 in census:
         room = max_total_chambers - len(p1.chambers)
         for wall in p1.facet_walls:
@@ -1534,17 +1539,45 @@ def stacan_pairs_by_scan(group, max_total_chambers, census=None):
                     "acute facet of a convex polytope is not one chamber",
                     sorted((g.word, s) for g, s in panels))
             [(g, s)] = panels
-            anchor = group.step(g, s)
-            across = group.generator(s)
-            base_wall = group.generator_wall(s)
-            for c in census:
-                if len(c.chambers) > room or across in c.chambers:
-                    continue
-                if not acute_along(group, c, base_wall):
-                    continue
-                chambers = frozenset(group.multiply(anchor, x)
-                                     for x in c.chambers)
-                yield p1, polytope_of(group, chambers), wall
+            yield p1, room, wall, g, s
+
+
+def stacan_pairs_by_scan(group, max_total_chambers, census=None):
+    """``stacan_pairs`` before the partner index: for each acute facet of
+    each P1 the whole census is scanned, acuteness read off the sites by
+    wall equality, and each translate formed by ``multiply``."""
+    census = _census_by_scan(group, max_total_chambers, census)
+    for p1, room, wall, g, s in _acute_panels_by_scan(
+            group, max_total_chambers, census):
+        anchor = group.step(g, s)
+        across = group.generator(s)
+        base_wall = group.generator_wall(s)
+        for c in census:
+            if len(c.chambers) > room or across in c.chambers:
+                continue
+            if not acute_along(group, c, base_wall):
+                continue
+            chambers = frozenset(group.multiply(anchor, x)
+                                 for x in c.chambers)
+            yield p1, polytope_of(group, chambers), wall
+
+
+def glued_unions_wide(group, max_total_chambers, census=None):
+    """The pairs of ``stacan_pairs_by_scan`` and those whose partner is
+    obtuse along the wall: (P1, (g, s), C, P1 | g s C) for each acute
+    facet of each P1, with (g, s) its one panel, and every census member
+    C that fits the room and does not hold s, the translate formed by
+    ``multiply``."""
+    census = _census_by_scan(group, max_total_chambers, census)
+    for p1, room, _, g, s in _acute_panels_by_scan(
+            group, max_total_chambers, census):
+        anchor = group.step(g, s)
+        across = group.generator(s)
+        for c in census:
+            if len(c.chambers) > room or across in c.chambers:
+                continue
+            yield p1, (g, s), c, p1.chambers | frozenset(
+                group.multiply(anchor, x) for x in c.chambers)
 
 
 def stacan_entry_by_scan(group, max_chambers, census, convex=is_convex):

@@ -13,7 +13,9 @@ and the one exit walk walk an arc, while the group keeps residue bases
 per chamber record; the chamber layer forms no group product;
 ``Value`` alone writes the immutable-value protocol; ``polytopes``
 streams its census through ``census_line`` with no materialised list;
-and no module imports a sibling's underscore names."""
+the stacan suite takes no hull per glued pair, and the Andreev check
+asks no order of a matrix with no finite label; and no module imports a
+sibling's underscore names."""
 
 import ast
 from pathlib import Path
@@ -295,3 +297,59 @@ def test_polytopes_streams_its_census():
     assigned = {t.id for n in tree.body if isinstance(n, ast.Assign)
                 for t in n.targets if isinstance(t, ast.Name)}
     assert "_encode_line" not in assigned | defs.keys()
+
+
+def _calls(body):
+    """(object, method) of each method call on a name in the statements."""
+    return {(n.func.value.id, n.func.attr) for stmt in body
+            for n in ast.walk(stmt) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and isinstance(n.func.value, ast.Name)}
+
+
+def test_stacan_takes_no_hull_per_pair():
+    # the stacan suite reads each union's convexity off the pair loop's
+    # mask test: outside the branch that displays a counterexample it
+    # names no hull, no convexity test on a mask and no chamber set, and
+    # nothing the pair loop reaches in ``davis``, but the census it may
+    # build, takes a hull or a region
+    tree = ast.parse((SRC / "cli.py").read_text())
+    suite = next(n for n in tree.body if isinstance(n, ast.FunctionDef)
+                 and n.name == "suite_stacan")
+    shown = [n for n in ast.walk(suite) if isinstance(n, ast.If)
+             and ("bad", "append") in _calls(n.body)]
+    assert len(shown) == 1
+    inside = _named(ast.Module(body=shown[0].body, type_ignores=[]))
+    outside = _named(suite) - inside
+    banned = {"is_convex_mask", "_hull_limited", "chambers_of", "is_convex",
+              "region"}
+    assert "glued_unions" in outside and not outside & banned
+    assert "chambers_of" in inside
+    tree = ast.parse((SRC / "davis.py").read_text())
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    seen, todo = set(), ["glued_unions"]
+    while todo:
+        fn = todo.pop()
+        if fn in seen or fn == "enumerate_convex_polytopes":
+            continue
+        seen.add(fn)
+        assert not _named(defs[fn]) & banned, fn
+        todo.extend(_named(defs[fn]) & defs.keys())
+    assert {"translate", "union_is_convex", "_obtuse_roots"} <= seen
+
+
+def test_andreev_asks_no_order_without_a_finite_label():
+    # ``check_andreev`` reads ``finite_pairs`` before it reads a panel or
+    # asks an order, and returns at once when there is none
+    tree = ast.parse((SRC / "davis.py").read_text())
+    check = next(n for n in tree.body if isinstance(n, ast.FunctionDef)
+                 and n.name == "check_andreev")
+    first = check.body[1]  # after the docstring
+    assert isinstance(first, ast.If) and "finite_pairs" in _named(first.test)
+    assert isinstance(first.body[0], ast.Return)
+    lines = {}
+    for node in ast.walk(check):
+        if isinstance(node, ast.Attribute):
+            lines.setdefault(node.attr, []).append(node.lineno)
+    assert min(lines["finite_pairs"]) < min(lines["order_of_roots"])
+    assert min(lines["finite_pairs"]) < min(lines["_panels"])

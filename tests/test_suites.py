@@ -1,25 +1,29 @@
-"""The stacan and andreev suites against the implementations they
-replaced, kept in ``oracles``: the same glued pairs in the same order and
-byte-identical report entries from the partner index and the prefix-walk
-translates, the same violations from the Andreev check on residue root
-masks as from conjugates, and no group product formed by it, nor a wall
-built but to display a violation."""
+"""The stacan, andreev and facet-bound suites against the
+implementations they replaced, kept in ``oracles``, and on the data they
+decide: the same glued pairs in the same order and byte-identical report
+entries from the partner index and the mask test of union convexity, the
+mask test flag for flag against the hull on unions that are not convex
+too, the same violations from the Andreev check on residue root masks as
+from conjugates, no group product formed by it, nor a wall built but to
+display a violation, and no order asked on a matrix with no finite
+label; and the facet-bound suite's failure on a decomposable matrix."""
 
 import json
 import time
+from itertools import combinations
 
 import pytest
 
 from coxlab import cli, davis
-from coxlab.davis import (check_andreev, enumerate_convex_polytopes,
+from coxlab.davis import (_mask_of, check_andreev, enumerate_convex_polytopes,
                           glued_translates, is_acute_angled, is_convex,
-                          stacan_pairs)
-from coxlab.matrices import CoxeterMatrix
+                          stacan_pairs, translate, union_is_convex)
+from coxlab.matrices import INFINITY, CoxeterMatrix
 from coxlab.words import CoxeterGroup
 
-from conftest import BENCH_MATRICES
-from oracles import (check_andreev_by_conjugates, stacan_entry_by_scan,
-                     stacan_pairs_by_scan)
+from conftest import BENCH_MATRICES, MATRICES
+from oracles import (check_andreev_by_conjugates, glued_unions_wide,
+                     stacan_entry_by_scan, stacan_pairs_by_scan)
 
 # the verify workload's matrices at its budgets
 CASES = [("t23oo", 7), ("t255", 7), ("t237", 7), ("t333", 7), ("cycle4", 6),
@@ -43,11 +47,11 @@ def test_stacan_matches_scan_oracle(name, k, monkeypatch):
               for p1, p2, wall in stacan_pairs_by_scan(group, k, census)]
     assert got == expect and got
     run = cli._VerifyRun(group, k, census)
-    # every union is convex, so a second pass with every union refused
-    # compares the counterexamples too
+    # every union is convex, so a second pass with the suite's mask test
+    # refusing every union compares the counterexamples too
     for convex in (is_convex, lambda *_: False):
         if convex is not is_convex:
-            monkeypatch.setattr(davis, "is_convex_mask", lambda *_: False)
+            monkeypatch.setattr(davis, "union_is_convex", lambda *_: False)
         report = cli.VerificationReport("stacan", "", {})
         cli.suite_stacan(run, report)
         entry = stacan_entry_by_scan(group, k, census, convex)
@@ -55,6 +59,34 @@ def test_stacan_matches_scan_oracle(name, k, monkeypatch):
             json.dumps([entry], sort_keys=True)
         assert entry["status"] == ("bounded-pass" if convex is is_convex
                                    else "fail")
+
+
+@pytest.mark.parametrize("name,k", CASES)
+def test_union_mask_test_matches_hull_where_unions_are_not_convex(name, k):
+    # every (P1, acute facet) with every member C that fits and does not
+    # hold s, C obtuse along the wall of s too: the mask test of the
+    # suite, on P1 walked into C's frame, against the hull of the union
+    # (``is_convex``, which compares the union's mask with its hull).
+    # The test is exact there as well: if a chamber x != e of C has a
+    # panel on the wall of s, the gallery s y, y on a minimal gallery from
+    # e to x, leaves P1's frame Q | C on a wall other than s's that
+    # separates e from x, so a second wall is in both masks.
+    group, census = _census(name, k)
+    base = group.chamber_id(group.identity())
+    flags = []
+    for p1, (g, s), c, union in glued_unions_wide(group, k, census):
+        across, root = group.adjacent(base)[s]
+        _, n_q, b_q = translate(group, _mask_of(group, p1), across,
+                                group.chamber_id(g))
+        _, n_c, b_c = translate(group, _mask_of(group, c), base)
+        convex = is_convex(group, union)
+        assert union_is_convex(n_q, b_q, n_c, b_c, root) == convex, \
+            (p1, g, s, c)
+        flags.append(convex)
+    assert True in flags
+    # the matrices with a finite label have partners obtuse along a wall
+    # of s, whose unions are not convex
+    assert (False in flags) == bool(group.finite_pairs)
 
 
 def test_stacan_budget_one_yields_nothing():
@@ -130,3 +162,56 @@ def test_andreev_forms_no_product_and_builds_walls_for_violations_only(
     assert group._wall_memo == {}
     assert sum(len(check_andreev(group, p)) for p in census) > 0
     assert calls == [] and group._wall_memo
+
+
+# the matrices of the tests and of the benchmark with no finite label
+ALL_INFINITE = sorted(
+    name for name, matrix in {**MATRICES, **BENCH_MATRICES}.items()
+    if all(matrix.order(a, b) == INFINITY
+           for a, b in combinations(range(matrix.rank), 2)))
+
+
+def test_all_infinite_matrices_are_the_ones_covered():
+    assert ALL_INFINITE == ["a1aff", "tooo", "univ3"]
+
+
+@pytest.mark.parametrize("name", ALL_INFINITE)
+def test_no_wall_pair_has_finite_order_without_a_finite_label(name):
+    # the lemma of ``check_andreev`` (iii): no two distinct walls of a
+    # matrix with no finite label have a product of finite order, so the
+    # check asks no order at all, on any census member
+    matrix = {**MATRICES, **BENCH_MATRICES}[name]
+    group = CoxeterGroup(matrix)
+    roots = [group.wall_root(w) for w in group.enumerate_reflections(9)]
+    assert len(roots) > 2 * matrix.rank
+    assert all(group.order_of_roots(a, b) == INFINITY
+               for a, b in combinations(roots, 2))
+    group = CoxeterGroup(matrix)
+    asked = []
+    order_of_roots = group.order_of_roots
+    group.order_of_roots = lambda *ids: asked.append(ids) or \
+        order_of_roots(*ids)
+    census = list(enumerate_convex_polytopes(group, 6))
+    assert len(census) > 6
+    assert all(check_andreev(group, p) == [] for p in census)
+    assert asked == []
+
+
+# {e, s3} has the facet walls of s1 and s2 alone, as s3 commutes with
+# both, and so does {e, s3} grown across the wall of s1 or of s2
+PINNED_FACET_BOUND = {
+    "name": "facet-bound", "status": "fail",
+    "detail": "13 polytopes, min facets 2 (rank 3)",
+    "counterexample": [["", "3"], ["", "1", "3", "1 3"],
+                       ["", "2", "3", "2 3"]]}
+
+
+def test_facet_bound_fails_on_a_decomposable_matrix():
+    # (oo) x A1 has polytopes of two facets against rank 3: run_verify
+    # skips a decomposable matrix, so the suite is driven directly
+    group = CoxeterGroup(MATRICES["remark"])
+    run = cli._VerifyRun(group, 4, cli.census_list(group, 4))
+    report = cli.VerificationReport("facet-bound", "", {})
+    cli.suite_facet_bound(run, report)
+    assert report.checks == [PINNED_FACET_BOUND]
+    assert report.exit_code == 1
