@@ -23,12 +23,12 @@ only.  A child's records grow from its parent's over its new chambers
 alone: its first boundary panels are the parent's, less those on the
 wall crossed, merged with the new chambers' panels, its N_P is the
 parent's with the inversion sets of the new chambers, and its site
-counts, on first read, are the parent's plus one per new chamber and
-finite pair, when the parent has its counts.  Any other polytope is
-the case with no parent, every chamber new, and so is a child asked
-before its parent.  A polytope builds only what is read: its facet
-count is the number of its first panels, and its chambers and facet
-walls are built on first read.  A census line
+counts are the parent's plus one per new chamber and finite pair,
+counted before the child is yielded, as the parent was yielded before
+it.  Any other polytope is the case with no parent, every chamber new,
+and counts its sites on first read.  A polytope builds only what is
+read: its facet count is the number of its first panels, and its
+chambers and facet walls are built on first read.  A census line
 (``census_line``) reads no wall and no chamber set, so the census and
 its lines build no wall and number no reflection as a chamber.
 Polytopes and sites are immutable values (``words.Value``).
@@ -160,8 +160,7 @@ class ChamberPolytope(Value):
     then released.  Racing threads build equal values.
     """
 
-    __slots__ = ("_chambers", "_walls", "_panels", "_counts", "_origin",
-                 "_numbered")
+    __slots__ = ("_chambers", "_walls", "_panels", "_counts", "_numbered")
 
     def __init__(self, chambers, facet_walls):
         fill = object.__setattr__
@@ -169,12 +168,10 @@ class ChamberPolytope(Value):
         fill(self, "_walls", facet_walls)
         # root id -> (chamber key, s, chamber id) until the walls are built
         fill(self, "_panels", None)
-        # angle sites as counts in the numbering group's ids, filled on
-        # first read (``_site_counts``)
+        # angle sites as counts in the numbering group's ids: a census
+        # member's from birth, another's filled on first read
+        # (``_site_counts``)
         fill(self, "_counts", None)
-        # (parent, new chamber mask) of a census child until its counts
-        # are filled
-        fill(self, "_origin", None)
         # (group, chamber mask) of the group whose ids built the polytope
         fill(self, "_numbered", (None, 0))
 
@@ -257,14 +254,15 @@ def _walls(group, panels):
                         key=_wall_key))
 
 
-def _polytope(group, mask, chambers=None, panels=None, origin=None):
+def _polytope(group, mask, chambers=None, panels=None, counts=None):
     """The polytope of a convex chamber mask; its boundary panels are read
-    off the mask unless given, and its chambers too on first read."""
+    off the mask unless given, and its chambers, and its site counts
+    unless given, on first read."""
     polytope = ChamberPolytope(chambers, None)
     if panels is None:
         panels = _facet_panels(group, mask, mask)
     object.__setattr__(polytope, "_panels", panels)
-    object.__setattr__(polytope, "_origin", origin)
+    object.__setattr__(polytope, "_counts", counts)
     object.__setattr__(polytope, "_numbered", (group, mask))
     return polytope
 
@@ -406,8 +404,11 @@ def _residue_counts(group, chambers, new, inherited):
     sum to the size of the set: the second condition holds by
     construction.  A residue holding one chamber is one arc, and is not
     walked: the walk stays in the residue and the set, so it reaches
-    only counted chambers.
+    only counted chambers.  A group with no finite pair has no site to
+    count: the map is ``_NO_COUNTS``.
     """
+    if not group.finite_pairs:
+        return _NO_COUNTS
     counts = dict(inherited) if inherited is not None else {}
     touched = {}
     for i in _members(new):
@@ -428,29 +429,19 @@ def _residue_counts(group, chambers, new, inherited):
 
 
 def _site_counts(group, polytope):
-    """The polytope's ``_residue_counts`` map in ``group``'s ids.  For the
-    group that numbered it, computed on the first call and kept: a census
-    child whose parent has its map copies it and counts its new chambers
-    alone, and then drops its parent.  Any other polytope counts every
-    chamber: one with no parent or whose parent has no map yet, and one
-    asked by another group of the matrix, which keeps nothing.  A group
-    with no finite pair has no site to count."""
+    """The polytope's ``_residue_counts`` map in ``group``'s ids.  A census
+    member has it from birth (``enumerate_convex_polytopes``); any other
+    polytope of the group that numbered it counts every chamber on the
+    first call and keeps the map.  Another group of the matrix counts
+    every chamber and keeps nothing."""
     owner, mask = polytope._numbered
     if owner is not group:
         mask = _mask_of(group, polytope)
         return _residue_counts(group, mask, mask, None)
     counts = polytope._counts
     if counts is None:
-        if not group.finite_pairs:
-            counts = _NO_COUNTS
-        else:
-            new, inherited = mask, None
-            origin = polytope._origin
-            if origin is not None and origin[0]._counts is not None:
-                new, inherited = origin[1], origin[0]._counts
-            counts = _residue_counts(group, mask, new, inherited)
+        counts = _residue_counts(group, mask, mask, None)
         object.__setattr__(polytope, "_counts", counts)
-        object.__setattr__(polytope, "_origin", None)
     return counts
 
 
@@ -821,8 +812,9 @@ def enumerate_convex_polytopes(group, max_chambers):
     - Angle sites: each chamber lies in one residue per finite pair, so
       H's site counts are P's plus one per chamber of F and pair, and
       only the residues of F's chambers are walked, to check that each
-      is still one arc (``_residue_counts``).  They are counted on first
-      read, from the parent's counts once the parent has them.
+      is still one arc (``_residue_counts``).  They are counted when the
+      child is dequeued, before it is yielded: P was yielded first, with
+      its counts.
 
     Children are queued in the order their walls are first met in
     (sorted chamber, s) order; a later panel on the same wall would give
@@ -832,18 +824,18 @@ def enumerate_convex_polytopes(group, max_chambers):
         raise InputError("chamber budget must be >= 1")
     start = 1 << group.chamber_id(group.identity())
     seen = {start}
-    # (mask, first panels, (parent, new chambers), parent's N_P); the base
-    # chamber's inversion set is empty
-    queue = deque([(start, _facet_panels(group, start, start), None, 0)])
+    # (mask, first panels, new chambers, parent's counts, parent's N_P);
+    # the base chamber is all new, and its inversion set is empty
+    queue = deque([(start, _facet_panels(group, start, start), start, None,
+                    0)])
     while queue:
-        mask, panels, origin, inside = queue.popleft()
-        polytope = _polytope(group, mask, panels=panels, origin=origin)
-        yield polytope
+        mask, panels, new, inherited, inside = queue.popleft()
+        counts = _residue_counts(group, mask, new, inherited)
+        yield _polytope(group, mask, panels=panels, counts=counts)
         if mask.bit_count() >= max_chambers:
             continue
-        if origin is not None:
-            for i in _members(origin[1]):
-                inside |= group.inversion_mask(i)
+        for i in _members(new):
+            inside |= group.inversion_mask(i)
         for rid, (_, s, i) in panels.items():
             x = group.adjacent(i)[s][0]
             grown = region(group, mask | 1 << x, inside, max_chambers,
@@ -853,7 +845,7 @@ def enumerate_convex_polytopes(group, max_chambers):
                 new = grown & ~mask
                 queue.append((grown,
                               _facet_panels(group, grown, new, panels, rid),
-                              (polytope, new), inside))
+                              new, counts, inside))
 
 
 def verify_facet_bound(group, max_chambers, census=None):

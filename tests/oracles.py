@@ -158,10 +158,12 @@ def census_fixpoint(group, max_chambers):
     return seen
 
 
-def census_by_full_hulls(group, max_chambers):
+def census_by_full_hulls(group, max_chambers, parents=None):
     """The census as a list of polytopes, each member grown by the full
     hull of itself and one outside neighbour x, for every boundary panel
-    in (sorted chamber, s) order; a hull past the budget is skipped."""
+    in (sorted chamber, s) order; a hull past the budget is skipped.  The
+    dict ``parents``, if given, maps each member's chambers but the base
+    chamber's to those of the member that first grew it."""
     start = convex_hull(group, [group.identity()])
     seen = {start.chambers}
     queue = [start]
@@ -181,6 +183,8 @@ def census_by_full_hulls(group, max_chambers):
                 if grown.chambers not in seen:
                     seen.add(grown.chambers)
                     queue.append(grown)
+                    if parents is not None:
+                        parents[grown.chambers] = p.chambers
     return queue
 
 

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxlab import cli, davis
-from coxlab.davis import (_facet_panels, _mask, _walls, angle_sites,
-                          census_line, chambers_of, convex_hull,
-                          enumerate_convex_polytopes, is_acute_angled,
-                          is_convex, polytope_of, region, side, stacan_pairs)
+from coxlab.davis import (_facet_panels, _mask, _residue_counts, _walls,
+                          angle_sites, census_line, chambers_of, convex_hull,
+                          enumerate_convex_polytopes, is_convex, polytope_of,
+                          region, side, stacan_pairs)
 from coxlab.errors import ConsistencyError, InputError
 from coxlab.matrices import INFINITY
 from coxlab.words import CoxeterGroup
@@ -100,27 +100,55 @@ def _assert_full_scan_records(group, p, panels):
     return sites
 
 
+def _parents(group, max_chambers):
+    """{chambers: parent's chambers} of the census members, from the full
+    hull growth: a parent is the first member whose growth reached the
+    child, as in the census's breadth-first order."""
+    parents = {}
+    census_by_full_hulls(CoxeterGroup(group.matrix), max_chambers, parents)
+    return parents
+
+
+def _assert_counted_from_parent(group, parents, counts, mask, new,
+                                inherited):
+    """Check one census call of ``_residue_counts`` against ``parents``
+    and the maps ``counts`` already counted, by chambers: the base chamber
+    with every chamber new and no inherited map, any other member with
+    its new chambers and its parent's map.  Returns its chambers."""
+    chambers = chambers_of(group, mask)
+    assert chambers not in counts
+    if chambers == {group.identity()}:
+        assert (new, inherited) == (mask, None)
+    else:
+        parent = parents[chambers]
+        assert new == mask & ~_mask(group, parent)
+        assert inherited is counts[parent]
+    return chambers
+
+
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
 def test_inherited_records_match_full_scans(name):
     # a census child's first panels are its parent's, less the one on the
-    # wall crossed, merged with those of its new chambers, and its sites
-    # derive from its parent's; polytopes with no parent, the stacan
-    # translates and the convex hulls, take the same routines with every
-    # chamber new.  A census member holds the base of each of its sites
+    # wall crossed, merged with those of its new chambers, and its site
+    # counts, there from birth, are its parent's plus those of its new
+    # chambers; polytopes with no parent, the stacan translates and the
+    # convex hulls, take the same routines with every chamber new, on
+    # first read.  A census member holds the base of each of its sites
     # (gate property)
     group = CoxeterGroup(DIFFERENTIAL[name])
     census = list(enumerate_convex_polytopes(group, 6))
-    panels = {}
+    parents = _parents(group, 6)
+    by_chambers, panels = {}, {}
     for p in census:
         mask = _mask(group, p.chambers)
         assert p._numbered == (group, mask)
-        if p._origin is None:
-            assert p.chambers == {group.identity()}
+        if p.chambers == {group.identity()}:
             got = _facet_panels(group, mask, mask)
+            counts = _residue_counts(group, mask, mask, None)
         else:
-            parent, new = p._origin
+            parent = by_chambers[parents[p.chambers]]
+            new = mask & ~_mask(group, parent.chambers)
             assert parent.chambers | chambers_of(group, new) == p.chambers
-            assert new and not _mask(group, parent.chambers) & new
             inherited = panels[parent.chambers]
             # the lemma: exactly one of the parent's first panels leads
             # into the new chambers, and its root is the wall crossed
@@ -128,82 +156,86 @@ def test_inherited_records_match_full_scans(name):
                     if new >> group.adjacent(i)[s][0] & 1]
             assert len(into) == 1, p
             got = _facet_panels(group, mask, new, inherited, into[0])
-        panels[p.chambers] = got
+            counts = _residue_counts(group, mask, new, parent._counts)
+        by_chambers[p.chambers], panels[p.chambers] = p, got
+        assert p._counts == counts == _residue_counts(group, mask, mask,
+                                                      None), p
         sites = _assert_full_scan_records(group, p, got)
         assert all(z.base in p.chambers for z in sites), p
+    assert len(by_chambers) == len(parents) + 1
     ball = group.ball(2)
     hulls = [convex_hull(group, pair) for pair in combinations(ball, 2)]
     translates = [p2 for _, p2, _ in stacan_pairs(group, 5, census=census)]
     assert hulls and translates
     for p in hulls + translates:
-        assert p._origin is None
+        assert p._counts is None
         mask = _mask(group, p.chambers)
         got = _facet_panels(group, mask, mask)
         _assert_full_scan_records(group, p, got)
+        assert p._counts == _residue_counts(group, mask, mask, None), p
 
 
-def test_census_sites_are_derived_on_first_call(monkeypatch):
-    # no member counts its sites until asked; a member asked before its
-    # parent counts its own chambers and leaves its parent alone, and one
-    # asked after its parent copies the parent's counts and counts its
-    # new chambers alone; each then drops its parent, and counts once
+def test_census_sites_are_counted_at_birth(monkeypatch):
+    # each member has its counts when yielded, counted once before the
+    # next member, from its parent's counts and its new chambers; reading
+    # its lines and sites counts nothing more
     group = CoxeterGroup(MATRICES["t255"])
-    census = list(enumerate_convex_polytopes(group, 6))
-    assert all(p._counts is None for p in census)
+    parents = _parents(group, 6)
     counted = []
     routine = davis._residue_counts
 
     def recorded(group, chambers, new, inherited):
-        counted.append(new)
+        counted.append((chambers, new, inherited))
         return routine(group, chambers, new, inherited)
 
     monkeypatch.setattr(davis, "_residue_counts", recorded)
-    p = census[-1]
-    parent = p._origin[0]
-    mask = _mask(group, p.chambers)
-    sites = angle_sites(group, p)
-    assert isinstance(sites, tuple)
-    assert sites == angle_sites_by_residue(group, p.chambers)
-    assert angle_sites(group, p) == sites
-    assert counted == [mask] and p._origin is None
-    assert sum(q._counts is not None for q in census) == 1
-    assert parent._origin is not None
-    del counted[:]
-    for q in census[:-1]:
-        origin = q._origin
-        line, _, _ = census_line(group, q)
+    counts = {}
+    for p in enumerate_convex_polytopes(group, 6):
+        [call] = counted
+        del counted[:]
+        assert _assert_counted_from_parent(group, parents, counts,
+                                           *call) == p.chambers
+        assert p._counts is not None
+        counts[p.chambers] = p._counts
+        line, _, _ = census_line(group, p)
         assert line == json.dumps(
-            census_record_by_residue(group, q.chambers), sort_keys=True), q
-        assert counted[-1] == (_mask(group, q.chambers) if origin is None
-                               else origin[1]), q
-        assert q._origin is None
-        got = angle_sites(group, q)
-        assert got == angle_sites_by_residue(group, q.chambers), q
-        assert angle_sites(group, q) == got
-    assert len(counted) == len(census) - 1
+            census_record_by_residue(group, p.chambers), sort_keys=True), p
+        sites = angle_sites(group, p)
+        assert sites == angle_sites_by_residue(group, p.chambers), p
+        assert angle_sites(group, p) == sites
+        assert counted == []
+    assert len(counts) == len(parents) + 1
 
 
-def test_facet_bound_computes_no_site(monkeypatch, capsys):
-    # the facet-bound suite reads facet counts alone, so it counts no
-    # angle site; the andreev suite, which reads them, does
+def test_facet_bound_counts_each_member_once(monkeypatch, capsys):
+    # the facet-bound suite reads facet counts alone, and its census
+    # still counts every member's sites once, at birth: the base chamber
+    # with every chamber new, each other member from its parent's counts
+    # and its own new chambers
     calls = []
     routine = davis._residue_counts
 
-    def counted(*args):
-        calls.append(args)
-        return routine(*args)
+    def counted(group, chambers, new, inherited):
+        counts = routine(group, chambers, new, inherited)
+        calls.append((group, chambers, new, inherited, counts))
+        return counts
 
     monkeypatch.setattr(davis, "_residue_counts", counted)
-    path = str(INPUTS / "t255.json")
-    verify = ["verify", path, "--max-chambers", "6", "--suite"]
-    assert cli.main(verify + ["facet-bound"]) == 0
-    assert calls == []
-    assert cli.main(verify + ["andreev"]) == 0
-    assert calls
-    capsys.readouterr()
+    assert cli.main(["verify", str(INPUTS / "t255.json"), "--max-chambers",
+                     "6", "--suite", "facet-bound", "--json"]) == 0
+    [check] = json.loads(capsys.readouterr().out)["checks"]
+    assert check["detail"].startswith(f"{len(calls)} polytopes")
+    group = calls[0][0]
+    parents = _parents(group, 6)
+    assert len(calls) == len(parents) + 1
+    counts = {}
+    for g, mask, new, inherited, got in calls:
+        assert g is group
+        counts[_assert_counted_from_parent(group, parents, counts, mask,
+                                           new, inherited)] = got
 
 
-def test_non_contiguous_arc_is_refused(monkeypatch):
+def test_non_contiguous_arc_is_refused():
     # a set meeting a rank-2 residue in two arcs is not convex: the walk
     # from a new chamber misses the other arc, whether both arcs hold new
     # chambers or one lies in the parent, whose counts the child copies
@@ -211,30 +243,19 @@ def test_non_contiguous_arc_is_refused(monkeypatch):
     e, s0, s1 = group.identity(), group.generator(0), group.generator(1)
     with pytest.raises(ConsistencyError):
         angle_sites(group, polytope_of(group, frozenset({s0, s1})))
-    counted = []
-    routine = davis._residue_counts
-
-    def recorded(group, chambers, new, inherited):
-        counted.append((new, inherited))
-        return routine(group, chambers, new, inherited)
-
-    monkeypatch.setattr(davis, "_residue_counts", recorded)
-    parent = polytope_of(group, frozenset({e}))
-    assert is_acute_angled(group, parent)
-    new = frozenset({group.normal_form([0, 1])})
-    child = polytope_of(group, parent.chambers | new)
-    object.__setattr__(child, "_origin", (parent, _mask(group, new)))
+    parent = _mask(group, {e})
+    parent_counts = _residue_counts(group, parent, parent, None)
+    new = _mask(group, {group.normal_form([0, 1])})
     with pytest.raises(ConsistencyError):
-        angle_sites(group, child)
-    assert counted == [(_mask(group, parent.chambers), None),
-                       (_mask(group, new), parent._counts)]
+        _residue_counts(group, parent | new, new, parent_counts)
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
 def test_counted_sites_match_oracles(name):
-    # every census member at K = 7, its counts copied from its parent's,
-    # and every hull of two chambers of the ball of radius 2, with every
-    # chamber counted: the census line is, byte for byte, the encoder's
+    # every census member at K = 7, its counts grown at birth from its
+    # parent's, and every hull of two chambers of the ball of radius 2,
+    # with every chamber counted on first read: the census line is, byte
+    # for byte, the encoder's
     # text of the record built from the full residue scan, with its two
     # flags, and the sites, exit walls included, are those of the residue
     # scan and of the arc walk that counting replaced
@@ -243,6 +264,8 @@ def test_counted_sites_match_oracles(name):
     census = list(enumerate_convex_polytopes(group, 7))
     hulls = [convex_hull(group, pair)
              for pair in combinations(group.ball(2), 2)]
+    assert all(p._counts is not None for p in census)
+    assert all(p._counts is None for p in hulls)
     for p in census + hulls:
         line, coxeter, acute = census_line(group, p)
         record = census_record_by_residue(oracle, p.chambers)
@@ -256,7 +279,6 @@ def test_counted_sites_match_oracles(name):
         assert walls == [z.boundary_walls for z in by_residue] == \
             [z.boundary_walls for z in by_walk], p
         assert [{"m": z.m, "j": z.j} for z in sites] == record["angles"]
-    assert all(p._origin is None for p in census)
 
 
 @pytest.mark.parametrize("stem", sorted(BENCH_MATRICES))
@@ -418,19 +440,25 @@ def test_cold_group_census_is_thread_safe():
 
 
 def test_shared_census_derives_sites_under_threads():
-    # four threads ask one cold census for its sites in different orders,
-    # so children derive from parents that another thread may be filling
-    # or has just filled: every thread sees the sites of a fresh census
-    # and read their facet and exit walls, which other threads may be
+    # four threads ask one cold census, counted at birth, and its stacan
+    # translates, counted on first read, for their sites in different
+    # orders, so a translate's counts may be filled by another thread:
+    # every thread sees the sites of a fresh census and translates, and
+    # reads their facet and exit walls, which other threads may be
     # building from the same panels
     def read(group, p):
         sites = angle_sites(group, p)
         return sites, p.facet_walls, [z.boundary_walls for z in sites]
 
+    def polytopes(group):
+        census = list(enumerate_convex_polytopes(group, 6))
+        return census + [p2 for _, p2, _ in stacan_pairs(group, 6, census)]
+
     group = CoxeterGroup(MATRICES["t237"])
-    census = list(enumerate_convex_polytopes(group, 6))
+    census = polytopes(group)
     fresh = CoxeterGroup(MATRICES["t237"])
-    expected = [read(fresh, p) for p in enumerate_convex_polytopes(fresh, 6)]
+    expected = [read(fresh, p) for p in polytopes(fresh)]
+    assert any(p._counts is None for p in census)
     orders = [list(range(len(census)))[::step] + list(range(len(census)))
               for step in (1, -1, 3, -5)]
     start = threading.Barrier(4, timeout=30)
@@ -455,7 +483,7 @@ def test_shared_census_derives_sites_under_threads():
         sys.setswitchinterval(switch)
     for k in range(4):
         assert [got[k][i] for i in range(len(census))] == expected
-    assert all(p._origin is None and p._panels is None for p in census)
+    assert all(p._counts is not None and p._panels is None for p in census)
 
 
 def test_region_stops_at_the_limit():

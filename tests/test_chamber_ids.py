@@ -137,11 +137,12 @@ def _values(group, p):
 
 @pytest.mark.parametrize("name", ["t237", "t255", "CYCLE4"])
 def test_polytopes_stay_values_across_groups(name):
-    # a second group of the matrix, numbered otherwise, reads a census
-    # member, a child whose sites are not yet derived, and a stacan
-    # translate through their chambers, and finds what a fresh group
-    # finds on its own census; it keeps nothing on them, so the child
-    # keeps its parent until its own group counts its sites
+    # a second group of the matrix, numbered otherwise, reads the census
+    # members, counted at birth in their own group's ids, last first, and
+    # the stacan translates, counted on first read, through their
+    # chambers, and finds what a fresh group finds on its own census; it
+    # keeps nothing on them, so each member keeps its own counts and a
+    # translate none
     matrix = CYCLE4 if name == "CYCLE4" else MATRICES[name]
     group, fresh = CoxeterGroup(matrix), CoxeterGroup(matrix)
     census = list(enumerate_convex_polytopes(group, 6))
@@ -158,16 +159,13 @@ def test_polytopes_stay_values_across_groups(name):
         assert poly.facet_walls == p.facet_walls == q.facet_walls
         assert poly._numbered[0] is other
 
-    child = census[-1]
-    assert all(p._counts is None for p in census)
-    assert child._origin is not None
-    for p, q in zip([child] + census[:-1],
-                    [fresh_census[-1]] + fresh_census[:-1]):
+    counts = [p._counts for p in census]
+    assert None not in counts
+    for p, q in zip(census[::-1], fresh_census[::-1]):
         check(p, q)
-    assert child._origin is not None
-    assert census_line(group, child) == census_line(fresh,
-                                                    fresh_census[-1])
-    assert child._origin is None
+    assert all(p._counts is c for p, c in zip(census, counts))
+    assert [census_line(group, p) for p in census] == \
+        [census_line(fresh, q) for q in fresh_census]
     translates = [p2 for _, p2, _ in stacan_pairs(group, 5, census=census)]
     fresh_translates = [p2 for _, p2, _ in stacan_pairs(fresh, 5,
                                                         census=fresh_census)]
@@ -175,6 +173,7 @@ def test_polytopes_stay_values_across_groups(name):
     for p, q in zip(translates, fresh_translates):
         assert p._counts is None and p._numbered[0] is group
         check(p, q)
+        assert p._counts is None
 
 
 def test_polytope_survives_copy_and_pickle():

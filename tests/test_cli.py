@@ -4,11 +4,12 @@ import io
 import json
 import os
 import stat
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxlab import cli, davis
+from coxlab import SIGN_STATS, cli, davis
 from coxlab.cli import (SUITES, VerificationReport, element_cap, main,
                         matrix_digest, run_verify)
 from coxlab.errors import InputError
@@ -477,6 +478,37 @@ def test_census_deterministic_across_processes(t23inf_file, tmp_path):
         assert r.returncode == 0, r.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+REFERENCES = json.loads((BENCH / "references.json").read_text())
+
+
+@pytest.mark.parametrize("kind,key", [
+    (kind, key) for kind in ("census", "verify")
+    for key in sorted(REFERENCES[kind])])
+def test_bench_commands_match_references(kind, key, tmp_path, monkeypatch,
+                                         capsys):
+    # every census and verify command of the benchmark (``stem@K``) gives
+    # the exit code and the output sha256 recorded for it, at the default
+    # budget, and never falls back to floats
+    monkeypatch.delenv("COXLAB_BUDGET", raising=False)
+    ref = REFERENCES[kind][key]
+    stem, k = key.split("@")
+    path = str(BENCH / "inputs" / f"{stem}.json")
+    fallbacks = SIGN_STATS.float_fallbacks
+    if kind == "census":
+        emit = tmp_path / "census.jsonl"
+        code = main(["polytopes", path, "--max-chambers", k,
+                     "--emit", str(emit), "--json"])
+        text, digest = emit.read_text(), ref["jsonl_sha256"]
+    else:
+        code = main(["verify", path, "--suite", "all", "--max-chambers", k,
+                     "--json"])
+        text, digest = capsys.readouterr().out, ref["report_sha256"]
+    assert code == ref["exit_code"]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert SIGN_STATS.float_fallbacks == fallbacks
 
 
 _FUZZ_COMMANDS = (["classify"], ["nerve"],

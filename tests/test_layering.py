@@ -10,7 +10,9 @@ builds a ``Wall``, only ``_id`` (and ``ball``) an ``Element``, and
 only ``angle_sites`` an ``AngleSite``, which no reader of a polytope's
 sites calls, a site is its five fields, only the residue count check
 and the one exit walk walk an arc, while the group keeps residue bases
-per chamber record; the chamber layer forms no group product;
+per chamber record; a census member is born with its site counts, and
+no polytope links to its parent; the chamber layer forms no group
+product;
 ``Value`` alone writes the immutable-value protocol; ``polytopes``
 streams its census through ``census_line`` with no materialised list;
 the stacan suite takes no hull per glued pair, and the Andreev check
@@ -177,11 +179,63 @@ def test_sites_are_plain_values_with_one_exit_walk():
     assert "_sites" not in ChamberPolytope.__slots__
 
 
+def _identifiers(node):
+    """Every name, attribute, argument, keyword and string constant under
+    ``node``."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.arg):
+            yield n.arg
+        elif isinstance(n, ast.keyword) and n.arg:
+            yield n.arg
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
+def _davis_defs():
+    tree = ast.parse((SRC / "davis.py").read_text())
+    return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+
+def test_no_polytope_links_to_its_parent():
+    # a census child holds its own site counts from birth, so no polytope
+    # keeps an ``_origin`` link to the parent it was grown from
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if "_origin" in _identifiers(ast.parse(path.read_text())):
+            found.append(path.name)
+    assert found == []
+    assert "_origin" not in ChamberPolytope.__slots__
+
+
+def test_site_counts_names_no_parent():
+    # the lazy count of a polytope outside the census counts every
+    # chamber: it passes no inherited map and names no parent
+    fn = _davis_defs()["_site_counts"]
+    calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call)
+             and getattr(n.func, "id", None) == "_residue_counts"]
+    assert calls
+    for call in calls:
+        assert isinstance(call.args[3], ast.Constant)
+        assert call.args[3].value is None
+    assert not set(_identifiers(fn)) & {"_origin", "origin", "parent",
+                                        "inherited"}
+
+
+def test_census_counts_sites_at_birth():
+    # the census counts each member's sites before it yields the member
+    scopes = _call_scopes(ast.parse((SRC / "davis.py").read_text()),
+                          "_residue_counts")
+    assert ("enumerate_convex_polytopes",) in scopes
+
+
 def test_site_readers_build_no_sites():
     # the census line, the angle predicates and the stacan search read
     # the counts: no function they reach in ``davis`` calls angle_sites
-    tree = ast.parse((SRC / "davis.py").read_text())
-    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    defs = _davis_defs()
     for name in ("census_line", "is_acute_angled", "is_coxeter_polytope",
                  "_obtuse_roots", "glued_translates"):
         seen, todo = set(), [name]
