@@ -368,10 +368,9 @@ def _emitting(path):
     it under a unique name, made with the mode ``open(path, "w")`` gives,
     renamed onto the path on success and removed on any exception, so
     the path holds the whole census or what it held before; with none
-    or an empty one, a sink."""
+    or an empty one, None: no line is to be formatted."""
     if not path:
-        with open(os.devnull, "w", encoding="utf-8") as sink:
-            yield sink
+        yield None
         return
     head, tail = os.path.split(path)
     # O_EXCL: a clash of the random names fails rather than clobbers
@@ -400,8 +399,11 @@ def cmd_polytopes(args):
     with _emitting(args.emit) as fh:
         for p in capped_census(group, args.max_chambers):
             count += 1
-            line, is_coxeter, is_acute = davis.census_line(group, p)
-            fh.write(line + "\n")
+            if fh is None:
+                is_coxeter, is_acute = davis.angle_flags(group, p)
+            else:
+                line, is_coxeter, is_acute = davis.census_line(group, p)
+                fh.write(line + "\n")
             coxeter += is_coxeter
             acute += is_acute
             facets = p.facet_count

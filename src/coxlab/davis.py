@@ -73,6 +73,8 @@ _wall_key = attrgetter("sort_key")
 # the counts of a polytope of a group with no finite pair
 _NO_COUNTS = MappingProxyType({})
 _JSON_BOOL = {False: "false", True: "true"}
+# the site table: (m, j) -> (angle text, j | m, 2j <= m), see ``_angle``
+_ANGLES = {}
 
 
 def side(group, wall, chamber):
@@ -154,26 +156,30 @@ class ChamberPolytope(Value):
     A value: equal and hashed by its chambers and facet walls, immutable,
     and copied or pickled as those two alone.  A polytope the library
     builds keeps instead its chamber mask beside the group that numbered
-    it, and its first boundary panel per facet wall (``_facet_panels``):
+    it, and its first boundary panel per facet wall (``_facet_panels``,
+    in no order; the census orders them only to grow the member):
     ``facet_count`` reads the panels, ``chambers`` is built from the mask
     and ``facet_walls`` from the panels on first read, and the panels are
-    then released.  Racing threads build equal values.
+    then released.  The library builds one in a single call, with its
+    panels, counts and numbering.  Racing threads build equal values.
     """
 
     __slots__ = ("_chambers", "_walls", "_panels", "_counts", "_numbered")
 
-    def __init__(self, chambers, facet_walls):
+    def __init__(self, chambers, facet_walls, panels=None, counts=None,
+                 numbered=(None, 0)):
         fill = object.__setattr__
         fill(self, "_chambers", chambers)
         fill(self, "_walls", facet_walls)
-        # root id -> (chamber key, s, chamber id) until the walls are built
-        fill(self, "_panels", None)
+        # root id -> (chamber key, s, chamber id) until the walls are
+        # built, in no meaningful order
+        fill(self, "_panels", panels)
         # angle sites as counts in the numbering group's ids: a census
         # member's from birth, another's filled on first read
         # (``_site_counts``)
-        fill(self, "_counts", None)
+        fill(self, "_counts", counts)
         # (group, chamber mask) of the group whose ids built the polytope
-        fill(self, "_numbered", (None, 0))
+        fill(self, "_numbered", numbered)
 
     @property
     def chambers(self):
@@ -223,7 +229,8 @@ def _mask_of(group, polytope):
 def _facet_panels(group, chambers, new, inherited=None, crossed=None):
     """The first boundary panel (i, s), i in the mask ``chambers`` and
     i s outside, on each facet wall: a map from panel root to (chamber
-    key of i, s, i), ordered by (chamber key, s).
+    key of i, s, i), in no meaningful order (``_grow_order`` sorts it by
+    (chamber key, s)).
 
     ``inherited`` is this map for the old chambers, ``chambers & ~new``
     (none by default, with ``new`` all the chambers).  Its entry for the
@@ -244,7 +251,13 @@ def _facet_panels(group, chambers, new, inherited=None, crossed=None):
                 have = panels.get(rid)
                 if have is None or (key, s) < have[:2]:
                     panels[rid] = (key, s, i)
-    return dict(sorted(panels.items(), key=itemgetter(1)))
+    return panels
+
+
+def _grow_order(panels):
+    """The (root, panel) items of a ``_facet_panels`` map by (chamber key,
+    s): the order in which a census member's walls are first met."""
+    return sorted(panels.items(), key=itemgetter(1))
 
 
 def _walls(group, panels):
@@ -258,13 +271,9 @@ def _polytope(group, mask, chambers=None, panels=None, counts=None):
     """The polytope of a convex chamber mask; its boundary panels are read
     off the mask unless given, and its chambers, and its site counts
     unless given, on first read."""
-    polytope = ChamberPolytope(chambers, None)
     if panels is None:
         panels = _facet_panels(group, mask, mask)
-    object.__setattr__(polytope, "_panels", panels)
-    object.__setattr__(polytope, "_counts", counts)
-    object.__setattr__(polytope, "_numbered", (group, mask))
-    return polytope
+    return ChamberPolytope(chambers, None, panels, counts, (group, mask))
 
 
 def polytope_of(group, chambers):
@@ -466,17 +475,28 @@ def _exits(group, polytope, keys):
 
 
 def _site_items(group, counts):
-    """The (residue, j) items of a counts map in site order: by pair, then
-    by the ShortLex key of the residue's least chamber."""
-    key = group.chamber_key
-    return sorted(counts.items(), key=lambda e: (e[0][0], key(e[0][1])))
+    """The sites of a counts map in site order, by pair, then by the
+    ShortLex key of the residue's least chamber: each as the tuple (k,
+    that key, m, j, base id), which sorts in that order with no key
+    function, as (k, key) names one residue."""
+    key, pairs = group.chamber_key, group.finite_pairs
+    return sorted([(k, key(base), pairs[k][2], j, base)
+                   for (k, base), j in counts.items()])
 
 
-def _angles(group, items):
-    """(m, j) of each site of the (residue, j) items of a counts map, in
-    their order."""
-    pairs = group.finite_pairs
-    return [(pairs[k][2], j) for (k, _), j in items]
+def _angle(m, j):
+    """The site table's entry for a site of j chambers in a residue of
+    label m: its angle text in a census line, whether the angle j*pi/m is
+    an integer submultiple of pi (j | m), and whether it is at most pi/2
+    (2j <= m).  An interior site (j = 2m) carries no angle and passes
+    both.  Racing threads compute equal entries."""
+    angle = _ANGLES.get((m, j))
+    if angle is None:
+        interior = j == 2 * m
+        angle = _ANGLES[m, j] = (f'{{"j": {j}, "m": {m}}}',
+                                 interior or m % j == 0,
+                                 interior or 2 * j <= m)
+    return angle
 
 
 def angle_sites(group, polytope):
@@ -487,32 +507,35 @@ def angle_sites(group, polytope):
     computes them.
     """
     items = _site_items(group, _site_counts(group, polytope))
-    exits = _exits(group, polytope, [key for key, _ in items])
+    exits = _exits(group, polytope, [(k, base) for k, _, _, _, base in items])
     pairs = group.finite_pairs
     return tuple(
-        AngleSite(group.chamber(base), pairs[k][:2], pairs[k][2], j,
+        AngleSite(group.chamber(base), pairs[k][:2], m, j,
                   _walls(group, panels.values()))
-        for ((k, base), j), panels in zip(items, exits))
+        for (k, _, m, j, base), panels in zip(items, exits))
 
 
-def _coxeter_angles(angles):
-    return all(m % j == 0 for m, j in angles if j != 2 * m)
-
-
-def _acute_angles(angles):
-    return all(2 * j <= m for m, j in angles if j != 2 * m)
+def angle_flags(group, polytope):
+    """(coxeter, acute) of the polytope, read off the site table: whether
+    every boundary angle is an integer submultiple of pi, and whether
+    every one is at most pi/2."""
+    pairs = group.finite_pairs
+    coxeter = acute = True
+    for (k, _), j in _site_counts(group, polytope).items():
+        _, c, a = _angle(pairs[k][2], j)
+        coxeter = coxeter and c
+        acute = acute and a
+    return coxeter, acute
 
 
 def is_coxeter_polytope(group, polytope):
     """All boundary angles are integer submultiples of pi (j | m)."""
-    return _coxeter_angles(
-        _angles(group, _site_counts(group, polytope).items()))
+    return angle_flags(group, polytope)[0]
 
 
 def is_acute_angled(group, polytope):
     """All boundary angles are at most pi/2 (2j <= m)."""
-    return _acute_angles(
-        _angles(group, _site_counts(group, polytope).items()))
+    return angle_flags(group, polytope)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +634,8 @@ def _obtuse_roots(group, polytope):
     wall is built."""
     counts = _site_counts(group, polytope)
     pairs = group.finite_pairs
-    obtuse = [key for key, j in counts.items() if 2 * j > pairs[key[0]][2]]
+    obtuse = [key for key, j in counts.items()
+              if not _angle(pairs[key[0]][2], j)[2]]
     roots = 0
     if obtuse:
         for exits in _exits(group, polytope, obtuse):
@@ -806,7 +830,8 @@ def enumerate_convex_polytopes(group, max_chambers):
       is that of P less its panels on r, plus the panels of F leaving H.
       P's first panel on each other wall stays first among H's, and the
       first panels of H are P's without r, merged with F's by least
-      (chamber sort key, s): computed when the child is queued.
+      (chamber sort key, s): computed when the child is queued, and
+      sorted only if the child grows.
     - N_H is N_P with the inversion sets of F's chambers: computed when
       the child is dequeued, if it is to grow.
     - Angle sites: each chamber lies in one residue per finite pair, so
@@ -818,7 +843,9 @@ def enumerate_convex_polytopes(group, max_chambers):
 
     Children are queued in the order their walls are first met in
     (sorted chamber, s) order; a later panel on the same wall would give
-    the same child.
+    the same child.  A member's first panels are kept in no order and
+    sorted so (``_grow_order``) only when it grows: a member at the
+    chamber budget is yielded and dropped unsorted.
     """
     if max_chambers < 1:
         raise InputError("chamber budget must be >= 1")
@@ -836,7 +863,7 @@ def enumerate_convex_polytopes(group, max_chambers):
             continue
         for i in _members(new):
             inside |= group.inversion_mask(i)
-        for rid, (_, s, i) in panels.items():
+        for rid, (_, s, i) in _grow_order(panels):
             x = group.adjacent(i)[s][0]
             grown = region(group, mask | 1 << x, inside, max_chambers,
                            queue=[x])
@@ -887,15 +914,22 @@ def census_line(group, polytope):
     flags it holds.  The line is the text ``json.dumps(..., sort_keys=True)``
     gives for the record of its chamber displays in ShortLex order, its
     facet count, the two flags and its angles {"m": m, "j": j} in site
-    order, built directly from the counts, read once.  A chamber display
-    is digits and spaces, so it is quoted as it is."""
-    angles = _angles(group, _site_items(group, _site_counts(group, polytope)))
-    coxeter, acute = _coxeter_angles(angles), _acute_angles(angles)
+    order, built directly from the counts, read once: the sites are
+    sorted once, and one pass reads each one's angle text and flags off
+    the site table.  A chamber display is digits and spaces, so it is
+    quoted as it is."""
+    texts = []
+    coxeter = acute = True
+    for _, _, m, j, _ in _site_items(group, _site_counts(group, polytope)):
+        text, c, a = _angle(m, j)
+        texts.append(text)
+        coxeter = coxeter and c
+        acute = acute and a
     ids = sorted(_members(_mask_of(group, polytope)), key=group.chamber_key)
     line = (f'{{"acute": {_JSON_BOOL[acute]}, "angles": ['
-            + ", ".join([f'{{"j": {j}, "m": {m}}}' for m, j in angles])
+            + ", ".join(texts)
             + '], "chambers": ["'
-            + '", "'.join([group.chamber_display(i) for i in ids])
+            + '", "'.join(map(group.chamber_display, ids))
             + f'"], "coxeter": {_JSON_BOOL[coxeter]}, '
             f'"facets": {polytope.facet_count}}}')
     return line, coxeter, acute

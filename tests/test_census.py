@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxlab import cli, davis
-from coxlab.davis import (_facet_panels, _mask, _residue_counts, _walls,
-                          angle_sites, census_line, chambers_of, convex_hull,
-                          enumerate_convex_polytopes, is_convex, polytope_of,
-                          region, side, stacan_pairs)
+from coxlab.davis import (_facet_panels, _grow_order, _mask, _residue_counts,
+                          _walls, angle_sites, census_line, chambers_of,
+                          convex_hull, enumerate_convex_polytopes, is_convex,
+                          polytope_of, region, side, stacan_pairs)
 from coxlab.errors import ConsistencyError, InputError
 from coxlab.matrices import INFINITY
 from coxlab.words import CoxeterGroup
@@ -89,10 +89,11 @@ def _by_ids(group, panels):
 
 
 def _assert_full_scan_records(group, p, panels):
-    # the same first panels in the same order, the same facet walls, and
-    # equal sites
+    # the same first panels, met in the same order when the member grows,
+    # the same facet walls, and equal sites
     expect = _by_ids(group, facet_panels_by_scan(group, p.chambers))
-    assert list(panels.items()) == list(expect.items()), p
+    assert panels == expect, p
+    assert _grow_order(panels) == list(expect.items()), p
     assert p.facet_walls == _walls(
         group, [(i, s) for _, s, i in expect.values()]), p
     sites = angle_sites(group, p)

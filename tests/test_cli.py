@@ -17,6 +17,7 @@ from coxlab.matrices import parse_matrix
 
 from conftest import MATRICES
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 T23INF_DOC = '{"rank":3,"m":[[1,2,0],[2,1,3],[0,3,1]]}'
 REMARK_DOC = '{"rank":3,"m":[[1,0,2],[0,1,2],[2,2,1]]}'
 H3_DOC = '{"rank":3,"m":[[1,5,2],[5,1,3],[2,3,1]]}'
@@ -290,6 +291,31 @@ def test_polytopes_writes_each_line_as_its_member_is_yielded(
     assert out.read_bytes().count(b"\n") == polytopes > 5
 
 
+@pytest.mark.parametrize("stem", sorted(
+    p.stem for p in (BENCH / "inputs").glob("*.json")))
+def test_polytopes_summary_is_the_same_without_emit(stem, tmp_path, capsys):
+    # with no --emit the census formats no line and reads its two flags
+    # off the site table: the summary is the one a run with --emit prints
+    path = str(BENCH / "inputs" / f"{stem}.json")
+    assert main(["polytopes", path, "--max-chambers", "7", "--emit",
+                 str(tmp_path / "census.jsonl"), "--json"]) == 0
+    emitted = capsys.readouterr().out
+    assert main(["polytopes", path, "--max-chambers", "7", "--json"]) == 0
+    assert capsys.readouterr().out == emitted
+    assert json.loads(emitted)["polytopes"] > 1
+
+
+def test_polytopes_without_emit_formats_no_line(t23inf_file, monkeypatch,
+                                                capsys):
+    def refused(group, p):
+        raise AssertionError("census_line with no --emit")
+
+    monkeypatch.setattr(davis, "census_line", refused)
+    assert main(["polytopes", t23inf_file, "--max-chambers", "6",
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["polytopes"] > 5
+
+
 def test_verify_all_passes(t23inf_file, capsys):
     assert main(["verify", t23inf_file, "--suite", "all",
                  "--max-chambers", "6", "--json"]) == 0
@@ -480,7 +506,6 @@ def test_census_deterministic_across_processes(t23inf_file, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 REFERENCES = json.loads((BENCH / "references.json").read_text())
 
 

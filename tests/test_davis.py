@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from coxlab.davis import (angle_sites, census_line, check_andreev,
+from coxlab.davis import (_angle, angle_sites, census_line, check_andreev,
                           convex_hull, enumerate_convex_polytopes,
                           is_acute_angled, is_convex, is_coxeter_polytope,
                           side, stacan_pairs, verify_facet_bound)
@@ -243,6 +243,20 @@ def test_single_chamber_predicates(t23inf):
     assert is_acute_angled(t23inf, p)
     assert [z for z in angle_sites(t23inf, p)
             if not z.interior and z.j >= 2] == []
+
+
+@pytest.mark.parametrize("m", sorted(
+    set(range(2, 13)) | {d for d in range(1, 211) if 210 % d == 0} - {1}))
+def test_site_table_matches_the_definitions(m):
+    # angle j*pi/m: Coxeter when it is pi/n for an integer n, acute when at
+    # most pi/2; an interior site (j = 2m) carries no angle and passes both
+    for j in range(1, 2 * m + 1):
+        text, coxeter, acute = _angle(m, j)
+        assert text == json.dumps({"m": m, "j": j}, sort_keys=True)
+        interior = Fraction(j, m) == 2
+        assert coxeter == (interior or (1 / Fraction(j, m)).denominator == 1)
+        assert acute == (interior or Fraction(j, m) <= Fraction(1, 2))
+        assert _angle(m, j) is _angle(m, j)
 
 
 def test_walls_and_facets_intersect(t23inf, a1aff):

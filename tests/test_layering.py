@@ -11,8 +11,8 @@ only ``angle_sites`` an ``AngleSite``, which no reader of a polytope's
 sites calls, a site is its five fields, only the residue count check
 and the one exit walk walk an arc, while the group keeps residue bases
 per chamber record; a census member is born with its site counts, and
-no polytope links to its parent; the chamber layer forms no group
-product;
+no polytope links to its parent; the site table alone states j | m and
+2j <= m; the chamber layer forms no group product;
 ``Value`` alone writes the immutable-value protocol; ``polytopes``
 streams its census through ``census_line`` with no materialised list;
 the stacan suite takes no hull per glued pair, and the Andreev check
@@ -247,6 +247,22 @@ def test_site_readers_build_no_sites():
             assert not _call_scopes(defs[fn], "angle_sites"), (name, fn)
             todo.extend(_named(defs[fn]) & defs.keys())
     assert "_site_counts" in seen
+
+
+def test_angle_formulas_are_stated_once():
+    # the site table (``_angle``) alone decides j | m and 2j <= m; the
+    # census line, the angle predicates and the stacan search read it
+    tree = ast.parse((SRC / "davis.py").read_text())
+    texts = [ast.unparse(n) for n in ast.walk(tree)
+             if isinstance(n, (ast.BinOp, ast.Compare))]
+    assert texts.count("m % j") == 1
+    assert texts.count("2 * j <= m") == 1
+    assert sorted(t for t in texts if "% j" in t or "2 * j" in t
+                  or "j * 2" in t) == ["2 * j", "2 * j <= m", "m % j",
+                                       "m % j == 0"]
+    defs = _davis_defs()
+    for name in ("census_line", "angle_flags", "_obtuse_roots"):
+        assert _call_scopes(defs[name], "_angle"), name
 
 
 def test_group_has_no_residue_memo():
