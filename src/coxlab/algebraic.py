@@ -1,8 +1,10 @@
 """Exact arithmetic in the real cyclotomic field Q(c), c = 2*cos(pi/N).
 
-Every Coxeter matrix determines one such field (N = lcm of its finite
-orders), and every quantity the word machinery needs -- bilinear form
-entries, root coordinates -- lives in it.  Elements are polynomials in c
+Every Coxeter matrix determines one such field, the least that holds
+its bilinear form: N is the lcm of its finite orders m >= 4, as orders
+2 and 3 give the rational entries 0 and -1 (``field_for``).  Every
+quantity the word machinery needs -- bilinear form entries, root
+coordinates -- lives in it.  Elements are polynomials in c
 reduced modulo the minimal polynomial of c; the minimal polynomial is
 derived from the cyclotomic polynomial of order 2N.  A sign is decided
 in integers: each field tables integers L_k <= 2^b c^k <= U_k for the
@@ -18,7 +20,7 @@ Algebraic Geometry, ch. 10).  There is no floating point anywhere in
 the decision path, and ``SIGN_STATS`` counts every decision so a run can
 prove it stayed exact.  The values 2cos(j*pi/N), j = 0..N, are tabled
 once per field: they give the bilinear form's entries and, read
-backwards, the orders of products of reflections.
+backwards by ``rotation_order``, the orders of products of reflections.
 
 ``brackets`` hands out the same integer bounds lo <= 2^b v <= hi of
 values, for a caller that combines them itself: ``order_of_product``
@@ -38,12 +40,14 @@ coefficients scales them to integers first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .errors import BudgetError, ConsistencyError, FieldError
 
 FIELD_ORDER_CAP = 210
 SIGN_BITS = 64  # precision of the first table of power brackets
+# the rotation orders of the rational values 2cos(2*pi/k), k = 3, 4, 6
+_RATIONAL_ORDERS = {-1: 3, 0: 4, 1: 6}
 
 
 @dataclass
@@ -234,7 +238,7 @@ class FieldSpec:
 
     The values V_j = 2cos(j*pi/N), j = 0..N, are tabled once by the
     Chebyshev recurrence V_{j+1} = c*V_j - V_{j-1}; they are pairwise
-    distinct, so ``two_cos_index`` reads j back off a value.
+    distinct, so ``rotation_order`` reads j back off a value.
     """
 
     __slots__ = ("N", "minpoly", "degree", "_minpoly_terms", "_powers",
@@ -392,27 +396,68 @@ class FieldSpec:
         return acc
 
     def two_cos_pi_over_raw(self, m):
-        """2*cos(pi/m) as a raw tuple, V_{N/m}; requires m | N."""
-        if m < 1 or self.N % m != 0:
+        """2*cos(pi/m) as a raw tuple: the constants -2, 0, 1 for m = 1, 2,
+        3, and V_{N/m} otherwise, which requires m | N."""
+        if 1 <= m <= 3:
+            return self.raw_from_int((-2, 0, 1)[m - 1])
+        if self.N % m != 0:
             raise FieldError(f"order {m} does not divide field order {self.N}")
         return self._two_cos[self.N // m]
 
-    def two_cos_index(self, t):
-        """The j in 0..N with 2*cos(j*pi/N) equal to the raw value t, or
-        None when t is no such value."""
-        return self._two_cos_index.get(t)
+    def rotation_order(self, v):
+        """The order k of a plane rotation r with 2cos(angle of r) the raw
+        value v, when v names one: 2N/gcd(j, 2N) for v = V_j with j >= 1,
+        and 3, 4, 6 for v = -1, 0, 1 (rational values that the table
+        lacks when 3 or 4 does not divide 2N); None otherwise, as for
+        v = 2 (j = 0), v > 2 and every other value.
+
+        Every finite order is read.  Let r = s_a s_b for two reflections
+        of a group whose doubled form has its entries in this field, with
+        C = C(a, b) and C^2 < 4.  Then r rotates the plane of a and b by
+        2*psi, with v = C^2 - 2 = 2cos(2*psi), and fixes its orthogonal
+        complement.  When r has finite order k, 2*psi = 2*pi*t/k with
+        gcd(t, k) = 1, so v is a conjugate of 2cos(2*pi/k) and generates
+        the real subfield Q(zeta_k)+.  C lies in this field, Q(zeta_2N)+,
+        so v does too, and Q(zeta_k)+ lies in Q(zeta_2N).  A subfield of a
+        cyclotomic field lies in Q(zeta_M) iff its conductor divides M
+        (Washington, Introduction to Cyclotomic Fields, GTM 83, ch. 2).
+        Let k' be k, or k/2 when k = 2 mod 4, so that Q(zeta_k) =
+        Q(zeta_k') and 2 divides k' only as 4 or more.  The characters of
+        Q(zeta_k')+ are the even Dirichlet characters mod k', and a
+        primitive one is a product of primitive characters mod the prime
+        powers of k'.  Each prime power but 3 and 4 has primitive
+        characters of both parities, and 3 and 4 have only odd ones, whose
+        product mod 12 is even.  So an even primitive character mod k'
+        exists, and the conductor of Q(zeta_k)+ is k', unless k' is 1, 3
+        or 4 (k is 1, 2, 3, 4 or 6), where the field is Q and v is one of
+        2, -2, -1, 0, 1.  Otherwise k' divides 2N, and so does k, as an
+        odd k' = k/2 that divides 2N divides N.  Then v = 2cos(2*pi*t/k) =
+        V_j with j = 2Nt/k, reduced into 0..N by the symmetry j -> 2N - j,
+        and gcd(j, 2N) = 2N/k as gcd(t, k) = 1: the order read is k.  The
+        orders 2 (v = -2 = V_N) and, when the table holds them, 3, 4, 6
+        read the same off the table as off the constants.  Raw tuples are
+        canonical, so both lookups are exact.
+        """
+        j = self._two_cos_index.get(v)
+        if j is None and not any(v[1:]):
+            return _RATIONAL_ORDERS.get(v[0])
+        return 2 * self.N // gcd(j, 2 * self.N) if j else None
 
 
 def field_for(matrix):
-    """Field spec for a Coxeter matrix: N = lcm of its finite orders.
+    """Field spec for a Coxeter matrix: N = lcm of its finite orders
+    m >= 4, and N = 2, the rationals, when there are none.
 
-    Every finite order m then divides N, so each 2*cos(pi/m) lies in the
-    field.  A matrix with no off-diagonal finite order (or rank one)
-    gets N = 2, i.e. the rationals.
+    Every such m divides N, so each form entry -2cos(pi/m) lies in the
+    field, and the orders 2 and 3 give the rational entries 0 and -1.  N
+    may be odd; ``rotation_order`` reads the orders of products, which
+    need not divide N, off the field's table and its rational values.
     """
-    n = 2
+    n = 1
     for m in matrix.finite_orders():
-        n = lcm(n, m)
-        if n > FIELD_ORDER_CAP:
-            raise BudgetError(f"field order {n} exceeds cap {FIELD_ORDER_CAP}")
-    return FieldSpec(n)
+        if m >= 4:
+            n = lcm(n, m)
+            if n > FIELD_ORDER_CAP:
+                raise BudgetError(
+                    f"field order {n} exceeds cap {FIELD_ORDER_CAP}")
+    return FieldSpec(max(n, 2))

@@ -34,8 +34,8 @@ which reads the middle panel of a normal form.  The only sign decision
 left is the test in ``order_of_product`` of whether two walls meet,
 taken on memoised integer brackets of the two roots when those settle
 it, and on the exact form value otherwise.  When the walls meet, the
-order of their product is read off the field's table of 2cos(j*pi/N),
-with no power of the product formed.
+field's ``rotation_order`` reads the order of their product off that
+value, with no power of the product formed.
 
 A group numbers each normal form as it first hands it out, and keeps
 per chamber id one record: the word's one ``Element`` (``ball`` builds
@@ -47,7 +47,6 @@ the least chamber of its residue for each pair of finite order.
 from __future__ import annotations
 
 import threading
-from math import gcd
 
 from .algebraic import SIGN_STATS, field_for
 from .errors import BudgetError, ConsistencyError, InputError
@@ -94,7 +93,9 @@ class Element(Value):
 
     Immutable, equal by word, with its hash computed once.  A group hands
     out one object per word (the one its chamber record holds); an
-    element built directly still compares and hashes equal to it.
+    element built directly still compares and hashes equal to it.  The
+    group builds its elements with ``_new_element``, which skips
+    ``__init__``.
     """
 
     __slots__ = ("word", "_hash")
@@ -132,6 +133,21 @@ class Element(Value):
 
     def __repr__(self):
         return f"<{self.display() or 'e'}>"
+
+
+_set_word = Element.word.__set__
+_set_hash = Element._hash.__set__
+
+
+def _new_element(word, _new=object.__new__):
+    """``Element(word)`` at less cost: the slots are filled through their
+    descriptors, which bypass ``Value.__setattr__`` as
+    ``object.__setattr__`` does, on an object that ``__init__`` never
+    sees.  The one way the group builds an element."""
+    e = _new(Element)
+    _set_word(e, word)
+    _set_hash(e, hash(word))
+    return e
 
 
 class Wall(Value):
@@ -317,11 +333,9 @@ class CoxeterGroup:
         it is finite and B(a, b) <= -1 when not, and the sign of the Gram
         determinant 1 - B^2 of the plane does not depend on the basis.
         In the doubled form C = 2B, a finite pair makes s s_y a rotation
-        by 2*psi of the plane, with C^2 - 2 = 2cos(2*psi) and 0 < 2*psi
-        < pi, and the argument of ``order_of_product`` puts 2*psi at a
-        multiple of pi/N: C^2 - 2 is 2cos(j*pi/N) with j >= 1.  An
-        infinite pair has C^2 - 2 >= 2, which is j = 0 or no table value.
-        Raw tuples are canonical, so the table lookup is exact.
+        of finite order of the plane, with C^2 - 2 = 2cos(2*psi) < 2, and
+        ``FieldSpec.rotation_order`` reads every such order; an infinite
+        pair has C^2 - 2 >= 2, which it reads as None.
         """
         f = self.field
         rank = self.rank
@@ -339,8 +353,8 @@ class CoxeterGroup:
                 z = y[:s] + (f.raw_sub(y[s], c),) + y[s + 1:]
                 k = index.get(z)  # z = y exactly when c = 0
                 if k is None:
-                    j = f.two_cos_index(f.raw_sub(f.raw_mul(c, c), two))
-                    if j is None or j == 0:
+                    if f.rotation_order(
+                            f.raw_sub(f.raw_mul(c, c), two)) is None:
                         row.append(EXIT)
                         continue
                     k = index[z] = len(roots)
@@ -408,24 +422,26 @@ class CoxeterGroup:
     # -- the ShortLex automaton ---------------------------------------------
 
     def _row(self, state):
-        """The automaton's transitions out of ``state``: entry s is the
-        state of w s when s may follow a normal form w of this state, and
-        None when alpha_s (index s in E) is in it; see ``ball``.  One row
-        per state, so each (state, s) transition is formed once."""
+        """The automaton's transitions out of ``state``, as the two tuples
+        ``ball`` reads: the one-letter words (s,) of the letters s that
+        may follow a normal form w of this state, those whose alpha_s
+        (index s in E) is not in it, and the states of the products w s;
+        see ``ball``.  One row per state, so each (state, s) transition
+        is formed once."""
         hit = self._row_memo.get(state)
         if hit is None:
             table = self._small_table
-            row = []
+            letters, children = [], []
             for s in range(self.rank):
                 if s in state:
-                    row.append(None)
                     continue
                 images = {table[y][s] for y in state}
                 images.update(table[t][s] for t in range(s))
                 images.discard(EXIT)
                 images.add(s)
-                row.append(frozenset(images))
-            hit = self._row_memo[state] = tuple(row)
+                letters.append((s,))
+                children.append(frozenset(images))
+            hit = self._row_memo[state] = (tuple(letters), tuple(children))
         return hit
 
     def _mult_word(self, word, other):
@@ -625,17 +641,16 @@ class CoxeterGroup:
         does.  A bracket that reaches inside (-2, 2) -- a finite order,
         or |C| = 2 exactly for parallel walls with irrational roots --
         leaves the pair to the exact path: C, C^2, the sign of C^2 - 4,
-        and the table lookup below.  In a degree-1 field, where C is one
-        integer product, the exact path runs alone.
+        and the ``rotation_order`` lookup below.  In a degree-1 field,
+        where C is one integer product, the exact path runs alone.
 
-        Exact orders.  When C^2 < 4, s_t s_u rotates the
-        plane of the two roots by 2*psi, where 2cos(2*psi) = C^2 - 2, and
-        fixes its orthogonal complement; so when C^2 - 2 is the table
-        value 2cos(j*pi/N) the order is 2N / gcd(j, 2N), exactly.  A miss
-        cannot occur: by Tits every finite subgroup lies in a conjugate
-        of a finite standard parabolic subgroup, and in each finite type
-        the order k of a product of two reflections divides the lcm of
-        the type's orders, so k | N and 2*psi is a multiple of pi/N.
+        Exact orders.  When C^2 < 4, s_t s_u rotates the plane of the two
+        roots by 2*psi, where 2cos(2*psi) = C^2 - 2, and fixes its
+        orthogonal complement.  Its order is finite, as |B| < 1 makes the
+        dihedral reflection subgroup of the two walls finite (Dyer; see
+        ``_elementary_roots``).  The field's ``rotation_order`` reads it
+        off C^2 - 2, and its docstring proves that it reads every finite
+        order, whether or not it divides N.
         Read off ``order_of_roots`` on the two walls' root ids.
         """
         return self.order_of_roots(self.wall_root(t), self.wall_root(u))
@@ -661,13 +676,12 @@ class CoxeterGroup:
         if f.sign_raw(f.raw_sub(c2, f.raw_from_int(4))) >= 0:
             hit = INFINITY
         else:
-            j = f.two_cos_index(f.raw_sub(c2, f.raw_from_int(2)))
-            if j is None:
+            hit = f.rotation_order(f.raw_sub(c2, f.raw_from_int(2)))
+            if hit is None:
                 raise ConsistencyError(
-                    "bounded form value is no 2cos(j pi/N)",
+                    "bounded form value names no rotation order",
                     {"matrix": self.matrix.to_json_dict(),
                      "roots": [self._root_list[a], self._root_list[b]]})
-            hit = 2 * f.N // gcd(j, 2 * f.N)
         self._order_memo[(a, b)] = hit
         return hit
 
@@ -718,8 +732,8 @@ class CoxeterGroup:
         lock, so racing threads get one id and one ``Element`` per word."""
         i = self._ids.get(word)
         if i is None:
-            record = [Element(word), (len(word), word), None if word else 0,
-                      None, None, None]
+            record = [_new_element(word), (len(word), word),
+                      None if word else 0, None, None, None]
             with self._intern_lock:
                 i = self._ids.get(word)
                 if i is None:
@@ -800,10 +814,14 @@ class CoxeterGroup:
         radius is None, level by level with each level sorted; raises
         BudgetError past ``cap`` elements.
 
-        Each normal form w of a level carries its automaton state, and
-        its children are w + (t,) for the letters t that may follow it:
-        ShortLex forms are prefix-closed, so each element is found once,
-        and a sorted level gives a sorted next level.
+        Each normal form w of a level carries its automaton state, in a
+        list beside the words, and its children are w + (t,) for the
+        letters t that may follow it (``_row``): ShortLex forms are
+        prefix-closed, so each element is found once, and a sorted level
+        gives a sorted next level.  The cap is checked once per parent,
+        as the count only grows: a walk raises iff it would have raised
+        at some child.  The elements are built at the end, in one pass of
+        ``_new_element``.
 
         The ShortLex automaton (Brink and Howlett, Math. Ann. 296 (1993);
         Casselman, Electron. J. Combin. 9 (2002) #R25; Bjorner-Brenti,
@@ -844,20 +862,21 @@ class CoxeterGroup:
             raise InputError("ball radius must be >= 0")
         if cap < 1:
             raise InputError("element cap must be >= 1")
-        level = [((), frozenset())]
-        words = [()]
-        while level and (radius is None or len(level[0][0]) < radius):
-            nxt = []
-            for w, state in level:
-                for t, child in enumerate(self._row(state)):
-                    if child is not None:
-                        nxt.append((w + (t,), child))
-                        if len(words) + len(nxt) > cap:
-                            raise BudgetError(
-                                f"element enumeration exceeded cap {cap}")
-            words.extend(w for w, _ in nxt)
-            level = nxt
-        return [Element(w) for w in words]
+        words, states = [()], [frozenset()]
+        start = 0  # the current level is words[start:]
+        while start < len(words) and (radius is None
+                                      or len(words[start]) < radius):
+            end = len(words)
+            for w, state in zip(words[start:end], states[start:end]):
+                letters, children = self._row(state)
+                for t in letters:
+                    words.append(w + t)
+                states.extend(children)
+                if len(words) > cap:
+                    raise BudgetError(
+                        f"element enumeration exceeded cap {cap}")
+            start = end
+        return list(map(_new_element, words))
 
     def enumerate_reflections(self, max_length=DEFAULT_REFLECTION_LENGTH,
                               cap=DEFAULT_ELEMENT_CAP):

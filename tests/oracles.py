@@ -86,7 +86,7 @@ form, with no chamber ids.
 
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, lcm
 
 from coxlab.algebraic import _pmul, _ptrim
 from coxlab.davis import (AngleSite, _mask_of, _residue_roots, angle_sites,
@@ -751,19 +751,35 @@ def form_by_rows(group, t, u):
 
 
 def order_by_form_rows(group, t, u):
-    """Order of t u read off the trace table, with the form value of
-    ``form_by_rows``: ``order_of_product`` before it memoised C r."""
+    """Order of t u with the form value of ``form_by_rows``:
+    ``order_of_product`` before it memoised C r, and with the order read
+    by ``order_by_chebyshev`` rather than the field's table."""
     f = group.field
     c = form_by_rows(group, t, u)
     c2 = f.raw_mul(c, c)
     if f.sign_raw(f.raw_sub(c2, f.raw_from_int(4))) >= 0:
         return INFINITY
-    j = f.two_cos_index(f.raw_sub(c2, f.raw_from_int(2)))
-    if j is None:
-        raise ConsistencyError("bounded form value is no 2cos(j pi/N)",
-                               (t.reflection.display(),
-                                u.reflection.display()))
-    return 2 * f.N // gcd(j, 2 * f.N)
+    return order_by_chebyshev(f, f.raw_sub(c2, f.raw_from_int(2)),
+                              (t.reflection.display(),
+                               u.reflection.display()))
+
+
+def order_by_chebyshev(f, v, context=None):
+    """The order of a rotation r with 2cos(angle of r) the raw value v:
+    the least k >= 1 with U_k = 2cos(k * angle) = 2, by the recurrence
+    U_0 = 2, U_1 = v, U_{k+1} = v U_k - U_{k-1}, in exact field
+    arithmetic.  ConsistencyError past k = 2N, which bounds every
+    finite order the field can hold: a divisor of 2N, or 3, 4 or 6 with
+    N >= 4; in the rationals (N = 2) only 2 and 3 occur, as no rational
+    C has C^2 - 2 = 0 or 1.  Reads no table of the field."""
+    two = f.raw_from_int(2)
+    prev, cur = two, v
+    for k in range(1, 2 * f.N + 1):
+        if cur == two:
+            return k
+        prev, cur = cur, f.raw_sub(f.raw_mul(v, cur), prev)
+    raise ConsistencyError("bounded form value names no rotation order",
+                           context)
 
 
 def order_by_powers(group, t, u):
@@ -946,7 +962,8 @@ def automaton_state(group, word):
     stepped along the word by ``group._row``."""
     state = frozenset()
     for a in word:
-        state = group._row(state)[a]
+        letters, children = group._row(state)
+        state = children[letters.index((a,))]
     return state
 
 

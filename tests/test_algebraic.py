@@ -23,15 +23,40 @@ from oracles import (_pderiv, _poly_gcd, count_roots, cos_pi_over,
 
 
 def test_field_for_examples():
-    assert field_for(CoxeterMatrix.triangle(2, 3, INFINITY)).N == 6
+    # N is the lcm of the orders m >= 4: orders 2 and 3 give the rational
+    # form entries 0 and -1, so forms with no other order are rational
+    assert field_for(CoxeterMatrix.triangle(2, 3, INFINITY)).N == 2
     assert field_for(CoxeterMatrix([[1, 2, 2], [2, 1, 2], [2, 2, 1]])).N == 2
-    assert field_for(CoxeterMatrix.triangle(2, 5, 5)).N == 10
+    assert field_for(CoxeterMatrix.triangle(3, 3, 3)).N == 2
+    assert field_for(CoxeterMatrix.triangle(2, 5, 5)).N == 5
     assert field_for(CoxeterMatrix([[1]])).N == 2
+    for name, n, degree in (("t23oo", 2, 1), ("t333", 2, 1), ("tooo", 2, 1),
+                            ("cycle4", 2, 1), ("t255", 5, 2), ("t237", 7, 3),
+                            ("n210", 35, 12)):
+        f = field_for(BENCH_MATRICES[name])
+        assert (f.N, f.degree) == (n, degree), name
 
 
 def test_field_cap():
     with pytest.raises(BudgetError):
         field_for(CoxeterMatrix.triangle(7, 11, 13))
+
+
+def test_field_of_orders_past_the_old_cap():
+    # lcm(2, 11, 13) = 286 passed the cap of 210, and the matrix ended in
+    # a BudgetError; the form needs only lcm(11, 13) = 143, and the whole
+    # stack is exact there, in degree 60
+    m = CoxeterMatrix.triangle(2, 11, 13)
+    f = field_for(m)
+    assert (f.N, f.degree) == (143, 60)
+    g = CoxeterGroup(m)
+    walls = [g.generator_wall(i) for i in range(3)]
+    assert [g.order_of_product(walls[i], walls[j])
+            for i, j in ((0, 1), (0, 2), (1, 2))] == [2, 13, 11]
+    assert g.normal_form([1, 2] * 11) == g.identity()
+    # s3 s2 s3 s2 = (s3 s2)^2, of order 11 / gcd(2, 11)
+    w = g.as_reflection(g.normal_form([2, 1, 2]))
+    assert g.order_of_product(w, walls[1]) == 11
 
 
 def test_cyclotomic_matches_division():
@@ -242,15 +267,16 @@ def test_chebyshev_identity():
     for m in range(2, 13):
         f = FieldSpec(m)
         assert f.two_cos_pi_over_raw(1) == f.raw_from_int(-2)
-        # the table read backwards: 2cos(pi/d) is V_{m/d}, and
-        # c^2 - 2 = 2cos(2 pi/m) is V_2
+        # the table read backwards: 2cos(pi/d), d | m, is the rotation by
+        # pi/d, of order 2d, and c^2 - 2 = 2cos(2 pi/m) one of order m
         for d in range(1, m + 1):
             if m % d == 0:
-                assert f.two_cos_index(f.two_cos_pi_over_raw(d)) == m // d
+                assert f.rotation_order(f.two_cos_pi_over_raw(d)) == 2 * d
         c = f.reduce([0, 1])
-        assert f.two_cos_index(f.raw_sub(f.raw_mul(c, c),
-                                         f.raw_from_int(2))) == 2
-        assert f.two_cos_index(f.raw_from_int(3)) is None
+        assert f.rotation_order(f.raw_sub(f.raw_mul(c, c),
+                                          f.raw_from_int(2))) == m
+        assert f.rotation_order(f.raw_from_int(2)) is None
+        assert f.rotation_order(f.raw_from_int(3)) is None
 
 
 def test_exact_zero_and_ring_axioms():

@@ -103,7 +103,7 @@ def test_mult_gen_matches_descent_stripping(name):
             assert got == mult_gen_by_canonical(oracle, word, t), \
                 (name, word, t)
             kind = _outcome(word, t, got)
-            assert (kind == "append") == (row[t] is not None), (name, word, t)
+            assert (kind == "append") == ((t,) in row[0]), (name, word, t)
             outcomes[kind] += 1
     braided = any(m.order(i, j) != INFINITY
                   for i in range(m.rank) for j in range(i))
@@ -216,12 +216,11 @@ def _automaton_size(group):
     """States and transitions reached from the identity's empty state."""
     seen, todo, transitions = {frozenset()}, [frozenset()], 0
     while todo:
-        for child in group._row(todo.pop()):
-            if child is not None:
-                transitions += 1
-                if child not in seen:
-                    seen.add(child)
-                    todo.append(child)
+        for child in group._row(todo.pop())[1]:
+            transitions += 1
+            if child not in seen:
+                seen.add(child)
+                todo.append(child)
     return len(seen), transitions
 
 

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from coxlab.davis import angle_sites, convex_hull
+from coxlab.errors import BudgetError
 from coxlab.words import CoxeterGroup, Element, Wall
 
 from conftest import MATRICES
@@ -206,3 +207,39 @@ def test_element_and_wall_survive_copy_and_pickle():
         assert x.witness == wall.witness and x.sort_key == wall.sort_key
         assert group.panel_root(*x.witness) == group.panel_root(g, 1)
         assert group.wall_between(*x.witness) is wall
+
+
+@pytest.mark.parametrize("name", ["t237", "t23inf", "a2aff"])
+def test_built_elements_are_values(name):
+    # ``ball`` and ``_id`` build their elements without ``__init__``: each
+    # must still refuse assignment and deletion, equal and hash like
+    # ``Element(word)``, and come back whole from a pickle
+    group = CoxeterGroup(MATRICES[name])
+    ball = group.ball(5)
+    interned = [group.normal_form(g.word) for g in ball]
+    for g in ball + interned:
+        direct = Element(g.word)
+        assert type(g) is Element and not hasattr(g, "__dict__")
+        assert g == direct and direct == g and hash(g) == hash(direct)
+        for attr in ("word", "_hash", "extra"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(g, attr, ())
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(g, attr)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(g, protocol))
+            assert type(back) is Element and back == g
+            assert hash(back) == hash(g) and back.word == g.word
+    assert len(set(ball) | set(interned)) == len(ball)
+
+
+@pytest.mark.parametrize("name,radius", [("t237", 9), ("t23inf", 7),
+                                         ("a2aff", 6), ("h3", None)])
+def test_ball_cap_is_exact(name, radius):
+    # the cap is checked once per parent, with the outcome of a check per
+    # element: a ball of exactly ``cap`` elements returns, one more raises
+    group = CoxeterGroup(MATRICES[name])
+    size = len(group.ball(radius))
+    assert group.ball(radius, cap=size) == group.ball(radius)
+    with pytest.raises(BudgetError):
+        group.ball(radius, cap=size - 1)

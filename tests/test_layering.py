@@ -6,7 +6,9 @@ and the ShortLex automaton walk the elementary-root table with no
 field arithmetic, a product is one table walk with no memo, ``ball``
 walks the automaton alone, only
 ``panel_root`` walks a root through a word, only ``wall_between``
-builds a ``Wall``, only ``_id`` (and ``ball``) an ``Element``, and
+builds a ``Wall``, only ``_new_element`` an ``Element`` (for ``_id``
+and ``ball``), only ``FieldSpec.rotation_order`` reads an order off the
+field's table, and
 only ``angle_sites`` an ``AngleSite``, which no reader of a polytope's
 sites calls, a site is its five fields, only the residue count check
 and the one exit walk walk an arc, while the group keeps residue bases
@@ -130,16 +132,46 @@ def test_only_wall_between_builds_walls():
     assert calls == [("words.py", "CoxeterGroup", "wall_between")]
 
 
+def _name_scopes(tree, name):
+    """Enclosing class and function names of each load of the name."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + (child.name,) if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef)) else scope
+            if isinstance(child, ast.Name) and child.id == name and \
+                    isinstance(child.ctx, ast.Load):
+                out.append(scope)
+            visit(child, inner)
+
+    visit(tree, ())
+    return out
+
+
 def test_only_element_builds_elements():
-    # the group hands out one interned object per word, built with its
-    # chamber record; ``ball`` alone builds its elements directly, as
-    # interning a whole ball costs the walk more than its elements gain
-    calls = [(path.name,) + scope
-             for path in sorted(SRC.glob("*.py"))
-             for scope in _call_scopes(ast.parse(path.read_text()),
-                                       "Element")]
-    assert calls == [("words.py", "CoxeterGroup", "_id"),
-                     ("words.py", "CoxeterGroup", "ball")]
+    # every element is built by the one cheap constructor: the group's
+    # one interned object per word, with its chamber record in ``_id``,
+    # and ``ball``'s own, as interning a whole ball costs the walk more
+    # than its elements gain.  ``Element(`` is written nowhere in the
+    # module outside the class and that constructor
+    uses = [(path.name,) + scope
+            for path in sorted(SRC.glob("*.py"))
+            for scope in _name_scopes(ast.parse(path.read_text()),
+                                      "_new_element")]
+    assert uses == [("words.py", "CoxeterGroup", "_id"),
+                    ("words.py", "CoxeterGroup", "ball")]
+    text = (SRC / "words.py").read_text()
+    tree = ast.parse(text)
+    inside = set()
+    for node in tree.body:
+        if getattr(node, "name", None) in ("Element", "_new_element"):
+            inside.update(range(node.lineno, node.end_lineno + 1))
+    lines = [k for k, line in enumerate(text.splitlines(), 1)
+             if "Element(" in line and k not in inside]
+    assert lines == []
+    assert all(_call_scopes(ast.parse(path.read_text()), "Element") == []
+               for path in sorted(SRC.glob("*.py")))
 
 
 def test_only_value_defines_the_value_protocol():
@@ -154,6 +186,22 @@ def test_only_value_defines_the_value_protocol():
                     for n in node.body):
                 defining.append((path.name, node.name))
     assert defining == [("words.py", "Value")]
+
+
+def test_only_rotation_order_reads_the_order_table():
+    # the rule that turns a form value into an order is written once, in
+    # the field: the word layer names no table index, field order or gcd
+    named = _named(ast.parse((SRC / "words.py").read_text()))
+    assert not named & {"gcd", "N", "two_cos_index", "_two_cos_index"}
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "_two_cos_index"
+                    and isinstance(n.ctx, ast.Load) for n in ast.walk(fn)):
+                readers.append((path.name, fn.name))
+    assert readers == [("algebraic.py", "rotation_order")]
 
 
 def test_only_angle_sites_builds_sites():
