@@ -18,17 +18,22 @@ chamber budget: each one arises from a smaller one by adjoining an
 adjacent chamber and closing up, so the growth search is exhaustive.
 The closure depends only on the facet wall crossed, and its new chambers
 are what the adjoined chamber reaches across the walls of the smaller
-set, so each member runs one search per facet wall, over new chambers
-only.  A child's records grow from its parent's over its new chambers
-alone: its first boundary panels are the parent's, less those on the
-wall crossed, merged with the new chambers' panels, its N_P is the
-parent's with the inversion sets of the new chambers, and its site
-counts are the parent's plus one per new chamber and finite pair,
-counted before the child is yielded, as the parent was yielded before
-it.  Any other polytope is the case with no parent, every chamber new,
-and counts its sites on first read.  A polytope builds only what is
-read: its facet count is the number of its first panels, and its
-chambers and facet walls are built on first read.  A census line
+set.  A convex set H holding the base chamber e is exactly the chambers
+y with N(y) inside N_H, the union of the inversion sets of its chambers
+(a wall bounding H that separated e from y would be in N(y) but not in
+N_H), so N_H names H, and a child's N is its parent's with the wall
+crossed, known before its search.  The census keys its children so and
+searches each distinct child once, when it is dequeued, in one walk
+over its new chambers.  A child's records grow from its parent's over
+its new chambers alone: its first boundary panels are the parent's,
+less those on the wall crossed, merged with the new chambers' panels
+as the walk steps them, and its site counts are the parent's plus one
+per new chamber and finite pair, counted before the child is yielded,
+as the parent was yielded before it.  Any other polytope is the case
+with no parent, every chamber new, and counts its sites on first read.
+A polytope builds only what is read: its facet count is the number of
+its first panels, and its chambers and facet walls are built on first
+read.  A census line
 (``census_line``) reads no wall and no chamber set, so the census and
 its lines build no wall and number no reflection as a chamber.
 Polytopes and sites are immutable values (``words.Value``).
@@ -108,7 +113,7 @@ def chambers_of(group, mask):
     return frozenset(map(group.chamber, _members(mask)))
 
 
-def region(group, start, walls, limit, queue=None):
+def region(group, start, walls, limit, queue=None, panels=None):
     """The chamber mask ``start`` and what the ids of ``queue`` (every
     chamber of ``start`` by default) reach through the panels whose root
     id is in the root mask ``walls``, as a chamber mask, or None once
@@ -119,17 +124,42 @@ def region(group, start, walls, limit, queue=None):
     its input chambers, a census child the walls of its parent, and a
     fundamental domain every wall but its generators' (``walls`` is then
     ``~cut``, a negative int with every other root's bit set).
+
+    ``panels``, if given, is a first-panel map (``_facet_panels``) into
+    which the search merges the boundary panels of the chambers it steps,
+    keeping the least (chamber key, s) per root: each panel (i, s) whose
+    root is not in ``walls`` and whose chamber i s is not in the mask
+    when i is stepped.  Those are the boundary panels of the result R
+    when no chamber joins the mask after a panel into it is counted.
+    With ``walls`` 0 nothing joins (``_facet_panels``).  For a census
+    child R, ``walls`` is N_R, the union of the inversion sets of R's
+    chambers, and R is {y : N(y) in N_R}: R is convex and holds e, so a
+    y outside R is outside some root holding R and e, whose wall is then
+    in N(y) but in no N(c), c in R (the lemma of
+    ``enumerate_convex_polytopes``).  A panel (i, s), i in R, on a wall
+    outside N_R has that wall in N(i s), so i s never joins.  So a child
+    builds its first panels in the one walk over its new chambers.
     """
     size = start.bit_count()
     if size > limit:
         return None
     queue = list(_members(start) if queue is None else queue)
+    key = None
     for i in queue:
-        for j, r in group.adjacent(i):
-            if not start >> j & 1 and walls >> r & 1:
+        if panels is not None:
+            key = group.chamber_key(i)
+        for s, (j, r) in enumerate(group.adjacent(i)):
+            if start >> j & 1:
+                continue
+            if walls >> r & 1:
                 start |= 1 << j
                 size += 1
                 queue.append(j)
+            elif key is not None:
+                # (key, s) names the panel, so i breaks no tie
+                have = panels.get(r)
+                if have is None or (key, s, i) < have:
+                    panels[r] = (key, s, i)
         if size > limit:
             return None
     return start
@@ -226,31 +256,14 @@ def _mask_of(group, polytope):
     return mask if owner is group else _mask(group, polytope.chambers)
 
 
-def _facet_panels(group, chambers, new, inherited=None, crossed=None):
-    """The first boundary panel (i, s), i in the mask ``chambers`` and
-    i s outside, on each facet wall: a map from panel root to (chamber
-    key of i, s, i), in no meaningful order (``_grow_order`` sorts it by
-    (chamber key, s)).
-
-    ``inherited`` is this map for the old chambers, ``chambers & ~new``
-    (none by default, with ``new`` all the chambers).  Its entry for the
-    root ``crossed`` is dropped and the boundary panels of ``new`` merged
-    in, the least per root kept.  A census child's old chambers are its
-    parent P, whose panels into the new chambers are all of P's on the
-    wall crossed and no others (see ``enumerate_convex_polytopes``), so
-    the rest are still first.
-    """
+def _facet_panels(group, mask):
+    """The first boundary panel (i, s), i in the chamber mask and i s
+    outside, on each facet wall: a map from panel root to (chamber key of
+    i, s, i), in no meaningful order (``_grow_order`` sorts it by
+    (chamber key, s)).  A census child merges its new chambers' panels
+    into its parent's instead (``enumerate_convex_polytopes``)."""
     panels = {}
-    if inherited is not None:
-        panels.update(inherited)
-        del panels[crossed]
-    for i in _members(new):
-        key = group.chamber_key(i)
-        for s, (j, rid) in enumerate(group.adjacent(i)):
-            if not chambers >> j & 1:
-                have = panels.get(rid)
-                if have is None or (key, s) < have[:2]:
-                    panels[rid] = (key, s, i)
+    region(group, mask, 0, mask.bit_count(), panels=panels)
     return panels
 
 
@@ -272,7 +285,7 @@ def _polytope(group, mask, chambers=None, panels=None, counts=None):
     off the mask unless given, and its chambers, and its site counts
     unless given, on first read."""
     if panels is None:
-        panels = _facet_panels(group, mask, mask)
+        panels = _facet_panels(group, mask)
     return ChamberPolytope(chambers, None, panels, counts, (group, mask))
 
 
@@ -609,7 +622,7 @@ def check_andreev(group, polytope):
         return []
     mask, panels = _mask_of(group, polytope), polytope._panels
     if polytope._numbered[0] is not group or panels is None:
-        panels = _facet_panels(group, mask, mask)
+        panels = _facet_panels(group, mask)
     finite = [1 << a | 1 << b for a, b in combinations(panels, 2)
               if group.order_of_roots(a, b) != INFINITY]
     if finite:
@@ -807,14 +820,22 @@ def enumerate_convex_polytopes(group, max_chambers):
     """All convex chamber sets containing the base chamber, at most
     ``max_chambers`` chambers, deduplicated as sets.
 
-    Each member P grows by one facet wall at a time.  Let N_P be the union
-    of the inversion sets N(c), c in P, and let (g, s) be a boundary panel
-    of P with root r and x = g s outside P.
+    For a chamber set H let N_H be the union of the inversion sets N(c),
+    c in H.  Lemma (Abramenko & Brown, *Buildings*, GTM 248, 2008, ch. 3):
+    a convex H holding e is {y : N(y) in N_H}, so N_H names H.  A y in H
+    has N(y) in N_H.  A y outside H is outside some root holding H, as H
+    is an intersection of roots; that root holds e, so its wall is in
+    N(y), and it holds every chamber of H, so its wall is in no N(c), c
+    in H, and not in N_H.
+
+    Each member P grows by one facet wall at a time.  Let (g, s) be a
+    boundary panel of P with root r and x = g s outside P.
 
     - P is the hull of itself, so it is closed under crossing any panel
       whose wall is in N_P.  So r is not in N_P, and x is longer than g,
       else r would be in N(g), inside N_P.  Hence N(x) = N(g) | {r}, and
-      H = hull(P | {x}) is what e reaches across N_P | {r}.
+      H = hull(P | {x}) is what e reaches across N_P | {r}.  So N_H is
+      N_P | {r}: H holds P and x, and no chamber across another wall.
     - A root holding P but not x has its wall between g and x, so it is
       r's.  So P is H on e's side of r, and the new chambers H - P are H
       on the far side: a convex set, which holds x.
@@ -823,6 +844,17 @@ def enumerate_convex_polytopes(group, max_chambers):
       what x reaches across N_P, and the child depends on the wall r
       alone: one search per facet wall, stepping only the new chambers.
 
+    So a child is named, before any search, by its key N_P | {r}, the
+    root mask N_H: by the lemma two children are one set iff their keys
+    are equal.  A key met before, at this member or an earlier one, is
+    a child already queued, and it is not searched again, whether it was
+    within the budget or past it (``seen`` holds both).  A queued child
+    is unbuilt: its parent's (mask, first panels, counts), shared with
+    its siblings, r, x and its key.  It is built when dequeued, in one
+    ``region`` walk from x across its key with P in the start mask, which
+    steps F alone, as a panel of F on r leads into P; a child past the
+    budget is dropped then.
+
     A child H = P | F, F its new chambers, keeps most of P's records.
 
     - Boundary panels: every panel of P on r leads into F, and no other
@@ -830,49 +862,50 @@ def enumerate_convex_polytopes(group, max_chambers):
       is that of P less its panels on r, plus the panels of F leaving H.
       P's first panel on each other wall stays first among H's, and the
       first panels of H are P's without r, merged with F's by least
-      (chamber sort key, s): computed when the child is queued, and
-      sorted only if the child grows.
-    - N_H is N_P with the inversion sets of F's chambers: computed when
-      the child is dequeued, if it is to grow.
+      (chamber sort key, s): by ``region`` as it steps F, and sorted only
+      if the child grows.
+    - N_H is its key: no inversion set is read.
     - Angle sites: each chamber lies in one residue per finite pair, so
       H's site counts are P's plus one per chamber of F and pair, and
       only the residues of F's chambers are walked, to check that each
       is still one arc (``_residue_counts``).  They are counted when the
-      child is dequeued, before it is yielded: P was yielded first, with
+      child is built, before it is yielded: P was yielded first, with
       its counts.
 
     Children are queued in the order their walls are first met in
     (sorted chamber, s) order; a later panel on the same wall would give
-    the same child.  A member's first panels are kept in no order and
-    sorted so (``_grow_order``) only when it grows: a member at the
-    chamber budget is yielded and dropped unsorted.
+    the same child.  So the members come in the order of a census that
+    searched each child when queued and kept those within the budget and
+    not yet found: the same children, each first met at the same panel.
+    A member's first panels are kept in no order and sorted so
+    (``_grow_order``) only when it grows: a member at the chamber budget
+    is yielded and dropped unsorted.
     """
     if max_chambers < 1:
         raise InputError("chamber budget must be >= 1")
-    start = 1 << group.chamber_id(group.identity())
-    seen = {start}
-    # (mask, first panels, new chambers, parent's counts, parent's N_P);
-    # the base chamber is all new, and its inversion set is empty
-    queue = deque([(start, _facet_panels(group, start, start), start, None,
-                    0)])
+    seen = set()
+    # (parent's mask, first panels and counts, wall crossed, x, key): the
+    # base chamber is the child of the empty set across no wall, key 0
+    queue = deque([((0, {}, None), None,
+                    group.chamber_id(group.identity()), 0)])
     while queue:
-        mask, panels, new, inherited, inside = queue.popleft()
-        counts = _residue_counts(group, mask, new, inherited)
+        (old, panels, counts), rid, x, key = queue.popleft()
+        panels = dict(panels)
+        panels.pop(rid, None)
+        mask = region(group, old | 1 << x, key, max_chambers, queue=[x],
+                      panels=panels)
+        if mask is None:
+            continue
+        counts = _residue_counts(group, mask, mask & ~old, counts)
         yield _polytope(group, mask, panels=panels, counts=counts)
         if mask.bit_count() >= max_chambers:
             continue
-        for i in _members(new):
-            inside |= group.inversion_mask(i)
+        parent = (mask, panels, counts)
         for rid, (_, s, i) in _grow_order(panels):
-            x = group.adjacent(i)[s][0]
-            grown = region(group, mask | 1 << x, inside, max_chambers,
-                           queue=[x])
-            if grown is not None and grown not in seen:
-                seen.add(grown)
-                new = grown & ~mask
-                queue.append((grown,
-                              _facet_panels(group, grown, new, panels, rid),
-                              new, counts, inside))
+            child = key | 1 << rid
+            if child not in seen:
+                seen.add(child)
+                queue.append((parent, rid, group.adjacent(i)[s][0], child))
 
 
 def verify_facet_bound(group, max_chambers, census=None):

@@ -38,6 +38,10 @@ growth, one full hull per boundary panel, and ``residue_base_by_descent``
 the first implementation of the least-chamber walk of a rank-2 residue,
 with no memo;
 ``residue_by_coset`` lists a rank-2 residue whole.
+``census_by_mask_seen`` is the census before children were keyed by
+their inversion union, each searched when queued and deduplicated by
+chamber mask, with ``facet_panels_inherited`` the first-panel merge it
+ran per queued child.
 ``cyclotomic_by_division`` is the first implementation of the cyclotomic
 polynomials, and ``TrackingReduction`` the first implementation of word
 reduction and of ``panel_root``, walking a tracked root through the word
@@ -84,14 +88,17 @@ is spherical.
 form, with no chamber ids.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, lcm
 
 from coxlab.algebraic import _pmul, _ptrim
-from coxlab.davis import (AngleSite, _mask_of, _residue_roots, angle_sites,
-                          convex_hull, enumerate_convex_polytopes, is_convex,
-                          is_coxeter_polytope, polytope_of, side)
+from coxlab.davis import (AngleSite, _facet_panels, _grow_order, _mask_of,
+                          _members, _polytope, _residue_counts,
+                          _residue_roots, angle_sites, convex_hull,
+                          enumerate_convex_polytopes, is_convex,
+                          is_coxeter_polytope, polytope_of, region, side)
 from coxlab.errors import (BudgetError, ConsistencyError, FieldError,
                            InputError, PreconditionError)
 from coxlab.matrices import INFINITY, components, is_finite
@@ -186,6 +193,54 @@ def census_by_full_hulls(group, max_chambers, parents=None):
                     if parents is not None:
                         parents[grown.chambers] = p.chambers
     return queue
+
+
+def facet_panels_inherited(group, chambers, new, inherited, crossed):
+    """The census child's first-panel map as it was built when queued:
+    ``inherited``, the map of the old chambers ``chambers & ~new``, less
+    its entry for the root ``crossed``, with the boundary panels of the
+    mask ``new`` merged in, the least (chamber key, s) kept per root."""
+    panels = dict(inherited)
+    del panels[crossed]
+    for i in _members(new):
+        key = group.chamber_key(i)
+        for s, (j, rid) in enumerate(group.adjacent(i)):
+            if not chambers >> j & 1:
+                have = panels.get(rid)
+                if have is None or (key, s) < have[:2]:
+                    panels[rid] = (key, s, i)
+    return panels
+
+
+def census_by_mask_seen(group, max_chambers):
+    """The census as it was before children were keyed by their inversion
+    union: every child searched when its parent is yielded, duplicates
+    dropped by chamber mask, and a queued child holding its own mask,
+    first panels (``facet_panels_inherited``) and new chambers; N_P is
+    grown from the inversion sets of the new chambers when a child is
+    dequeued."""
+    if max_chambers < 1:
+        raise InputError("chamber budget must be >= 1")
+    start = 1 << group.chamber_id(group.identity())
+    seen = {start}
+    queue = deque([(start, _facet_panels(group, start), start, None, 0)])
+    while queue:
+        mask, panels, new, inherited, inside = queue.popleft()
+        counts = _residue_counts(group, mask, new, inherited)
+        yield _polytope(group, mask, panels=panels, counts=counts)
+        if mask.bit_count() >= max_chambers:
+            continue
+        for i in _members(new):
+            inside |= group.inversion_mask(i)
+        for rid, (_, s, i) in _grow_order(panels):
+            x = group.adjacent(i)[s][0]
+            grown = region(group, mask | 1 << x, inside, max_chambers,
+                           queue=[x])
+            if grown is not None and grown not in seen:
+                seen.add(grown)
+                new = grown & ~mask
+                queue.append((grown, facet_panels_inherited(
+                    group, grown, new, panels, rid), new, counts, inside))
 
 
 def residue_base_by_descent(group, g, s, t):

@@ -1,13 +1,15 @@
-"""The census grows one facet wall at a time: the differential test
-against the full-hull growth it replaced, the lemma it rests on, the
-records a child inherits from its parent against the full scans they
-replaced, the walls built only when read, the hull's own properties,
-and the group's memo of rank-2 residue bases."""
+"""The census grows one facet wall at a time: the differential tests
+against the full-hull growth and the census by chamber mask it
+replaced, the lemmas it rests on (a child depends on the wall crossed
+alone, and its inversion union names it), one search per distinct
+child, the records a child inherits from its parent against the full
+scans they replaced, the walls built only when read, the hull's own
+properties, and the group's memo of rank-2 residue bases."""
 
 import json
 import sys
 import threading
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
@@ -18,14 +20,16 @@ from coxlab.davis import (_facet_panels, _grow_order, _mask, _residue_counts,
                           _walls, angle_sites, census_line, chambers_of,
                           convex_hull, enumerate_convex_polytopes, is_convex,
                           polytope_of, region, side, stacan_pairs)
-from coxlab.errors import ConsistencyError, InputError
+from coxlab.errors import BudgetError, ConsistencyError, InputError
 from coxlab.matrices import INFINITY
 from coxlab.words import CoxeterGroup
 
+import oracles
 from conftest import BENCH_MATRICES, CYCLE4, MATRICES
 from oracles import (angle_sites_by_arc_walk, angle_sites_by_residue,
-                     census_by_full_hulls, census_record_by_residue,
-                     facet_panels_by_scan, facet_walls_by_count,
+                     census_by_full_hulls, census_by_mask_seen,
+                     census_record_by_residue, facet_panels_by_scan,
+                     facet_panels_inherited, facet_walls_by_count,
                      hull_fixpoint, residue_base_by_descent,
                      residue_by_coset)
 
@@ -76,6 +80,144 @@ def test_child_depends_on_the_facet_wall_alone(name):
         assert set(hulls) == set(p.facet_walls)
     # the chamber graph of (oo,oo,oo) is a tree: a wall is one panel
     assert (shared > 0) == (name != "univ3")
+
+
+def _records(p):
+    """What a census member carries: its chamber mask, first panels, site
+    counts and facet count."""
+    return p._numbered[1], p._panels, p._counts, p.facet_count
+
+
+@pytest.mark.parametrize("name,k", [(stem, 7) for stem in BENCH_MATRICES]
+                         + [(name, 6) for name in sorted(DIFFERENTIAL)])
+def test_census_matches_the_census_by_chamber_mask(name, k):
+    # the census keyed by inversion union, each child built when dequeued,
+    # gives the members of the one that searched every child when queued
+    # and dropped repeats by chamber mask, in the same order, with the
+    # same records; both run on one group, so their ids agree
+    group = CoxeterGroup(DIFFERENTIAL[name])
+    expected = [_records(p) for p in census_by_mask_seen(group, k)]
+    got = [_records(p) for p in enumerate_convex_polytopes(group, k)]
+    assert len(got) > 1
+    assert got == expected
+
+
+@pytest.mark.parametrize("stem", ["cycle4", "tooo"])
+def test_census_budget_stops_both_censuses_at_one_member(stem, monkeypatch):
+    # a small COXLAB_BUDGET ends both censuses with the same members
+    # yielded before it and the same BudgetError in place of the next
+    monkeypatch.setenv("COXLAB_BUDGET", "40")
+    group = CoxeterGroup(BENCH_MATRICES[stem])
+    runs = []
+    for census in (census_by_mask_seen, enumerate_convex_polytopes):
+        monkeypatch.setattr(davis, "enumerate_convex_polytopes", census)
+        got = []
+        with pytest.raises(BudgetError) as stop:
+            for p in cli.capped_census(group, 7):
+                got.append(_records(p))
+        runs.append((got, str(stop.value)))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == 40
+
+
+def _inversion_union(group, mask):
+    n = 0
+    for i in davis._members(mask):
+        n |= group.inversion_mask(i)
+    return n
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA))
+def test_inversion_union_names_each_member(name):
+    # for each member H: the search from e across N_H reaches H, distinct
+    # members have distinct N_H, and each child P | {g s} within the
+    # budget, taken as a full hull, has N = N_P | {root of (g, s)}
+    group = CoxeterGroup(LEMMA[name])
+    e = 1 << group.chamber_id(group.identity())
+    census = list(enumerate_convex_polytopes(group, 6))
+    names = {}
+    for p in census:
+        mask = p._numbered[1]
+        n = _inversion_union(group, mask)
+        assert region(group, e, n, 10 ** 6) == mask, p
+        names[n] = mask
+    assert len(names) == len(census)
+    children = 0
+    for p in census:
+        if len(p.chambers) >= 6:
+            continue
+        n = _inversion_union(group, p._numbered[1])
+        for g in p.chambers:
+            for s in range(group.rank):
+                x = group.step(g, s)
+                if x in p.chambers:
+                    continue
+                try:
+                    hull = convex_hull(group, p.chambers | {x}, 6)
+                except BudgetError:
+                    continue
+                child = _inversion_union(group, _mask(group, hull.chambers))
+                assert child == n | 1 << group.panel_root(g, s), (p, g, s)
+                assert names[child] == _mask(group, hull.chambers)
+                children += 1
+    assert children > len(census)
+
+
+def _searches(monkeypatch):
+    """The results of every ``davis.region`` call from now on."""
+    results = []
+    search = davis.region
+
+    def recorded(*args, **kwargs):
+        results.append(search(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(davis, "region", recorded)
+    monkeypatch.setattr(oracles, "region", recorded)
+    return results
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA))
+def test_census_searches_each_child_once(name, monkeypatch):
+    # one search for the base chamber and one per distinct child key
+    # N_P | {r}, over the members below the budget and their facet roots,
+    # within the budget or past it
+    group = CoxeterGroup(LEMMA[name])
+    results = _searches(monkeypatch)
+    census = list(enumerate_convex_polytopes(group, 6))
+    searched = len(results)
+    keys = set()
+    for p in census:
+        if len(p.chambers) < 6:
+            n = _inversion_union(group, p._numbered[1])
+            keys.update(n | 1 << rid
+                        for rid in facet_panels_by_scan(group, p.chambers))
+    assert searched == 1 + len(keys)
+    assert sum(mask is not None for mask in results) == len(census)
+    # a panel on a wall is met at most once per member: a census that
+    # searched a child per facet of each member searched more
+    assert searched < 1 + sum(p.facet_count for p in census
+                              if len(p.chambers) < 6)
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 60])
+def test_cut_census_searches_no_child_it_has_not_dequeued(k, monkeypatch):
+    # after k members the census has searched the base chamber and the
+    # children it dequeued: each search that found a child within the
+    # budget yielded it, the last search yielded the k-th member, and the
+    # children of the k-th member are queued unsearched
+    group = CoxeterGroup(CYCLE4)
+    results = _searches(monkeypatch)
+    census = enumerate_convex_polytopes(group, 6)
+    got = list(islice(census, k))
+    assert len(got) == k
+    assert sum(mask is not None for mask in results) == k
+    assert results[-1] == got[-1]._numbered[1]
+    # the census by chamber mask had searched the children of the first
+    # k - 1 members by then: more than k are within the budget
+    del results[:]
+    list(islice(census_by_mask_seen(CoxeterGroup(CYCLE4), 6), k))
+    assert (sum(mask is not None for mask in results) > k) == (k > 1)
 
 
 def _by_ids(group, panels):
@@ -144,7 +286,7 @@ def test_inherited_records_match_full_scans(name):
         mask = _mask(group, p.chambers)
         assert p._numbered == (group, mask)
         if p.chambers == {group.identity()}:
-            got = _facet_panels(group, mask, mask)
+            got = _facet_panels(group, mask)
             counts = _residue_counts(group, mask, mask, None)
         else:
             parent = by_chambers[parents[p.chambers]]
@@ -156,8 +298,11 @@ def test_inherited_records_match_full_scans(name):
             into = [rid for rid, (_, s, i) in inherited.items()
                     if new >> group.adjacent(i)[s][0] & 1]
             assert len(into) == 1, p
-            got = _facet_panels(group, mask, new, inherited, into[0])
+            got = facet_panels_inherited(group, mask, new, inherited,
+                                         into[0])
             counts = _residue_counts(group, mask, new, parent._counts)
+        # the census merges the same map in its one walk of the child
+        assert p._panels == got, p
         by_chambers[p.chambers], panels[p.chambers] = p, got
         assert p._counts == counts == _residue_counts(group, mask, mask,
                                                       None), p
@@ -171,7 +316,7 @@ def test_inherited_records_match_full_scans(name):
     for p in hulls + translates:
         assert p._counts is None
         mask = _mask(group, p.chambers)
-        got = _facet_panels(group, mask, mask)
+        got = _facet_panels(group, mask)
         _assert_full_scan_records(group, p, got)
         assert p._counts == _residue_counts(group, mask, mask, None), p
 
