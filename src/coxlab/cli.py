@@ -15,7 +15,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import davis, subgroups
 from .errors import BudgetError, CoxlabError, InputError
@@ -445,7 +445,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    as it was."""
     parser = _Parser(
         prog="coxlab",
         description="Exact chamber-level computations for Coxeter systems.")

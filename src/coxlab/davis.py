@@ -53,12 +53,12 @@ step from the image of its start.  A glued union holds the base chamber
 in its partner's frame, where it is convex iff no wall of its boundary
 panels is in its inversion union: the search tests each union on four
 masks and walks a partner only to yield or display it.
-Two walls meet in the closure of a polytope exactly when both cross one
-maximal spherical residue meeting it, so the Andreev check reads the
-walls crossing each such residue off the inversion masks of its least
-and longest chambers: it forms no group product, and builds facet walls
-only to display a pair it reports.  With no finite label in the matrix,
-no two walls meet, and it reads nothing.
+Two walls meet in the closure of a chamber g exactly when the supports
+of their roots moved by g^-1 span a spherical set, so the Andreev check
+asks that of the group (``meet_at``) per chamber of the polytope and
+finite-order facet pair: it forms no group product, walks no residue,
+and builds facet walls only to display a pair it reports.  With no
+finite label in the matrix, no two walls meet, and it reads nothing.
 """
 
 from __future__ import annotations
@@ -69,8 +69,7 @@ from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
 from .errors import BudgetError, ConsistencyError, InputError
-from .matrices import (INFINITY, is_infinite_indecomposable,
-                       spherical_subsets)
+from .matrices import INFINITY, is_infinite_indecomposable
 from .words import Value
 
 DEFAULT_HULL_CAP = 4096
@@ -555,27 +554,6 @@ def is_acute_angled(group, polytope):
 # wall and facet intersection
 
 
-def _residue_roots(group, mask):
-    """The root mask of each residue gW_J meeting the chamber mask, g in
-    it and J a maximal spherical set of two or more letters, once per
-    (least chamber b, J): N(b w_J) xor N(b), the root ids of the walls
-    crossing it (see ``check_andreev``).  As a subset of a spherical set
-    is spherical, J is maximal when no one-letter extension is."""
-    spherical = spherical_subsets(group.matrix)
-    found = set(spherical)
-    tops = [j for j in spherical if len(j) > 1 and not any(
-        tuple(sorted((*j, a))) in found
-        for a in range(group.matrix.rank) if a not in j)]
-    roots = {}
-    for i in _members(mask):
-        for j in tops:
-            base = group.residue_end(i, j)
-            if (base, j) not in roots:
-                roots[base, j] = group.inversion_mask(base) ^ \
-                    group.inversion_mask(group.residue_end(base, j, True))
-    return roots.values()
-
-
 def check_andreev(group, polytope):
     """Facet-wall pairs that are disjoint along the polytope but whose
     walls still intersect, in ``combinations(facet_walls, 2)`` order.
@@ -585,52 +563,47 @@ def check_andreev(group, polytope):
     the keys of its first panels, or of a scan of its boundary panels
     when those are released or another group numbered P.  Walls whose
     product has infinite order never meet.  A pair of finite order is
-    reported when no mask of ``_residue_roots`` holds both its roots,
+    reported when no chamber of P has ``meet_at`` true for its roots,
     which is exactly when its walls do not meet in the closure of P:
 
-    (i) Walls a and b meet in the closure of P iff both cross gW_J for
-    some chamber g of P and some maximal spherical J.  They meet in the
-    closure of the chamber g iff g^-1 s_a g and g^-1 s_b g fix one point
-    of the base chamber's closure, whose stabiliser is a finite standard
-    subgroup W_T: iff the union of their supports is spherical.  Such a T
-    lies in a maximal spherical J, and W_T in W_J as J contains T.  A
-    reflection lies in g W_J g^-1 iff its wall separates two chambers of
-    gW_J, that is crosses the residue.  A one-letter J is left out, as
-    one wall alone crosses its residue.
+    (i) Walls a and b meet in the closure of the chamber g iff the
+    supports of g^-1 alpha_a and g^-1 alpha_b span a spherical set.  The
+    map g^-1 takes the closure of g to that of the base chamber C and the
+    walls to those of the reflections in beta_a = g^-1 alpha_a and
+    beta_b, and the reflection in a root beta lies in a standard
+    subgroup W_T iff supp(beta) is inside T.  If the walls meet at a
+    point x of the closure of C, the stabiliser of x is a finite
+    standard subgroup W_T (Davis, *The Geometry and Topology of Coxeter
+    Groups*, 2008) holding both reflections, so both supports lie in the
+    spherical T and so does their union U.  Conversely, for each
+    spherical U the closure of C has a point whose stabiliser is W_U,
+    the face of type U, and when U is spherical both reflections lie in
+    W_U and fix that point, which is then on both walls.
 
-    (ii) Let b be the least chamber of R = bW_J.  Then l(b w) = l(b) +
-    l(w) for w in W_J, the walls crossing R are those of the roots
-    b(Phi+_J), all positive, and N(b w_J) = N(b) + b(Phi+_J), disjointly.
-    So the root mask of R is N(b w_J) xor N(b), read off the two ends of
-    the residue walk (``residue_end``).
-
-    (iii) With no finite entry in the matrix (``group.finite_pairs``
+    (ii) With no finite entry in the matrix (``group.finite_pairs``
     empty), no pair has finite order, and the check returns [] before it
     reads a panel.  Two distinct reflections whose product has finite
     order m generate a finite dihedral group of order 2m >= 4.  A finite
     group of isometries of the CAT(0) Davis complex fixes a point of it
     (Bruhat-Tits), and the stabiliser of a point is a conjugate of a
-    spherical standard subgroup W_T (Davis, *The Geometry and Topology of
-    Coxeter Groups*, 2008).  W_T is finite, so T is spherical, and with
-    no finite m no T of two letters is: |T| <= 1 and |W_T| <= 2 < 4.
+    spherical standard subgroup W_T (Davis).  W_T is finite, so T is
+    spherical, and with no finite m no T of two letters is: |T| <= 1 and
+    |W_T| <= 2 < 4.
 
-    Facet walls are built only to display a reported pair.  The maximal
-    spherical sets are read off ``spherical_subsets``, so a pair of
-    finite order past rank 16 raises its BudgetError.
+    Facet walls are built only to display a reported pair.
     """
     if not group.finite_pairs:
         return []
     mask, panels = _mask_of(group, polytope), polytope._panels
     if polytope._numbered[0] is not group or panels is None:
         panels = _facet_panels(group, mask)
-    finite = [1 << a | 1 << b for a, b in combinations(panels, 2)
+    finite = [(a, b) for a, b in combinations(panels, 2)
               if group.order_of_roots(a, b) != INFINITY]
-    if finite:
-        roots = _residue_roots(group, mask)
-        finite = {pair for pair in finite
-                  if not any(r & pair == pair for r in roots)}
-    if not finite:
-        return []
+    for i in _members(mask):
+        finite = [(a, b) for a, b in finite if not group.meet_at(i, a, b)]
+        if not finite:
+            return []
+    finite = {1 << a | 1 << b for a, b in finite}
     rid = group.wall_root
     return [(a, b) for a, b in combinations(polytope.facet_walls, 2)
             if (1 << rid(a) | 1 << rid(b)) in finite]

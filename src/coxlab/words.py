@@ -26,8 +26,11 @@ Chambers of the chamber complex are exactly these elements; a wall is
 a reflection t = w s w^-1 with its witness (w, s).  Each group reads the
 wall's positive root off the same table walk: it is the root of the
 longer panel named by the crossing letter when ws is shorter than w,
-and otherwise w(e_s), tracked exactly and interned, so every interned
-root is positive and the word layer decides no signs.  ``wall_between``
+and otherwise w(e_s), tracked exactly and interned.  ``meet_at`` walks
+two roots through a chamber's inverse word by the same reflections,
+keeping each line's positive root, and asks a memo per letter mask
+whether their supports are spherical.  So every interned root is
+positive and the word layer decides no signs.  ``wall_between``
 keeps one wall per root and builds every wall the group hands out:
 generators, conjugates, enumerated reflections, and ``as_reflection``,
 which reads the middle panel of a normal form.  The only sign decision
@@ -240,6 +243,8 @@ class CoxeterGroup:
         self._wall_memo = {}
         self._wall_roots = {}
         self._order_memo = {}
+        # letter mask -> whether its standard subgroup is finite
+        self._spherical = {}
         # integer brackets per root id, of its coordinates and of its form
         # row, and of the form's entries, as first asked: see
         # ``order_of_product``
@@ -511,11 +516,21 @@ class CoxeterGroup:
             if j is not None:
                 hit = self._panel_root(word[:j], word[j])
             else:
-                hit = self._simple[s]
-                for a in reversed(word):
-                    hit = self._reflect_id(hit, a)
+                hit = self._act(self._simple[s], reversed(word))
             self._panel_memo[key] = hit
         return hit
+
+    def _act(self, rid, letters):
+        """The root id of the line of the root ``rid`` under the product of
+        the reflections in ``letters``, the first applied first, kept
+        positive: s_a sends only alpha_a of the positive roots to a
+        negative one, so alpha_a stays alpha_a.  The one walk of a root
+        through a word."""
+        simple = self._simple
+        for a in letters:
+            if rid != simple[a]:
+                rid = self._reflect_id(rid, a)
+        return rid
 
     def inversion_set(self, g):
         """Root ids of the walls separating g from the base chamber: the
@@ -536,28 +551,42 @@ class CoxeterGroup:
                 for k, (s, t, _) in enumerate(self.finite_pairs))
         return hit
 
-    def residue_end(self, i, letters, longest=False):
+    def meet_at(self, i, a, b):
+        """Whether the walls of the root ids a and b meet in the closure
+        of chamber id i: iff, g the chamber, the letters of the nonzero
+        coordinates of g^-1 alpha_a and g^-1 alpha_b span a spherical set
+        (see ``davis.check_andreev``)."""
+        word = self._chambers[i][1][1]
+        pair = zip(self._root_list[self._act(a, word)],
+                   self._root_list[self._act(b, word)])
+        return self._is_spherical(sum(
+            1 << j for j, (x, y) in enumerate(pair) if any(x) or any(y)))
+
+    def _is_spherical(self, letters):
+        """Whether the letter mask spans a finite standard subgroup,
+        memoised per mask; racing threads store equal answers."""
+        hit = self._spherical.get(letters)
+        if hit is None:
+            hit = self._spherical[letters] = is_finite(self.matrix.restrict(
+                [j for j in range(self.rank) if letters >> j & 1]))
+        return hit
+
+    def residue_end(self, i, letters):
         """Id of the least chamber of chamber id i's residue of the tuple
         ``letters``, reached by right descents in them along adjacency
-        rows; with ``longest``, id of its longest chamber, reached by
-        right ascents, which only a spherical set of letters has: an
-        infinite residue has no top, so InputError for one.  Each step
-        moves one length down (up) inside the residue, and the least
-        (longest) chamber is the one with no descent (ascent) in it, so
-        the walk ends there.  For a pair of order m it takes at most m
-        steps, as the residue's longest element has length m:
-        ConsistencyError past that."""
-        if longest and not is_finite(self.matrix.restrict(letters)):
-            raise InputError(f"letters {letters} span an infinite residue")
+        rows.  Each step moves one length down inside the residue, and
+        the least chamber is the one with no descent in it, so the walk
+        ends there.  For a pair of order m it takes at most m steps, as
+        the residue's longest element has length m: ConsistencyError
+        past that."""
         chambers = self._chambers
-        up = 1 if longest else -1
         m = self.matrix.order(*letters) if len(letters) == 2 else INFINITY
         x, steps = i, 0
         while steps <= m:
             row, length = self.adjacent(x), chambers[x][1][0]
             for a in letters:
                 y = row[a][0]
-                if chambers[y][1][0] == length + up:
+                if chambers[y][1][0] == length - 1:
                     x, steps = y, steps + 1
                     break
             else:

@@ -70,9 +70,13 @@ decision: it bisects ``isolating_interval`` with exact rational interval
 Horner bounds, and ``floor_scaled_generator`` reads floor(2^B c) off the
 same bisection.  ``form_by_rows`` and ``order_by_form_rows`` form the
 doubled form value afresh for each pair of walls, as ``order_of_product``
-did before it memoised C r per root.  ``facets_intersect`` asks the
-library's residue root masks whether one pair of walls meets, and
-``angle_fraction`` is a helper that no library code calls.
+did before it memoised C r per root.  ``residue_roots_by_walk`` is the
+Andreev check's meeting test before ``meet_at``: the walls crossing
+each maximal spherical residue meeting a polytope, read off the
+inversion masks of its least chamber and of its longest, reached by
+its own ascent walk; ``facets_intersect`` asks it whether one pair of
+walls meets, ``check_andreev_by_walk`` whether each facet pair does,
+and ``angle_fraction`` is a helper that no library code calls.
 ``stacan_pairs_by_scan`` is the glued-pair search before its partner
 index: every acute facet scans the whole census, and each translate is
 formed by ``multiply``; ``stacan_entry_by_scan`` is the stacan suite's
@@ -82,7 +86,7 @@ convex.  ``meeting_by_conjugates`` and
 ``check_andreev_by_conjugates`` are the Andreev check before it read
 residue root masks: every facet wall conjugated by every chamber up
 front, and two walls meeting when the union of two conjugates' supports
-is spherical.
+is spherical; ``meet_at_by_conjugates`` is that test at one chamber.
 ``inversion_set_by_prefixes`` is the first implementation of
 ``inversion_set``: a frozenset grown along the prefixes of the normal
 form, with no chamber ids.
@@ -96,12 +100,13 @@ from math import ceil, floor, lcm
 from coxlab.algebraic import _pmul, _ptrim
 from coxlab.davis import (AngleSite, _facet_panels, _grow_order, _mask_of,
                           _members, _polytope, _residue_counts,
-                          _residue_roots, angle_sites, convex_hull,
+                          angle_sites, convex_hull,
                           enumerate_convex_polytopes, is_convex,
                           is_coxeter_polytope, polytope_of, region, side)
 from coxlab.errors import (BudgetError, ConsistencyError, FieldError,
                            InputError, PreconditionError)
-from coxlab.matrices import INFINITY, components, is_finite
+from coxlab.matrices import (INFINITY, components, is_finite,
+                             spherical_subsets)
 from coxlab.subgroups import (ReflectionSubgroup, canonical_generators,
                               comm_condition, induced_matrix)
 from coxlab.words import CROSS, DEFAULT_ELEMENT_CAP, EXIT, Element, Wall
@@ -1213,26 +1218,79 @@ def contains_reflection_checked(group, gens, r, slack=0):
 # the Andreev check, one facet pair at a time
 
 
+def meet_at_by_conjugates(group, g, a, b):
+    """The chamber g conjugates both reflections into one finite standard
+    subgroup: the letters of g^-1 a g and g^-1 b g span a spherical
+    set."""
+    ginv = group.inverse(g)
+    ra = group.multiply(group.multiply(ginv, a.reflection), g)
+    rb = group.multiply(group.multiply(ginv, b.reflection), g)
+    return is_finite(group.matrix.restrict(set(ra.word) | set(rb.word)))
+
+
 def facets_intersect_per_pair(group, polytope, a, b):
     """Some chamber g of the polytope conjugates both reflections into one
     finite standard subgroup."""
-    for g in polytope.sorted_chambers():
-        ginv = group.inverse(g)
-        ra = group.multiply(group.multiply(ginv, a.reflection), g)
-        rb = group.multiply(group.multiply(ginv, b.reflection), g)
-        support = sorted(set(ra.word) | set(rb.word))
-        if is_finite(group.matrix.restrict(support)):
-            return True
-    return False
+    return any(meet_at_by_conjugates(group, g, a, b)
+               for g in polytope.sorted_chambers())
+
+
+def residue_top_by_ascent(group, i, letters):
+    """Id of the longest chamber of chamber id i's residue of the tuple
+    ``letters``, a spherical set: right ascents in them along adjacency
+    rows, one length up per step, until none is left."""
+    x = i
+    while True:
+        row, length = group.adjacent(x), group.chamber_key(x)[0]
+        up = [row[a][0] for a in letters
+              if group.chamber_key(row[a][0])[0] == length + 1]
+        if not up:
+            return x
+        x = up[0]
+
+
+def residue_roots_by_walk(group, mask):
+    """The root mask of each residue gW_J meeting the chamber mask, g in
+    it and J a maximal spherical set of two or more letters, once per
+    (least chamber b, J): N(b w_J) xor N(b), the root ids of the walls
+    crossing it, as ``check_andreev`` read them before it asked
+    ``meet_at``.  With b least, l(b w) = l(b) + l(w) for w in W_J, so
+    N(b w_J) is N(b) and the roots b(Phi+_J), disjointly.  As a subset of
+    a spherical set is spherical, J is maximal when no one-letter
+    extension is."""
+    spherical = spherical_subsets(group.matrix)
+    found = set(spherical)
+    tops = [j for j in spherical if len(j) > 1 and not any(
+        tuple(sorted((*j, a))) in found
+        for a in range(group.matrix.rank) if a not in j)]
+    roots = {}
+    for i in _members(mask):
+        for j in tops:
+            base = group.residue_end(i, j)
+            if (base, j) not in roots:
+                roots[base, j] = group.inversion_mask(base) ^ \
+                    group.inversion_mask(residue_top_by_ascent(group, base, j))
+    return roots.values()
 
 
 def facets_intersect(group, polytope, a, b):
     """Whether the two facet walls meet inside the closure of the
-    polytope, by the library's residue root masks: some maximal spherical
-    residue meeting it is crossed by both."""
+    polytope, by residue root masks: some maximal spherical residue
+    meeting it is crossed by both."""
     both = 1 << group.wall_root(a) | 1 << group.wall_root(b)
-    return any(r & both == both for r in _residue_roots(
+    return any(r & both == both for r in residue_roots_by_walk(
         group, _mask_of(group, polytope)))
+
+
+def check_andreev_by_walk(group, polytope):
+    """``check_andreev`` on residue root masks (``residue_roots_by_walk``):
+    a finite-order facet pair is reported when no mask holds both its
+    roots."""
+    roots = list(residue_roots_by_walk(group, _mask_of(group, polytope)))
+    rid = group.wall_root
+    return [(a, b) for a, b in combinations(polytope.facet_walls, 2)
+            if group.order_of_product(a, b) != INFINITY
+            and not any(r >> rid(a) & r >> rid(b) & 1 for r in roots)]
 
 
 def meeting_by_conjugates(group, polytope, walls):

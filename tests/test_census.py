@@ -20,7 +20,7 @@ from coxlab.davis import (_facet_panels, _grow_order, _mask, _residue_counts,
                           _walls, angle_sites, census_line, chambers_of,
                           convex_hull, enumerate_convex_polytopes, is_convex,
                           polytope_of, region, side, stacan_pairs)
-from coxlab.errors import BudgetError, ConsistencyError, InputError
+from coxlab.errors import BudgetError, ConsistencyError
 from coxlab.matrices import INFINITY
 from coxlab.words import CoxeterGroup
 
@@ -31,7 +31,7 @@ from oracles import (angle_sites_by_arc_walk, angle_sites_by_residue,
                      census_record_by_residue, facet_panels_by_scan,
                      facet_panels_inherited, facet_walls_by_count,
                      hull_fixpoint, residue_base_by_descent,
-                     residue_by_coset)
+                     residue_by_coset, residue_top_by_ascent)
 
 DIFFERENTIAL = {**BENCH_MATRICES, "a3": MATRICES["a3"], "h3": MATRICES["h3"],
                 "CYCLE4": CYCLE4}
@@ -483,8 +483,8 @@ def test_residue_base_matches_descent_and_coset(name):
     # the least chamber of the coset g W_{s,t}: the descent loop and the
     # shortest of the whole residue for a finite pair; for any pair, the
     # one chamber x of the coset with no right descent in {s, t}; and for
-    # a finite pair the longest chamber, the longest of the residue, the
-    # walk reaching both ends from every chamber of the residue
+    # a finite pair the oracle's ascent reaches the longest chamber of the
+    # residue, and the two walks reach both ends from every chamber of it
     m = DIFFERENTIAL[name]
     group = CoxeterGroup(m)
     for g in group.ball(5):
@@ -495,36 +495,32 @@ def test_residue_base_matches_descent_and_coset(name):
             between = group.multiply(group.inverse(base), g)
             assert set(between.word) <= {s, t}, (name, g, s, t)
             if m.order(s, t) == INFINITY:
-                # an infinite residue has no longest chamber to walk to
-                with pytest.raises(InputError):
-                    group.residue_end(i, (s, t), longest=True)
                 continue
             assert base == residue_base_by_descent(group, g, s, t)
             residue = residue_by_coset(group, g, s, t)
             assert len(residue) == 2 * m.order(s, t)
             shortest = [x for x in residue if len(x) == len(base)]
             assert shortest == [base], (name, g, s, t)
-            top = group.chamber(group.residue_end(i, (s, t), longest=True))
+            top = group.chamber(residue_top_by_ascent(group, i, (s, t)))
             assert top == max(residue, key=len)
             assert len(top) == len(base) + m.order(s, t)
             assert {(group.residue_end(group.chamber_id(x), (s, t)),
-                     group.residue_end(group.chamber_id(x), (s, t), True))
+                     residue_top_by_ascent(group, group.chamber_id(x),
+                                           (s, t)))
                     for x in residue} == {(group.chamber_id(base),
                                            group.chamber_id(top))}
 
 
-def test_residue_end_refuses_the_top_of_an_affine_residue():
+def test_residue_end_descends_in_an_affine_residue():
     # every pair of (3,3,3) is finite but the whole group is affine: the
-    # walk down from any chamber ends at the base chamber, and the walk up
-    # is refused rather than run forever
+    # walk down from any chamber ends at the base chamber (a walk up would
+    # not end, as the residue has no longest chamber)
     group = CoxeterGroup(BENCH_MATRICES["t333"])
     letters = tuple(range(3))
     for g in group.ball(4):
         i = group.chamber_id(g)
         assert group.residue_end(i, letters) == group.chamber_id(
             group.identity())
-        with pytest.raises(InputError):
-            group.residue_end(i, letters, longest=True)
 
 
 _HULL_GROUPS = {n: CoxeterGroup(m) for n, m in

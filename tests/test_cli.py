@@ -102,6 +102,29 @@ def test_help_exits_0(capsys, argv):
     assert "usage: coxlab" in capsys.readouterr().out
 
 
+def test_parser_is_built_once_per_process(t23inf_file, capsys, monkeypatch):
+    # a usage error, then good calls, on the one parser: the same outputs
+    # and exit codes as a fresh parser per call
+    calls = [["verify"], ["classify", t23inf_file, "--json"],
+             ["polytopes", t23inf_file, "--max-chambers", "abc"],
+             ["polytopes", t23inf_file, "--max-chambers", "4", "--json"],
+             ["verify", t23inf_file, "--suite", "andreev", "--json"]]
+
+    def run():
+        out = []
+        for argv in calls:
+            code = main(argv)
+            out.append((code, capsys.readouterr()))
+        return out
+
+    cli.build_parser.cache_clear()
+    shared = run()
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _ in shared] == [3, 0, 3, 0, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert run() == shared
+
+
 MALFORMED_DOCS = {
     "m-not-a-list": b'{"rank": 2, "m": 5}',
     "m-rows-not-lists": b'{"rank": 2, "m": [1, 2]}',

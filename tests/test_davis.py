@@ -524,7 +524,7 @@ def test_hull_and_census_match_fixpoint_oracle():
 
 
 def test_check_andreev_matches_per_pair_oracle():
-    # the residue root masks against the first, per-pair implementation
+    # the support test per chamber against the first, per-pair implementation
     # on conjugates, on every census polytope, acute or not
     matrices = [MATRICES[n] for n in ("t23inf", "t255", "univ3")]
     violations = 0

@@ -4,9 +4,9 @@ decision it makes is whether two walls meet, the only conjugation
 descent it runs is the one to the canonical generators, word reduction
 and the ShortLex automaton walk the elementary-root table with no
 field arithmetic, a product is one table walk with no memo, ``ball``
-walks the automaton alone, only
-``panel_root`` walks a root through a word, only ``wall_between``
-builds a ``Wall``, only ``_new_element`` an ``Element`` (for ``_id``
+walks the automaton alone, only ``_act`` walks a root through a word
+(for ``panel_root`` and ``meet_at``), only ``wall_between`` builds a
+``Wall``, only ``_new_element`` an ``Element`` (for ``_id``
 and ``ball``), only ``FieldSpec.rotation_order`` reads an order off the
 field's table, and
 only ``angle_sites`` an ``AngleSite``, which no reader of a polytope's
@@ -18,8 +18,9 @@ no polytope links to its parent; the site table alone states j | m and
 ``Value`` alone writes the immutable-value protocol; ``polytopes``
 streams its census through ``census_line`` with no materialised list;
 the stacan suite takes no hull per glued pair, and the Andreev check
-asks no order of a matrix with no finite label; and no module imports a
-sibling's underscore names."""
+walks no residue, enumerates no spherical set and asks no order of a
+matrix with no finite label; and no module imports a sibling's
+underscore names."""
 
 import ast
 from pathlib import Path
@@ -99,10 +100,10 @@ def test_only_order_of_product_decides_signs():
 
 
 def test_davis_forms_no_product_and_no_conjugate_meeting():
-    # the chamber layer decides whether walls meet on residue root masks:
-    # it forms no group product, asks orders on root ids rather than walls,
-    # takes its spherical sets whole from ``matrices``, and the conjugate
-    # meeting test lives in the test oracles
+    # the chamber layer asks the group whether walls meet (``meet_at``): it
+    # forms no group product, asks orders on root ids rather than walls,
+    # leaves sphericity to the group's memo, and the conjugate meeting test
+    # lives in the test oracles
     named = _named(ast.parse((SRC / "davis.py").read_text()))
     assert not named & {"multiply", "inverse", "order_of_product",
                         "is_finite", "_meeting"}
@@ -116,13 +117,31 @@ def test_only_canonical_generators_conjugates_walls():
     assert calls == [("subgroups.py", "canonical_generators")]
 
 
-def test_only_panel_root_tracks_roots():
-    # ``panel_root`` is a call of ``_panel_root``, its memo keyed on words
-    calls = [(path.name,) + scope
-             for path in sorted(SRC.glob("*.py"))
-             for scope in _call_scopes(ast.parse(path.read_text()),
-                                       "_reflect_id")]
-    assert calls == [("words.py", "CoxeterGroup", "_panel_root")]
+def test_only_act_tracks_roots():
+    # one walk of a root through a word, ``_act``, shared by
+    # ``_panel_root`` (``panel_root`` is a call of it, its memo keyed on
+    # words) and ``meet_at``
+    def calls(name):
+        return [(path.name,) + scope
+                for path in sorted(SRC.glob("*.py"))
+                for scope in _call_scopes(ast.parse(path.read_text()), name)]
+    assert calls("_reflect_id") == [("words.py", "CoxeterGroup", "_act")]
+    assert set(calls("_act")) == {("words.py", "CoxeterGroup", name)
+                                  for name in ("_panel_root", "meet_at")}
+
+
+def test_andreev_walks_no_residue_and_enumerates_no_spherical_set():
+    # the Andreev check asks ``meet_at`` per chamber: ``davis`` neither
+    # imports nor calls the spherical-set enumeration or the residue walk,
+    # and the residue walk only descends, to a least chamber
+    tree = ast.parse((SRC / "davis.py").read_text())
+    imported = {a.asname or a.name for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "is_infinite_indecomposable" in imported
+    assert not (_named(tree) | imported) & {"spherical_subsets",
+                                            "residue_end"}
+    params = [a.arg for a in _group_methods()["residue_end"].args.args]
+    assert params == ["self", "i", "letters"]
 
 
 def test_only_wall_between_builds_walls():

@@ -3,12 +3,17 @@ implementations they replaced, kept in ``oracles``, and on the data they
 decide: the same glued pairs in the same order and byte-identical report
 entries from the partner index and the mask test of union convexity, the
 mask test flag for flag against the hull on unions that are not convex
-too, the same violations from the Andreev check on residue root masks as
-from conjugates, no group product formed by it, nor a wall built but to
-display a violation, and no order asked on a matrix with no finite
-label; and the facet-bound suite's failure on a decomposable matrix."""
+too, the same violations from the Andreev check on root supports as from
+the residue walk and from conjugates, the same meeting per chamber, its
+sphericity memo against ``is_finite`` and under threads, no group
+product formed by it, no residue walked, nor a wall built but to display
+a violation, no order asked on a matrix with no finite label, and an
+answer past rank 16; and the facet-bound suite's failure on a
+decomposable matrix."""
 
 import json
+import sys
+import threading
 import time
 from itertools import combinations
 
@@ -18,11 +23,12 @@ from coxlab import cli, davis
 from coxlab.davis import (_mask_of, check_andreev, enumerate_convex_polytopes,
                           glued_translates, is_acute_angled, is_convex,
                           stacan_pairs, translate, union_is_convex)
-from coxlab.matrices import INFINITY, CoxeterMatrix
+from coxlab.matrices import INFINITY, CoxeterMatrix, is_finite
 from coxlab.words import CoxeterGroup
 
-from conftest import BENCH_MATRICES, MATRICES
-from oracles import (check_andreev_by_conjugates, glued_unions_wide,
+from conftest import BENCH_MATRICES, CYCLE4, MATRICES
+from oracles import (check_andreev_by_conjugates, check_andreev_by_walk,
+                     glued_unions_wide, meet_at_by_conjugates,
                      stacan_entry_by_scan, stacan_pairs_by_scan)
 
 # the verify workload's matrices at its budgets
@@ -31,10 +37,13 @@ CASES = [("t23oo", 7), ("t255", 7), ("t237", 7), ("t333", 7), ("cycle4", 6),
 # and the one with rank-3 spherical residues of three types (H3,
 # I2(5)xA1, A1xI2(7)), which the rank-2 residues alone do not decide
 ANDREEV_CASES = CASES + [("n210", 5)]
+# and larger censuses, with the triangles (2,4,4) and (2,3,6)
+ANDREEV_WIDE = ANDREEV_CASES + [("cycle4", 8), ("n210", 6), ("t244", 6),
+                                ("t236", 6)]
 
 
 def _census(name, k):
-    group = CoxeterGroup(BENCH_MATRICES[name])
+    group = CoxeterGroup({**MATRICES, **BENCH_MATRICES}[name])
     return group, list(enumerate_convex_polytopes(group, k))
 
 
@@ -98,18 +107,104 @@ def test_stacan_budget_one_yields_nothing():
         assert list(glued_translates(group, k)) == []
 
 
-@pytest.mark.parametrize("name,k", ANDREEV_CASES)
+@pytest.mark.parametrize("name,k", ANDREEV_WIDE)
 def test_check_andreev_matches_conjugates_oracle(name, k):
-    # every census member, acute or not
+    # every census member, acute or not: the support test per chamber
+    # against the residue walk it replaced and the conjugates before that
     group, census = _census(name, k)
     violations = 0
     for p in census:
         got = check_andreev(group, p)
+        assert got == check_andreev_by_walk(group, p), (name, p)
         assert got == check_andreev_by_conjugates(group, p), (name, p)
         violations += len(got)
     # the obtuse members of the groups with no infinite label break the
     # guarantee, which is made for acute ones only
-    assert (violations > 0) == (name in ("t255", "t237", "t333", "n210"))
+    assert (violations > 0) == (name in ("t255", "t237", "t333", "n210",
+                                         "t244", "t236"))
+
+
+@pytest.mark.parametrize("name,k", ANDREEV_WIDE)
+def test_meet_at_matches_conjugate_supports(name, k):
+    # every (chamber, facet pair) of the census: the supports of the roots
+    # moved by g^-1 against the letters of the conjugated reflections
+    group, census = _census(name, k)
+    asked, met = set(), 0
+    for p in census:
+        for g in p.chambers:
+            i = group.chamber_id(g)
+            for a, b in combinations(p.facet_walls, 2):
+                if (g, a, b) in asked:
+                    continue
+                asked.add((g, a, b))
+                got = group.meet_at(i, group.wall_root(a), group.wall_root(b))
+                assert got == meet_at_by_conjugates(group, g, a, b), \
+                    (name, g, a, b)
+                met += got
+    # with no finite label no two walls meet (``check_andreev`` (ii))
+    assert met < len(asked) and (met > 0) == bool(group.finite_pairs)
+
+
+# every matrix of the tests and of the benchmark; all of rank at most 6
+SPHERICAL_CASES = {**MATRICES, **BENCH_MATRICES, "CYCLE4": CYCLE4}
+
+
+@pytest.mark.parametrize("name", sorted(SPHERICAL_CASES))
+def test_sphericity_memo_matches_is_finite_on_every_subset(name):
+    matrix = SPHERICAL_CASES[name]
+    assert matrix.rank <= 6
+    group = CoxeterGroup(matrix)
+    for mask in range(1, 1 << matrix.rank):
+        letters = [j for j in range(matrix.rank) if mask >> j & 1]
+        assert group._is_spherical(mask) == \
+            is_finite(matrix.restrict(letters)), (name, letters)
+    assert sorted(group._spherical) == list(range(1, 1 << matrix.rank))
+
+
+def test_check_andreev_walks_no_residue(monkeypatch):
+    # over n210's census at K = 6 the check asks ``meet_at`` alone: no
+    # residue walk, and few chamber ids beyond the census's (the walk to
+    # the top of each maximal spherical residue numbered 901 in all)
+    group, census = _census("n210", 6)
+    walked = []
+    monkeypatch.setattr(group, "residue_end",
+                        lambda *args: walked.append(args))
+    assert sum(len(check_andreev(group, p)) for p in census) > 0
+    assert walked == [] and len(group._chambers) <= 160
+
+
+def test_check_andreev_from_threads_on_a_cold_group():
+    # 8 threads share one cold group of n210, with no chamber numbered, and
+    # a census at K = 5 that another group built, each thread starting at
+    # its own member: the answers are a serial run's on a fresh group, and
+    # so is the sphericity memo
+    census = _census("n210", 5)[1]
+    group, serial = (CoxeterGroup(BENCH_MATRICES["n210"]) for _ in range(2))
+    want = [check_andreev(serial, p) for p in census]
+    assert any(want)
+    start = threading.Barrier(8, timeout=30)
+    got = [None] * 8
+
+    def work(t):
+        start.wait()
+        order = list(range(t, len(census))) + list(range(t))
+        answers = {j: check_andreev(group, census[j]) for j in order}
+        got[t] = [answers[j] for j in range(len(census))]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert got == [want] * 8
+    assert group._spherical == serial._spherical
 
 
 def _affine_a(n):
@@ -119,19 +214,20 @@ def _affine_a(n):
 
 
 def test_andreev_at_high_rank_ends_quickly_or_reports_its_budget():
-    # affine A~12 has 2^13 - 2 spherical subsets but 13 maximal ones, each
-    # told by its one-letter extensions, so the base chamber, whose facet
-    # pairs all have finite order, is checked in well under a second (a
-    # scan of all pairs of spherical sets takes tens of seconds); past
-    # rank 16 the spherical sets are not enumerated, and the suite reports
-    # its budget
-    start = time.perf_counter()
-    checks = cli.run_verify(_affine_a(13), "andreev", 1).checks
-    assert time.perf_counter() - start < 5
-    assert [c["status"] for c in checks] == ["bounded-pass"]
-    checks = cli.run_verify(_affine_a(17), "andreev", 1).checks
-    assert [(c["status"], c["detail"]) for c in checks] == [
-        ("budget", "nerve enumeration capped at rank 16")]
+    # affine A~n has 2^(n+1) - 2 spherical subsets, but the check asks one
+    # sphericity per support met and enumerates none: the base chamber,
+    # whose facet pairs all have finite order, is checked in well under a
+    # second at ranks 13 and 16, and past rank 16, where an enumeration of
+    # spherical sets would stop at its cap, the suite answers as well
+    for rank, k, seconds in ((13, 1, 5), (16, 3, 1)):
+        start = time.perf_counter()
+        checks = cli.run_verify(_affine_a(rank), "andreev", k).checks
+        assert time.perf_counter() - start < seconds
+        assert [c["status"] for c in checks] == ["bounded-pass"], rank
+    for rank in (17, 20):
+        checks = cli.run_verify(_affine_a(rank), "andreev", 3).checks
+        assert [(c["status"], c["detail"]) for c in checks] == [
+            ("bounded-pass", "0 violations over 1 acute polytopes")], rank
 
 
 def _count_products(monkeypatch, group):
@@ -146,7 +242,7 @@ def _count_products(monkeypatch, group):
 
 def test_andreev_forms_no_product_and_builds_walls_for_violations_only(
         monkeypatch):
-    # the meeting test reads residue root masks on chamber ids: no group
+    # the meeting test acts on root ids by chamber words: no group
     # product is formed on either census; in (oo,oo,oo) every product of
     # two walls has infinite order and no wall is built, and in (2,5,5)
     # the acute members report nothing and build no wall either, while
@@ -177,7 +273,7 @@ def test_all_infinite_matrices_are_the_ones_covered():
 
 @pytest.mark.parametrize("name", ALL_INFINITE)
 def test_no_wall_pair_has_finite_order_without_a_finite_label(name):
-    # the lemma of ``check_andreev`` (iii): no two distinct walls of a
+    # the lemma of ``check_andreev`` (ii): no two distinct walls of a
     # matrix with no finite label have a product of finite order, so the
     # check asks no order at all, on any census member
     matrix = {**MATRICES, **BENCH_MATRICES}[name]
