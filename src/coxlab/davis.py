@@ -12,7 +12,11 @@ number j of its chambers there, as each chamber lies in one residue
 per pair.  The counts are its only record of its sites: the angle
 predicates and census lines read them, and ``angle_sites`` builds the
 site values from them on each call, walking each arc out from one of
-its chambers for its exit walls.  The census
+its chambers for its exit walls.  No other reader walks an arc: the
+counts are checked to be one arc per residue by the cycle edges each
+new chamber adds (``_residue_counts``), and the stacan search reads a
+site's exit panels off the residues of the boundary panels' chambers.
+The census
 enumerates every convex chamber set containing the base chamber up to a
 chamber budget: each one arises from a smaller one by adjoining an
 adjacent chamber and closing up, so the growth search is exhaustive.
@@ -51,8 +55,10 @@ A convex chamber set is gallery-connected, so the stacan search
 translates one by walking it along the adjacency rows and replaying each
 step from the image of its start.  A glued union holds the base chamber
 in its partner's frame, where it is convex iff no wall of its boundary
-panels is in its inversion union: the search tests each union on four
-masks and walks a partner only to yield or display it.
+panels is in its inversion union: the search reads each census member
+once, in one scan of its boundary panels, into its chamber mask, N, B
+and obtuse roots, tests each union on four masks, and walks a partner
+only to yield or display it.
 Two walls meet in the closure of a chamber g exactly when the supports
 of their roots moved by g^-1 span a spherical set, so the Andreev check
 asks that of the group (``meet_at``) per chamber of the polytope and
@@ -407,45 +413,52 @@ def _residue_counts(group, chambers, new, inherited):
     from residue (k, base id) of ``group.residues`` to the number j of
     chambers the set holds in it.  ``inherited`` is this map for the old
     chambers, ``chambers & ~new`` (none when ``new`` is all the
-    chambers); each new chamber adds 1 to each of its residues.
+    chambers); each new chamber adds 1 to each of its residues.  The keys
+    are the very tuples ``group.residues`` returns.
 
-    The check.  From one new chamber of each residue the new chambers
-    touch, the walk through s and t inside the set must reach the j
-    counted chambers, or the set meets the residue in more than one arc
-    and ConsistencyError is raised.  This is the check of two conditions:
-    that no two walks of a pair start from chambers of one residue, and
-    that the arcs of each pair cover the set once.  The walk reaches the
-    arc of its start, so it reaches j chambers exactly when the set's j
-    chambers of the residue form one arc, which is the first condition
-    for that residue: a second walk could only start in a second arc.  A
-    residue the new chambers miss holds the same chambers as in the old
-    set, whose map passed this check, by induction from a map with every
-    chamber new, in which every residue meeting the set is walked.  Each
-    chamber lies in exactly one residue per pair, so the counts of a pair
-    sum to the size of the set: the second condition holds by
-    construction.  A residue holding one chamber is one arc, and is not
-    walked: the walk stays in the residue and the set, so it reaches
-    only counted chambers.  A group with no finite pair has no site to
-    count: the map is ``_NO_COUNTS``.
+    The check: the set must meet each residue in one arc, or
+    ConsistencyError is raised, naming the residue and the last new
+    chamber in it.  An {s, t} residue of order m is a cycle of 2m
+    chambers, each joined to its s- and t-neighbours.  A proper subset of
+    j of them is a union of a arcs, paths that span j - a of the cycle's
+    edges; the whole cycle (j = 2m) spans 2m edges, and is an interior
+    site.  So with e the edges the set spans in a residue, j - e is its
+    number of arcs, or 0 when it holds the whole cycle, and the residue
+    passes iff j - e is at most 1: j = 1 and j = 2m pass, and any other
+    j passes iff e = j - 1.  Each new chamber adds 1 to j, and to e those
+    of its s- and t-neighbours already in the set: the old chambers and
+    the new ones before it, so an edge between two new chambers is
+    counted once.  A residue the new chambers miss holds the chambers it
+    held in the old set, whose map passed this check, by induction from
+    a map with every chamber new.  A residue they touch is not whole in
+    the old set, so its j_old old chambers, if any, are one arc spanning
+    j_old - 1 edges: its j - e starts at 1, or at 0 when j_old is 0, and
+    no arc is walked.  A group with no finite pair has no site to count:
+    the map is ``_NO_COUNTS``.
     """
-    if not group.finite_pairs:
+    pairs = group.finite_pairs
+    if not pairs:
         return _NO_COUNTS
     counts = dict(inherited) if inherited is not None else {}
-    touched = {}
+    # residue -> j - e: the arcs the set meets it in, or 0 once whole
+    arcs = {}
+    inside = chambers & ~new
     for i in _members(new):
-        for key in group.residues(i):
-            counts[key] = counts.get(key, 0) + 1
-            touched[key] = i
-    pairs = group.finite_pairs
-    for key, i in touched.items():
-        j = counts[key]
-        if j == 1:
-            continue
-        s, t, _ = pairs[key[0]]
-        if len(_arc(group, chambers, i, s, t)[0]) != j:
+        row = group.adjacent(i)
+        for key, (s, t, _) in zip(group.residues(i), pairs):
+            j = counts.get(key, 0)
+            counts[key] = j + 1
+            arcs[key] = (arcs.get(key, j > 0) + 1 - (inside >> row[s][0] & 1)
+                         - (inside >> row[t][0] & 1))
+        inside |= 1 << i
+    for key, a in arcs.items():
+        if a > 1:
+            s, t, _ = pairs[key[0]]
+            last = max(i for i in _members(new) if key in group.residues(i))
             raise ConsistencyError(
                 "arc of a convex polytope is not contiguous",
-                ((group.chamber(key[1]).word, s, t), group.chamber(i).word))
+                ((group.chamber(key[1]).word, s, t),
+                 group.chamber(last).word))
     return counts
 
 
@@ -613,21 +626,49 @@ def check_andreev(group, polytope):
 # gluing two polytopes along a facet
 
 
-def _obtuse_roots(group, polytope):
-    """The root-id mask of the walls bounding a site with 2j > m: the
-    polytope is acute along a wall iff its bit is clear.  Only the arcs of
-    those sites are walked, for the root ids of their exit panels; no
-    wall is built."""
+def _boundary_roots(group, polytope, mask, holding):
+    """(B, obtuse) of the polytope, whose chamber mask in ``group``'s ids
+    is ``mask``, read in one scan of its boundary panels: the root ids B
+    of the walls of its boundary panels, and those of the walls bounding
+    a site with 2j > m.  The polytope is acute along the other walls of
+    B.  ``holding[s]`` lists the finite pairs k that hold the letter s.
+
+    A site's arc is the polytope's chambers in its residue, so its exit
+    panels are the boundary panels (i, a) with i in the residue and a in
+    its pair.  So a boundary panel (i, s) is an exit panel of a site with
+    2j > m iff, for some pair k holding s, i's residue of k
+    (``group.residues(i)[k]``) is such a site, read off the site table:
+    no arc is walked.  An acute facet wall has one panel
+    (``stacan_pairs``): ConsistencyError, with the panels of the first
+    met, if one has two."""
     counts = _site_counts(group, polytope)
     pairs = group.finite_pairs
-    obtuse = [key for key, j in counts.items()
-              if not _angle(pairs[key[0]][2], j)[2]]
-    roots = 0
-    if obtuse:
-        for exits in _exits(group, polytope, obtuse):
-            for rid in exits:
-                roots |= 1 << rid
-    return roots
+    wide = {key for key, j in counts.items()
+            if not _angle(pairs[key[0]][2], j)[2]}
+    boundary = twice = obtuse = 0
+    for i in _members(mask):
+        sites = group.residues(i) if wide else ()
+        for s, (j, r) in enumerate(group.adjacent(i)):
+            if mask >> j & 1:
+                continue
+            if boundary >> r & 1:
+                twice |= 1 << r
+            boundary |= 1 << r
+            if sites and not obtuse >> r & 1:
+                for k in holding[s]:
+                    if sites[k] in wide:
+                        obtuse |= 1 << r
+                        break
+    twice &= ~obtuse
+    if twice:
+        on = [(r, i, s) for i in _members(mask)
+              for s, (j, r) in enumerate(group.adjacent(i))
+              if not mask >> j & 1 and twice >> r & 1]
+        raise ConsistencyError(
+            "acute facet of a convex polytope is not one chamber",
+            sorted((group.chamber(i).word, s) for r, i, s in on
+                   if r == on[0][0]))
+    return boundary, obtuse
 
 
 def translate(group, mask, target, source=None):
@@ -673,13 +714,16 @@ def glued_unions(group, max_total_chambers, census=None):
     anchor C (the mask of ``translate(group, C, anchor)``), and ``convex``
     whether P1 | P2 is convex.  No P2 is walked and no hull is taken.
 
-    The census is read once, into each member's obtuse root mask and,
-    per generator s and room r, the list of the members of at most r
-    chambers that may be glued across the wall of s, in census order,
-    each as its (C, N_C, B_C), ``translate`` by the identity.  P1 is
-    walked into the frame of its partners once per acute facet with a
-    partner, and each pair is then tested on four masks, by the two facts
-    below.
+    The census is read once, each member in one scan of its boundary
+    panels for B_C and its obtuse roots (``_boundary_roots``), and, for a
+    member that may be a partner, N_C, the union of its chambers'
+    inversion masks: per generator s and room r, the list of the members
+    of at most r chambers that may be glued across the wall of s, in
+    census order, each as its (C, N_C, B_C).  P1's acute facets are read
+    off its first panels (``_facet_panels`` when those are released or
+    another group numbered it), P1 is walked into the frame of its
+    partners once per acute facet with a partner, and each pair is then
+    tested on four masks, by the two facts below.
 
     Lemma (Abramenko & Brown, *Buildings*, GTM 248, 2008, ch. 3).  A
     chamber set U holding e is convex iff no wall of a boundary panel of
@@ -713,40 +757,39 @@ def glued_unions(group, max_total_chambers, census=None):
     if census is None:
         census = (enumerate_convex_polytopes(group, max_total_chambers - 1)
                   if max_total_chambers > 1 else ())
-    masks = ((p, _mask_of(group, p)) for p in census)
-    census = [(p, mask, _obtuse_roots(group, p)) for p, mask in masks
-              if mask.bit_count() < max_total_chambers]
     base = group.chamber_id(group.identity())
     gens = group.adjacent(base)
+    holding = [[k for k, (a, b, _) in enumerate(group.finite_pairs)
+                if s in (a, b)] for s in range(group.rank)]
     fits = [[[] for _ in range(max_total_chambers)] for _ in gens]
-    for _, mask, obtuse in census:
+    members = []
+    for p in census:
+        mask = _mask_of(group, p)
+        size = mask.bit_count()
+        if size >= max_total_chambers:
+            continue
+        boundary, obtuse = _boundary_roots(group, p, mask, holding)
+        members.append((p, mask, obtuse))
         partner = None
         for s, (across, rid) in enumerate(gens):
             if not (mask >> across & 1 or obtuse >> rid & 1):
                 if partner is None:
-                    partner = translate(group, mask, base, base)
-                for partners in fits[s][mask.bit_count():]:
+                    inversions = 0
+                    for i in _members(mask):
+                        inversions |= group.inversion_mask(i)
+                    partner = (mask, inversions, boundary)
+                for partners in fits[s][size:]:
                     partners.append(partner)
-    for p1, mask1, obtuse in census:
+    for p1, mask1, obtuse in members:
         room = max_total_chambers - mask1.bit_count()
-        panels = {}
-        for i in _members(mask1):
-            for s, (j, r) in enumerate(group.adjacent(i)):
-                if not mask1 >> j & 1:
-                    panels.setdefault(r, []).append((i, s))
-        glued = []
-        for rid, on in panels.items():
-            if obtuse >> rid & 1:
-                continue
-            if len(on) != 1:
-                raise ConsistencyError(
-                    "acute facet of a convex polytope is not one chamber",
-                    sorted((group.chamber(i).word, s) for i, s in on))
-            if fits[on[0][1]][room]:
-                glued += on
+        panels = p1._panels
+        if p1._numbered[0] is not group or panels is None:
+            panels = _facet_panels(group, mask1)
         # only an acute facet with a partner builds its wall
+        glued = [(i, s) for rid, (_, s, i) in panels.items()
+                 if not obtuse >> rid & 1 and fits[s][room]]
         for wall in _walls(group, glued):
-            [(i, s)] = panels[group.wall_root(wall)]
+            _, s, i = panels[group.wall_root(wall)]
             anchor = group.adjacent(i)[s][0]
             across, root = gens[s]
             _, n_q, b_q = translate(group, mask1, across, i)
@@ -840,10 +883,10 @@ def enumerate_convex_polytopes(group, max_chambers):
     - N_H is its key: no inversion set is read.
     - Angle sites: each chamber lies in one residue per finite pair, so
       H's site counts are P's plus one per chamber of F and pair, and
-      only the residues of F's chambers are walked, to check that each
-      is still one arc (``_residue_counts``).  They are counted when the
-      child is built, before it is yielded: P was yielded first, with
-      its counts.
+      only the residues of F's chambers are checked to be still one arc,
+      by the cycle edges F's chambers add (``_residue_counts``).  They
+      are counted when the child is built, before it is yielded: P was
+      yielded first, with its counts.
 
     Children are queued in the order their walls are first met in
     (sorted chamber, s) order; a later panel on the same wall would give

@@ -15,7 +15,11 @@ and angle sites, and ``facet_panels_by_scan`` and
 census's inherited boundary panels and angle sites replaced;
 ``census_record_by_residue`` is a census line built on the latter, and
 ``angle_sites_by_arc_walk`` the arc walk from every chamber that the
-residue counts replaced.
+residue counts replaced.  ``residue_counts_by_walk`` is the residue
+count before it counted cycle edges, checking each touched residue by
+walking its arc, and ``obtuse_roots_by_arcs`` the stacan search's
+obtuse-root mask before it scanned boundary panels, walking the arc of
+each site with 2j > m for its exit panels.
 ``contains_reflection`` decides membership by
 conjugation descent, and ``fundamental_polytope_by_membership`` stops
 the search from the base chamber at every wall whose reflection it
@@ -98,8 +102,9 @@ from itertools import combinations
 from math import ceil, floor, lcm
 
 from coxlab.algebraic import _pmul, _ptrim
-from coxlab.davis import (AngleSite, _facet_panels, _grow_order, _mask_of,
-                          _members, _polytope, _residue_counts,
+from coxlab.davis import (_NO_COUNTS, AngleSite, _angle, _arc, _exits,
+                          _facet_panels, _grow_order, _mask_of, _members,
+                          _polytope, _residue_counts, _site_counts,
                           angle_sites, convex_hull,
                           enumerate_convex_polytopes, is_convex,
                           is_coxeter_polytope, polytope_of, region, side)
@@ -1497,6 +1502,48 @@ def angle_sites_by_arc_walk(group, chambers):
                 sorted(g.word for g in chambers))
     sites.sort(key=lambda z: (z.pair, z.base.sort_key))
     return tuple(sites)
+
+
+def residue_counts_by_walk(group, chambers, new, inherited):
+    """``davis._residue_counts`` before it counted cycle edges: the same
+    map, checked by walking, from the last new chamber met in each
+    residue the new chambers touch, the arc through s and t inside the
+    set, which must reach the j counted chambers of the residue."""
+    if not group.finite_pairs:
+        return _NO_COUNTS
+    counts = dict(inherited) if inherited is not None else {}
+    touched = {}
+    for i in _members(new):
+        for key in group.residues(i):
+            counts[key] = counts.get(key, 0) + 1
+            touched[key] = i
+    pairs = group.finite_pairs
+    for key, i in touched.items():
+        j = counts[key]
+        if j == 1:
+            continue
+        s, t, _ = pairs[key[0]]
+        if len(_arc(group, chambers, i, s, t)[0]) != j:
+            raise ConsistencyError(
+                "arc of a convex polytope is not contiguous",
+                ((group.chamber(key[1]).word, s, t), group.chamber(i).word))
+    return counts
+
+
+def obtuse_roots_by_arcs(group, polytope):
+    """The root-id mask of the walls bounding a site with 2j > m, as the
+    stacan search read it before it scanned boundary panels: the arc of
+    each such site walked for the root ids of its exit panels."""
+    counts = _site_counts(group, polytope)
+    pairs = group.finite_pairs
+    obtuse = [key for key, j in counts.items()
+              if not _angle(pairs[key[0]][2], j)[2]]
+    roots = 0
+    if obtuse:
+        for exits in _exits(group, polytope, obtuse):
+            for rid in exits:
+                roots |= 1 << rid
+    return roots
 
 
 def census_record_by_residue(group, chambers):

@@ -382,9 +382,10 @@ def test_facet_bound_counts_each_member_once(monkeypatch, capsys):
 
 
 def test_non_contiguous_arc_is_refused():
-    # a set meeting a rank-2 residue in two arcs is not convex: the walk
-    # from a new chamber misses the other arc, whether both arcs hold new
-    # chambers or one lies in the parent, whose counts the child copies
+    # a set meeting a rank-2 residue in two arcs is not convex: it spans
+    # fewer cycle edges there than one arc would, whether both arcs hold
+    # new chambers or one lies in the parent, whose counts the child
+    # copies
     group = CoxeterGroup(MATRICES["a2aff"])
     e, s0, s1 = group.identity(), group.generator(0), group.generator(1)
     with pytest.raises(ConsistencyError):
@@ -394,6 +395,70 @@ def test_non_contiguous_arc_is_refused():
     new = _mask(group, {group.normal_form([0, 1])})
     with pytest.raises(ConsistencyError):
         _residue_counts(group, parent | new, new, parent_counts)
+
+
+def _counts_or_refusal(count, group, chambers, new, inherited):
+    """``count``'s map, or the message and payload of its
+    ConsistencyError."""
+    try:
+        return count(group, chambers, new, inherited)
+    except ConsistencyError as e:
+        return str(e), e.payload
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_edge_count_matches_arc_walk_on_census_calls(name, monkeypatch):
+    # every census call at K = 7, a parent's map and the child's new
+    # chambers, counts the map of the arc walk that the edge count
+    # replaced
+    routine, calls = davis._residue_counts, []
+
+    def compared(group, chambers, new, inherited):
+        counts = routine(group, chambers, new, inherited)
+        assert counts == oracles.residue_counts_by_walk(
+            group, chambers, new, inherited)
+        calls.append(new)
+        return counts
+
+    monkeypatch.setattr(davis, "_residue_counts", compared)
+    census = list(enumerate_convex_polytopes(
+        CoxeterGroup(DIFFERENTIAL[name]), 7))
+    assert len(calls) == len(census)
+
+
+@pytest.mark.parametrize("name", ["t255", "t237", "a2aff"])
+def test_edge_count_matches_arc_walk_on_small_sets(name):
+    # every set of at most 4 chambers of the ball of radius 2, convex or
+    # not, with every chamber new and split into a parent and new
+    # chambers wherever the parent passes on its own: the same map, or
+    # the same refusal and payload.  The sets hold arcs split in two and
+    # whole residues of order 2
+    group = CoxeterGroup(MATRICES[name])
+    ids = sorted(map(group.chamber_id, group.ball(2)))
+    refused = whole = 0
+    for n in range(1, 5):
+        for chosen in combinations(ids, n):
+            mask = sum(1 << i for i in chosen)
+            splits = [(mask, None)]
+            for k in range(1, n):
+                for old in combinations(chosen, k):
+                    parent = sum(1 << i for i in old)
+                    inherited = _counts_or_refusal(_residue_counts, group,
+                                                   parent, parent, None)
+                    if not isinstance(inherited, tuple):
+                        splits.append((mask & ~parent, inherited))
+            for new, inherited in splits:
+                got = _counts_or_refusal(_residue_counts, group, mask, new,
+                                         inherited)
+                assert got == _counts_or_refusal(
+                    oracles.residue_counts_by_walk, group, mask, new,
+                    inherited), (chosen, new)
+                if isinstance(got, tuple):
+                    refused += 1
+                else:
+                    whole += any(j == 2 * group.finite_pairs[k][2]
+                                 for (k, _), j in got.items())
+    assert refused and (whole or name == "a2aff")
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))

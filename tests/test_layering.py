@@ -10,8 +10,8 @@ walks the automaton alone, only ``_act`` walks a root through a word
 and ``ball``), only ``FieldSpec.rotation_order`` reads an order off the
 field's table, and
 only ``angle_sites`` an ``AngleSite``, which no reader of a polytope's
-sites calls, a site is its five fields, only the residue count check
-and the one exit walk walk an arc, while the group keeps residue bases
+sites calls, a site is its five fields, only the one exit walk walks
+an arc, and the stacan search none, while the group keeps residue bases
 per chamber record; a census member is born with its site counts, and
 no polytope links to its parent; the site table alone states j | m and
 2j <= m; the chamber layer forms no group product;
@@ -234,12 +234,12 @@ def test_only_angle_sites_builds_sites():
 
 
 def test_sites_are_plain_values_with_one_exit_walk():
-    # an arc is walked by the residue count check and by the one exit
-    # walk; a site holds its five fields alone, and a polytope keeps its
+    # an arc is walked by the one exit walk alone, which ``angle_sites``
+    # calls; a site holds its five fields alone, and a polytope keeps its
     # residue counts as its only site record
     tree = ast.parse((SRC / "davis.py").read_text())
-    assert sorted(_call_scopes(tree, "_arc")) == [("_exits",),
-                                                   ("_residue_counts",)]
+    assert _call_scopes(tree, "_arc") == [("_exits",)]
+    assert _call_scopes(tree, "_exits") == [("angle_sites",)]
     assert AngleSite.__slots__ == ("base", "pair", "m", "j",
                                    "boundary_walls")
     assert "_counts" in ChamberPolytope.__slots__
@@ -304,7 +304,7 @@ def test_site_readers_build_no_sites():
     # the counts: no function they reach in ``davis`` calls angle_sites
     defs = _davis_defs()
     for name in ("census_line", "is_acute_angled", "is_coxeter_polytope",
-                 "_obtuse_roots", "glued_translates"):
+                 "_boundary_roots", "glued_translates"):
         seen, todo = set(), [name]
         while todo:
             fn = todo.pop()
@@ -328,7 +328,7 @@ def test_angle_formulas_are_stated_once():
                   or "j * 2" in t) == ["2 * j", "2 * j <= m", "m % j",
                                        "m % j == 0"]
     defs = _davis_defs()
-    for name in ("census_line", "angle_flags", "_obtuse_roots"):
+    for name in ("census_line", "angle_flags", "_boundary_roots"):
         assert _call_scopes(defs[name], "_angle"), name
 
 
@@ -449,7 +449,10 @@ def test_stacan_takes_no_hull_per_pair():
     # mask test: outside the branch that displays a counterexample it
     # names no hull, no convexity test on a mask and no chamber set, and
     # nothing the pair loop reaches in ``davis``, but the census it may
-    # build, takes a hull or a region
+    # build, takes a hull or a region, or walks an arc.  A first polytope
+    # whose first panels are released scans them again
+    # (``_facet_panels``), a ``region`` across no wall, which joins no
+    # chamber
     tree = ast.parse((SRC / "cli.py").read_text())
     suite = next(n for n in tree.body if isinstance(n, ast.FunctionDef)
                  and n.name == "suite_stacan")
@@ -460,19 +463,26 @@ def test_stacan_takes_no_hull_per_pair():
     outside = _named(suite) - inside
     banned = {"is_convex_mask", "_hull_limited", "chambers_of", "is_convex",
               "region"}
+    walks = {"_arc", "_exits"}
     assert "glued_unions" in outside and not outside & banned
     assert "chambers_of" in inside
     tree = ast.parse((SRC / "davis.py").read_text())
     defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    [scan] = [n for n in ast.walk(defs["_facet_panels"])
+              if isinstance(n, ast.Call)
+              and getattr(n.func, "id", None) == "region"]
+    assert ast.unparse(scan.args[2]) == "0"
     seen, todo = set(), ["glued_unions"]
     while todo:
         fn = todo.pop()
-        if fn in seen or fn == "enumerate_convex_polytopes":
+        if fn in seen or fn in ("enumerate_convex_polytopes",
+                                "_facet_panels"):
             continue
         seen.add(fn)
-        assert not _named(defs[fn]) & banned, fn
+        assert not _named(defs[fn]) & (banned | walks), fn
         todo.extend(_named(defs[fn]) & defs.keys())
-    assert {"translate", "union_is_convex", "_obtuse_roots"} <= seen
+    assert {"translate", "union_is_convex", "_boundary_roots"} <= seen
+    assert "_facet_panels" in _named(defs["glued_unions"])
 
 
 def test_andreev_asks_no_order_without_a_finite_label():

@@ -2,14 +2,16 @@
 implementations they replaced, kept in ``oracles``, and on the data they
 decide: the same glued pairs in the same order and byte-identical report
 entries from the partner index and the mask test of union convexity, the
-mask test flag for flag against the hull on unions that are not convex
-too, the same violations from the Andreev check on root supports as from
-the residue walk and from conjugates, the same meeting per chamber, its
-sphericity memo against ``is_finite`` and under threads, no group
-product formed by it, no residue walked, nor a wall built but to display
-a violation, no order asked on a matrix with no finite label, and an
-answer past rank 16; and the facet-bound suite's failure on a
-decomposable matrix."""
+member records of one boundary scan against the arc walk and the
+identity translate, the scan oracle's refusal of an acute facet of two
+chambers, the mask test flag for flag against the hull on unions that
+are not convex too, the same violations from the Andreev check on root
+supports as from the residue walk and from conjugates, the same meeting
+per chamber, its sphericity memo against ``is_finite`` and under
+threads, no group product formed by it, no residue walked, nor a wall
+built but to display a violation, no order asked on a matrix with no
+finite label, and an answer past rank 16; and the facet-bound suite's
+failure on a decomposable matrix."""
 
 import json
 import sys
@@ -20,16 +22,20 @@ from itertools import combinations
 import pytest
 
 from coxlab import cli, davis
-from coxlab.davis import (_mask_of, check_andreev, enumerate_convex_polytopes,
-                          glued_translates, is_acute_angled, is_convex,
-                          stacan_pairs, translate, union_is_convex)
+from coxlab.davis import (_boundary_roots, _mask_of, check_andreev,
+                          enumerate_convex_polytopes, glued_translates,
+                          glued_unions, is_acute_angled, is_convex,
+                          polytope_of, stacan_pairs, translate,
+                          union_is_convex)
+from coxlab.errors import ConsistencyError
 from coxlab.matrices import INFINITY, CoxeterMatrix, is_finite
 from coxlab.words import CoxeterGroup
 
 from conftest import BENCH_MATRICES, CYCLE4, MATRICES
 from oracles import (check_andreev_by_conjugates, check_andreev_by_walk,
                      glued_unions_wide, meet_at_by_conjugates,
-                     stacan_entry_by_scan, stacan_pairs_by_scan)
+                     obtuse_roots_by_arcs, stacan_entry_by_scan,
+                     stacan_pairs_by_scan)
 
 # the verify workload's matrices at its budgets
 CASES = [("t23oo", 7), ("t255", 7), ("t237", 7), ("t333", 7), ("cycle4", 6),
@@ -96,6 +102,59 @@ def test_union_mask_test_matches_hull_where_unions_are_not_convex(name, k):
     # the matrices with a finite label have partners obtuse along a wall
     # of s, whose unions are not convex
     assert (False in flags) == bool(group.finite_pairs)
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_MATRICES))
+def test_member_records_match_arc_walk_and_translate(name, monkeypatch):
+    # each member's one boundary scan at K = 7 gives the B of
+    # ``translate`` by the identity and the obtuse roots of the arc walk
+    # it replaced, so the same acute roots, and each partner the pair
+    # loop tests carries the N and B of that translate
+    group, census = _census(name, 7)
+    base = group.chamber_id(group.identity())
+    holding = [[k for k, (a, b, _) in enumerate(group.finite_pairs)
+                if s in (a, b)] for s in range(group.rank)]
+    for p in census:
+        mask = _mask_of(group, p)
+        boundary, obtuse = _boundary_roots(group, p, mask, holding)
+        assert boundary == translate(group, mask, base, base)[2], p
+        assert obtuse == obtuse_roots_by_arcs(group, p), p
+    tested = []
+
+    def recorded(n1, b1, n2, b2, root):
+        tested.append((n2, b2))
+        return union_is_convex(n1, b1, n2, b2, root)
+
+    monkeypatch.setattr(davis, "union_is_convex", recorded)
+    masks = [mask for *_, mask, _ in glued_unions(group, 7, census)]
+    assert masks and len(masks) == len(tested)
+    for mask, partner in zip(masks, tested):
+        assert partner == translate(group, mask, base, base)[1:]
+
+
+# non-convex sets whose residues are one arc each, with two panels on one
+# acute facet wall: (matrix, words)
+TWO_PANELS = [("t237", [(), (0, 2, 1)]), ("a2aff", [(), (0, 1, 2), (1, 0, 2)]),
+              ("t23inf", [(), (0,), (1, 2, 0)]), ("remark", [(), (0, 1)])]
+
+
+@pytest.mark.parametrize("name,words", TWO_PANELS)
+def test_acute_facet_of_two_chambers_is_refused(name, words):
+    # a census member acute along a facet wall with two panels on it is
+    # no convex polytope: the pair search refuses it, with the scan
+    # oracle's message and payload, after a census of convex members
+    group, census = _census(name, 4)
+    census.append(polytope_of(group, frozenset(
+        group.normal_form(list(w)) for w in words)))
+    refusals = []
+    for search in (glued_unions, stacan_pairs_by_scan):
+        with pytest.raises(ConsistencyError) as e:
+            list(search(group, 6, census))
+        refusals.append((str(e.value), e.value.payload))
+    assert refusals[0] == refusals[1]
+    assert refusals[0][0] == \
+        "acute facet of a convex polytope is not one chamber"
+    assert len(refusals[0][1]) == 2
 
 
 def test_stacan_budget_one_yields_nothing():
